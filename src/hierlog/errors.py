@@ -21,6 +21,15 @@ class CatalogParseError(IngestError):
         self.line_number = line_number
 
 
+class SequenceParseError(IngestError):
+    """A line of a sequence file is not a valid sequence record."""
+
+    def __init__(self, line_number: int, reason: str):
+        super().__init__(f"sequence file parse error at line {line_number}: {reason}")
+        self.line_number = line_number
+        self.reason = reason
+
+
 class PartitionError(IngestError):
     def __init__(self, index: int, reason: str):
         super().__init__(f"record {index}: {reason}")

@@ -210,7 +210,6 @@ class ExtractorConfig:
     kind: str  # fixture | lexicon | llm
     fixture_path: Optional[str] = None
     lexicon_path: Optional[str] = None
-    refinement_enabled: bool = True
 
     def __post_init__(self):
         if self.kind not in ("fixture", "lexicon", "llm"):

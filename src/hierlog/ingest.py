@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import CatalogParseError, DuplicateKeyError, PartitionError
+from .errors import CatalogParseError, DuplicateKeyError, PartitionError, SequenceParseError
 
 WILDCARD = "<*>"
 
@@ -212,7 +212,8 @@ def partition(
     identifier mode groups by ``group_id`` preserving input order within a
     group; count_window emits fixed-size windows advancing by stride (final
     shorter remainder kept); time_window emits events whose timestamps fall
-    in [start, start + window).
+    in [start, start + window), the first window starting at the earliest
+    timestamp. Every mode keeps input order within a sequence.
     """
     if len(records) != len(events):
         raise ValueError("records and events must be the same length")
@@ -257,9 +258,8 @@ def partition(
         if rec.timestamp is None:
             raise PartitionError(i, "time_window mode requires timestamps")
     sequences = []
-    t0 = records[0].timestamp
+    start = min(r.timestamp for r in records)
     t_last = max(r.timestamp for r in records)
-    start = t0
     while start <= t_last:
         end = start + spec.window_size
         window = [i for i, r in enumerate(records) if start <= r.timestamp < end]
@@ -306,8 +306,18 @@ def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequen
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CatalogParseError(lineno, str(exc)) from exc
-            events = [catalog.event_for(str(k)) for k in row["keys"]]
+                raise SequenceParseError(lineno, str(exc)) from exc
+            if not isinstance(row, dict):
+                raise SequenceParseError(lineno, "expected a JSON object")
+            for name in ("sequence_id", "keys"):
+                if name not in row:
+                    raise SequenceParseError(lineno, f"missing field {name!r}")
+            if not isinstance(row["keys"], list):
+                raise SequenceParseError(lineno, "field 'keys' must be a list")
+            try:
+                events = [catalog.event_for(str(k)) for k in row["keys"]]
+            except KeyError as exc:
+                raise SequenceParseError(lineno, f"unknown log key {exc.args[0]!r}") from exc
             sequences.append(
                 LogSequence(id=str(row["sequence_id"]), events=events, label=row.get("label"))
             )

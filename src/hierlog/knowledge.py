@@ -12,10 +12,9 @@ import json
 import math
 import os
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .decompose import Seq
 from .errors import FormatError, KnowledgeBaseError
@@ -65,30 +64,33 @@ class KnowledgeBase:
     transition_index: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._lock = threading.Lock()
+        # Retrieval caches, built lazily and never persisted: parent path ->
+        # sibling entries in insertion order, and signature -> prepared vector.
+        self._siblings: Optional[dict[tuple[str, ...], list[TrainEntry]]] = None
+        self._vectors: dict[str, _Prepared] = {}
 
     # -- training side ------------------------------------------------------
 
     def insert_train(self, seq: Seq) -> TrainEntry:
         """Record a normal sub-sequence; repeats bump the occurrence count."""
         self._require(role="train", level=seq.level)
-        with self._lock:
-            entry = self.entries.get(seq.signature)
-            if entry is None:
-                entry = TrainEntry(
-                    signature=seq.signature,
-                    parent_path=list(seq.parent_path),
-                    nodes=list(seq.nodes),
-                    example_chunk=list(seq.chunk),
-                )
-                self.entries[seq.signature] = entry
-            else:
-                entry.occurrence_count += 1
-            parent_sig = ">".join(seq.parent_path)
-            transitions = self.transition_index.setdefault(parent_sig, set())
-            walk = [START_MARK] + list(seq.nodes) + [END_MARK]
-            transitions.update(zip(walk, walk[1:]))
-            return entry
+        entry = self.entries.get(seq.signature)
+        if entry is None:
+            entry = TrainEntry(
+                signature=seq.signature,
+                parent_path=list(seq.parent_path),
+                nodes=list(seq.nodes),
+                example_chunk=list(seq.chunk),
+            )
+            self.entries[seq.signature] = entry
+            self._siblings = None
+        else:
+            entry.occurrence_count += 1
+        parent_sig = ">".join(seq.parent_path)
+        transitions = self.transition_index.setdefault(parent_sig, set())
+        walk = [START_MARK] + list(seq.nodes) + [END_MARK]
+        transitions.update(zip(walk, walk[1:]))
+        return entry
 
     def contains(self, signature: str) -> bool:
         return signature in self.entries
@@ -105,21 +107,33 @@ class KnowledgeBase:
         """Top-m sibling entries by cosine similarity.
 
         Ties break by higher occurrence count, then smaller signature.
-        Raises when siblings exist but lack embeddings.
+        Raises when siblings exist but lack embeddings. Each cosine equals
+        ``_cosine(query_embedding, entry.embedding)`` bit for bit.
         """
         self._require(role="train")
-        parent = list(parent_path)
-        siblings = [e for e in self.entries.values() if e.parent_path == parent]
+        if self._siblings is None:
+            self._siblings = {}
+            for e in self.entries.values():
+                self._siblings.setdefault(tuple(e.parent_path), []).append(e)
+        siblings = self._siblings.get(tuple(parent_path), [])
         missing = [e.signature for e in siblings if e.embedding is None]
         if missing:
             raise KnowledgeBaseError(
                 f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
             )
+        query = _prepare(query_embedding)
         ranked = sorted(
             siblings,
-            key=lambda e: (-_cosine(query_embedding, e.embedding), -e.occurrence_count, e.signature),
+            key=lambda e: (-_sparse_cosine(query, self._vector(e)), -e.occurrence_count, e.signature),
         )
         return ranked[: max(m, 0)]
+
+    def _vector(self, entry: TrainEntry) -> "_Prepared":
+        """The entry's prepared vector, rebuilt when its embedding was replaced."""
+        prepared = self._vectors.get(entry.signature)
+        if prepared is None or prepared.embedding is not entry.embedding:
+            prepared = self._vectors[entry.signature] = _prepare(entry.embedding)
+        return prepared
 
     # -- test side ----------------------------------------------------------
 
@@ -129,8 +143,7 @@ class KnowledgeBase:
 
     def store_test(self, entry: TestEntry) -> None:
         self._require(role="test", level=self.level)
-        with self._lock:
-            self.entries[entry.chunk_key] = entry
+        self.entries[entry.chunk_key] = entry
 
     # -- persistence --------------------------------------------------------
 
@@ -243,6 +256,33 @@ def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
+
+
+class _Prepared(NamedTuple):
+    embedding: Sequence[float]  # the vector prepared, compared by identity
+    nonzeros: dict[int, float]  # index -> value, ascending index order
+    norm: float
+
+
+def _prepare(vector: Sequence[float]) -> _Prepared:
+    nonzeros = {i: x for i, x in enumerate(vector) if x != 0.0}
+    return _Prepared(vector, nonzeros, math.sqrt(sum(x * x for x in nonzeros.values())))
+
+
+def _sparse_cosine(a: _Prepared, b: _Prepared) -> float:
+    """``_cosine`` over non-zeros only, with the same result bit for bit.
+
+    A zero term adds nothing to an IEEE sum that starts at +0.0, and shared
+    indices are below both lengths, as under ``zip``. That fails only when a
+    zero meets inf or NaN (0 * inf is NaN), so a non-finite norm falls back.
+    """
+    if a.norm == 0.0 or b.norm == 0.0:
+        return 0.0
+    if not (math.isfinite(a.norm) and math.isfinite(b.norm)):
+        return _cosine(a.embedding, b.embedding)
+    bz = b.nonzeros
+    dot = sum(x * bz[i] for i, x in a.nonzeros.items() if i in bz)
+    return dot / (a.norm * b.norm)
 
 
 class KnowledgeBaseSet:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.errors import CatalogParseError, DuplicateKeyError, PartitionError
+from hierlog.errors import CatalogParseError, DuplicateKeyError, PartitionError, SequenceParseError
 from hierlog.ingest import (
     LogTemplate,
     PartitionSpec,
@@ -166,6 +166,18 @@ def test_time_window(toy_cat):
     assert [s.keys for s in seqs] == [["k1", "k2", "k3"], ["k4", "k5"], ["k6"]]
 
 
+def test_time_window_starts_at_earliest_timestamp(toy_cat):
+    records = [RawLogRecord(message="x", timestamp=t) for t in [5.0, 1.0, 2.0, 6.0]]
+    events = _events(toy_cat, ["k1", "k2", "k3", "k4"])
+    for size in (1.0, 2.0, 3.0, 10.0):
+        seqs = partition(records, events, PartitionSpec("time_window", window_size=size))
+        assert sorted(k for s in seqs for k in s.keys) == ["k1", "k2", "k3", "k4"]
+    seqs = partition(records, events, PartitionSpec("time_window", window_size=2.0))
+    assert [s.keys for s in seqs] == [["k2", "k3"], ["k1", "k4"]]
+    seqs = partition(records, events, PartitionSpec("time_window", window_size=10.0))
+    assert [s.keys for s in seqs] == [["k1", "k2", "k3", "k4"]]  # input order kept
+
+
 def test_time_window_requires_timestamps(toy_cat):
     records = [RawLogRecord(message="x")]
     with pytest.raises(PartitionError):
@@ -214,6 +226,26 @@ def test_sequence_round_trip(tmp_path, toy_cat):
     assert [(s.id, s.keys, s.label) for s in loaded] == [(s.id, s.keys, s.label) for s in seqs]
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"sequence_id", "keys", "label"}
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"sequence_id": "s2", "keys": ["k1"', "Expecting"),
+        ('{"sequence_id": "s2"}', "missing field 'keys'"),
+        ('{"sequence_id": "s2", "keys": ["k1", "k9"]}', "unknown log key 'k9'"),
+        ('{"sequence_id": "s2", "keys": "k1"}', "'keys' must be a list"),
+    ],
+    ids=["bad-json", "missing-keys", "unknown-key", "keys-not-list"],
+)
+def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, reason):
+    path = tmp_path / "seqs.jsonl"
+    path.write_text('{"sequence_id": "s1", "keys": ["k1", "k2"]}\n' + line + "\n")
+    with pytest.raises(SequenceParseError) as info:
+        load_sequences(path, toy_cat)
+    assert info.value.line_number == 2
+    assert reason in info.value.reason
+    assert "line 2" in str(info.value)
 
 
 # -- properties ---------------------------------------------------------------

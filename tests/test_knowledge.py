@@ -4,8 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hierlog.decompose import top_down_decompose
+from hierlog.decompose import Seq, top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
 from hierlog.hierarchy import ENTITY, STATUS
 from hierlog.knowledge import (
@@ -16,6 +18,8 @@ from hierlog.knowledge import (
     TestEntry as KBTestEntry,
     chunk_key,
     _cosine,
+    _prepare,
+    _sparse_cosine,
 )
 from hierlog.semantics import embed_chunk
 
@@ -121,6 +125,69 @@ def test_retrieve_requires_embeddings(toy_tree):
     kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
     with pytest.raises(KnowledgeBaseError):
         kb.retrieve_similar(("root",), [1.0], 1)
+
+
+_PARENTS = [("root",), ("root", "Auth"), ("root", "Comm")]
+# Small repeated values give exact cosine ties and zero vectors; the general
+# float branch adds inf, NaN and overflowing squares.
+_VECTORS = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), st.floats()),
+    max_size=8,
+)
+
+
+def _oracle(kb, parent, query, m):
+    siblings = [e for e in kb.entries.values() if e.parent_path == list(parent)]
+    ranked = sorted(
+        siblings,
+        key=lambda e: (-_cosine(query, e.embedding), -e.occurrence_count, e.signature),
+    )
+    return ranked[: max(m, 0)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_VECTORS, b=_VECTORS)
+def test_sparse_cosine_is_bit_identical_to_cosine(a, b):
+    # repr tells -0.0 from 0.0 and round-trips every other float exactly
+    assert repr(_sparse_cosine(_prepare(a), _prepare(b))) == repr(_cosine(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_retrieve_similar_matches_brute_force_oracle(data):
+    kb = KnowledgeBase(level=ENTITY, role="train")
+
+    def insert(parent, nodes):
+        seq = Seq(ENTITY, parent, nodes, nodes, [[n] for n in nodes])
+        for _ in range(data.draw(st.integers(1, 3), label="count")):
+            entry = kb.insert_train(seq)
+        return entry
+
+    node_lists = st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3)
+    for _ in range(data.draw(st.integers(0, 12), label="entries")):
+        entry = insert(data.draw(st.sampled_from(_PARENTS)), data.draw(node_lists))
+        entry.embedding = data.draw(_VECTORS, label="embedding")
+
+    def check():
+        snapshot = json.dumps(kb.to_json(), sort_keys=True)  # a copy, not shared lists
+        for parent in _PARENTS + [("root", "Ghost")]:
+            query = data.draw(_VECTORS, label="query")
+            m = data.draw(st.integers(-1, len(kb.entries) + 2), label="m")
+            assert kb.retrieve_similar(parent, query, m) == _oracle(kb, parent, query, m)
+        assert json.dumps(kb.to_json(), sort_keys=True) == snapshot
+
+    check()
+    if kb.entries:
+        victim = kb.entries[data.draw(st.sampled_from(sorted(kb.entries)), label="reassigned")]
+        victim.embedding = data.draw(_VECTORS, label="new embedding")
+        check()
+
+    parent = data.draw(st.sampled_from(_PARENTS), label="late parent")
+    late = insert(parent, data.draw(st.lists(st.sampled_from("EF"), min_size=1, max_size=2)))
+    with pytest.raises(KnowledgeBaseError):
+        kb.retrieve_similar(parent, [1.0], 1)
+    late.embedding = data.draw(_VECTORS, label="late embedding")
+    check()
 
 
 # -- test cache -----------------------------------------------------------------
