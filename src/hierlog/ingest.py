@@ -23,14 +23,14 @@ WILDCARD = "<*>"
 class LogTemplate:
     key: str
     text: str
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.text.split())
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(self.text.split()))
 
     @property
     def wildcard_count(self) -> int:
-        return sum(1 for t in self.tokens if t == WILDCARD)
+        return self.tokens.count(WILDCARD)
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,8 @@ class TemplateCatalog:
             if not t.text.strip():
                 raise ValueError(f"template {t.key!r} has empty text")
             self._by_key[t.key] = t
-        # Bucket by token count so matching only scans plausible candidates.
-        self._by_length: dict[int, list[LogTemplate]] = {}
-        for t in self._by_key.values():
-            self._by_length.setdefault(len(t.tokens), []).append(t)
-        for bucket in self._by_length.values():
-            bucket.sort(key=lambda t: (t.wildcard_count, t.key))
+        self._events = {k: LogEvent(key=k, template=t.text) for k, t in self._by_key.items()}
+        self._tries: Optional[dict[int, list]] = None  # built on the first match
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -116,8 +112,37 @@ class TemplateCatalog:
         return list(self._by_key)
 
     def event_for(self, key: str) -> LogEvent:
-        t = self._by_key[key]
-        return LogEvent(key=t.key, template=t.text)
+        """The catalog's one shared (frozen) event for ``key``."""
+        return self._events[key]
+
+    def _trie(self, n_tokens: int) -> Optional[list]:
+        """Root of the token trie for templates of ``n_tokens`` tokens, if any.
+
+        One trie per token count, in the style of Drain's parse tree, so
+        matching only walks branches that agree with the message so far. A
+        node is a list [literal children by token, wildcard child or None,
+        floor], where floor is the smallest (wildcard_count, key) of the
+        templates through it; inserting in that order sets each floor once.
+        Built on first use: a detector loaded for scoring never matches.
+        """
+        if self._tries is None:
+            tries: dict[int, list] = {}
+            for rank, t in sorted(((t.wildcard_count, t.key), t) for t in self._by_key.values()):
+                node = tries.get(len(t.tokens))
+                if node is None:
+                    node = tries[len(t.tokens)] = [{}, None, rank]
+                for tok in t.tokens:
+                    if tok == WILDCARD:
+                        child = node[1]
+                        if child is None:
+                            child = node[1] = [{}, None, rank]
+                    else:
+                        child = node[0].get(tok)
+                        if child is None:
+                            child = node[0][tok] = [{}, None, rank]
+                    node = child
+            self._tries = tries  # published whole, never half built
+        return self._tries.get(n_tokens)
 
 
 def load_template_catalog(path: str | Path) -> TemplateCatalog:
@@ -167,17 +192,33 @@ def match_message(catalog: TemplateCatalog, message: str) -> Optional[MatchResul
     key. Returns None when nothing matches.
     """
     tokens = message.split()
-    candidates = catalog._by_length.get(len(tokens), [])
-    for template in candidates:  # pre-sorted by (wildcards, key)
-        params = []
-        for mt, tt in zip(tokens, template.tokens):
-            if tt == WILDCARD:
-                params.append(mt)
-            elif tt != mt:
-                break
-        else:
-            return MatchResult(key=template.key, params=tuple(params))
-    return None
+    n = len(tokens)
+    root = catalog._trie(n)
+    if root is None:
+        return None
+    # Depth-first over the branches that agree with the message, literal
+    # child first; a subtree whose floor cannot beat the best leaf found so
+    # far is skipped. An explicit stack keeps any template length safe.
+    best: Optional[tuple[int, str]] = None
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        literal, wild, floor = node
+        if best is not None and floor >= best:
+            continue
+        if depth == n:
+            best = floor
+            continue
+        if wild is not None:
+            stack.append((wild, depth + 1))
+        child = literal.get(tokens[depth])
+        if child is not None:
+            stack.append((child, depth + 1))
+    if best is None:
+        return None
+    template = catalog._by_key[best[1]]
+    params = tuple(mt for mt, tt in zip(tokens, template.tokens) if tt == WILDCARD)
+    return MatchResult(key=template.key, params=params)
 
 
 @dataclass
@@ -257,13 +298,21 @@ def partition(
     for i, rec in enumerate(records):
         if rec.timestamp is None:
             raise PartitionError(i, "time_window mode requires timestamps")
+    # One sweep: indices sorted by timestamp (stable), and two monotone
+    # pointers bounding [start, end) as the window slides.
+    order = sorted(range(len(records)), key=lambda i: records[i].timestamp)
+    stamps = [records[i].timestamp for i in order]
     sequences = []
-    start = min(r.timestamp for r in records)
-    t_last = max(r.timestamp for r in records)
+    start, t_last = stamps[0], stamps[-1]
+    lo = hi = 0
     while start <= t_last:
         end = start + spec.window_size
-        window = [i for i, r in enumerate(records) if start <= r.timestamp < end]
-        if window:
+        while stamps[lo] < start:
+            lo += 1
+        while hi < len(stamps) and stamps[hi] < end:
+            hi += 1
+        if hi > lo:
+            window = sorted(order[lo:hi])
             sequences.append(
                 LogSequence(
                     id=f"t{len(sequences)}",

@@ -8,6 +8,7 @@ http_chat provider speaks a generic JSON chat-completion API.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -222,6 +223,13 @@ class EmbeddingConfig:
             raise ValueError("dimension must be positive")
 
 
+@functools.cache
+def _bucket(key: str, dimension: int) -> int:
+    """Hashed embedding index of a log key; keys come from a catalog, so this stays small."""
+    h = hashlib.sha1(key.encode()).digest()
+    return int.from_bytes(h[:4], "big") % dimension
+
+
 def embed_chunk(chunk: Sequence[str], config: EmbeddingConfig = EmbeddingConfig()) -> list[float]:
     """Hashed bag-of-keys count vector, normalized to unit length.
 
@@ -232,9 +240,7 @@ def embed_chunk(chunk: Sequence[str], config: EmbeddingConfig = EmbeddingConfig(
         raise ValueError("cannot embed an empty chunk")
     vec = [0.0] * config.dimension
     for key in chunk:
-        h = hashlib.sha1(key.encode()).digest()
-        idx = int.from_bytes(h[:4], "big") % config.dimension
-        vec[idx] += 1.0
+        vec[_bucket(key, config.dimension)] += 1.0
     norm = sum(v * v for v in vec) ** 0.5
     return [v / norm for v in vec]
 

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from hierlog.errors import CatalogParseError, DuplicateKeyError, PartitionError, SequenceParseError
 from hierlog.ingest import (
+    WILDCARD,
+    LogSequence,
     LogTemplate,
     PartitionSpec,
     RawLogRecord,
+    MatchResult,
     TemplateCatalog,
+    _labels_or_none,
     label_sequence,
     load_sequences,
     load_template_catalog,
@@ -112,6 +116,21 @@ def test_match_tiebreak_smallest_key():
     )
     # "ping x" matches both with one wildcard each; key "a" < "b"
     assert match_message(cat, "ping x").key == "a"
+
+
+def test_match_long_template_without_recursion():
+    n = 5000
+    text = " ".join(WILDCARD if i % 3 == 0 else f"t{i}" for i in range(n))
+    cat = TemplateCatalog([LogTemplate("long", text), LogTemplate("short", "t0 t1")])
+    message = " ".join(f"p{i}" if i % 3 == 0 else f"t{i}" for i in range(n))
+    m = match_message(cat, message)
+    assert m == MatchResult("long", tuple(f"p{i}" for i in range(0, n, 3)))
+    assert match_message(cat, message + " extra") is None
+
+
+def test_event_for_shares_one_event_per_key(toy_cat):
+    report = match_records(toy_cat, [RawLogRecord(message="Open session started")] * 3)
+    assert report.events[0] is report.events[2] is toy_cat.event_for("k1")
 
 
 def test_match_records_reports_skipped(toy_cat):
@@ -267,3 +286,113 @@ def toy_catalog_module():
     from hierlog.synthetic import toy_catalog
 
     return toy_catalog()
+
+
+def _linear_match(catalog, message):
+    """Reference matcher: scan the message's length bucket in (wildcards, key) order."""
+    tokens = message.split()
+    bucket = sorted(
+        (t for t in catalog.templates() if len(t.tokens) == len(tokens)),
+        key=lambda t: (t.wildcard_count, t.key),
+    )
+    for template in bucket:
+        params = []
+        for mt, tt in zip(tokens, template.tokens):
+            if tt == WILDCARD:
+                params.append(mt)
+            elif tt != mt:
+                break
+        else:
+            return MatchResult(key=template.key, params=tuple(params))
+    return None
+
+
+_WORDS = ["a", "b", "c", "<*>2", WILDCARD]
+
+
+@st.composite
+def _catalog_and_messages(draw):
+    word_lists = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5)
+    texts = draw(st.lists(word_lists, min_size=1, max_size=12))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=3))  # same text under another key
+    keys = draw(st.permutations([f"k{i:02d}" for i in range(len(texts))]))
+    templates = [LogTemplate(k, " ".join(t)) for k, t in zip(keys, texts)]
+    seps = st.sampled_from([" ", "  ", "\t", " \n "])
+    messages = ["", "   ", " ".join(["a"] * 7)]  # empty, blank, a length with no templates
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        toks = []
+        for word in draw(st.sampled_from(texts)):
+            # A wildcard slot, and now and then a literal one, takes any token,
+            # often another template's literal.
+            if word == WILDCARD or draw(st.booleans()):
+                word = draw(st.sampled_from(_WORDS + ["x"]))
+            toks.append(word)
+        toks += draw(st.lists(st.sampled_from(["a", "x"]), max_size=1))  # one token too many
+        messages.append(draw(seps).join(toks) + draw(st.sampled_from(["", " ", "\t"])))
+    return templates, messages
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_catalog_and_messages())
+def test_trie_matches_linear_oracle(case):
+    templates, messages = case
+    cat = TemplateCatalog(templates)
+    for message in messages:
+        assert match_message(cat, message) == _linear_match(cat, message)
+
+
+def test_trie_matches_linear_oracle_with_every_wildcard_position():
+    words = ["go", "to", "db"]
+    templates = [LogTemplate("lit", "go to db")]
+    for mask in range(1, 8):
+        text = " ".join(WILDCARD if mask >> i & 1 else w for i, w in enumerate(words))
+        templates.append(LogTemplate(f"w{mask}", text))
+    cat = TemplateCatalog(templates)
+    for message in ["go to db", "go to x", "x to db", "x y z", "go y db", "to go db"]:
+        assert match_message(cat, message) == _linear_match(cat, message)
+    assert match_message(cat, "go to db").key == "lit"
+    assert match_message(cat, "x to db") == MatchResult("w1", ("x",))
+
+
+def _windows_oracle(records, events, spec):
+    """Reference time_window partition: one full scan of the records per window."""
+    sequences = []
+    start = min(r.timestamp for r in records)
+    t_last = max(r.timestamp for r in records)
+    while start <= t_last:
+        end = start + spec.window_size
+        window = [i for i, r in enumerate(records) if start <= r.timestamp < end]
+        if window:
+            sequences.append(
+                LogSequence(
+                    id=f"t{len(sequences)}",
+                    events=[events[i] for i in window],
+                    label=_labels_or_none([records[i].label for i in window]),
+                )
+            )
+        start += spec.stride
+    return sequences
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stamps=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=20).map(float),  # many duplicates
+            st.floats(min_value=-50.0, max_value=400.0, allow_nan=False),  # long gaps
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    labels=st.lists(st.one_of(st.none(), st.booleans()), min_size=40, max_size=40),
+    size=st.sampled_from([0.5, 1.0, 2.5, 7.0, 30.0]),
+    stride_frac=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+)
+def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac):
+    cat = toy_catalog_module()
+    records = [RawLogRecord(message="x", timestamp=t, label=l) for t, l in zip(stamps, labels)]
+    events = _events(cat, [f"k{1 + i % 6}" for i in range(len(records))])
+    spec = PartitionSpec("time_window", window_size=size, stride=size * stride_frac)
+    got = partition(records, events, spec)
+    want = _windows_oracle(records, events, spec)
+    assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]

@@ -1,8 +1,11 @@
 """Providers, embeddings, summarization, and verdict parsing."""
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import ProviderError
@@ -53,6 +56,26 @@ def test_embedding_config():
         EmbeddingConfig(dimension=0)
     with pytest.raises(ValueError):
         embed_chunk([])
+
+
+def _embed_inline(chunk, dimension):
+    """embed_chunk's arithmetic with the key hash computed in place, on every key."""
+    vec = [0.0] * dimension
+    for key in chunk:
+        vec[int.from_bytes(hashlib.sha1(key.encode()).digest()[:4], "big") % dimension] += 1.0
+    norm = sum(v * v for v in vec) ** 0.5
+    return [v / norm for v in vec]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chunk=st.lists(st.text(min_size=0, max_size=6), min_size=1, max_size=12),
+    dimension=st.integers(min_value=1, max_value=300),
+)
+def test_embedding_bit_identical_to_inline_hash(chunk, dimension):
+    config = EmbeddingConfig(dimension=dimension)
+    for _ in range(2):  # a cold and a warm key cache give the same vector
+        assert repr(embed_chunk(chunk, config)) == repr(_embed_inline(chunk, dimension))
 
 
 # -- mock provider ----------------------------------------------------------------
