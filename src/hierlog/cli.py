@@ -1,62 +1,46 @@
-"""Command-line entry points.
+"""Command-line entry points, each a thin wrapper over a stage in `hierlog.pipeline`.
 
 Exit codes: 0 success, 1 stage/run failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from datetime import datetime, timezone
-from pathlib import Path
-
 import click
 
-from .detect import DetectConfig, Detector, LEVEL_PRESETS, train as train_kbs
-from .errors import ConfigError, HierlogError, StageError
-from .evalreport import compute_metrics, load_report_records, save_reports
-from .hierarchy import (
-    ExtractorConfig,
-    TopicTree,
-    build_tree,
-    extract_topics,
-    load_triples,
-    make_extractor,
-    refine_topics,
-    save_triples,
-)
-from .ingest import (
-    RawLogRecord,
-    load_sequences,
-    load_template_catalog,
-    match_records,
-    partition as partition_records,
-    save_sequences,
-)
-from .knowledge import KnowledgeBaseSet
-from .pipeline import _parse_partition_spec, parse_detector_spec, run_pipeline
-from .semantics import ProviderConfig, make_provider
+from . import pipeline as stages
+from .errors import ConfigError, HierlogError
 from .synthetic import make_corpus, write_corpus
+
+
+class _Main(click.Group):
+    """Maps every command's errors to an exit code, in one place."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (HierlogError, OSError, KeyError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(2 if isinstance(exc, ConfigError) else 1)
 
 
 def _provider_options(fn):
     fn = click.option("--provider-kind", default=None, type=click.Choice(["mock", "recorded", "http_chat"]))(fn)
-    fn = click.option("--provider-fixture", default=None, help="Recorded-provider fixture path.")(fn)
+    fn = click.option("--provider-fixture", "provider_fixture_path", default=None,
+                      help="Recorded-provider fixture path.")(fn)
     fn = click.option("--provider-endpoint", default=None)(fn)
     fn = click.option("--provider-model", default=None)(fn)
     fn = click.option("--provider-auth-env", default=None, help="Env var holding the API credential.")(fn)
     return fn
 
 
-def _make_provider(kind, fixture, endpoint, model, auth_env):
-    if kind is None:
+def _provider(opts: dict):
+    """The provider the --provider-* options name, or None without --provider-kind."""
+    if opts["provider_kind"] is None:
         return None
-    return make_provider(
-        ProviderConfig(kind=kind, fixture_path=fixture, endpoint=endpoint, model=model, auth_env=auth_env)
-    )
+    return stages.load_provider({name.removeprefix("provider_"): value for name, value in opts.items()})
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Hierarchical log anomaly detection toolkit."""
 
@@ -70,33 +54,11 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ingest(templates_path, logs_path, partition_spec, out_path):
     """Match raw messages to templates and partition into sequences."""
-    try:
-        catalog = load_template_catalog(templates_path)
-        records = []
-        with open(logs_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                records.append(
-                    RawLogRecord(
-                        message=row["message"],
-                        timestamp=row.get("timestamp"),
-                        group_id=row.get("group_id"),
-                        label=row.get("label"),
-                    )
-                )
-        report = match_records(catalog, records)
-        if report.skipped:
-            click.echo(f"skipped {len(report.skipped)} unmatched messages", err=True)
-        sequences = partition_records(report.records, report.events, _parse_partition_spec(partition_spec))
-        save_sequences(sequences, out_path)
-        click.echo(f"wrote {len(sequences)} sequences to {out_path}")
-    except ConfigError as exc:
-        raise SystemExit(_fail(exc, code=2))
-    except (HierlogError, OSError, KeyError, ValueError) as exc:
-        raise SystemExit(_fail(exc))
+    catalog = stages.load_template_catalog(templates_path)
+    written, skipped = stages.ingest(catalog, logs_path, partition_spec, out_path)
+    if skipped:
+        click.echo(f"skipped {skipped} unmatched messages", err=True)
+    click.echo(f"wrote {written} sequences to {out_path}")
 
 
 @main.group()
@@ -114,24 +76,11 @@ def hierarchy():
 @_provider_options
 def extract(templates_path, kind, fixture, lexicon, no_refine, out_path, **provider_opts):
     """Extract (entity, action, status) triples per template."""
-    try:
-        provider = _make_provider(
-            provider_opts["provider_kind"], provider_opts["provider_fixture"],
-            provider_opts["provider_endpoint"], provider_opts["provider_model"],
-            provider_opts["provider_auth_env"],
-        )
-        catalog = load_template_catalog(templates_path)
-        extractor = make_extractor(
-            ExtractorConfig(kind=kind, fixture_path=fixture, lexicon_path=lexicon),
-            provider=provider,
-        )
-        triples = extract_topics(catalog, extractor)
-        if not no_refine:
-            triples = refine_topics(triples)
-        save_triples(triples, out_path)
-        click.echo(f"wrote {len(triples)} triples to {out_path}")
-    except (HierlogError, OSError, ValueError) as exc:
-        raise SystemExit(_fail(exc))
+    triples = stages.extract(
+        stages.load_template_catalog(templates_path), kind, fixture, lexicon, _provider(provider_opts),
+        refine=not no_refine, triples_out=out_path,
+    )
+    click.echo(f"wrote {len(triples)} triples to {out_path}")
 
 
 @hierarchy.command()
@@ -139,12 +88,8 @@ def extract(templates_path, kind, fixture, lexicon, no_refine, out_path, **provi
 @click.option("--out", "out_path", required=True, type=click.Path())
 def build(triples_path, out_path):
     """Assemble the topic tree from extracted triples."""
-    try:
-        tree = build_tree(load_triples(triples_path))
-        tree.save(out_path)
-        click.echo(f"wrote tree with {len(tree)} nodes to {out_path}")
-    except (HierlogError, OSError, ValueError) as exc:
-        raise SystemExit(_fail(exc))
+    tree = stages.build(stages.load_triples(triples_path), out_path)
+    click.echo(f"wrote tree with {len(tree)} nodes to {out_path}")
 
 
 @main.command()
@@ -157,25 +102,12 @@ def build(triples_path, out_path):
 @_provider_options
 def train(templates_path, tree_path, sequences_path, kb_dir, llm, **provider_opts):
     """Build training knowledge bases from normal sequences."""
-    try:
-        provider = _make_provider(
-            provider_opts["provider_kind"], provider_opts["provider_fixture"],
-            provider_opts["provider_endpoint"], provider_opts["provider_model"],
-            provider_opts["provider_auth_env"],
-        )
-        catalog = load_template_catalog(templates_path)
-        tree = TopicTree.load(tree_path)
-        sequences = load_sequences(sequences_path, catalog)
-        config = DetectConfig(llm_enabled=(llm == "on"))
-        kbs = train_kbs(
-            sequences, tree, config, provider=provider,
-            templates={t.key: t.text for t in catalog.templates()},
-        )
-        kbs.save_dir(kb_dir)
-        sizes = {level: len(kbs.train[level].entries) for level in kbs.train}
-        click.echo(f"trained KBs: {sizes}")
-    except (HierlogError, OSError, ValueError) as exc:
-        raise SystemExit(_fail(exc))
+    kbs = stages.train(
+        stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path), sequences_path,
+        kb_dir, llm == "on", _provider(provider_opts),
+    )
+    sizes = {level: len(kbs.train[level].entries) for level in kbs.train}
+    click.echo(f"trained KBs: {sizes}")
 
 
 @main.command()
@@ -195,36 +127,14 @@ def train(templates_path, tree_path, sequences_path, kb_dir, llm, **provider_opt
 def detect(templates_path, tree_path, kb_dir, test_path, levels, detector_spec, llm,
            m, early_exit, llm_fraction, report_path, **provider_opts):
     """Run hybrid detection over test sequences."""
-    try:
-        provider = _make_provider(
-            provider_opts["provider_kind"], provider_opts["provider_fixture"],
-            provider_opts["provider_endpoint"], provider_opts["provider_model"],
-            provider_opts["provider_auth_env"],
-        )
-        catalog = load_template_catalog(templates_path)
-        tree = TopicTree.load(tree_path)
-        kbs = KnowledgeBaseSet.load_dir(kb_dir)
-        sequences = load_sequences(test_path, catalog)
-        config = DetectConfig(
-            levels_enabled=LEVEL_PRESETS[levels],
-            detector_per_level=parse_detector_spec(detector_spec),
-            llm_enabled=(llm == "on"),
-            m=m,
-            early_exit=(early_exit == "on"),
-            llm_phase_fraction=llm_fraction,
-        )
-        engine = Detector(
-            tree, kbs, config, provider=provider,
-            templates={t.key: t.text for t in catalog.templates()},
-        )
-        reports = engine.run(sequences)
-        meta = {"created_at": datetime.now(timezone.utc).isoformat(), "levels": levels, "llm": llm}
-        save_reports(reports, report_path, meta=meta)
-        kbs.save_dir(kb_dir)  # persist warmed test caches
-        flagged = sum(1 for r in reports if r.final_verdict)
-        click.echo(f"{flagged}/{len(reports)} sequences flagged abnormal; report at {report_path}")
-    except (HierlogError, OSError, ValueError) as exc:
-        raise SystemExit(_fail(exc))
+    config = stages.detect_config(levels, detector_spec, llm == "on", m, early_exit == "on", llm_fraction)
+    _, reports = stages.detect(
+        stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path),
+        stages.KnowledgeBaseSet.load_dir(kb_dir), kb_dir, test_path, report_path, config,
+        _provider(provider_opts),
+    )
+    flagged = sum(1 for r in reports if r.final_verdict)
+    click.echo(f"{flagged}/{len(reports)} sequences flagged abnormal; report at {report_path}")
 
 
 @main.command()
@@ -235,41 +145,22 @@ def detect(templates_path, tree_path, kb_dir, test_path, levels, detector_spec, 
 @click.option("--out", "out_path", default=None, type=click.Path())
 def evaluate(report_path, test_path, templates_path, out_path):
     """Score a detection report against sequence labels."""
-    try:
-        catalog = load_template_catalog(templates_path)
-        sequences = load_sequences(test_path, catalog)
-        _, records = load_report_records(report_path)
-        verdicts = {r["sequence_id"]: r["final_verdict"] for r in records}
-        labeled = [s for s in sequences if s.label is not None]
-        metrics = compute_metrics([verdicts[s.id] for s in labeled], [bool(s.label) for s in labeled])
-        payload = {
-            "tp": metrics.tp, "fp": metrics.fp, "tn": metrics.tn, "fn": metrics.fn,
-            "precision": metrics.precision, "recall": metrics.recall, "f1": metrics.f1,
-        }
-        click.echo(
-            f"P={metrics.precision:.4f} R={metrics.recall:.4f} F1={metrics.f1:.4f} "
-            f"(tp={metrics.tp} fp={metrics.fp} tn={metrics.tn} fn={metrics.fn})"
-        )
-        if out_path:
-            Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-    except (HierlogError, OSError, KeyError, ValueError) as exc:
-        raise SystemExit(_fail(exc))
+    m = stages.score_report(stages.load_template_catalog(templates_path), test_path, report_path, out_path)
+    click.echo(
+        f"P={m['precision']:.4f} R={m['recall']:.4f} F1={m['f1']:.4f} "
+        f"(tp={m['tp']} fp={m['fp']} tn={m['tn']} fn={m['fn']})"
+    )
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 def pipeline(config_path):
     """Run extract -> build -> train -> detect -> eval from one config file."""
-    try:
-        result = run_pipeline(config_path)
-        if result.metrics:
-            m = result.metrics["metrics"]
-            click.echo(f"P={m['precision']:.4f} R={m['recall']:.4f} F1={m['f1']:.4f}")
-        click.echo("pipeline completed")
-    except ConfigError as exc:
-        raise SystemExit(_fail(exc, code=2))
-    except StageError as exc:
-        raise SystemExit(_fail(exc))
+    result = stages.run_pipeline(config_path)
+    if result.metrics:
+        m = result.metrics["metrics"]
+        click.echo(f"P={m['precision']:.4f} R={m['recall']:.4f} F1={m['f1']:.4f}")
+    click.echo("pipeline completed")
 
 
 @main.command("make-dataset")
@@ -287,11 +178,6 @@ def make_dataset(out_dir, seed, n_train, n_test, anomaly_rate, benign_unseen_rat
     )
     write_corpus(corpus, out_dir)
     click.echo(f"wrote corpus ({n_train} train / {n_test} test) to {out_dir}")
-
-
-def _fail(exc: Exception, code: int = 1) -> int:
-    click.echo(f"error: {exc}", err=True)
-    return code
 
 
 if __name__ == "__main__":

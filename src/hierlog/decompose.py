@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DecompositionError, LookupError_
-from .hierarchy import ACTION, ENTITY, STATUS, TopicTree, TreeNode
+from .hierarchy import ACTION, ENTITY, STATUS, TopicTree
 
 _SIG_PARENT_SEP = "|"
 _SIG_NODE_SEP = ">"
@@ -47,10 +47,6 @@ class Seq:
     def signature(self) -> str:
         return make_signature(self.parent_path, self.nodes)
 
-    @property
-    def parent_name(self) -> str:
-        return self.parent_path[-1]
-
 
 @dataclass
 class DecompositionResult:
@@ -67,41 +63,6 @@ class DecompositionResult:
         if level == ACTION:
             return self.a_seqs
         return [self.e_seq]
-
-
-def generate_level_seq(
-    keys: Sequence[str], tree: TopicTree, level: str
-) -> tuple[list[list[str]], list[TreeNode]]:
-    """Scan keys left to right, mapping each to its node at `level`.
-
-    At entity/action level a key extends the current chunk iff its node
-    equals the last emitted one; at status level every key starts its own
-    singleton chunk. Returns (chunks, nodes) with len(chunks) == len(nodes)
-    and concat(chunks) == keys. Linear in len(keys).
-    """
-    level_idx = {ENTITY: 0, ACTION: 1, STATUS: 2}[level]
-    key_nodes = tree.key_nodes
-    chunks: list[list[str]] = []
-    nodes: list[TreeNode] = []
-    current: list[str] = []
-    collapse = level != STATUS
-    last: Optional[TreeNode] = None
-    for pos, key in enumerate(keys):
-        triple = key_nodes.get(key)
-        if triple is None:
-            raise DecompositionError(f"position {pos}: {LookupError_(key, level)}")
-        node = triple[level_idx]
-        if collapse and node is last:
-            current.append(key)
-        else:
-            if current:
-                chunks.append(current)
-            current = [key]
-            nodes.append(node)
-            last = node
-    if current:
-        chunks.append(current)
-    return chunks, nodes
 
 
 def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionResult:
@@ -171,38 +132,3 @@ def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionRes
             all_s_seqs.append(s_seq)
 
     return result
-
-
-def nested_format(seq: Seq):
-    """Recursively expand a sequence into its children's nested formats.
-
-    Status level returns the node list itself; higher levels return the
-    list of each child's nested format, order preserved.
-    """
-    if seq.level == STATUS:
-        return list(seq.nodes)
-    if seq.children is None or len(seq.children) != len(seq.nodes):
-        raise DecompositionError(
-            f"{seq.signature}: children missing or inconsistent with nodes"
-        )
-    return [nested_format(child) for child in seq.children]
-
-
-def seq_records(sequence_id: str, result: DecompositionResult) -> list[dict]:
-    """Flat dump records for cardinality/resource reporting."""
-    ordered = [result.e_seq] + result.a_seqs + result.s_seqs
-    index = {id(s): i for i, s in enumerate(ordered)}
-    records = []
-    for i, seq in enumerate(ordered):
-        records.append(
-            {
-                "sequence_id": sequence_id,
-                "seq_index": i,
-                "level": seq.level,
-                "parent_path": list(seq.parent_path),
-                "nodes": list(seq.nodes),
-                "chunk": list(seq.chunk),
-                "children": [index[id(c)] for c in seq.children] if seq.children is not None else None,
-            }
-        )
-    return records

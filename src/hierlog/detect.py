@@ -330,7 +330,7 @@ def train(
             result = top_down_decompose(sequence.keys, tree)
         except DecompositionError as exc:
             raise DecompositionError(f"training sequence {sequence.id}: {exc}") from exc
-        for seq in result.s_seqs + result.a_seqs + [result.e_seq]:
+        for seq in result.all_seqs():
             entry = kbs.train[seq.level].insert_train(seq)
             if config.llm_enabled and entry.summary is None:
                 if seq.level == STATUS:

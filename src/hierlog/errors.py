@@ -30,6 +30,15 @@ class SequenceParseError(IngestError):
         self.reason = reason
 
 
+class RawRecordParseError(IngestError):
+    """A line of a raw log file is not a valid raw record."""
+
+    def __init__(self, line_number: int, reason: str):
+        super().__init__(f"raw log parse error at line {line_number}: {reason}")
+        self.line_number = line_number
+        self.reason = reason
+
+
 class PartitionError(IngestError):
     def __init__(self, index: int, reason: str):
         super().__init__(f"record {index}: {reason}")

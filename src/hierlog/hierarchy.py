@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import DuplicateKeyError, ExtractionError, LookupError_, TreeError
+from .errors import DuplicateKeyError, ExtractionError, TreeError
 from .ingest import WILDCARD, TemplateCatalog
 from . import prompts as prompt_assets
 
@@ -57,15 +57,9 @@ class TopicTree:
     def __init__(self, nodes: dict[str, TreeNode], key_index: dict[str, str]):
         self.nodes = nodes
         self.key_index = key_index
-        self.root_id = ROOT
-        self._children: dict[str, list[str]] = {}
-        for node in nodes.values():
-            if node.parent_id is not None:
-                self._children.setdefault(node.parent_id, []).append(node.node_id)
-        # key -> (entity, action, status) nodes, so per-key lookup is one dict hit
-        self.key_nodes: dict[str, tuple[TreeNode, TreeNode, TreeNode]] = {}
-        # name-only variant for hot loops; names are unique per parent, and the
-        # shared string objects make identity comparison valid for run detection
+        # key -> (entity, action, status) names, so per-key lookup is one dict hit;
+        # names are unique per parent, and the shared string objects make
+        # identity comparison valid for run detection
         self.key_names: dict[str, tuple[str, str, str]] = {}
         # precomputed parent paths per key: (root,) / (root, entity) / (root, entity, action)
         self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -77,7 +71,6 @@ class TopicTree:
             status = nodes[sid]
             action = nodes[status.parent_id]
             entity = nodes[action.parent_id]
-            self.key_nodes[key] = (entity, action, status)
             self.key_names[key] = (entity.name, action.name, status.name)
             e_path = e_paths.setdefault(entity.node_id, self.root_path + (entity.name,))
             a_path = a_paths.setdefault(action.node_id, e_path + (action.name,))
@@ -85,35 +78,6 @@ class TopicTree:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def node(self, node_id: str) -> TreeNode:
-        return self.nodes[node_id]
-
-    def children(self, node_id: str) -> list[TreeNode]:
-        return [self.nodes[c] for c in self._children.get(node_id, [])]
-
-    def lookup_node(self, key: str, level: str) -> TreeNode:
-        """Status node for the key, its parent action, or grandparent entity."""
-        triple = self.key_nodes.get(key)
-        if triple is None:
-            raise LookupError_(key, level)
-        if level == ENTITY:
-            return triple[0]
-        if level == ACTION:
-            return triple[1]
-        if level == STATUS:
-            return triple[2]
-        raise ValueError(f"unknown level: {level!r}")
-
-    def path_names(self, node_id: str) -> tuple[str, ...]:
-        """Node names from root down to (and including) the given node."""
-        names = []
-        cur: Optional[str] = node_id
-        while cur is not None:
-            node = self.nodes[cur]
-            names.append(node.name)
-            cur = node.parent_id
-        return tuple(reversed(names))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TopicTree) and self.nodes == other.nodes

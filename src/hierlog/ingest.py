@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import CatalogParseError, DuplicateKeyError, PartitionError, SequenceParseError
+from .errors import (
+    CatalogParseError,
+    DuplicateKeyError,
+    PartitionError,
+    RawRecordParseError,
+    SequenceParseError,
+)
 
 WILDCARD = "<*>"
 
@@ -68,12 +75,19 @@ class PartitionSpec:
         if self.mode not in ("identifier", "count_window", "time_window"):
             raise ValueError(f"unknown partition mode: {self.mode!r}")
         if self.mode != "identifier":
-            if not self.window_size or self.window_size <= 0:
-                raise ValueError("window modes require a positive window_size")
+            # NaN compares false with everything, so only isfinite stops it; a
+            # NaN or inf size or stride would silently keep fewer events, and
+            # count windows are cut at int(), so a fraction would be truncated
+            if self.window_size is None or not math.isfinite(self.window_size) or self.window_size <= 0:
+                raise ValueError("window modes require a positive, finite window_size")
             if self.stride is None:
                 self.stride = self.window_size
-            if self.stride <= 0 or self.stride > self.window_size:
-                raise ValueError("stride must be in (0, window_size]")
+            if not math.isfinite(self.stride) or self.stride <= 0 or self.stride > self.window_size:
+                raise ValueError("stride must be finite and in (0, window_size]")
+            if self.mode == "count_window" and not (
+                float(self.window_size).is_integer() and float(self.stride).is_integer()
+            ):
+                raise ValueError("count windows need a whole window_size and stride")
 
 
 @dataclass(frozen=True)
@@ -98,12 +112,6 @@ class TemplateCatalog:
 
     def __len__(self) -> int:
         return len(self._by_key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._by_key
-
-    def get(self, key: str) -> Optional[LogTemplate]:
-        return self._by_key.get(key)
 
     def templates(self) -> list[LogTemplate]:
         return list(self._by_key.values())
@@ -333,6 +341,35 @@ def _labels_or_none(labels: list[Optional[bool]]) -> Optional[bool]:
     if all(l is None for l in labels):
         return None
     return label_sequence(labels)
+
+
+def load_raw_records(path: str | Path) -> list[RawLogRecord]:
+    """Raw records, one JSON object per line: message, and optional timestamp, group_id, label."""
+    records = []
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RawRecordParseError(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+            if not isinstance(row, dict):
+                raise RawRecordParseError(lineno, "expected a JSON object")
+            if "message" not in row:
+                raise RawRecordParseError(lineno, "missing field 'message'")
+            if not isinstance(row["message"], str):
+                raise RawRecordParseError(lineno, "field 'message' must be a string")
+            records.append(
+                RawLogRecord(
+                    message=row["message"],
+                    timestamp=row.get("timestamp"),
+                    group_id=row.get("group_id"),
+                    label=row.get("label"),
+                )
+            )
+    return records
 
 
 def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:

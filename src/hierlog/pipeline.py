@@ -1,39 +1,49 @@
-"""End-to-end orchestration: extract -> build -> train -> detect -> evaluate.
+"""The stage layer: ingest, extract/build, train, detect, score, and the INI pipeline.
 
-Stages communicate through persisted artifacts (tree, KB files, reports),
-so each stage can be re-run independently from a config file with
-sections [hierarchy], [train], [detect], [eval], and optional [provider].
+Each stage is one function, called by both the CLI commands and
+`run_pipeline`. Stages communicate through persisted artifacts
+(sequences, tree, KB files, reports), so each stage can be re-run
+independently. A pipeline config has sections [hierarchy], [train],
+[detect], and optional [ingest], [eval] and [provider]; `run_pipeline`
+maps each section onto its stage.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass
+import logging
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
-from .detect import DetectConfig, Detector, LEVEL_PRESETS, train as train_kbs
+from .detect import DetectConfig, Detector, SequenceReport, train as train_kbs
 from .errors import ConfigError, HierlogError, StageError
 from .evalreport import (
     attribution_report,
     compute_metrics,
+    load_report_records,
     save_reports,
     structure_report,
 )
 from .hierarchy import (
     ExtractorConfig,
     TopicTree,
+    TopicTriple,
     build_tree,
     extract_topics,
+    load_triples,
     make_extractor,
     refine_topics,
     save_triples,
 )
 from .ingest import (
+    LogSequence,
     PartitionSpec,
-    RawLogRecord,
+    TemplateCatalog,
+    load_raw_records,
     load_sequences,
     load_template_catalog,
     match_records,
@@ -41,7 +51,9 @@ from .ingest import (
     save_sequences,
 )
 from .knowledge import KnowledgeBaseSet
-from .semantics import ProviderConfig, make_provider
+from .semantics import Provider, ProviderConfig, make_provider
+
+log = logging.getLogger(__name__)
 
 
 def parse_detector_spec(spec: str) -> dict[str, str]:
@@ -59,25 +71,177 @@ def parse_detector_spec(spec: str) -> dict[str, str]:
     return per_level
 
 
-def _parse_partition_spec(spec: str) -> PartitionSpec:
-    """Parse 'identifier', 'count:N[:S]', or 'time:D[:S]'."""
-    parts = spec.split(":")
-    if parts[0] == "identifier":
-        return PartitionSpec(mode="identifier")
-    if parts[0] in ("count", "time"):
-        if len(parts) < 2:
-            raise ConfigError(f"partition {parts[0]!r} needs a window size")
-        size = float(parts[1])
-        stride = float(parts[2]) if len(parts) > 2 else None
-        mode = "count_window" if parts[0] == "count" else "time_window"
-        return PartitionSpec(mode=mode, window_size=size, stride=stride)
-    raise ConfigError(f"unknown partition spec: {spec!r}")
+def parse_partition_spec(spec: str) -> PartitionSpec:
+    """Parse 'identifier', 'count:N[:S]', or 'time:D[:S]'; anything else is a ConfigError."""
+    kind, *sizes = spec.split(":")
+    try:
+        if kind == "identifier" and not sizes:
+            return PartitionSpec(mode="identifier")
+        if kind in ("count", "time") and 1 <= len(sizes) <= 2:
+            return PartitionSpec(f"{kind}_window", *(float(s) for s in sizes))
+    except ValueError as exc:
+        raise ConfigError(f"bad partition spec {spec!r}: {exc}") from exc
+    raise ConfigError(f"unknown partition spec {spec!r}; expected identifier, count:N[:S] or time:D[:S]")
 
+
+def load_provider(settings: Mapping[str, Optional[str]]) -> Provider:
+    """The LLM provider that a [provider] section, or the CLI's --provider-* options, describe."""
+    fields = {name: settings.get(name) or None for name in ("fixture_path", "endpoint", "model", "auth_env")}
+    try:
+        return make_provider(ProviderConfig(kind=settings.get("kind", "mock"), **fields))
+    except (ValueError, HierlogError) as exc:
+        raise ConfigError(f"provider: {exc}") from exc
+
+
+def _template_texts(catalog: TemplateCatalog) -> dict[str, str]:
+    return {t.key: t.text for t in catalog.templates()}
+
+
+def _save_json(payload: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+
+# -- stages -------------------------------------------------------------------
+
+def ingest(
+    catalog: TemplateCatalog, logs_path: str | Path, partition: str, out_path: str | Path
+) -> tuple[int, int]:
+    """Match raw records to templates, partition them, and save the sequences.
+
+    Returns (sequences written, unmatched messages skipped); the caller
+    reports the skipped count, so no message is dropped silently.
+    """
+    spec = parse_partition_spec(partition)
+    report = match_records(catalog, load_raw_records(logs_path))
+    sequences = partition_records(report.records, report.events, spec)
+    save_sequences(sequences, out_path)
+    return len(sequences), len(report.skipped)
+
+
+def extract(
+    catalog: TemplateCatalog, kind: str, fixture: Optional[str], lexicon: Optional[str],
+    provider: Optional[Provider], refine: bool = True, triples_out: Optional[str | Path] = None,
+) -> list[TopicTriple]:
+    """One (entity, action, status) triple per template, saved when given a path."""
+    extractor = make_extractor(
+        ExtractorConfig(kind=kind, fixture_path=fixture or None, lexicon_path=lexicon or None),
+        provider=provider,
+    )
+    triples = extract_topics(catalog, extractor)
+    if refine:
+        triples = refine_topics(triples)
+    if triples_out:
+        save_triples(triples, triples_out)
+    return triples
+
+
+def build(triples: list[TopicTriple], tree_out: str | Path) -> TopicTree:
+    """Assemble the topic tree from triples and save it."""
+    tree = build_tree(triples)
+    Path(tree_out).parent.mkdir(parents=True, exist_ok=True)
+    tree.save(tree_out)
+    return tree
+
+
+def train(
+    catalog: TemplateCatalog, tree: TopicTree, sequences_path: str | Path, kb_dir: str | Path,
+    llm: bool, provider: Optional[Provider],
+) -> KnowledgeBaseSet:
+    """Build the training knowledge bases from normal sequences and save them."""
+    sequences = load_sequences(sequences_path, catalog)
+    kbs = train_kbs(
+        sequences, tree, DetectConfig(llm_enabled=llm), provider=provider, templates=_template_texts(catalog)
+    )
+    kbs.save_dir(kb_dir)
+    return kbs
+
+
+def detect_config(
+    levels: str, detector: str, llm: bool, m: int, early_exit: bool, llm_fraction: float
+) -> DetectConfig:
+    """The detector settings that the CLI options and the [detect] section name."""
+    return DetectConfig(
+        levels_enabled=levels,
+        detector_per_level=parse_detector_spec(detector),
+        llm_enabled=llm,
+        m=m,
+        early_exit=early_exit,
+        llm_phase_fraction=llm_fraction,
+    )
+
+
+def detect(
+    catalog: TemplateCatalog, tree: TopicTree, kbs: KnowledgeBaseSet, kb_dir: str | Path,
+    sequences_path: str | Path, report_path: str | Path, config: DetectConfig, provider: Optional[Provider],
+) -> tuple[list[LogSequence], list[SequenceReport]]:
+    """Detect over the test sequences, save the report, and save the warmed test caches to kb_dir."""
+    sequences = load_sequences(sequences_path, catalog)
+    detector = Detector(tree, kbs, config, provider=provider, templates=_template_texts(catalog))
+    reports = detector.run(sequences)
+    meta = {
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "levels": "".join(level[0].upper() for level in config.levels_enabled),
+        "llm": config.llm_enabled,
+    }
+    save_reports(reports, report_path, meta=meta)
+    kbs.save_dir(kb_dir)
+    return sequences, reports
+
+
+def score(sequences: list[LogSequence], verdicts: dict[str, bool]) -> dict:
+    """Confusion counts and precision/recall/F1 of the verdicts over the labeled sequences."""
+    labeled = [s for s in sequences if s.label is not None]
+    return asdict(compute_metrics([verdicts[s.id] for s in labeled], [bool(s.label) for s in labeled]))
+
+
+def score_report(
+    catalog: TemplateCatalog, sequences_path: str | Path, report_path: str | Path, out: Optional[str | Path]
+) -> dict:
+    """Score a saved report against the labels of its test sequences; saved when given a path."""
+    _, records = load_report_records(report_path)
+    verdicts = {r["sequence_id"]: r["final_verdict"] for r in records}
+    metrics = score(load_sequences(sequences_path, catalog), verdicts)
+    if out:
+        _save_json(metrics, out)
+    return metrics
+
+
+def evaluate(
+    tree: TopicTree, kbs: KnowledgeBaseSet, sequences: list[LogSequence], reports: list[SequenceReport],
+    attribution: bool, out: Optional[str | Path],
+) -> dict:
+    """Metrics, structure report and, optionally, level attribution of one run."""
+    by_id = {r.sequence_id: r for r in reports}
+    payload = {
+        "metrics": score(sequences, {sid: r.final_verdict for sid, r in by_id.items()}),
+        "structure": structure_report(tree, kbs, reports).to_json(),
+    }
+    if attribution:
+        labeled = [s for s in sequences if s.label is not None]
+        labels = [bool(s.label) for s in labeled]
+        payload["attribution"] = attribution_report([by_id[s.id] for s in labeled], labels)
+    if out:
+        _save_json(payload, out)
+    return payload
+
+
+# -- INI pipeline ---------------------------------------------------------------
 
 def _flag(value: str | bool, default: bool = False) -> bool:
     if isinstance(value, bool):
         return value
     return {"on": True, "off": False, "true": True, "false": False, "": default}[value.strip().lower()]
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag a failure inside a stage with the stage's name."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+    except (KeyError, OSError, HierlogError, ValueError) as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 @dataclass
@@ -90,152 +254,61 @@ class PipelineResult:
 def run_pipeline(config_path: str | Path) -> PipelineResult:
     """Execute all configured stages in order; stage failures carry the stage tag."""
     parser = configparser.ConfigParser()
-    read = parser.read(config_path)
+    try:
+        read = parser.read(config_path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {config_path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {config_path}")
 
     provider = None
     if parser.has_section("provider"):
-        sec = parser["provider"]
-        try:
-            provider = make_provider(
-                ProviderConfig(
-                    kind=sec.get("kind", "mock"),
-                    fixture_path=sec.get("fixture_path") or None,
-                    endpoint=sec.get("endpoint") or None,
-                    model=sec.get("model") or None,
-                    auth_env=sec.get("auth_env") or None,
-                )
-            )
-        except (ValueError, HierlogError) as exc:
-            raise ConfigError(f"provider: {exc}") from exc
+        provider = load_provider(parser["provider"])
 
-    # -- ingest (optional: raw logs -> partitioned sequences) ----------------
     if parser.has_section("ingest"):
-        try:
+        with _stage("ingest"):
             sec = parser["ingest"]
             catalog = load_template_catalog(sec["templates"])
-            records = []
-            with open(sec["logs"]) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    records.append(
-                        RawLogRecord(
-                            message=row["message"],
-                            timestamp=row.get("timestamp"),
-                            group_id=row.get("group_id"),
-                            label=row.get("label"),
-                        )
-                    )
-            report = match_records(catalog, records)
-            spec = _parse_partition_spec(sec.get("partition", "identifier"))
-            save_sequences(partition_records(report.records, report.events, spec), sec["out"])
-        except (KeyError, OSError, HierlogError, ValueError) as exc:
-            raise StageError("ingest", str(exc)) from exc
+            _, skipped = ingest(catalog, sec["logs"], sec.get("partition", "identifier"), sec["out"])
+        if skipped:
+            log.warning("[ingest] skipped %d unmatched messages", skipped)
 
-    # -- hierarchy ----------------------------------------------------------
-    try:
+    with _stage("hierarchy"):
         if not parser.has_section("hierarchy"):
             raise KeyError("missing [hierarchy] section")
         sec = parser["hierarchy"]
         catalog = load_template_catalog(sec["templates"])
-        tree_path = Path(sec["tree_out"])
-        if _flag(sec.get("resume", "off")) and tree_path.exists():
-            tree = TopicTree.load(tree_path)
+        if _flag(sec.get("resume", "off")) and Path(sec["tree_out"]).exists():
+            tree = TopicTree.load(sec["tree_out"])
         else:
-            extractor = make_extractor(
-                ExtractorConfig(
-                    kind=sec.get("extractor", "lexicon"),
-                    fixture_path=sec.get("fixture") or None,
-                    lexicon_path=sec.get("lexicon") or None,
-                ),
-                provider=provider,
+            triples = extract(
+                catalog, sec.get("extractor", "lexicon"), sec.get("fixture"), sec.get("lexicon"), provider,
+                triples_out=sec.get("triples_out"),
             )
-            triples = refine_topics(extract_topics(catalog, extractor))
-            if sec.get("triples_out"):
-                save_triples(triples, sec["triples_out"])
-            tree = build_tree(triples)
-            tree_path.parent.mkdir(parents=True, exist_ok=True)
-            tree.save(tree_path)
-    except (KeyError, OSError, HierlogError, ValueError) as exc:
-        raise StageError("hierarchy", str(exc)) from exc
+            tree = build(triples, sec["tree_out"])
 
-    templates = {t.key: t.text for t in catalog.templates()}
-
-    # -- train --------------------------------------------------------------
-    try:
+    with _stage("train"):
         sec = parser["train"]
-        kb_dir = Path(sec["kb_dir"])
-        if _flag(sec.get("resume", "off")) and (kb_dir / "train_status.json").exists():
+        kb_dir = sec["kb_dir"]
+        if _flag(sec.get("resume", "off")) and (Path(kb_dir) / "train_status.json").exists():
             kbs = KnowledgeBaseSet.load_dir(kb_dir)
         else:
-            train_sequences = load_sequences(sec["sequences"], catalog)
-            llm_enabled = _flag(sec.get("llm", "off"))
-            config = DetectConfig(llm_enabled=llm_enabled)
-            kbs = train_kbs(train_sequences, tree, config, provider=provider, templates=templates)
-            kbs.save_dir(kb_dir)
-    except (KeyError, OSError, HierlogError, ValueError) as exc:
-        raise StageError("train", str(exc)) from exc
+            kbs = train(catalog, tree, sec["sequences"], kb_dir, _flag(sec.get("llm", "off")), provider)
 
-    # -- detect -------------------------------------------------------------
-    reports = []
-    test_sequences = []
-    try:
+    with _stage("detect"):
         sec = parser["detect"]
-        test_sequences = load_sequences(sec["sequences"], catalog)
-        config = DetectConfig(
-            levels_enabled=LEVEL_PRESETS[sec.get("levels", "SAE")],
-            detector_per_level=parse_detector_spec(sec.get("detector", "exact")),
-            llm_enabled=_flag(sec.get("llm", "off")),
-            m=sec.getint("m", 5),
-            early_exit=_flag(sec.get("early_exit", "on"), default=True),
-            llm_phase_fraction=sec.getfloat("llm_fraction", 1.0),
+        config = detect_config(
+            sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec.get("llm", "off")), sec.getint("m", 5),
+            _flag(sec.get("early_exit", "on"), default=True), sec.getfloat("llm_fraction", 1.0),
         )
-        detector = Detector(tree, kbs, config, provider=provider, templates=templates)
-        reports = detector.run(test_sequences)
-        meta = {
-            "created_at": datetime.now(timezone.utc).isoformat(),
-            "levels": "".join(l[0].upper() for l in config.levels_enabled),
-            "llm": config.llm_enabled,
-        }
-        save_reports(reports, sec["report"], meta=meta)
-        kbs.save_dir(parser["train"]["kb_dir"])  # persist warmed test caches
-    except (KeyError, OSError, HierlogError, ValueError) as exc:
-        raise StageError("detect", str(exc)) from exc
+        sequences, reports = detect(
+            catalog, tree, kbs, kb_dir, sec["sequences"], sec["report"], config, provider
+        )
 
-    # -- eval ---------------------------------------------------------------
-    metrics_payload = None
+    metrics = None
     if parser.has_section("eval"):
-        try:
+        with _stage("eval"):
             sec = parser["eval"]
-            labeled = [s for s in test_sequences if s.label is not None]
-            by_id = {r.sequence_id: r for r in reports}
-            preds = [by_id[s.id].final_verdict for s in labeled]
-            labels = [bool(s.label) for s in labeled]
-            metrics = compute_metrics(preds, labels)
-            structure = structure_report(tree, kbs, reports)
-            metrics_payload = {
-                "metrics": {
-                    "tp": metrics.tp,
-                    "fp": metrics.fp,
-                    "tn": metrics.tn,
-                    "fn": metrics.fn,
-                    "precision": metrics.precision,
-                    "recall": metrics.recall,
-                    "f1": metrics.f1,
-                },
-                "structure": structure.to_json(),
-            }
-            if _flag(sec.get("attribution", "off")):
-                metrics_payload["attribution"] = attribution_report(
-                    [by_id[s.id] for s in labeled], labels
-                )
-            if sec.get("out"):
-                Path(sec["out"]).write_text(json.dumps(metrics_payload, indent=2, sort_keys=True))
-        except (KeyError, OSError, HierlogError, ValueError) as exc:
-            raise StageError("eval", str(exc)) from exc
-
-    return PipelineResult(tree=tree, kbs=kbs, metrics=metrics_payload)
+            attribution = _flag(sec.get("attribution", "off"))
+            metrics = evaluate(tree, kbs, sequences, reports, attribution, sec.get("out"))
+    return PipelineResult(tree=tree, kbs=kbs, metrics=metrics)

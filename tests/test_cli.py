@@ -1,0 +1,163 @@
+"""The CLI chain documented in the README against `hierlog pipeline`.
+
+Each stage command, run in turn, must write the same tree, KB files,
+report body and metrics as one `hierlog pipeline` run over the same
+inputs; configuration errors must exit with code 2.
+"""
+
+import configparser
+import json
+import logging
+
+import pytest
+from click.testing import CliRunner
+
+from hierlog.cli import main
+
+KB_FILES = [f"{role}_{level}.json" for role in ("train", "test") for level in ("entity", "action", "status")]
+
+
+def invoke(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def ok(*args):
+    result = invoke(*args)
+    assert result.exit_code == 0, (args, result.output)
+    return result
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    """A small corpus from `make-dataset`, plus its test set as raw records with one stray line."""
+    d = tmp_path_factory.mktemp("data")
+    ok("make-dataset", "--out", d, "--seed", 3, "--n-train", 60, "--n-test", 80, "--benign-unseen-rate", 0.2)
+    templates = dict(line.split(",", 1) for line in (d / "templates.csv").read_text().splitlines()[1:])
+    with (d / "raw.jsonl").open("w") as fh:
+        for line in (d / "test.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            for i, key in enumerate(row["keys"]):
+                message = templates[key].replace("<*>", f"host{i}")
+                record = {"message": message, "group_id": row["sequence_id"], "label": row["label"]}
+                fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps({"message": "no template matches this line", "group_id": "x"}) + "\n")
+    return d
+
+
+def run_cli_chain(data, out, llm):
+    provider = ["--provider-kind", "mock"] if llm == "on" else []
+    templates = data / "templates.csv"
+    ingested = ok("ingest", "--templates", templates, "--logs", data / "raw.jsonl",
+                  "--partition", "identifier", "--out", out / "test.jsonl")
+    assert "skipped 1 unmatched messages" in ingested.output
+    ok("hierarchy", "extract", "--templates", templates, "--extractor", "fixture",
+       "--fixture", data / "fixture.json", "--out", out / "triples.jsonl")
+    ok("hierarchy", "build", "--triples", out / "triples.jsonl", "--out", out / "tree.json")
+    ok("train", "--templates", templates, "--tree", out / "tree.json", "--sequences", data / "train.jsonl",
+       "--kb-dir", out / "kb", "--llm", llm, *provider)
+    ok("detect", "--templates", templates, "--tree", out / "tree.json", "--kb-dir", out / "kb",
+       "--test", out / "test.jsonl", "--levels", "SAE", "--detector", "exact", "--early-exit", "on",
+       "--llm", llm, *provider, "--report", out / "report.jsonl")
+    ok("evaluate", "--report", out / "report.jsonl", "--test", out / "test.jsonl",
+       "--templates", templates, "--out", out / "eval.json")
+
+
+def run_ini_pipeline(data, out, llm):
+    cfg = configparser.ConfigParser()
+    if llm == "on":
+        cfg["provider"] = {"kind": "mock"}
+    cfg["ingest"] = {
+        "templates": str(data / "templates.csv"),
+        "logs": str(data / "raw.jsonl"),
+        "partition": "identifier",
+        "out": str(out / "test.jsonl"),
+    }
+    cfg["hierarchy"] = {
+        "templates": str(data / "templates.csv"),
+        "extractor": "fixture",
+        "fixture": str(data / "fixture.json"),
+        "triples_out": str(out / "triples.jsonl"),
+        "tree_out": str(out / "tree.json"),
+    }
+    cfg["train"] = {"sequences": str(data / "train.jsonl"), "kb_dir": str(out / "kb"), "llm": llm}
+    cfg["detect"] = {"sequences": str(out / "test.jsonl"), "llm": llm, "report": str(out / "report.jsonl")}
+    cfg["eval"] = {"out": str(out / "eval.json")}
+    config = out / "run.ini"
+    with config.open("w") as fh:
+        cfg.write(fh)
+    ok("pipeline", "--config", config)
+
+
+def artifacts(out):
+    files = {name: (out / "kb" / name).read_bytes() for name in KB_FILES}
+    for name in ("test.jsonl", "triples.jsonl", "tree.json"):
+        files[name] = (out / name).read_bytes()
+    files["report body"] = (out / "report.jsonl").read_bytes().split(b"\n", 1)[1]
+    return files
+
+
+@pytest.mark.parametrize("llm", ["off", "on"])
+def test_cli_chain_matches_pipeline(tmp_path, data, llm):
+    cli, ini = tmp_path / "cli", tmp_path / "ini"
+    cli.mkdir()
+    ini.mkdir()
+    run_cli_chain(data, cli, llm)
+    run_ini_pipeline(data, ini, llm)
+
+    assert artifacts(cli) == artifacts(ini)
+    assert (cli / "test.jsonl").read_bytes() == (data / "test.jsonl").read_bytes()
+    flat = json.loads((cli / "eval.json").read_text())
+    assert sorted(flat) == ["f1", "fn", "fp", "precision", "recall", "tn", "tp"]
+    assert flat == json.loads((ini / "eval.json").read_text())["metrics"]
+    if llm == "on":
+        report = (cli / "report.jsonl").read_text()
+        assert '"source": "llm"' in report
+
+
+def test_pipeline_warns_of_unmatched_messages(tmp_path, data, caplog):
+    with caplog.at_level(logging.WARNING, logger="hierlog.pipeline"):
+        run_ini_pipeline(data, tmp_path, "off")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["[ingest] skipped 1 unmatched messages"]
+
+
+@pytest.fixture(scope="module")
+def trained(data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    run_cli_chain(data, out, "off")
+    return out
+
+
+def test_configuration_errors_exit_2(tmp_path, data, trained):
+    templates = data / "templates.csv"
+    detect = ["detect", "--templates", templates, "--tree", trained / "tree.json", "--kb-dir", trained / "kb",
+              "--test", trained / "test.jsonl", "--report", tmp_path / "report.jsonl"]
+    timed = tmp_path / "timed.jsonl"
+    timed.write_text('{"message": "Open session started", "timestamp": 0}\n'
+                     '{"message": "Open session successful", "timestamp": 1}\n')
+    bad_ini = tmp_path / "bad.ini"
+    bad_ini.write_text("templates = t.csv\n")
+    cases = [
+        [*detect, "--detector", "bogus"],
+        [*detect, "--detector", "exact:galaxy=exact"],
+        ["pipeline", "--config", bad_ini],
+        ["pipeline", "--config", tmp_path / "missing.ini"],
+    ]
+    for spec in ("time:abc", "time:nan", "time:1:nan", "count:1.5", "count:0.5", "count", "bogus"):
+        cases.append(["ingest", "--templates", templates, "--logs", timed, "--partition", spec,
+                      "--out", tmp_path / "seqs.jsonl"])
+    for args in cases:
+        result = invoke(*args)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.output.startswith("error: "), (args, result.output)
+        assert "Traceback" not in result.output
+    assert not (tmp_path / "report.jsonl").exists()
+    assert not (tmp_path / "seqs.jsonl").exists()
+
+
+def test_run_failures_exit_1(tmp_path, data):
+    bad = tmp_path / "raw.jsonl"
+    bad.write_text('{"message": "Open session started"}\n{"timestamp": 1}\n')
+    result = invoke("ingest", "--templates", data / "templates.csv", "--logs", bad, "--out", tmp_path / "s.jsonl")
+    assert result.exit_code == 1
+    assert result.output == "error: raw log parse error at line 2: missing field 'message'\n"

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import (
-    generate_level_seq,
-    make_signature,
-    nested_format,
-    seq_records,
-    top_down_decompose,
-)
+from hierlog.decompose import make_signature, top_down_decompose
 from hierlog.errors import DecompositionError
 from hierlog.hierarchy import ACTION, ENTITY, STATUS
 
@@ -54,6 +48,7 @@ def test_golden_element_chunks(toy_tree):
 def test_children_links(toy_tree):
     result = top_down_decompose(TOY_KEYS, toy_tree)
     assert result.e_seq.children == result.a_seqs
+    assert [c.level for c in result.e_seq.children] == [ACTION] * 3
     assert [s for a in result.a_seqs for s in a.children] == result.s_seqs
     for s in result.s_seqs:
         assert s.children is None
@@ -63,17 +58,16 @@ def test_children_links(toy_tree):
 
 def test_entity_collapse_runs(toy_tree):
     # k1, k2 -> Session twice: one entity chunk
-    chunks, nodes = generate_level_seq(["k1", "k2", "k3"], toy_tree, ENTITY)
-    assert [n.name for n in nodes] == ["Session", "Auth"]
-    assert chunks == [["k1", "k2"], ["k3"]]
+    e_seq = top_down_decompose(["k1", "k2", "k3"], toy_tree).e_seq
+    assert e_seq.nodes == ["Session", "Auth"]
+    assert e_seq.element_chunks == [["k1", "k2"], ["k3"]]
 
 
 def test_status_never_collapses(toy_tree):
-    chunks, nodes = generate_level_seq(["k3", "k3"], toy_tree, STATUS)
-    assert [n.name for n in nodes] == ["none", "none"]
-    assert chunks == [["k3"], ["k3"]]
     result = top_down_decompose(["k3", "k3"], toy_tree)
+    assert [s.level for s in result.s_seqs] == [STATUS]
     assert result.s_seqs[0].nodes == ["none", "none"]
+    assert result.s_seqs[0].element_chunks == [["k3"], ["k3"]]
 
 
 def test_reentry_is_not_collapsed(toy_tree):
@@ -128,32 +122,18 @@ def test_children_cover_parents(toy_tree, keys):
     result = top_down_decompose(keys, toy_tree)
     for parent in [result.e_seq] + result.a_seqs:
         assert [k for c in parent.children for k in c.chunk] == parent.chunk
+        # one child per node, each covering that node's chunk
+        assert len(parent.children) == len(parent.nodes)
+        assert [c.chunk for c in parent.children] == parent.element_chunks
 
 
 # -- nested format ------------------------------------------------------------------
 
 def test_nested_format(toy_tree):
     result = top_down_decompose(TOY_KEYS, toy_tree)
-    assert nested_format(result.s_seqs[0]) == ["started", "succf"]
-    assert nested_format(result.a_seqs[1]) == [["none"], ["none"]]
-    assert nested_format(result.e_seq) == [
+    assert [s.nodes for s in result.a_seqs[1].children] == [["none"], ["none"]]
+    assert [[s.nodes for s in a.children] for a in result.e_seq.children] == [
         [["started", "succf"]],
         [["none"], ["none"]],
         [["none"], ["none"]],
     ]
-
-
-def test_nested_format_integrity(toy_tree):
-    result = top_down_decompose(TOY_KEYS, toy_tree)
-    result.e_seq.children.pop()
-    with pytest.raises(DecompositionError):
-        nested_format(result.e_seq)
-
-
-def test_seq_records(toy_tree):
-    result = top_down_decompose(TOY_KEYS, toy_tree)
-    records = seq_records("s0", result)
-    assert len(records) == 9
-    assert records[0]["level"] == ENTITY
-    child_indices = records[0]["children"]
-    assert [records[i]["level"] for i in child_indices] == [ACTION] * 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hierlog.errors import DuplicateKeyError, ExtractionError, LookupError_, TreeError
+from hierlog.errors import DuplicateKeyError, ExtractionError, TreeError
 from hierlog.hierarchy import (
     ACTION,
     ENTITY,
@@ -45,25 +45,23 @@ def test_toy_tree_shape(toy_tree):
 
 
 def test_lookup_levels(toy_tree):
-    assert toy_tree.lookup_node("k5", ACTION).name == "GET_req"
-    assert toy_tree.lookup_node("k1", ENTITY).name == "Session"
-    assert toy_tree.lookup_node("k1", STATUS).name == "started"
-    assert toy_tree.lookup_node("k3", STATUS).name == "none"
-    with pytest.raises(LookupError_):
-        toy_tree.lookup_node("k99", STATUS)
-    with pytest.raises(ValueError):
-        toy_tree.lookup_node("k1", "galaxy")
+    # (entity, action, status) names per key
+    assert toy_tree.key_names["k5"][1] == "GET_req"
+    assert toy_tree.key_names["k1"] == ("Session", "open", "started")
+    assert toy_tree.key_names["k3"][2] == "none"
+    assert "k99" not in toy_tree.key_names
 
 
 def test_status_bound_to_one_key(toy_tree):
     assert len(toy_tree.key_index) == 6
     for key, node_id in toy_tree.key_index.items():
-        assert toy_tree.node(node_id).key == key
+        assert toy_tree.nodes[node_id].key == key
 
 
 def test_path_names(toy_tree):
-    sid = toy_tree.key_index["k1"]
-    assert toy_tree.path_names(sid) == ("root", "Session", "open", "started")
+    # parent paths of the action and status sequences a key falls in, root first
+    assert toy_tree.key_paths["k1"] == (("root", "Session"), ("root", "Session", "open"))
+    assert toy_tree.key_paths["k1"][1] + (toy_tree.key_names["k1"][2],) == ("root", "Session", "open", "started")
 
 
 def test_rebuild_is_idempotent(toy_tree):
@@ -83,7 +81,7 @@ def test_status_name_collision_disambiguated():
         TopicTriple("p2", "Disk", "write", "ok"),
     ]
     tree = build_tree(triples)
-    names = sorted(tree.node(tree.key_index[k]).name for k in ("p1", "p2"))
+    names = sorted(tree.nodes[tree.key_index[k]].name for k in ("p1", "p2"))
     assert names == ["ok", "ok~p2"]
     assert len(tree.key_index) == 2
 

@@ -1,12 +1,20 @@
 """Catalog loading, message matching, and partitioning."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.errors import CatalogParseError, DuplicateKeyError, PartitionError, SequenceParseError
+from hierlog.errors import (
+    CatalogParseError,
+    ConfigError,
+    DuplicateKeyError,
+    PartitionError,
+    RawRecordParseError,
+    SequenceParseError,
+)
 from hierlog.ingest import (
     WILDCARD,
     LogSequence,
@@ -17,6 +25,7 @@ from hierlog.ingest import (
     TemplateCatalog,
     _labels_or_none,
     label_sequence,
+    load_raw_records,
     load_sequences,
     load_template_catalog,
     match_message,
@@ -24,6 +33,7 @@ from hierlog.ingest import (
     partition,
     save_sequences,
 )
+from hierlog.pipeline import parse_partition_spec
 
 
 def _records(n, group=None, t0=0.0, dt=1.0):
@@ -44,7 +54,7 @@ def test_load_csv_with_header(tmp_path):
     p.write_text("key,template\nk1,Open session started\nk2,GET request sent to <*>\n")
     cat = load_template_catalog(p)
     assert len(cat) == 2
-    assert cat.get("k2").wildcard_count == 1
+    assert [t.wildcard_count for t in cat.templates()] == [0, 1]
 
 
 def test_load_csv_without_header(tmp_path):
@@ -214,6 +224,41 @@ def test_partition_spec_validation():
     assert spec.stride == 4  # defaults to the window size
 
 
+@pytest.mark.parametrize(
+    "mode, size, stride",
+    [
+        ("time_window", math.nan, None),
+        ("time_window", 1.0, math.nan),
+        ("time_window", math.inf, None),
+        ("time_window", 2.0, -math.inf),
+        ("count_window", 1.5, None),
+        ("count_window", 0.5, None),
+        ("count_window", 4, 1.5),
+        ("count_window", math.nan, 1),
+    ],
+)
+def test_partition_spec_rejects_sizes_that_lose_events(mode, size, stride):
+    # time:nan kept no event and time:1:nan one of two; count:1.5 truncated to 1
+    with pytest.raises(ValueError):
+        PartitionSpec(mode, window_size=size, stride=stride)
+
+
+def test_parse_partition_spec():
+    assert parse_partition_spec("identifier") == PartitionSpec("identifier")
+    assert parse_partition_spec("count:4:2") == PartitionSpec("count_window", 4.0, 2.0)
+    assert parse_partition_spec("time:2.5") == PartitionSpec("time_window", 2.5, 2.5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["time:abc", "time:nan", "time:1:nan", "time:inf", "count:1.5", "count:0.5", "count:0",
+     "count", "count:", "count:4:2:1", "identifier:3", "bogus", ""],
+)
+def test_parse_partition_spec_rejects_malformed_specs(spec):
+    with pytest.raises(ConfigError):
+        parse_partition_spec(spec)
+
+
 # -- labels -------------------------------------------------------------------
 
 def test_label_rules(toy_cat):
@@ -265,6 +310,33 @@ def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, re
     assert info.value.line_number == 2
     assert reason in info.value.reason
     assert "line 2" in str(info.value)
+
+
+def test_load_raw_records(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    path.write_text('{"message": "a b", "timestamp": 1.5, "group_id": "g", "label": true}\n\n{"message": "c"}\n')
+    assert load_raw_records(path) == [RawLogRecord("a b", 1.5, "g", True), RawLogRecord("c")]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"message": "x"', "invalid JSON"),
+        ('["Open session started"]', "expected a JSON object"),
+        ('{"group_id": "g"}', "missing field 'message'"),
+        ('{"message": 3}', "'message' must be a string"),
+        ('{"message": null}', "'message' must be a string"),
+    ],
+    ids=["bad-json", "not-object", "missing-message", "message-not-string", "message-null"],
+)
+def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
+    path = tmp_path / "raw.jsonl"
+    path.write_text('{"message": "Open session started"}\n' + line + "\n")
+    with pytest.raises(RawRecordParseError) as info:
+        load_raw_records(path)
+    assert info.value.line_number == 2
+    assert reason in info.value.reason
+    assert "line 2" in str(info.value) and "line 1" not in str(info.value)
 
 
 # -- properties ---------------------------------------------------------------
