@@ -121,13 +121,12 @@ def train(templates_path, tree_path, sequences_path, kb_dir, llm, **provider_opt
 @click.option("--llm", default="off", type=click.Choice(["on", "off"]))
 @click.option("--m", default=5, type=int, help="Retrieved normal examples per prompt.")
 @click.option("--early-exit", default="on", type=click.Choice(["on", "off"]))
-@click.option("--llm-fraction", default=1.0, type=float)
 @click.option("--report", "report_path", required=True, type=click.Path())
 @_provider_options
 def detect(templates_path, tree_path, kb_dir, test_path, levels, detector_spec, llm,
-           m, early_exit, llm_fraction, report_path, **provider_opts):
+           m, early_exit, report_path, **provider_opts):
     """Run hybrid detection over test sequences."""
-    config = stages.detect_config(levels, detector_spec, llm == "on", m, early_exit == "on", llm_fraction)
+    config = stages.detect_config(levels, detector_spec, llm == "on", m, early_exit == "on")
     _, reports = stages.detect(
         stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path),
         stages.KnowledgeBaseSet.load_dir(kb_dir), kb_dir, test_path, report_path, config,

@@ -13,22 +13,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DecompositionError, LookupError_
-from .hierarchy import ACTION, ENTITY, STATUS, TopicTree
-
-_SIG_PARENT_SEP = "|"
-_SIG_NODE_SEP = ">"
-
-
-def _escape(name: str) -> str:
-    return name.replace("\\", "\\\\").replace("|", "\\|").replace(">", "\\>")
+from .hierarchy import ACTION, ENTITY, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, TopicTree, escape_name
 
 
 def make_signature(parent_path: Sequence[str], nodes: Sequence[str]) -> str:
     """Canonical KB key: injective over (parent path names, node names)."""
     return (
-        _SIG_NODE_SEP.join(_escape(n) for n in parent_path)
-        + _SIG_PARENT_SEP
-        + _SIG_NODE_SEP.join(_escape(n) for n in nodes)
+        SIG_NODE_SEP.join(escape_name(n) for n in parent_path)
+        + SIG_PARENT_SEP
+        + SIG_NODE_SEP.join(escape_name(n) for n in nodes)
     )
 
 
@@ -41,11 +34,21 @@ class Seq:
     nodes: list[str]  # node names at `level`
     chunk: list[str]  # flat log keys covered
     element_chunks: list[list[str]]  # chunk per node, concatenation == chunk
+    parent_key: str  # escaped parent path: the signature's prefix and the transition-index key
+    escaped: dict[str, str] = field(repr=False, compare=False)  # the tree's name -> escaped name
     children: Optional[list["Seq"]] = None  # absent at status level
+    # built on first read, so decomposing alone costs no more and early exit
+    # leaves the unread higher-level signatures unbuilt
+    _signature: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def signature(self) -> str:
-        return make_signature(self.parent_path, self.nodes)
+        """``make_signature(parent_path, nodes)``, built once."""
+        sig = self._signature
+        if sig is None:
+            nodes = SIG_NODE_SEP.join(map(self.escaped.__getitem__, self.nodes))
+            sig = self._signature = self.parent_key + SIG_PARENT_SEP + nodes
+        return sig
 
 
 @dataclass
@@ -74,19 +77,22 @@ def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionRes
     Total runtime is linear in len(keys).
     """
     root_path = tree.root_path
+    root_prefix = tree.root_prefix
     key_names = tree.key_names
     key_paths = tree.key_paths
+    key_prefixes = tree.key_prefixes
+    escaped = tree.escaped
     keys_list = list(keys)
     n = len(keys_list)
 
     # Single fused pass: action boundaries nest inside entity boundaries and
     # status chunks are per action chunk, so one scan resolves all levels.
     # Runs are recorded as start indices; chunks come from list slices below.
-    # entity run: (entity name, start, e_path, action runs); action run:
-    # (a_path, start, status names). Name identity marks run boundaries
-    # (names are shared string objects, unique per parent).
-    entity_runs: list[tuple[str, int, tuple[str, ...], list]] = []
-    a_runs: list[tuple[tuple[str, ...], int, list[str]]] = []
+    # entity run: (entity name, start, action runs); action run: (action
+    # name, start, status names). Name identity marks run boundaries (names
+    # are shared string objects, unique per parent).
+    entity_runs: list[tuple[str, int, list]] = []
+    a_runs: list[tuple[str, int, list[str]]] = []
     last_e: Optional[str] = None
     last_a: Optional[str] = None
     for i, key in enumerate(keys_list):
@@ -95,38 +101,43 @@ def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionRes
             raise DecompositionError(f"position {i}: {LookupError_(key, ENTITY)}")
         en, an, sn = names
         if en is not last_e:
-            paths = key_paths[key]
-            a_runs = [(paths[1], i, [sn])]
-            entity_runs.append((en, i, paths[0], a_runs))
+            a_runs = [(an, i, [sn])]
+            entity_runs.append((en, i, a_runs))
             last_e = en
             last_a = an
         elif an is not last_a:
-            a_runs.append((key_paths[key][1], i, [sn]))
+            a_runs.append((an, i, [sn]))
             last_a = an
         else:
             a_runs[-1][2].append(sn)
 
-    e_seq = Seq(ENTITY, root_path, [r[0] for r in entity_runs], keys_list, [], [])
+    e_seq = Seq(ENTITY, root_path, [r[0] for r in entity_runs], keys_list, [], root_prefix, escaped, [])
     result = DecompositionResult(e_seq=e_seq)
     e_children = e_seq.children
     e_elements = e_seq.element_chunks
     all_a_seqs = result.a_seqs
     all_s_seqs = result.s_seqs
 
-    for idx, (en, e_start, e_path, a_runs) in enumerate(entity_runs):
+    for idx, (_, e_start, a_runs) in enumerate(entity_runs):
         e_end = entity_runs[idx + 1][1] if idx + 1 < len(entity_runs) else n
         e_chunk = keys_list[e_start:e_end]
-        a_seq = Seq(ACTION, e_path, [r[0][-1] for r in a_runs], e_chunk, [], [])
+        first = keys_list[e_start]
+        a_nodes = [r[0] for r in a_runs]
+        a_seq = Seq(ACTION, key_paths[first][0], a_nodes, e_chunk, [], key_prefixes[first][0], escaped, [])
         e_children.append(a_seq)
         e_elements.append(e_chunk)
         all_a_seqs.append(a_seq)
         a_children = a_seq.children
         a_elements = a_seq.element_chunks
 
-        for jdx, (a_path, a_start, s_names) in enumerate(a_runs):
+        for jdx, (_, a_start, s_names) in enumerate(a_runs):
             a_end = a_runs[jdx + 1][1] if jdx + 1 < len(a_runs) else e_end
             a_chunk = keys_list[a_start:a_end]
-            s_seq = Seq(STATUS, a_path, s_names, a_chunk, [[k] for k in a_chunk])
+            first = keys_list[a_start]
+            a_prefix = key_prefixes[first][1]
+            s_seq = Seq(
+                STATUS, key_paths[first][1], s_names, a_chunk, [[k] for k in a_chunk], a_prefix, escaped
+            )
             a_children.append(s_seq)
             a_elements.append(a_chunk)
             all_s_seqs.append(s_seq)

@@ -1,10 +1,12 @@
 """Hybrid per-sub-sequence detection with bottom-up execution.
 
-Each decomposed sub-sequence is checked in order: test-cache lookup,
-then the configured symbolic detector (exact signature matching or a
-transition automaton), and only unmatched patterns are delegated to the
-LLM with retrieved sibling examples. Verdicts aggregate bottom-up per
-sequence with optional early exit.
+Each decomposed sub-sequence is checked by the configured symbolic
+detector (exact signature matching or a transition automaton). Only a
+pattern it rejects goes to the LLM, with retrieved sibling examples, and
+a decided LLM verdict is cached per chunk in the test KB of its level, so
+a repeated pattern costs one provider round. Symbolic verdicts are never
+cached, so a verdict does not depend on what ran before. Verdicts
+aggregate bottom-up per sequence with optional early exit.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class DetectConfig:
     llm_enabled: bool = False
     m: int = 5
     early_exit: bool = True
-    llm_phase_fraction: float = 1.0
     retry_limit: int = 2
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
 
@@ -66,8 +67,6 @@ class DetectConfig:
             raise ValueError(f"unknown levels: {unknown}")
         if self.levels_enabled and STATUS not in self.levels_enabled:
             raise ValueError("bottom-up presets require the status level whenever any level is enabled")
-        if not 0.0 <= self.llm_phase_fraction <= 1.0:
-            raise ValueError("llm_phase_fraction must be in [0, 1]")
         for level in LEVEL_ORDER:
             self.detector_per_level.setdefault(level, EXACT)
 
@@ -77,15 +76,13 @@ class SeqVerdict:
     signature: str
     level: str
     verdict: str  # normal | abnormal
-    source: str  # pattern_match | automaton | llm | cache
+    source: str  # pattern_match | automaton | llm
     explanation: Optional[str] = None
     confidence_flag: str = "normal"  # normal | low
 
 
 @dataclass
 class Counters:
-    pattern_checks: int = 0
-    cache_hits: int = 0
     llm_calls: int = 0
     provider_errors: int = 0
     keys_per_level: dict[str, int] = field(default_factory=lambda: {l: 0 for l in LEVEL_ORDER})
@@ -111,7 +108,7 @@ def detect_local_exact(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
 
 def detect_local_automaton(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
     """Normal iff every adjacent node pair (with start/end marks) was trained."""
-    ok = train_kb.accepts_transitions(seq.parent_path, seq.nodes)
+    ok = train_kb.accepts_transitions(seq.parent_key, seq.nodes)
     verdict = VERDICT_NORMAL if ok else VERDICT_ABNORMAL
     return SeqVerdict(signature=seq.signature, level=seq.level, verdict=verdict, source="automaton")
 
@@ -138,34 +135,31 @@ class Detector:
 
     # -- single sub-sequence --------------------------------------------------
 
-    def detect_seq(self, seq: Seq, counters: Counters, llm_allowed: bool = True) -> SeqVerdict:
-        """Cache lookup, then local detector, then (optionally) the LLM."""
+    def detect_seq(self, seq: Seq, counters: Counters) -> SeqVerdict:
+        """Local detector, then, for a rejected pattern, the cached or a fresh LLM verdict."""
+        train_kb = self.kbs.train[seq.level]
+        if self.config.detector_per_level.get(seq.level, EXACT) == AUTOMATON:
+            verdict = detect_local_automaton(seq, train_kb)
+        else:
+            verdict = detect_local_exact(seq, train_kb)
+        if verdict.verdict == VERDICT_NORMAL or not self.config.llm_enabled:
+            return verdict
+
+        cache = self.kbs.test[seq.level]
         ck = chunk_key(seq.chunk)
-        cached = self.kbs.test[seq.level].lookup_test(ck)
+        cached = cache.lookup_test(ck)
         if cached is not None:
-            counters.cache_hits += 1
             return SeqVerdict(
                 signature=seq.signature,
                 level=seq.level,
                 verdict=cached.verdict,
-                source="cache",
+                source="llm",
                 explanation=cached.explanation,
+                confidence_flag=cached.confidence_flag,
             )
-
-        counters.pattern_checks += 1
-        detector = self.config.detector_per_level.get(seq.level, EXACT)
-        if detector == AUTOMATON:
-            verdict = detect_local_automaton(seq, self.kbs.train[seq.level])
-        else:
-            verdict = detect_local_exact(seq, self.kbs.train[seq.level])
-
-        if verdict.verdict == VERDICT_ABNORMAL and self.config.llm_enabled and llm_allowed:
-            verdict, provider_failed = self._llm_verdict(seq, counters)
-            if not provider_failed:  # never cache an undecided verdict
-                self._store(seq, ck, verdict)
-            return verdict
-
-        self._store(seq, ck, verdict)
+        verdict, provider_failed = self._llm_verdict(seq, counters)
+        if not provider_failed:  # never cache an undecided verdict
+            cache.store_test(TestEntry(ck, verdict.verdict, verdict.explanation, verdict.confidence_flag))
         return verdict
 
     def _llm_verdict(self, seq: Seq, counters: Counters) -> tuple[SeqVerdict, bool]:
@@ -213,15 +207,11 @@ class Detector:
         )
 
     def _summary_for(self, seq: Seq) -> str:
-        """Bottom-up summary with per-chunk caching (test KB + in-memory)."""
+        """Bottom-up summary, cached in memory per (level, chunk)."""
         ck = chunk_key(seq.chunk)
         cached = self._summary_cache.get((seq.level, ck))
         if cached is not None:
             return cached
-        entry = self.kbs.test[seq.level].lookup_test(ck)
-        if entry is not None and entry.summary:
-            self._summary_cache[(seq.level, ck)] = entry.summary
-            return entry.summary
         # reuse training summaries when the same pattern+chunk was summarized
         train_entry = self.kbs.train[seq.level].entries.get(seq.signature)
         if train_entry is not None and train_entry.summary and train_entry.example_chunk == seq.chunk:
@@ -233,26 +223,12 @@ class Detector:
             child_summaries = [self._summary_for(child) for child in seq.children]
             summary = summarize_parent_seq(seq, child_summaries, self.provider)
         self._summary_cache[(seq.level, ck)] = summary
-        if entry is not None:
-            entry.summary = summary
         return summary
-
-    def _store(self, seq: Seq, ck: str, verdict: SeqVerdict) -> None:
-        self.kbs.test[seq.level].store_test(
-            TestEntry(
-                signature=seq.signature,
-                chunk_key=ck,
-                verdict=verdict.verdict,
-                source=verdict.source,
-                explanation=verdict.explanation,
-                summary=self._summary_cache.get((seq.level, ck)),
-            )
-        )
 
     # -- whole sequence ---------------------------------------------------------
 
     def detect_sequence(
-        self, sequence: LogSequence | Sequence[str], sequence_id: Optional[str] = None, llm_allowed: bool = True
+        self, sequence: LogSequence | Sequence[str], sequence_id: Optional[str] = None
     ) -> SequenceReport:
         """Evaluate all enabled levels bottom-up; any abnormal flags the sequence."""
         if isinstance(sequence, LogSequence):
@@ -279,7 +255,7 @@ class Detector:
             if level not in self.config.levels_enabled:
                 continue
             for seq in result.by_level(level):
-                verdict = self.detect_seq(seq, report.counters, llm_allowed=llm_allowed)
+                verdict = self.detect_seq(seq, report.counters)
                 report.verdicts.append(verdict)
                 report.counters.evals_per_level[level] += 1
                 report.counters.keys_per_level[level] += len(seq.chunk)
@@ -295,12 +271,8 @@ class Detector:
         return report
 
     def run(self, sequences: Sequence[LogSequence]) -> list[SequenceReport]:
-        """Detect a corpus; the LLM is active only for the first phase-fraction."""
-        cutoff = int(self.config.llm_phase_fraction * len(sequences))
-        return [
-            self.detect_sequence(seq, llm_allowed=(i < cutoff))
-            for i, seq in enumerate(sequences)
-        ]
+        """Detect a corpus, one sequence at a time."""
+        return [self.detect_sequence(seq) for seq in sequences]
 
 
 def train(

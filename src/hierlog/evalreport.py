@@ -138,8 +138,6 @@ def report_to_json(report: SequenceReport) -> dict:
         "raw_length": report.raw_length,
         "error": report.error,
         "counters": {
-            "pattern_checks": report.counters.pattern_checks,
-            "cache_hits": report.counters.cache_hits,
             "llm_calls": report.counters.llm_calls,
             "provider_errors": report.counters.provider_errors,
             "keys_per_level": report.counters.keys_per_level,

@@ -26,6 +26,16 @@ ACTION = "action"
 STATUS = "status"
 LEVELS = (ENTITY, ACTION, STATUS)
 
+# Signature encoding: escaped parent path names joined by ">", then "|",
+# then the escaped node names joined by ">".
+SIG_PARENT_SEP = "|"
+SIG_NODE_SEP = ">"
+
+
+def escape_name(name: str) -> str:
+    """A node name with the signature separators and the escape char escaped."""
+    return name.replace("\\", "\\\\").replace("|", "\\|").replace(">", "\\>")
+
 
 @dataclass(frozen=True)
 class TopicTriple:
@@ -65,6 +75,7 @@ class TopicTree:
         self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         root_name = nodes[ROOT].name if ROOT in nodes else ROOT
         self.root_path: tuple[str, ...] = (root_name,)
+        self.root_prefix = escape_name(root_name)
         e_paths: dict[str, tuple[str, ...]] = {}
         a_paths: dict[str, tuple[str, ...]] = {}
         for key, sid in key_index.items():
@@ -75,6 +86,13 @@ class TopicTree:
             e_path = e_paths.setdefault(entity.node_id, self.root_path + (entity.name,))
             a_path = a_paths.setdefault(action.node_id, e_path + (action.name,))
             self.key_paths[key] = (e_path, a_path)
+        # the signature encoding, built once: node name -> escaped name, and the
+        # parent paths as escaped names joined by SIG_NODE_SEP (Seq.parent_key)
+        self.escaped = {name: escape_name(name) for names in self.key_names.values() for name in names}
+        self.key_prefixes: dict[str, tuple[str, ...]] = {
+            key: tuple(SIG_NODE_SEP.join(map(escape_name, path)) for path in paths)
+            for key, paths in self.key_paths.items()
+        }
 
     def __len__(self) -> int:
         return len(self.nodes)

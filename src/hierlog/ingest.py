@@ -167,11 +167,11 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    row = json.loads(line)
-                    templates.append(LogTemplate(str(row["key"]), str(row["template"])))
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise CatalogParseError(lineno, str(exc)) from exc
+                row = _json_object(line, lineno, CatalogParseError)
+                for name in ("key", "template"):
+                    if name not in row:
+                        raise CatalogParseError(lineno, f"missing field {name!r}")
+                templates.append(LogTemplate(str(row["key"]), str(row["template"])))
     else:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -343,6 +343,17 @@ def _labels_or_none(labels: list[Optional[bool]]) -> Optional[bool]:
     return label_sequence(labels)
 
 
+def _json_object(line: str, lineno: int, error: type[Exception]) -> dict:
+    """One JSONL line as an object; a bad line raises ``error(lineno, reason)``."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise error(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+    if not isinstance(row, dict):
+        raise error(lineno, "expected a JSON object")
+    return row
+
+
 def load_raw_records(path: str | Path) -> list[RawLogRecord]:
     """Raw records, one JSON object per line: message, and optional timestamp, group_id, label."""
     records = []
@@ -351,12 +362,7 @@ def load_raw_records(path: str | Path) -> list[RawLogRecord]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RawRecordParseError(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
-            if not isinstance(row, dict):
-                raise RawRecordParseError(lineno, "expected a JSON object")
+            row = _json_object(line, lineno, RawRecordParseError)
             if "message" not in row:
                 raise RawRecordParseError(lineno, "missing field 'message'")
             if not isinstance(row["message"], str):
@@ -389,12 +395,7 @@ def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequen
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SequenceParseError(lineno, str(exc)) from exc
-            if not isinstance(row, dict):
-                raise SequenceParseError(lineno, "expected a JSON object")
+            row = _json_object(line, lineno, SequenceParseError)
             for name in ("sequence_id", "keys"):
                 if name not in row:
                     raise SequenceParseError(lineno, f"missing field {name!r}")

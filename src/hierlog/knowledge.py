@@ -1,9 +1,11 @@
-"""Per-level knowledge bases for training patterns and test-time caching.
+"""Per-level knowledge bases for training patterns and the LLM verdict cache.
 
 Training KBs store deduplicated normal sub-sequences (keyed by signature,
-with occurrence counts and an adjacency transition index per parent).
-Test KBs cache per-chunk verdicts, summaries, embeddings, and explanations
-so repeated test patterns never re-query a provider.
+with occurrence counts and an adjacency transition index per escaped
+parent path). Test KBs cache decided LLM verdicts per chunk, so a
+repeated pattern that the symbolic detector rejects never re-queries the
+provider. Symbolic verdicts are never cached: the train-KB probe is
+already exact and cheap.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .decompose import Seq
 from .errors import FormatError, KnowledgeBaseError
 from .hierarchy import LEVELS
 
-KB_FORMAT_VERSION = 1
+KB_FORMAT_VERSION = 2
 
 START_MARK = "<start>"
 END_MARK = "<end>"
@@ -29,7 +31,7 @@ _CHUNK_SEP = "\x1f"
 
 
 def chunk_key(chunk: Sequence[str]) -> str:
-    """Canonical encoding of a log-key chunk (the test-cache key)."""
+    """Canonical encoding of a log-key chunk (the LLM-cache key)."""
     return _CHUNK_SEP.join(chunk)
 
 
@@ -46,13 +48,12 @@ class TrainEntry:
 
 @dataclass
 class TestEntry:
-    signature: str
+    """A decided LLM verdict for one chunk at one level."""
+
     chunk_key: str
     verdict: str  # normal | abnormal
-    source: str  # pattern_match | automaton | llm | cache
     explanation: Optional[str] = None
-    summary: Optional[str] = None
-    embedding: Optional[list[float]] = None
+    confidence_flag: str = "normal"  # normal | low
 
 
 @dataclass
@@ -60,7 +61,8 @@ class KnowledgeBase:
     level: str
     role: str  # train | test
     entries: dict = field(default_factory=dict)
-    # parent signature -> set of (prev, next) node-name pairs incl. start/end marks
+    # escaped parent path (Seq.parent_key) -> set of (prev, next) node-name
+    # pairs incl. start/end marks
     transition_index: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -86,8 +88,7 @@ class KnowledgeBase:
             self._siblings = None
         else:
             entry.occurrence_count += 1
-        parent_sig = ">".join(seq.parent_path)
-        transitions = self.transition_index.setdefault(parent_sig, set())
+        transitions = self.transition_index.setdefault(seq.parent_key, set())
         walk = [START_MARK] + list(seq.nodes) + [END_MARK]
         transitions.update(zip(walk, walk[1:]))
         return entry
@@ -95,9 +96,9 @@ class KnowledgeBase:
     def contains(self, signature: str) -> bool:
         return signature in self.entries
 
-    def accepts_transitions(self, parent_path: Sequence[str], nodes: Sequence[str]) -> bool:
+    def accepts_transitions(self, parent_key: str, nodes: Sequence[str]) -> bool:
         """True iff every adjacent pair (with start/end marks) was seen in training."""
-        transitions = self.transition_index.get(">".join(parent_path), set())
+        transitions = self.transition_index.get(parent_key, set())
         walk = [START_MARK] + list(nodes) + [END_MARK]
         return all(pair in transitions for pair in zip(walk, walk[1:]))
 
@@ -142,7 +143,7 @@ class KnowledgeBase:
         return self.entries.get(ck)
 
     def store_test(self, entry: TestEntry) -> None:
-        self._require(role="test", level=self.level)
+        self._require(role="test")
         self.entries[entry.chunk_key] = entry
 
     # -- persistence --------------------------------------------------------
@@ -173,13 +174,10 @@ class KnowledgeBase:
         else:
             data["entries"] = [
                 {
-                    "signature": e.signature,
                     "chunk_key": e.chunk_key,
                     "verdict": e.verdict,
-                    "source": e.source,
                     "explanation": e.explanation,
-                    "summary": e.summary,
-                    "embedding": e.embedding,
+                    "confidence_flag": e.confidence_flag,
                 }
                 for e in sorted(self.entries.values(), key=lambda e: e.chunk_key)
             ]
@@ -187,8 +185,9 @@ class KnowledgeBase:
 
     @classmethod
     def from_json(cls, data: dict) -> "KnowledgeBase":
-        if data.get("format_version") != KB_FORMAT_VERSION:
-            raise FormatError(f"unsupported KB format version: {data.get('format_version')}")
+        version = data.get("format_version")
+        if version != KB_FORMAT_VERSION:
+            raise FormatError(f"KB format version {version!r}, expected {KB_FORMAT_VERSION}")
         kb = cls(level=data["level"], role=data["role"])
         if kb.role == "train":
             for row in data["entries"]:
@@ -208,13 +207,10 @@ class KnowledgeBase:
         else:
             for row in data["entries"]:
                 kb.entries[row["chunk_key"]] = TestEntry(
-                    signature=row["signature"],
                     chunk_key=row["chunk_key"],
                     verdict=row["verdict"],
-                    source=row["source"],
                     explanation=row.get("explanation"),
-                    summary=row.get("summary"),
-                    embedding=row.get("embedding"),
+                    confidence_flag=row["confidence_flag"],
                 )
         return kb
 
@@ -237,7 +233,10 @@ class KnowledgeBase:
             data = json.loads(Path(path).read_text())
         except (json.JSONDecodeError, OSError) as exc:
             raise FormatError(f"cannot load KB from {path}: {exc}") from exc
-        return cls.from_json(data)
+        try:
+            return cls.from_json(data)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}; re-run `hierlog train` to rebuild the KBs") from exc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KnowledgeBase) and self.to_json() == other.to_json()
@@ -301,11 +300,19 @@ class KnowledgeBaseSet:
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> "KnowledgeBaseSet":
+        """Load the six KB files; a test file may be absent (an empty cache)."""
         directory = Path(directory)
         kbs = cls()
-        for level in LEVELS:
-            kbs.train[level] = KnowledgeBase.load(directory / f"train_{level}.json")
-            test_path = directory / f"test_{level}.json"
-            if test_path.exists():
-                kbs.test[level] = KnowledgeBase.load(test_path)
+        for role, kb_by_level in (("train", kbs.train), ("test", kbs.test)):
+            for level in LEVELS:
+                path = directory / f"{role}_{level}.json"
+                if role == "test" and not path.exists():
+                    continue
+                kb = KnowledgeBase.load(path)
+                if (kb.role, kb.level) != (role, level):
+                    raise FormatError(
+                        f"{path} holds the {kb.role} KB of level {kb.level!r}, "
+                        f"not the {role} KB of level {level!r}"
+                    )
+                kb_by_level[level] = kb
         return kbs

@@ -156,25 +156,16 @@ def train(
     return kbs
 
 
-def detect_config(
-    levels: str, detector: str, llm: bool, m: int, early_exit: bool, llm_fraction: float
-) -> DetectConfig:
+def detect_config(levels: str, detector: str, llm: bool, m: int, early_exit: bool) -> DetectConfig:
     """The detector settings that the CLI options and the [detect] section name."""
-    return DetectConfig(
-        levels_enabled=levels,
-        detector_per_level=parse_detector_spec(detector),
-        llm_enabled=llm,
-        m=m,
-        early_exit=early_exit,
-        llm_phase_fraction=llm_fraction,
-    )
+    return DetectConfig(levels, parse_detector_spec(detector), llm_enabled=llm, m=m, early_exit=early_exit)
 
 
 def detect(
     catalog: TemplateCatalog, tree: TopicTree, kbs: KnowledgeBaseSet, kb_dir: str | Path,
     sequences_path: str | Path, report_path: str | Path, config: DetectConfig, provider: Optional[Provider],
 ) -> tuple[list[LogSequence], list[SequenceReport]]:
-    """Detect over the test sequences, save the report, and save the warmed test caches to kb_dir."""
+    """Detect over the test sequences, save the report, and save the LLM verdict caches to kb_dir."""
     sequences = load_sequences(sequences_path, catalog)
     detector = Detector(tree, kbs, config, provider=provider, templates=_template_texts(catalog))
     reports = detector.run(sequences)
@@ -191,6 +182,10 @@ def detect(
 def score(sequences: list[LogSequence], verdicts: dict[str, bool]) -> dict:
     """Confusion counts and precision/recall/F1 of the verdicts over the labeled sequences."""
     labeled = [s for s in sequences if s.label is not None]
+    missing = [s.id for s in labeled if s.id not in verdicts]
+    if missing:
+        shown = ", ".join(missing[:5]) + (", ..." if len(missing) > 5 else "")
+        raise HierlogError(f"the report lacks {len(missing)} labeled sequence(s): {shown}")
     return asdict(compute_metrics([verdicts[s.id] for s in labeled], [bool(s.label) for s in labeled]))
 
 
@@ -299,7 +294,7 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
         sec = parser["detect"]
         config = detect_config(
             sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec.get("llm", "off")), sec.getint("m", 5),
-            _flag(sec.get("early_exit", "on"), default=True), sec.getfloat("llm_fraction", 1.0),
+            _flag(sec.get("early_exit", "on"), default=True),
         )
         sequences, reports = detect(
             catalog, tree, kbs, kb_dir, sec["sequences"], sec["report"], config, provider

@@ -37,10 +37,6 @@ TOY_FIXTURE: dict[str, dict] = {
 }
 
 
-def toy_catalog() -> TemplateCatalog:
-    return TemplateCatalog([LogTemplate(k, t) for k, t in TOY_TEMPLATES])
-
-
 # -- full synthetic corpus ----------------------------------------------------
 
 CORPUS_TEMPLATES: list[tuple[str, str]] = TOY_TEMPLATES + [

@@ -3,9 +3,14 @@
 import pytest
 
 from hierlog.hierarchy import FixtureExtractor, build_tree, extract_topics
-from hierlog.synthetic import TOY_FIXTURE, make_corpus, toy_catalog
+from hierlog.ingest import LogTemplate, TemplateCatalog
+from hierlog.synthetic import TOY_FIXTURE, TOY_TEMPLATES, make_corpus
 
 TOY_KEYS = ["k1", "k2", "k3", "k4", "k5", "k6"]
+
+
+def toy_catalog() -> TemplateCatalog:
+    return TemplateCatalog([LogTemplate(k, t) for k, t in TOY_TEMPLATES])
 
 
 @pytest.fixture(scope="session")

@@ -37,11 +37,10 @@ from hierlog.synthetic import (
     BENIGN_UNSEEN_ACTION_NODES,
     TOY_FIXTURE,
     make_corpus,
-    toy_catalog,
     write_corpus,
 )
 
-from conftest import TOY_KEYS
+from conftest import TOY_KEYS, toy_catalog
 
 
 VERDICT_LINES: list[str] = []

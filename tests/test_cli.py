@@ -8,6 +8,7 @@ inputs; configuration errors must exit with code 2.
 import configparser
 import json
 import logging
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -153,6 +154,75 @@ def test_configuration_errors_exit_2(tmp_path, data, trained):
         assert "Traceback" not in result.output
     assert not (tmp_path / "report.jsonl").exists()
     assert not (tmp_path / "seqs.jsonl").exists()
+
+
+def test_llm_fraction_option_is_gone(tmp_path, data, trained):
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", trained / "kb", "--test", trained / "test.jsonl", "--llm-fraction", 0.5,
+                    "--report", tmp_path / "report.jsonl")
+    assert result.exit_code == 2
+    assert "No such option '--llm-fraction'" in result.output
+
+
+def test_llm_off_leaves_the_llm_caches_empty(trained):
+    for level in ("entity", "action", "status"):
+        assert json.loads((trained / "kb" / f"test_{level}.json").read_text())["entries"] == []
+
+
+def train_only_kb(trained, out):
+    """A copy of the trained KB directory without its test caches."""
+    out.mkdir()
+    for level in ("entity", "action", "status"):
+        shutil.copy(trained / "kb" / f"train_{level}.json", out)
+    return out
+
+
+def test_exact_detect_leaves_a_later_automaton_detect_unchanged(tmp_path, data, trained):
+    def detect(kb, detector, report):
+        ok("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json", "--kb-dir", kb,
+           "--test", trained / "test.jsonl", "--detector", detector, "--early-exit", "off", "--report", report)
+        return report.read_bytes().split(b"\n", 1)[1]
+
+    shared = train_only_kb(trained, tmp_path / "shared")
+    exact = detect(shared, "exact", tmp_path / "exact.jsonl")
+    after_exact = detect(shared, "automaton", tmp_path / "after_exact.jsonl")
+    fresh = detect(train_only_kb(trained, tmp_path / "fresh"), "automaton", tmp_path / "fresh.jsonl")
+    assert after_exact == fresh
+    assert exact != fresh
+
+
+def test_evaluate_names_the_ids_missing_from_the_report(tmp_path, data, trained):
+    lines = (trained / "report.jsonl").read_text().splitlines(keepends=True)
+    truncated = tmp_path / "report.jsonl"
+    truncated.write_text("".join(lines[:-3]))
+    missing = [json.loads(line)["sequence_id"] for line in lines[-3:]]
+    result = invoke("evaluate", "--report", truncated, "--test", trained / "test.jsonl",
+                    "--templates", data / "templates.csv")
+    assert result.exit_code == 1
+    assert result.output == f"error: the report lacks 3 labeled sequence(s): {', '.join(missing)}\n"
+
+
+def test_detect_rejects_swapped_or_outdated_kb_files(tmp_path, data, trained):
+    def detect(kb):
+        return invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                      "--kb-dir", kb, "--test", trained / "test.jsonl", "--report", tmp_path / "report.jsonl")
+
+    swapped = train_only_kb(trained, tmp_path / "swapped")
+    shutil.copy(trained / "kb" / "train_action.json", swapped / "train_status.json")
+    shutil.copy(trained / "kb" / "train_status.json", swapped / "train_action.json")
+    result = detect(swapped)
+    assert result.exit_code == 1
+    assert "train_action.json holds the train KB of level 'status'" in result.output
+
+    outdated = train_only_kb(trained, tmp_path / "outdated")
+    kb = json.loads((outdated / "train_entity.json").read_text())
+    kb["format_version"] -= 1
+    (outdated / "train_entity.json").write_text(json.dumps(kb))
+    result = detect(outdated)
+    assert result.exit_code == 1
+    assert str(outdated / "train_entity.json") in result.output
+    assert "re-run `hierlog train`" in result.output
+    assert not (tmp_path / "report.jsonl").exists()
 
 
 def test_run_failures_exit_1(tmp_path, data):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hierlog.decompose import make_signature, top_down_decompose
 from hierlog.errors import DecompositionError
-from hierlog.hierarchy import ACTION, ENTITY, STATUS
+from hierlog.hierarchy import ACTION, ENTITY, STATUS, TopicTriple, build_tree
 
 from conftest import TOY_KEYS
 
@@ -89,6 +89,25 @@ def test_signature_escaping():
     # escaping keeps distinct inputs distinct
     assert make_signature(["root"], ["a>b"]) != make_signature(["root"], ["a", "b"])
     assert make_signature(["root", "a"], ["b"]) != make_signature(["root"], ["a", "b"])
+
+
+# names built from the separators and the escape char, so escaping matters
+_names_st = st.text(alphabet="ab|>\\", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_signature_field_equals_make_signature(data):
+    n_keys = data.draw(st.integers(1, 6), label="keys")
+    triples = [
+        TopicTriple(f"t{i}", data.draw(_names_st), data.draw(_names_st), data.draw(_names_st))
+        for i in range(n_keys)
+    ]
+    tree = build_tree(triples)
+    keys = data.draw(st.lists(st.sampled_from([t.key for t in triples]), min_size=1, max_size=20))
+    for seq in top_down_decompose(keys, tree).all_seqs():
+        assert seq.signature == make_signature(seq.parent_path, seq.nodes)
+        assert seq.parent_key + "|" == make_signature(seq.parent_path, [])
 
 
 # -- properties -------------------------------------------------------------------

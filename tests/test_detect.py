@@ -1,6 +1,11 @@
 """Hybrid detection: routing, caching, early exit, and training."""
 
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierlog.detect import (
     AUTOMATON,
@@ -13,9 +18,12 @@ from hierlog.detect import (
 )
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import DecompositionError, ProviderError
-from hierlog.hierarchy import ACTION, ENTITY, STATUS
+from hierlog.evalreport import report_to_json
+from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, build_tree, extract_topics
 from hierlog.ingest import LogSequence
+from hierlog.knowledge import KnowledgeBaseSet
 from hierlog.semantics import MockProvider
+from hierlog.synthetic import make_corpus
 
 from conftest import TOY_KEYS
 
@@ -137,13 +145,38 @@ def test_llm_default_abnormal_and_cache(toy_cat, toy_tree):
     report1 = detector.detect_sequence(seq)
     assert report1.final_verdict is True
     assert report1.first_abnormal_level == STATUS
+    assert report1.counters.llm_calls == 1
     calls_after_first = provider.calls
 
     report2 = detector.detect_sequence(seq)
     assert provider.calls == calls_after_first  # cached, no new provider traffic
-    assert report2.final_verdict is True
-    assert report2.verdicts[0].source == "cache"
-    assert report2.counters.cache_hits >= 1
+    assert report2.counters.llm_calls == 0
+    assert report2.verdicts == report1.verdicts
+    assert report2.verdicts[0].source == "llm"
+
+
+def test_cache_hit_returns_the_original_verdict(toy_cat, toy_tree):
+    # an unparseable answer gives a decided, low-confidence abnormal verdict
+    provider, detector = hybrid_setup(toy_cat, toy_tree, [("TARGET-NODES: succf>started", "no verdict here")])
+    seq = make_sequences(toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"]])[0]
+    first = detector.detect_sequence(seq).verdicts[0]
+    assert (first.source, first.verdict, first.confidence_flag) == ("llm", "abnormal", "low")
+    assert first.explanation == "no verdict here"
+    calls = provider.calls
+    again = detector.detect_sequence(seq).verdicts[0]
+    assert provider.calls == calls
+    assert again == first
+
+
+def test_llm_cache_holds_only_llm_verdicts(toy_cat, toy_tree):
+    provider, detector = hybrid_setup(toy_cat, toy_tree, [])
+    detector.run(make_sequences(toy_cat, [TOY_KEYS, ["k2", "k1", "k3", "k4", "k5", "k6"]]))
+    assert [len(detector.kbs.test[level].entries) for level in (STATUS, ACTION, ENTITY)] == [1, 0, 0]
+    # with the LLM off, unseen patterns leave the cache as it was
+    Detector(toy_tree, detector.kbs, DetectConfig()).run(
+        make_sequences(toy_cat, [["k1", "k2", "k5", "k6"], ["k4", "k3"]])
+    )
+    assert [len(detector.kbs.test[level].entries) for level in (STATUS, ACTION, ENTITY)] == [1, 0, 0]
 
 
 def test_provider_error_fallback_not_cached(toy_cat, toy_tree):
@@ -163,7 +196,91 @@ def test_provider_error_fallback_not_cached(toy_cat, toy_tree):
 
     report2 = detector.detect_sequence(seq)  # undecided verdicts are not cached
     assert failing.calls > errors_first
-    assert report2.counters.cache_hits == 0
+    assert report2.counters.provider_errors == 1
+    assert not detector.kbs.test[STATUS].entries
+
+
+# -- verdicts as a function of the inputs -------------------------------------------
+
+ALL_AUTOMATON = {STATUS: AUTOMATON, ACTION: AUTOMATON, ENTITY: AUTOMATON}
+
+
+def bodies(reports):
+    return [report_to_json(r) for r in reports]
+
+
+def test_exact_run_leaves_automaton_verdicts_unchanged(toy_cat, toy_tree):
+    # Session>Auth>Comm is unseen as a pattern, but every transition was trained
+    train_seqs = make_sequences(toy_cat, [["k1", "k3"], ["k3", "k5"]])
+    test_seqs = make_sequences(toy_cat, [["k1", "k3", "k5"], ["k1", "k3"], ["k5", "k1"]])
+    automaton = DetectConfig(detector_per_level=dict(ALL_AUTOMATON))
+    shared = train(train_seqs, toy_tree, DetectConfig())
+    exact = Detector(toy_tree, shared, DetectConfig()).run(test_seqs)
+    after_exact = Detector(toy_tree, shared, automaton).run(test_seqs)
+    fresh = Detector(toy_tree, train(train_seqs, toy_tree, DetectConfig()), automaton).run(test_seqs)
+    assert [r.final_verdict for r in exact] == [True, False, True]
+    assert [r.final_verdict for r in fresh] == [False, False, True]
+    assert bodies(after_exact) == bodies(fresh)
+
+
+def test_exact_run_leaves_automaton_verdicts_unchanged_on_splices():
+    # two training sequences spliced at random cut points: exact rejects many
+    # of the splices that the automaton accepts
+    corpus = make_corpus(n_train=80, n_test=0, seed=7)
+    tree = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
+    rng = random.Random(7)
+    splices = []
+    for i in range(300):
+        a, b = rng.sample(corpus.train, 2)
+        keys = a.keys[: rng.randint(1, len(a.keys))] + b.keys[rng.randint(0, len(b.keys) - 1):]
+        splices.append(LogSequence(f"x{i}", [corpus.catalog.event_for(k) for k in keys]))
+    automaton = DetectConfig(detector_per_level=dict(ALL_AUTOMATON), early_exit=False)
+    shared = train(corpus.train, tree, DetectConfig())
+    exact = Detector(tree, shared, DetectConfig(early_exit=False)).run(splices)
+    after_exact = Detector(tree, shared, automaton).run(splices)
+    fresh = Detector(tree, train(corpus.train, tree, DetectConfig()), automaton).run(splices)
+    assert sum(e.final_verdict and not f.final_verdict for e, f in zip(exact, fresh)) >= 10
+    assert bodies(after_exact) == bodies(fresh)
+
+
+@functools.cache
+def shuffle_setup(llm):
+    """A small corpus with unseen benign patterns, trained once per LLM setting."""
+    corpus = make_corpus(n_train=60, n_test=60, anomaly_rate=0.15, benign_unseen_rate=0.3, seed=13)
+    tree = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
+    templates = {t.key: t.text for t in corpus.catalog.templates()}
+    config = DetectConfig(llm_enabled=llm)
+    provider = MockProvider() if llm else None
+    kbs = train(corpus.train, tree, config, provider=provider, templates=templates)
+    return corpus, tree, templates, config, kbs
+
+
+def verdict_lists(llm, kbs, sequences):
+    _, tree, templates, config, _ = shuffle_setup(llm)
+    provider = MockProvider() if llm else None
+    reports = Detector(tree, kbs, config, provider=provider, templates=templates).run(sequences)
+    return {r.sequence_id: report_to_json(r)["verdicts"] for r in reports}
+
+
+def fresh_caches(kbs):
+    fresh = KnowledgeBaseSet()
+    fresh.train = kbs.train
+    return fresh
+
+
+@pytest.mark.parametrize("llm", [False, True], ids=["llm-off", "mock-llm"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_shuffled_input_gives_the_same_verdicts(llm, data):
+    corpus, _, _, _, kbs = shuffle_setup(llm)
+    in_order = verdict_lists(llm, fresh_caches(kbs), corpus.test)
+    if llm:
+        assert any(v["source"] == "llm" for vs in in_order.values() for v in vs)
+    order = data.draw(st.permutations(range(len(corpus.test))), label="order")
+    shuffled = [corpus.test[i] for i in order]
+    warm = fresh_caches(kbs)
+    assert verdict_lists(llm, warm, shuffled) == in_order
+    assert verdict_lists(llm, warm, corpus.test) == in_order  # on warm caches
 
 
 # -- early exit and levels ----------------------------------------------------------
@@ -204,19 +321,6 @@ def test_levels_preset_status_only(toy_cat, toy_tree):
     assert report.counters.evals_per_level[ACTION] == 0
 
 
-def test_llm_phase_fraction_zero(toy_cat, toy_tree):
-    provider = MockProvider()
-    config = DetectConfig(llm_enabled=True, llm_phase_fraction=0.0)
-    kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree,
-                DetectConfig(llm_enabled=True), provider=provider, templates=TOY_TEMPLATES_MAP)
-    detector = Detector(toy_tree, kbs, config, provider=provider, templates=TOY_TEMPLATES_MAP)
-    calls_before = provider.calls
-    reports = detector.run(make_sequences(toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"]]))
-    assert provider.calls == calls_before  # LLM phase covers 0% of the run
-    assert reports[0].counters.llm_calls == 0
-    assert reports[0].final_verdict is True
-
-
 # -- edge cases ----------------------------------------------------------------------
 
 def test_empty_sequence_is_normal(toy_cat, toy_tree):
@@ -245,8 +349,6 @@ def test_train_aborts_on_unknown_key(toy_cat, toy_tree):
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectConfig(levels_enabled=(ACTION,))  # bottom-up needs status
-    with pytest.raises(ValueError):
-        DetectConfig(llm_phase_fraction=1.5)
     with pytest.raises(ValueError):
         Detector(None, None, DetectConfig(llm_enabled=True), provider=None)
     assert DetectConfig(levels_enabled="SA").levels_enabled == (STATUS, ACTION)

@@ -35,6 +35,8 @@ from hierlog.ingest import (
 )
 from hierlog.pipeline import parse_partition_spec
 
+from conftest import toy_catalog
+
 
 def _records(n, group=None, t0=0.0, dt=1.0):
     return [
@@ -83,6 +85,25 @@ def test_malformed_row(tmp_path):
     p.write_text("justonecolumn\n")
     with pytest.raises(CatalogParseError):
         load_template_catalog(p)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"key": "k2", "template": "x"', "invalid JSON: Expecting ',' delimiter at column 30"),
+        ('["k2", "x"]', "expected a JSON object"),
+        ('{"key": "k2"}', "missing field 'template'"),
+        ('{"template": "x"}', "missing field 'key'"),
+    ],
+    ids=["bad-json", "not-object", "missing-template", "missing-key"],
+)
+def test_load_jsonl_catalog_errors_carry_line_and_reason(tmp_path, line, reason):
+    p = tmp_path / "t.jsonl"
+    p.write_text('{"key": "k1", "template": "alpha beta"}\n' + line + "\n")
+    with pytest.raises(CatalogParseError) as info:
+        load_template_catalog(p)
+    assert info.value.line_number == 2
+    assert str(info.value) == f"catalog parse error at line 2: {reason}"
 
 
 # -- matching -----------------------------------------------------------------
@@ -295,12 +316,13 @@ def test_sequence_round_trip(tmp_path, toy_cat):
 @pytest.mark.parametrize(
     "line, reason",
     [
-        ('{"sequence_id": "s2", "keys": ["k1"', "Expecting"),
+        ('{"sequence_id": "s2", "keys": ["k1"', "invalid JSON: Expecting ',' delimiter at column 36"),
+        ('["s2", ["k1"]]', "expected a JSON object"),
         ('{"sequence_id": "s2"}', "missing field 'keys'"),
         ('{"sequence_id": "s2", "keys": ["k1", "k9"]}', "unknown log key 'k9'"),
         ('{"sequence_id": "s2", "keys": "k1"}', "'keys' must be a list"),
     ],
-    ids=["bad-json", "missing-keys", "unknown-key", "keys-not-list"],
+    ids=["bad-json", "not-object", "missing-keys", "unknown-key", "keys-not-list"],
 )
 def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, reason):
     path = tmp_path / "seqs.jsonl"
@@ -309,7 +331,7 @@ def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, re
         load_sequences(path, toy_cat)
     assert info.value.line_number == 2
     assert reason in info.value.reason
-    assert "line 2" in str(info.value)
+    assert "line 2" in str(info.value) and "line 1" not in str(info.value)
 
 
 def test_load_raw_records(tmp_path):
@@ -347,17 +369,11 @@ def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
     size=st.integers(min_value=1, max_value=10),
 )
 def test_count_window_covers_input_exactly(n, size):
-    cat = toy_catalog_module()
+    cat = toy_catalog()
     keys = [f"k{1 + i % 6}" for i in range(n)]
     seqs = partition(_records(n), _events(cat, keys), PartitionSpec("count_window", window_size=size))
     assert [k for s in seqs for k in s.keys] == keys
     assert all(len(s.events) <= size for s in seqs)
-
-
-def toy_catalog_module():
-    from hierlog.synthetic import toy_catalog
-
-    return toy_catalog()
 
 
 def _linear_match(catalog, message):
@@ -461,7 +477,7 @@ def _windows_oracle(records, events, spec):
     stride_frac=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
 )
 def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac):
-    cat = toy_catalog_module()
+    cat = toy_catalog()
     records = [RawLogRecord(message="x", timestamp=t, label=l) for t, l in zip(stamps, labels)]
     events = _events(cat, [f"k{1 + i % 6}" for i in range(len(records))])
     spec = PartitionSpec("time_window", window_size=size, stride=size * stride_frac)

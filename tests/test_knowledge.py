@@ -12,6 +12,7 @@ from hierlog.errors import FormatError, KnowledgeBaseError
 from hierlog.hierarchy import ENTITY, STATUS
 from hierlog.knowledge import (
     END_MARK,
+    KB_FORMAT_VERSION,
     START_MARK,
     KnowledgeBase,
     KnowledgeBaseSet,
@@ -59,11 +60,22 @@ def test_automaton_accepts_stitched_sequences(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, ["k1", "k3"]))  # Session > Auth
     kb.insert_train(entity_seq(toy_tree, ["k3", "k5"]))  # Auth > Comm
-    assert kb.accepts_transitions(("root",), ["Session", "Auth", "Comm"])
-    assert not kb.accepts_transitions(("root",), ["Comm", "Session"])
-    assert not kb.accepts_transitions(("root",), ["Session"])  # Session><end> unseen
+    assert kb.accepts_transitions("root", ["Session", "Auth", "Comm"])
+    assert not kb.accepts_transitions("root", ["Comm", "Session"])
+    assert not kb.accepts_transitions("root", ["Session"])  # Session><end> unseen
     # unknown parent has no transitions at all
-    assert not kb.accepts_transitions(("root", "Ghost"), ["Session"])
+    assert not kb.accepts_transitions("root>Ghost", ["Session"])
+
+
+def test_transition_index_keyed_by_escaped_parent_path():
+    kb = KnowledgeBase(level=STATUS, role="train")
+    seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"], [["k"]], "root>A\\>B>x", {"s": "s"})
+    kb.insert_train(seq)
+    assert list(kb.transition_index) == [seq.parent_key]
+    assert seq.signature == "root>A\\>B>x|s"
+    assert kb.accepts_transitions(seq.parent_key, ["s"])
+    # the unescaped join names another parent path, ("root", "A", "B", "x")
+    assert not kb.accepts_transitions("root>A>B>x", ["s"])
 
 
 def test_role_guards(toy_tree):
@@ -158,7 +170,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     kb = KnowledgeBase(level=ENTITY, role="train")
 
     def insert(parent, nodes):
-        seq = Seq(ENTITY, parent, nodes, nodes, [[n] for n in nodes])
+        seq = Seq(ENTITY, parent, nodes, nodes, [[n] for n in nodes], ">".join(parent), {n: n for n in nodes})
         for _ in range(data.draw(st.integers(1, 3), label="count")):
             entry = kb.insert_train(seq)
         return entry
@@ -190,13 +202,16 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     check()
 
 
-# -- test cache -----------------------------------------------------------------
+# -- LLM verdict cache -------------------------------------------------------------
 
-def test_test_cache_round_trip():
+def test_test_cache_round_trip(tmp_path):
     kb = KnowledgeBase(level=STATUS, role="test")
     ck = chunk_key(["k1", "k2"])
-    kb.store_test(KBTestEntry(signature="sig", chunk_key=ck, verdict="normal", source="pattern_match"))
-    assert kb.lookup_test(ck).verdict == "normal"
+    entry = KBTestEntry(chunk_key=ck, verdict="normal", explanation="benign", confidence_flag="low")
+    kb.store_test(entry)
+    assert kb.lookup_test(ck) == entry
+    kb.save(tmp_path / "test_status.json")
+    assert KnowledgeBase.load(tmp_path / "test_status.json").lookup_test(ck) == entry
     assert kb.lookup_test(chunk_key(["k1"])) is None
     # chunk keys distinguish concatenation ambiguities
     assert chunk_key(["ab", "c"]) != chunk_key(["a", "bc"])
@@ -234,14 +249,48 @@ def test_kb_set_round_trip(tmp_path, toy_tree):
     result = top_down_decompose(TOY_KEYS, toy_tree)
     for seq in result.all_seqs():
         kbs.train[seq.level].insert_train(seq)
-    kbs.test[STATUS].store_test(
-        KBTestEntry(signature="s", chunk_key=chunk_key(["k1"]), verdict="abnormal", source="llm")
-    )
+    kbs.test[STATUS].store_test(KBTestEntry(chunk_key=chunk_key(["k1"]), verdict="abnormal"))
     kbs.save_dir(tmp_path / "kb")
     loaded = KnowledgeBaseSet.load_dir(tmp_path / "kb")
     for level in kbs.train:
         assert loaded.train[level] == kbs.train[level]
         assert loaded.test[level] == kbs.test[level]
+
+
+def test_load_dir_rejects_swapped_files(tmp_path, toy_tree):
+    kbs = KnowledgeBaseSet()
+    for seq in top_down_decompose(TOY_KEYS, toy_tree).all_seqs():
+        kbs.train[seq.level].insert_train(seq)
+    kbs.save_dir(tmp_path)
+    status, action = tmp_path / "train_status.json", tmp_path / "train_action.json"
+    status_bytes = status.read_bytes()
+    status.write_bytes(action.read_bytes())
+    action.write_bytes(status_bytes)
+    with pytest.raises(FormatError) as info:
+        KnowledgeBaseSet.load_dir(tmp_path)
+    assert "train_action.json holds the train KB of level 'status'" in str(info.value)
+
+
+def test_load_dir_rejects_a_train_kb_in_a_test_file(tmp_path):
+    kbs = KnowledgeBaseSet()
+    kbs.save_dir(tmp_path)
+    (tmp_path / "test_entity.json").write_bytes((tmp_path / "train_entity.json").read_bytes())
+    with pytest.raises(FormatError) as info:
+        KnowledgeBaseSet.load_dir(tmp_path)
+    assert "test_entity.json holds the train KB of level 'entity', not the test KB" in str(info.value)
+
+
+def test_load_dir_names_the_file_of_an_old_format(tmp_path):
+    KnowledgeBaseSet().save_dir(tmp_path)
+    path = tmp_path / "test_action.json"
+    data = json.loads(path.read_text())
+    data["format_version"] = KB_FORMAT_VERSION - 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as info:
+        KnowledgeBaseSet.load_dir(tmp_path)
+    assert str(path) in str(info.value)
+    assert f"KB format version {KB_FORMAT_VERSION - 1}, expected {KB_FORMAT_VERSION}" in str(info.value)
+    assert "re-run `hierlog train`" in str(info.value)
 
 
 # -- cosine -----------------------------------------------------------------------
