@@ -33,7 +33,6 @@ class Seq:
     parent_path: tuple[str, ...]  # node names, root first
     nodes: list[str]  # node names at `level`
     chunk: list[str]  # flat log keys covered
-    element_chunks: list[list[str]]  # chunk per node, concatenation == chunk
     parent_key: str  # escaped parent path: the signature's prefix and the transition-index key
     escaped: dict[str, str] = field(repr=False, compare=False)  # the tree's name -> escaped name
     children: Optional[list["Seq"]] = None  # absent at status level
@@ -111,10 +110,9 @@ def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionRes
         else:
             a_runs[-1][2].append(sn)
 
-    e_seq = Seq(ENTITY, root_path, [r[0] for r in entity_runs], keys_list, [], root_prefix, escaped, [])
+    e_seq = Seq(ENTITY, root_path, [r[0] for r in entity_runs], keys_list, root_prefix, escaped, [])
     result = DecompositionResult(e_seq=e_seq)
     e_children = e_seq.children
-    e_elements = e_seq.element_chunks
     all_a_seqs = result.a_seqs
     all_s_seqs = result.s_seqs
 
@@ -123,23 +121,17 @@ def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionRes
         e_chunk = keys_list[e_start:e_end]
         first = keys_list[e_start]
         a_nodes = [r[0] for r in a_runs]
-        a_seq = Seq(ACTION, key_paths[first][0], a_nodes, e_chunk, [], key_prefixes[first][0], escaped, [])
+        a_seq = Seq(ACTION, key_paths[first][0], a_nodes, e_chunk, key_prefixes[first][0], escaped, [])
         e_children.append(a_seq)
-        e_elements.append(e_chunk)
         all_a_seqs.append(a_seq)
         a_children = a_seq.children
-        a_elements = a_seq.element_chunks
 
         for jdx, (_, a_start, s_names) in enumerate(a_runs):
             a_end = a_runs[jdx + 1][1] if jdx + 1 < len(a_runs) else e_end
             a_chunk = keys_list[a_start:a_end]
             first = keys_list[a_start]
-            a_prefix = key_prefixes[first][1]
-            s_seq = Seq(
-                STATUS, key_paths[first][1], s_names, a_chunk, [[k] for k in a_chunk], a_prefix, escaped
-            )
+            s_seq = Seq(STATUS, key_paths[first][1], s_names, a_chunk, key_prefixes[first][1], escaped)
             a_children.append(s_seq)
-            a_elements.append(a_chunk)
             all_s_seqs.append(s_seq)
 
     return result

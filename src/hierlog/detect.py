@@ -22,7 +22,6 @@ from .ingest import LogSequence
 from .knowledge import KnowledgeBase, KnowledgeBaseSet, TestEntry, chunk_key
 from .semantics import (
     DetectionPrompt,
-    EmbeddingConfig,
     Provider,
     VERDICT_ABNORMAL,
     VERDICT_NORMAL,
@@ -56,8 +55,6 @@ class DetectConfig:
     llm_enabled: bool = False
     m: int = 5
     early_exit: bool = True
-    retry_limit: int = 2
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
 
     def __post_init__(self):
         if isinstance(self.levels_enabled, str):
@@ -147,55 +144,24 @@ class Detector:
 
         cache = self.kbs.test[seq.level]
         ck = chunk_key(seq.chunk)
-        cached = cache.lookup_test(ck)
-        if cached is not None:
-            return SeqVerdict(
-                signature=seq.signature,
-                level=seq.level,
-                verdict=cached.verdict,
-                source="llm",
-                explanation=cached.explanation,
-                confidence_flag=cached.confidence_flag,
-            )
-        verdict, provider_failed = self._llm_verdict(seq, counters)
-        if not provider_failed:  # never cache an undecided verdict
-            cache.store_test(TestEntry(ck, verdict.verdict, verdict.explanation, verdict.confidence_flag))
-        return verdict
-
-    def _llm_verdict(self, seq: Seq, counters: Counters) -> tuple[SeqVerdict, bool]:
-        try:
-            prompt = self._build_prompt(seq)
-            counters.llm_calls += 1
-            verdict, explanation, low = llm_detect(prompt, self.provider, self.config.retry_limit)
-            return (
-                SeqVerdict(
-                    signature=seq.signature,
-                    level=seq.level,
-                    verdict=verdict,
-                    source="llm",
-                    explanation=explanation,
-                    confidence_flag="low" if low else "normal",
-                ),
-                False,
-            )
-        except ProviderError as exc:
-            counters.provider_errors += 1
-            log.warning("provider error for %s: %s", seq.signature, exc)
-            return (
-                SeqVerdict(
-                    signature=seq.signature,
-                    level=seq.level,
-                    verdict=VERDICT_ABNORMAL,
-                    source="llm",
-                    explanation=f"undecided: provider error ({exc})",
-                    confidence_flag="low",
-                ),
-                True,
-            )
+        entry = cache.lookup_test(ck)
+        if entry is None:
+            try:
+                prompt = self._build_prompt(seq)
+                counters.llm_calls += 1
+                answer, explanation, low = llm_detect(prompt, self.provider)
+            except ProviderError as exc:  # undecided, so never cached
+                counters.provider_errors += 1
+                log.warning("provider error for %s: %s", seq.signature, exc)
+                explanation = f"undecided: provider error ({exc})"
+                return SeqVerdict(seq.signature, seq.level, VERDICT_ABNORMAL, "llm", explanation, "low")
+            entry = TestEntry(ck, answer, explanation, "low" if low else "normal")
+            cache.store_test(entry)
+        return SeqVerdict(seq.signature, seq.level, entry.verdict, "llm", entry.explanation, entry.confidence_flag)
 
     def _build_prompt(self, seq: Seq) -> DetectionPrompt:
         target_summary = self._summary_for(seq)
-        query = embed_chunk(seq.chunk, self.config.embedding)
+        query = embed_chunk(seq.chunk)
         examples = self.kbs.train[seq.level].retrieve_similar(
             seq.parent_path, query, self.config.m
         )
@@ -314,5 +280,5 @@ def train(
                     ]
                     entry.summary = summarize_parent_seq(seq, child_summaries, provider)
             if config.llm_enabled and entry.embedding is None:
-                entry.embedding = embed_chunk(entry.example_chunk, config.embedding)
+                entry.embedding = embed_chunk(entry.example_chunk)
     return kbs

@@ -2,10 +2,13 @@
 
 Training KBs store deduplicated normal sub-sequences (keyed by signature,
 with occurrence counts and an adjacency transition index per escaped
-parent path). Test KBs cache decided LLM verdicts per chunk, so a
-repeated pattern that the symbolic detector rejects never re-queries the
-provider. Symbolic verdicts are never cached: the train-KB probe is
-already exact and cheap.
+parent path). With the LLM path on, each entry also holds a summary and
+a sparse embedding, persisted as its ``[[index, value], ...]`` non-zeros.
+Test KBs cache decided LLM verdicts per chunk, so a repeated pattern that
+the symbolic detector rejects never re-queries the provider. Symbolic
+verdicts are never cached: the train-KB probe is already exact and cheap.
+Loading checks every field of every entry and raises `FormatError` naming
+the entry and the field.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .decompose import Seq
 from .errors import FormatError, KnowledgeBaseError
 from .hierarchy import LEVELS
+from .semantics import EMBED_DIM, SparseVector, sparse_vector
 
-KB_FORMAT_VERSION = 2
+KB_FORMAT_VERSION = 3
 
 START_MARK = "<start>"
 END_MARK = "<end>"
@@ -43,7 +47,7 @@ class TrainEntry:
     example_chunk: list[str]
     occurrence_count: int = 1
     summary: Optional[str] = None
-    embedding: Optional[list[float]] = None
+    embedding: Optional[SparseVector] = None
 
 
 @dataclass
@@ -66,10 +70,9 @@ class KnowledgeBase:
     transition_index: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # Retrieval caches, built lazily and never persisted: parent path ->
-        # sibling entries in insertion order, and signature -> prepared vector.
+        # Retrieval index, built lazily and never persisted: parent path ->
+        # sibling entries in insertion order.
         self._siblings: Optional[dict[tuple[str, ...], list[TrainEntry]]] = None
-        self._vectors: dict[str, _Prepared] = {}
 
     # -- training side ------------------------------------------------------
 
@@ -103,13 +106,12 @@ class KnowledgeBase:
         return all(pair in transitions for pair in zip(walk, walk[1:]))
 
     def retrieve_similar(
-        self, parent_path: Sequence[str], query_embedding: Sequence[float], m: int
+        self, parent_path: Sequence[str], query: SparseVector, m: int
     ) -> list[TrainEntry]:
         """Top-m sibling entries by cosine similarity.
 
         Ties break by higher occurrence count, then smaller signature.
-        Raises when siblings exist but lack embeddings. Each cosine equals
-        ``_cosine(query_embedding, entry.embedding)`` bit for bit.
+        Raises when siblings exist but lack embeddings.
         """
         self._require(role="train")
         if self._siblings is None:
@@ -122,19 +124,11 @@ class KnowledgeBase:
             raise KnowledgeBaseError(
                 f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
             )
-        query = _prepare(query_embedding)
         ranked = sorted(
             siblings,
-            key=lambda e: (-_sparse_cosine(query, self._vector(e)), -e.occurrence_count, e.signature),
+            key=lambda e: (-_sparse_cosine(query, e.embedding), -e.occurrence_count, e.signature),
         )
         return ranked[: max(m, 0)]
-
-    def _vector(self, entry: TrainEntry) -> "_Prepared":
-        """The entry's prepared vector, rebuilt when its embedding was replaced."""
-        prepared = self._vectors.get(entry.signature)
-        if prepared is None or prepared.embedding is not entry.embedding:
-            prepared = self._vectors[entry.signature] = _prepare(entry.embedding)
-        return prepared
 
     # -- test side ----------------------------------------------------------
 
@@ -149,69 +143,35 @@ class KnowledgeBase:
     # -- persistence --------------------------------------------------------
 
     def to_json(self) -> dict:
-        data = {
-            "format_version": KB_FORMAT_VERSION,
-            "role": self.role,
-            "level": self.level,
-        }
+        _, spec = _ENTRIES[self.role]
+        entries = [{name: getattr(e, name) for name in spec} for _, e in sorted(self.entries.items())]
+        data = {"format_version": KB_FORMAT_VERSION, "role": self.role, "level": self.level, "entries": entries}
         if self.role == "train":
-            data["entries"] = [
-                {
-                    "signature": e.signature,
-                    "parent_path": e.parent_path,
-                    "nodes": e.nodes,
-                    "example_chunk": e.example_chunk,
-                    "occurrence_count": e.occurrence_count,
-                    "summary": e.summary,
-                    "embedding": e.embedding,
-                }
-                for e in sorted(self.entries.values(), key=lambda e: e.signature)
-            ]
+            for row in entries:
+                if row["embedding"] is not None:
+                    row["embedding"] = [[i, x] for i, x in row["embedding"].nonzeros.items()]
             data["transition_index"] = {
-                parent: sorted(map(list, pairs))
-                for parent, pairs in sorted(self.transition_index.items())
+                parent: sorted(map(list, pairs)) for parent, pairs in sorted(self.transition_index.items())
             }
-        else:
-            data["entries"] = [
-                {
-                    "chunk_key": e.chunk_key,
-                    "verdict": e.verdict,
-                    "explanation": e.explanation,
-                    "confidence_flag": e.confidence_flag,
-                }
-                for e in sorted(self.entries.values(), key=lambda e: e.chunk_key)
-            ]
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "KnowledgeBase":
-        version = data.get("format_version")
+        version = data.get("format_version") if isinstance(data, dict) else None
         if version != KB_FORMAT_VERSION:
             raise FormatError(f"KB format version {version!r}, expected {KB_FORMAT_VERSION}")
-        kb = cls(level=data["level"], role=data["role"])
+        kb = cls(level=data.get("level"), role=data.get("role"))
+        rows, index = data.get("entries"), data.get("transition_index", {})
+        if kb.role not in ("train", "test") or kb.level not in LEVELS or (type(rows), type(index)) != (list, dict):
+            raise FormatError("a KB needs a role (train or test), a level, a list of entries and a transition map")
+        entry_class, spec = _ENTRIES[kb.role]
+        columns = _columns(rows, spec)
+        kb.entries = dict(zip(columns[0], map(entry_class, *columns)))  # by signature or chunk key
         if kb.role == "train":
-            for row in data["entries"]:
-                kb.entries[row["signature"]] = TrainEntry(
-                    signature=row["signature"],
-                    parent_path=row["parent_path"],
-                    nodes=row["nodes"],
-                    example_chunk=row["example_chunk"],
-                    occurrence_count=row["occurrence_count"],
-                    summary=row.get("summary"),
-                    embedding=row.get("embedding"),
-                )
-            kb.transition_index = {
-                parent: {tuple(pair) for pair in pairs}
-                for parent, pairs in data.get("transition_index", {}).items()
-            }
-        else:
-            for row in data["entries"]:
-                kb.entries[row["chunk_key"]] = TestEntry(
-                    chunk_key=row["chunk_key"],
-                    verdict=row["verdict"],
-                    explanation=row.get("explanation"),
-                    confidence_flag=row["confidence_flag"],
-                )
+            for entry in kb.entries.values():
+                if entry.embedding is not None:
+                    entry.embedding = sparse_vector(dict(entry.embedding))
+            kb.transition_index = {parent: {tuple(pair) for pair in pairs} for parent, pairs in index.items()}
         return kb
 
     def save(self, path: str | Path) -> None:
@@ -248,40 +208,94 @@ class KnowledgeBase:
             raise KnowledgeBaseError(f"level mismatch: KB is {self.level}, got {level}")
 
 
-def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+def _sparse_cosine(a: SparseVector, b: SparseVector) -> float:
+    """The cosine of the dense vectors that a and b stand for, bit for bit, summed over shared indices only.
 
-
-class _Prepared(NamedTuple):
-    embedding: Sequence[float]  # the vector prepared, compared by identity
-    nonzeros: dict[int, float]  # index -> value, ascending index order
-    norm: float
-
-
-def _prepare(vector: Sequence[float]) -> _Prepared:
-    nonzeros = {i: x for i, x in enumerate(vector) if x != 0.0}
-    return _Prepared(vector, nonzeros, math.sqrt(sum(x * x for x in nonzeros.values())))
-
-
-def _sparse_cosine(a: _Prepared, b: _Prepared) -> float:
-    """``_cosine`` over non-zeros only, with the same result bit for bit.
-
-    A zero term adds nothing to an IEEE sum that starts at +0.0, and shared
-    indices are below both lengths, as under ``zip``. That fails only when a
-    zero meets inf or NaN (0 * inf is NaN), so a non-finite norm falls back.
+    A zero term adds nothing to an IEEE sum that starts at +0.0 as long as
+    the other factor is finite (0 * inf is NaN). `embed_chunk` makes finite
+    vectors, and `KnowledgeBase.from_json` rejects any other.
     """
     if a.norm == 0.0 or b.norm == 0.0:
         return 0.0
-    if not (math.isfinite(a.norm) and math.isfinite(b.norm)):
-        return _cosine(a.embedding, b.embedding)
     bz = b.nonzeros
     dot = sum(x * bz[i] for i, x in a.nonzeros.items() if i in bz)
     return dot / (a.norm * b.norm)
+
+
+# -- validation on load ---------------------------------------------------------
+#
+# A KB holds thousands of entries and loading is on the detector's set-up
+# path, so each field is checked down a whole column of entries, by set
+# operations that run in C; only a fault is looked up entry by entry. The
+# strings inside list fields go unchecked, because checking each of them
+# costs more than all the other checks together.
+
+_ABSENT = object()
+
+
+def _of_type(*types):
+    allowed = set(types)
+    return lambda column: set(map(type, column)) <= allowed
+
+
+def _among(*values):
+    return lambda column: set(map(type, column)) <= {str} and set(column) <= set(values)
+
+
+def _is_embedding(value) -> bool:
+    """None, or the ``[[index, value], ...]`` non-zeros of a vector whose sparse cosine is exact.
+
+    Indices are ints that ascend strictly within [0, EMBED_DIM); values are
+    finite non-zero floats whose squares sum to a finite norm.
+    """
+    if value is None:
+        return True
+    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
+        return False
+    indices = [-1] + [i for i, _ in value] + [EMBED_DIM]
+    return (
+        all(type(i) is int for i in indices)
+        and all(a < b for a, b in zip(indices, indices[1:]))
+        and all(type(x) is float and x != 0.0 and math.isfinite(x) for _, x in value)
+        and math.isfinite(sum(x * x for _, x in value))
+    )
+
+
+# field -> check of a column of its values, in the order of the entry class's fields
+_TRAIN_FIELDS = {
+    "signature": _of_type(str),
+    "parent_path": _of_type(list),
+    "nodes": _of_type(list),
+    "example_chunk": _of_type(list),
+    "occurrence_count": lambda column: set(map(type, column)) <= {int} and min(column, default=1) > 0,
+    "summary": _of_type(str, type(None)),
+    "embedding": lambda column: all(map(_is_embedding, column)),
+}
+_TEST_FIELDS = {
+    "chunk_key": _of_type(str),
+    "verdict": _among("normal", "abnormal"),
+    "explanation": _of_type(str, type(None)),
+    "confidence_flag": _among("normal", "low"),
+}
+_OPTIONAL = {"summary", "embedding", "explanation"}  # absent means null
+_ENTRIES = {"train": (TrainEntry, _TRAIN_FIELDS), "test": (TestEntry, _TEST_FIELDS)}
+
+
+def _columns(rows: list, spec: dict) -> list[list]:
+    """The values of each field that `spec` names across all entries, checked."""
+    if not set(map(type, rows)) <= {dict}:
+        n = next(n for n, row in enumerate(rows) if type(row) is not dict)
+        raise FormatError(f"entry {n} is not an object")
+    columns = []
+    for name, check in spec.items():
+        absent = None if name in _OPTIONAL else _ABSENT
+        column = [row.get(name, absent) for row in rows]
+        if not check(column):
+            n, value = next((n, v) for n, v in enumerate(column) if not check([v]))
+            fault = f"missing field {name!r}" if value is _ABSENT else f"field {name!r} has a bad value {value!r}"
+            raise FormatError(f"entry {n}: {fault}")
+        columns.append(column)
+    return columns
 
 
 class KnowledgeBaseSet:

@@ -239,6 +239,17 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+# section -> the keys that run_pipeline reads from it; anything else is a ConfigError
+_INI_KEYS = {
+    "provider": {"kind", "fixture_path", "endpoint", "model", "auth_env"},
+    "ingest": {"templates", "logs", "partition", "out"},
+    "hierarchy": {"templates", "resume", "extractor", "fixture", "lexicon", "triples_out", "tree_out"},
+    "train": {"sequences", "kb_dir", "resume", "llm"},
+    "detect": {"sequences", "levels", "detector", "llm", "m", "early_exit", "report"},
+    "eval": {"attribution", "out"},
+}
+
+
 @dataclass
 class PipelineResult:
     tree: TopicTree
@@ -255,6 +266,13 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
         raise ConfigError(f"cannot parse config file {config_path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {config_path}")
+    for section in parser.sections():
+        if section not in _INI_KEYS:
+            raise ConfigError(f"{config_path}: unknown section [{section}]")
+        # [DEFAULT] keys show in every section; they may serve as interpolation values
+        unknown = [key for key in parser[section] if key not in _INI_KEYS[section] | parser.defaults().keys()]
+        if unknown:
+            raise ConfigError(f"{config_path}: unknown key {unknown[0]!r} in section [{section}]")
 
     provider = None
     if parser.has_section("provider"):

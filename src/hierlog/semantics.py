@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 from . import prompts as prompt_assets
 from .decompose import Seq
@@ -214,35 +216,37 @@ def _extract_block(request: str) -> list[str]:
 # Embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EmbeddingConfig:
-    dimension: int = 256
+EMBED_DIM = 256
 
-    def __post_init__(self):
-        if self.dimension <= 0:
-            raise ValueError("dimension must be positive")
+
+class SparseVector(NamedTuple):
+    """An embedding as its non-zeros, index -> value in ascending index order, and their norm."""
+
+    nonzeros: dict[int, float]
+    norm: float
+
+
+def sparse_vector(nonzeros: dict[int, float]) -> SparseVector:
+    """The vector of these non-zeros, given in ascending index order, which is the order a dense norm sums in."""
+    return SparseVector(nonzeros, math.sqrt(sum(x * x for x in nonzeros.values())))
 
 
 @functools.cache
-def _bucket(key: str, dimension: int) -> int:
+def _bucket(key: str) -> int:
     """Hashed embedding index of a log key; keys come from a catalog, so this stays small."""
     h = hashlib.sha1(key.encode()).digest()
-    return int.from_bytes(h[:4], "big") % dimension
+    return int.from_bytes(h[:4], "big") % EMBED_DIM
 
 
-def embed_chunk(chunk: Sequence[str], config: EmbeddingConfig = EmbeddingConfig()) -> list[float]:
+def embed_chunk(chunk: Sequence[str]) -> SparseVector:
     """Hashed bag-of-keys count vector, normalized to unit length.
 
     Deterministic across runs and permutation-invariant by construction
-    (order is carried by signatures, not embeddings).
+    (order is carried by signatures, not embeddings). [] gives the zero vector.
     """
-    if not chunk:
-        raise ValueError("cannot embed an empty chunk")
-    vec = [0.0] * config.dimension
-    for key in chunk:
-        vec[_bucket(key, config.dimension)] += 1.0
-    norm = sum(v * v for v in vec) ** 0.5
-    return [v / norm for v in vec]
+    counts = Counter(map(_bucket, chunk))
+    norm = sum(c * c for c in counts.values()) ** 0.5
+    return sparse_vector({i: counts[i] / norm for i in sorted(counts)})
 
 
 # ---------------------------------------------------------------------------

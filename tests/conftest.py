@@ -1,9 +1,12 @@
 """Shared fixtures: the six-template login example and the synthetic corpus."""
 
+import math
+
 import pytest
 
 from hierlog.hierarchy import FixtureExtractor, build_tree, extract_topics
 from hierlog.ingest import LogTemplate, TemplateCatalog
+from hierlog.semantics import EMBED_DIM
 from hierlog.synthetic import TOY_FIXTURE, TOY_TEMPLATES, make_corpus
 
 TOY_KEYS = ["k1", "k2", "k3", "k4", "k5", "k6"]
@@ -11,6 +14,24 @@ TOY_KEYS = ["k1", "k2", "k3", "k4", "k5", "k6"]
 
 def toy_catalog() -> TemplateCatalog:
     return TemplateCatalog([LogTemplate(k, t) for k, t in TOY_TEMPLATES])
+
+
+def dense(vector) -> list[float]:
+    """The EMBED_DIM-wide list that a sparse vector stands for."""
+    values = [0.0] * EMBED_DIM
+    for i, x in vector.nonzeros.items():
+        values[i] = x
+    return values
+
+
+def cosine(a, b) -> float:
+    """Cosine of two dense vectors, term by term: the oracle for the sparse cosine."""
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
 
 
 @pytest.fixture(scope="session")

@@ -63,7 +63,8 @@ def run_cli_chain(data, out, llm):
        "--templates", templates, "--out", out / "eval.json")
 
 
-def run_ini_pipeline(data, out, llm):
+def write_ini(data, out, llm, extra=None):
+    """The INI config of the CLI chain, with `extra` keys added per section."""
     cfg = configparser.ConfigParser()
     if llm == "on":
         cfg["provider"] = {"kind": "mock"}
@@ -83,10 +84,16 @@ def run_ini_pipeline(data, out, llm):
     cfg["train"] = {"sequences": str(data / "train.jsonl"), "kb_dir": str(out / "kb"), "llm": llm}
     cfg["detect"] = {"sequences": str(out / "test.jsonl"), "llm": llm, "report": str(out / "report.jsonl")}
     cfg["eval"] = {"out": str(out / "eval.json")}
+    for section, keys in (extra or {}).items():
+        cfg[section] = {**(cfg[section] if cfg.has_section(section) else {}), **keys}
     config = out / "run.ini"
     with config.open("w") as fh:
         cfg.write(fh)
-    ok("pipeline", "--config", config)
+    return config
+
+
+def run_ini_pipeline(data, out, llm):
+    ok("pipeline", "--config", write_ini(data, out, llm))
 
 
 def artifacts(out):
@@ -156,6 +163,30 @@ def test_configuration_errors_exit_2(tmp_path, data, trained):
     assert not (tmp_path / "seqs.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, fault",
+    [
+        ({"detect": {"llm_fraction": "0.5"}}, "unknown key 'llm_fraction' in section [detect]"),
+        ({"detect": {"early_exlt": "off"}}, "unknown key 'early_exlt' in section [detect]"),
+        ({"provider": {"kind": "mock", "retry_limit": "5"}}, "unknown key 'retry_limit' in section [provider]"),
+        ({"detcet": {"llm": "on"}}, "unknown section [detcet]"),
+    ],
+)
+def test_pipeline_rejects_unknown_ini_sections_and_keys(tmp_path, data, extra, fault):
+    config = write_ini(data, tmp_path, "off", extra)
+    result = invoke("pipeline", "--config", config)
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {config}: {fault}\n"
+    assert not (tmp_path / "test.jsonl").exists()
+
+
+def test_pipeline_accepts_default_keys_used_for_interpolation(tmp_path, data):
+    config = write_ini(data, tmp_path, "off", {"eval": {"out": "%(out_dir)s/eval.json"}})
+    config.write_text(f"[DEFAULT]\nout_dir = {tmp_path}\n\n" + config.read_text())
+    ok("pipeline", "--config", config)
+    assert (tmp_path / "eval.json").exists()
+
+
 def test_llm_fraction_option_is_gone(tmp_path, data, trained):
     result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
                     "--kb-dir", trained / "kb", "--test", trained / "test.jsonl", "--llm-fraction", 0.5,
@@ -202,10 +233,14 @@ def test_evaluate_names_the_ids_missing_from_the_report(tmp_path, data, trained)
     assert result.output == f"error: the report lacks 3 labeled sequence(s): {', '.join(missing)}\n"
 
 
+def detect_with_kb(data, trained, kb, report):
+    return invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                  "--kb-dir", kb, "--test", trained / "test.jsonl", "--report", report)
+
+
 def test_detect_rejects_swapped_or_outdated_kb_files(tmp_path, data, trained):
     def detect(kb):
-        return invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
-                      "--kb-dir", kb, "--test", trained / "test.jsonl", "--report", tmp_path / "report.jsonl")
+        return detect_with_kb(data, trained, kb, tmp_path / "report.jsonl")
 
     swapped = train_only_kb(trained, tmp_path / "swapped")
     shutil.copy(trained / "kb" / "train_action.json", swapped / "train_status.json")
@@ -222,6 +257,46 @@ def test_detect_rejects_swapped_or_outdated_kb_files(tmp_path, data, trained):
     assert result.exit_code == 1
     assert str(outdated / "train_entity.json") in result.output
     assert "re-run `hierlog train`" in result.output
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_llm(data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained_llm")
+    run_cli_chain(data, out, "on")
+    return out
+
+
+def test_detect_rejects_a_version_2_kb_directory(tmp_path, data, trained_llm):
+    # what the previous format wrote: every embedding as a dense 256-wide list
+    old = train_only_kb(trained_llm, tmp_path / "v2")
+    for level in ("entity", "action", "status"):
+        path = old / f"train_{level}.json"
+        kb = json.loads(path.read_text())
+        assert kb["entries"] and all(row["embedding"] for row in kb["entries"])
+        for row in kb["entries"]:
+            vector = [0.0] * 256
+            for i, x in row["embedding"]:
+                vector[i] = x
+            row["embedding"] = vector
+        kb["format_version"] = 2
+        path.write_text(json.dumps(kb, sort_keys=True))
+    result = detect_with_kb(data, trained_llm, old, tmp_path / "report.jsonl")
+    assert result.exit_code == 1
+    assert f"{old / 'train_entity.json'}: KB format version 2, expected 3" in result.output
+    assert "re-run `hierlog train`" in result.output
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_detect_names_the_file_and_entry_of_a_missing_field(tmp_path, data, trained):
+    kb_dir = train_only_kb(trained, tmp_path / "kb")
+    path = kb_dir / "train_status.json"
+    kb = json.loads(path.read_text())
+    del kb["entries"][0]["occurrence_count"]
+    path.write_text(json.dumps(kb))
+    result = detect_with_kb(data, trained, kb_dir, tmp_path / "report.jsonl")
+    assert result.exit_code == 1
+    assert f"error: {path}: entry 0: missing field 'occurrence_count'" in result.output
     assert not (tmp_path / "report.jsonl").exists()
 
 

@@ -39,10 +39,11 @@ def test_golden_signatures(toy_tree):
     assert result.a_seqs[1].signature == "root>Auth|start>succd"
 
 
-def test_golden_element_chunks(toy_tree):
+def test_golden_child_chunks(toy_tree):
     result = top_down_decompose(TOY_KEYS, toy_tree)
-    assert result.e_seq.element_chunks == [["k1", "k2"], ["k3", "k4"], ["k5", "k6"]]
-    assert result.s_seqs[0].element_chunks == [["k1"], ["k2"]]
+    assert [c.chunk for c in result.e_seq.children] == [["k1", "k2"], ["k3", "k4"], ["k5", "k6"]]
+    assert result.s_seqs[0].nodes == ["started", "succf"]
+    assert result.s_seqs[0].chunk == ["k1", "k2"]
 
 
 def test_children_links(toy_tree):
@@ -60,14 +61,14 @@ def test_entity_collapse_runs(toy_tree):
     # k1, k2 -> Session twice: one entity chunk
     e_seq = top_down_decompose(["k1", "k2", "k3"], toy_tree).e_seq
     assert e_seq.nodes == ["Session", "Auth"]
-    assert e_seq.element_chunks == [["k1", "k2"], ["k3"]]
+    assert [c.chunk for c in e_seq.children] == [["k1", "k2"], ["k3"]]
 
 
 def test_status_never_collapses(toy_tree):
     result = top_down_decompose(["k3", "k3"], toy_tree)
     assert [s.level for s in result.s_seqs] == [STATUS]
     assert result.s_seqs[0].nodes == ["none", "none"]
-    assert result.s_seqs[0].element_chunks == [["k3"], ["k3"]]
+    assert result.s_seqs[0].chunk == ["k3", "k3"]
 
 
 def test_reentry_is_not_collapsed(toy_tree):
@@ -121,10 +122,9 @@ def test_status_chunks_reconstruct_input(toy_tree, keys):
 
 @settings(max_examples=200, deadline=None)
 @given(keys=toy_keys_st)
-def test_element_chunks_concatenate(toy_tree, keys):
-    for seq in top_down_decompose(keys, toy_tree).all_seqs():
-        assert [k for c in seq.element_chunks for k in c] == seq.chunk
-        assert len(seq.element_chunks) == len(seq.nodes)
+def test_status_seqs_have_one_node_per_key(toy_tree, keys):
+    for seq in top_down_decompose(keys, toy_tree).s_seqs:
+        assert seq.nodes == [toy_tree.key_names[k][2] for k in seq.chunk]
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,9 +141,9 @@ def test_children_cover_parents(toy_tree, keys):
     result = top_down_decompose(keys, toy_tree)
     for parent in [result.e_seq] + result.a_seqs:
         assert [k for c in parent.children for k in c.chunk] == parent.chunk
-        # one child per node, each covering that node's chunk
+        # one child per node, each under that node
         assert len(parent.children) == len(parent.nodes)
-        assert [c.chunk for c in parent.children] == parent.element_chunks
+        assert [c.parent_path[-1] for c in parent.children] == parent.nodes
 
 
 # -- nested format ------------------------------------------------------------------

@@ -283,6 +283,21 @@ def test_shuffled_input_gives_the_same_verdicts(llm, data):
     assert verdict_lists(llm, warm, corpus.test) == in_order  # on warm caches
 
 
+def test_llm_trained_kb_dir_loads_and_saves_back_byte_identical(tmp_path):
+    corpus, tree, templates, config, trained = shuffle_setup(True)
+    kbs = fresh_caches(trained)
+    Detector(tree, kbs, config, provider=MockProvider(), templates=templates).run(corpus.test)
+    assert any(kb.entries for kb in kbs.test.values())
+    assert all(e.embedding for kb in kbs.train.values() for e in kb.entries.values())
+    kbs.save_dir(tmp_path / "saved")
+    loaded = KnowledgeBaseSet.load_dir(tmp_path / "saved")
+    loaded.save_dir(tmp_path / "again")
+    for path in sorted((tmp_path / "saved").iterdir()):
+        assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
+    # the loaded vectors retrieve the same examples, so the verdicts agree
+    assert verdict_lists(True, fresh_caches(loaded), corpus.test) == verdict_lists(True, fresh_caches(kbs), corpus.test)
+
+
 # -- early exit and levels ----------------------------------------------------------
 
 def test_early_exit_skips_higher_levels(toy_cat, toy_tree):

@@ -18,13 +18,11 @@ from hierlog.knowledge import (
     KnowledgeBaseSet,
     TestEntry as KBTestEntry,
     chunk_key,
-    _cosine,
-    _prepare,
     _sparse_cosine,
 )
-from hierlog.semantics import embed_chunk
+from hierlog.semantics import EMBED_DIM, embed_chunk, sparse_vector
 
-from conftest import TOY_KEYS
+from conftest import TOY_KEYS, cosine, dense
 
 
 def entity_seq(toy_tree, keys):
@@ -69,7 +67,7 @@ def test_automaton_accepts_stitched_sequences(toy_tree):
 
 def test_transition_index_keyed_by_escaped_parent_path():
     kb = KnowledgeBase(level=STATUS, role="train")
-    seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"], [["k"]], "root>A\\>B>x", {"s": "s"})
+    seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"], "root>A\\>B>x", {"s": "s"})
     kb.insert_train(seq)
     assert list(kb.transition_index) == [seq.parent_key]
     assert seq.signature == "root>A\\>B>x|s"
@@ -104,7 +102,7 @@ def test_retrieve_similar_matches_brute_force(toy_tree):
     got = [e.signature for e in kb.retrieve_similar(("root",), query, 3)]
     ranked = sorted(
         kb.entries.values(),
-        key=lambda e: (-_cosine(query, e.embedding), -e.occurrence_count, e.signature),
+        key=lambda e: (-cosine(dense(query), dense(e.embedding)), -e.occurrence_count, e.signature),
     )
     assert got == [e.signature for e in ranked[:3]]
     assert len(kb.retrieve_similar(("root",), query, 100)) == len(kb.entries)
@@ -114,12 +112,12 @@ def test_retrieve_tie_break_by_count_then_signature(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     a = entity_seq(toy_tree, ["k1", "k3"])  # Session > Auth
     b = entity_seq(toy_tree, ["k3", "k1"])  # Auth > Session, distinct signature
-    kb.insert_train(a).embedding = [1.0, 0.0]
+    kb.insert_train(a).embedding = sparse_vector({0: 1.0})
     kb.insert_train(b)
     kb.insert_train(b)
-    kb.entries[b.signature].embedding = [1.0, 0.0]
+    kb.entries[b.signature].embedding = sparse_vector({0: 1.0})
     # identical cosine: higher occurrence count (b has 2) wins
-    got = kb.retrieve_similar(("root",), [1.0, 0.0], 2)
+    got = kb.retrieve_similar(("root",), sparse_vector({0: 1.0}), 2)
     assert got[0].occurrence_count == 2
 
 
@@ -136,24 +134,27 @@ def test_retrieve_requires_embeddings(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
     with pytest.raises(KnowledgeBaseError):
-        kb.retrieve_similar(("root",), [1.0], 1)
+        kb.retrieve_similar(("root",), sparse_vector({0: 1.0}), 1)
 
 
 _PARENTS = [("root",), ("root", "Auth"), ("root", "Comm")]
-# Small repeated values give exact cosine ties and zero vectors; the general
-# float branch adds inf, NaN and overflowing squares.
-_VECTORS = st.lists(
-    st.one_of(st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), st.floats()),
-    max_size=8,
+# The vectors a KB accepts: finite non-zero values, a finite norm. Few indices
+# and small repeated values give shared indices, exact cosine ties and, with
+# no values, the zero vector; the general float branch adds subnormals (a norm
+# that underflows to 0) and products that overflow. A norm in (0, 1e-150) is
+# left out: two of them multiply to 0 and the dense cosine divides by zero.
+_VALUES = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]), st.floats(-1e154, 1e154).map(lambda x: x or 1.0))
+_VECTORS = (
+    st.dictionaries(st.sampled_from([0, 1, 2, 3, 4, EMBED_DIM - 1]), _VALUES, max_size=6)
+    .map(lambda d: sparse_vector(dict(sorted(d.items()))))
+    .filter(lambda v: v.norm == 0.0 or 1e-150 <= v.norm < math.inf)
 )
 
 
 def _oracle(kb, parent, query, m):
     siblings = [e for e in kb.entries.values() if e.parent_path == list(parent)]
-    ranked = sorted(
-        siblings,
-        key=lambda e: (-_cosine(query, e.embedding), -e.occurrence_count, e.signature),
-    )
+    q = dense(query)
+    ranked = sorted(siblings, key=lambda e: (-cosine(q, dense(e.embedding)), -e.occurrence_count, e.signature))
     return ranked[: max(m, 0)]
 
 
@@ -161,7 +162,7 @@ def _oracle(kb, parent, query, m):
 @given(a=_VECTORS, b=_VECTORS)
 def test_sparse_cosine_is_bit_identical_to_cosine(a, b):
     # repr tells -0.0 from 0.0 and round-trips every other float exactly
-    assert repr(_sparse_cosine(_prepare(a), _prepare(b))) == repr(_cosine(a, b))
+    assert repr(_sparse_cosine(a, b)) == repr(cosine(dense(a), dense(b)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,7 +171,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     kb = KnowledgeBase(level=ENTITY, role="train")
 
     def insert(parent, nodes):
-        seq = Seq(ENTITY, parent, nodes, nodes, [[n] for n in nodes], ">".join(parent), {n: n for n in nodes})
+        seq = Seq(ENTITY, parent, nodes, nodes, ">".join(parent), {n: n for n in nodes})
         for _ in range(data.draw(st.integers(1, 3), label="count")):
             entry = kb.insert_train(seq)
         return entry
@@ -197,7 +198,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     parent = data.draw(st.sampled_from(_PARENTS), label="late parent")
     late = insert(parent, data.draw(st.lists(st.sampled_from("EF"), min_size=1, max_size=2)))
     with pytest.raises(KnowledgeBaseError):
-        kb.retrieve_similar(parent, [1.0], 1)
+        kb.retrieve_similar(parent, sparse_vector({0: 1.0}), 1)
     late.embedding = data.draw(_VECTORS, label="late embedding")
     check()
 
@@ -293,10 +294,117 @@ def test_load_dir_names_the_file_of_an_old_format(tmp_path):
     assert "re-run `hierlog train`" in str(info.value)
 
 
+def _saved_train_kb(tmp_path, toy_tree):
+    """A saved entity train KB whose one entry has an embedding, and its JSON."""
+    kb = KnowledgeBase(level=ENTITY, role="train")
+    seq = entity_seq(toy_tree, TOY_KEYS)
+    kb.insert_train(seq).embedding = embed_chunk(seq.chunk)
+    path = tmp_path / "train_entity.json"
+    kb.save(path)
+    assert KnowledgeBase.load(path) == kb
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[1.0, 0.5]],  # a float index
+        [[3, 0.5], [1, 0.5]],  # descending
+        [[1, 0.5], [1, 0.5]],  # a duplicate index
+        [[-1, 0.5]],
+        [[EMBED_DIM, 0.5]],
+        [[1, 0.0]],
+        [[1, -0.0]],
+        [[1, 1]],  # an int value
+        [[1, math.nan]],
+        [[1, math.inf]],
+        [[1, -math.inf]],
+        [[1, 1e300]],  # finite, but its square is not: an infinite norm
+        [[1, 0.5, 2]],
+        [[1]],
+        [1, 0.5],
+        {"1": 0.5},
+    ],
+)
+def test_load_rejects_a_bad_embedding(tmp_path, toy_tree, pairs):
+    path, data = _saved_train_kb(tmp_path, toy_tree)
+    data["entries"][0]["embedding"] = pairs
+    path.write_text(json.dumps(data))  # NaN and Infinity as json writes and reads them
+    with pytest.raises(FormatError) as info:
+        KnowledgeBase.load(path)
+    assert f"{path}: entry 0: field 'embedding' has a bad value {pairs!r}" in str(info.value)
+
+
+def test_load_accepts_the_edges_of_a_valid_embedding(tmp_path, toy_tree):
+    path, data = _saved_train_kb(tmp_path, toy_tree)
+    pairs = [[0, -1e-300], [7, 5e-324], [EMBED_DIM - 1, 1e150]]
+    data["entries"][0]["embedding"] = pairs
+    path.write_text(json.dumps(data))
+    kb = KnowledgeBase.load(path)
+    assert kb.entries[data["entries"][0]["signature"]].embedding == sparse_vector(dict(pairs))
+    assert kb.to_json()["entries"][0]["embedding"] == pairs
+
+
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("occurrence_count", None, "missing field 'occurrence_count'"),
+        ("signature", None, "missing field 'signature'"),
+        ("occurrence_count", "2", "field 'occurrence_count' has a bad value '2'"),
+        ("occurrence_count", 0, "field 'occurrence_count' has a bad value 0"),
+        ("occurrence_count", True, "field 'occurrence_count' has a bad value True"),
+        ("nodes", {"0": "Session"}, "field 'nodes' has a bad value {'0': 'Session'}"),
+        ("parent_path", "root", "field 'parent_path' has a bad value 'root'"),
+        ("summary", 3, "field 'summary' has a bad value 3"),
+    ],
+)
+def test_load_names_the_entry_and_field_at_fault(tmp_path, toy_tree, field, value, fault):
+    path, data = _saved_train_kb(tmp_path, toy_tree)
+    data["entries"].append(dict(data["entries"][0], signature="root|Other"))
+    row = data["entries"][1]
+    if value is None:
+        del row[field]
+    else:
+        row[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as info:
+        KnowledgeBase.load(path)
+    assert f"{path}: entry 1: {fault}" in str(info.value)
+
+
+def test_load_checks_the_kb_and_test_entries(tmp_path):
+    path = tmp_path / "test_status.json"
+    base = {"format_version": KB_FORMAT_VERSION, "role": "test", "level": STATUS}
+    cases = [
+        ([], "KB format version None"),
+        ({**base, "level": "galaxy", "entries": []}, "a KB needs a role (train or test), a level"),
+        ({**base, "role": ["test"], "entries": []}, "a KB needs a role"),
+        ({**base}, "a KB needs"),
+        ({**base, "entries": [], "transition_index": []}, "a KB needs"),
+        ({**base, "entries": ["k1"]}, "entry 0 is not an object"),
+        ({**base, "entries": [{"chunk_key": "k1", "confidence_flag": "low"}]}, "entry 0: missing field 'verdict'"),
+        (
+            {**base, "entries": [{"chunk_key": "k1", "verdict": "maybe", "confidence_flag": "low"}]},
+            "entry 0: field 'verdict' has a bad value 'maybe'",
+        ),
+    ]
+    for data, fault in cases:
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as info:
+            KnowledgeBase.load(path)
+        assert f"{path}: {fault}" in str(info.value)
+    entry = {"chunk_key": "k1", "verdict": "normal", "confidence_flag": "low"}  # explanation may be absent
+    path.write_text(json.dumps({**base, "entries": [entry]}))
+    assert KnowledgeBase.load(path).lookup_test("k1") == KBTestEntry("k1", "normal", None, "low")
+
+
 # -- cosine -----------------------------------------------------------------------
 
 def test_cosine_basics():
-    assert _cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert _cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    assert _cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
-    assert _cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+    assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+    assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert _sparse_cosine(sparse_vector({0: 1.0, 1: 1.0}), sparse_vector({0: 1.0})) == pytest.approx(
+        1.0 / math.sqrt(2.0)
+    )

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import ProviderError
-from hierlog.knowledge import _cosine
+from hierlog.knowledge import _sparse_cosine
 from hierlog.semantics import (
+    EMBED_DIM,
     DetectionPrompt,
-    EmbeddingConfig,
     MockProvider,
     ProviderConfig,
     RecordedProvider,
@@ -20,11 +20,12 @@ from hierlog.semantics import (
     llm_detect,
     make_provider,
     parse_verdict,
+    sparse_vector,
     summarize_parent_seq,
     summarize_status_seq,
 )
 
-from conftest import TOY_KEYS
+from conftest import TOY_KEYS, cosine, dense
 
 
 # -- embeddings -----------------------------------------------------------------
@@ -32,8 +33,10 @@ from conftest import TOY_KEYS
 def test_embedding_deterministic_and_unit_norm():
     a = embed_chunk(["k1", "k2", "k3"])
     assert a == embed_chunk(["k1", "k2", "k3"])
-    assert math.isclose(sum(v * v for v in a), 1.0, rel_tol=1e-12)
-    assert len(a) == 256
+    assert math.isclose(a.norm, 1.0, rel_tol=1e-12)
+    assert list(a.nonzeros) == sorted(a.nonzeros)
+    assert all(0 <= i < EMBED_DIM and x != 0.0 for i, x in a.nonzeros.items())
+    assert embed_chunk([]) == sparse_vector({})
 
 
 def test_embedding_permutation_invariant():
@@ -43,39 +46,33 @@ def test_embedding_permutation_invariant():
 def test_embedding_self_concatenation_cosine_one():
     a = embed_chunk(["k1", "k2"])
     b = embed_chunk(["k1", "k2", "k1", "k2"])
-    assert _cosine(a, b) == pytest.approx(1.0)
+    assert _sparse_cosine(a, b) == pytest.approx(1.0)
 
 
 def test_embedding_distinguishes_content():
-    assert _cosine(embed_chunk(["k1"]), embed_chunk(["k2"])) < 0.99
+    assert _sparse_cosine(embed_chunk(["k1"]), embed_chunk(["k2"])) < 0.99
 
 
-def test_embedding_config():
-    assert len(embed_chunk(["k1"], EmbeddingConfig(dimension=16))) == 16
-    with pytest.raises(ValueError):
-        EmbeddingConfig(dimension=0)
-    with pytest.raises(ValueError):
-        embed_chunk([])
-
-
-def _embed_inline(chunk, dimension):
-    """embed_chunk's arithmetic with the key hash computed in place, on every key."""
-    vec = [0.0] * dimension
+def _embed_inline(chunk):
+    """The dense vector that embed_chunk stands for, with the key hash computed in place, on every key."""
+    vec = [0.0] * EMBED_DIM
     for key in chunk:
-        vec[int.from_bytes(hashlib.sha1(key.encode()).digest()[:4], "big") % dimension] += 1.0
+        vec[int.from_bytes(hashlib.sha1(key.encode()).digest()[:4], "big") % EMBED_DIM] += 1.0
     norm = sum(v * v for v in vec) ** 0.5
     return [v / norm for v in vec]
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    chunk=st.lists(st.text(min_size=0, max_size=6), min_size=1, max_size=12),
-    dimension=st.integers(min_value=1, max_value=300),
-)
-def test_embedding_bit_identical_to_inline_hash(chunk, dimension):
-    config = EmbeddingConfig(dimension=dimension)
+@given(chunk=st.lists(st.text(min_size=0, max_size=6), min_size=1, max_size=40))
+def test_embedding_bit_identical_to_inline_hash(chunk):
+    want = _embed_inline(chunk)
     for _ in range(2):  # a cold and a warm key cache give the same vector
-        assert repr(embed_chunk(chunk, config)) == repr(_embed_inline(chunk, dimension))
+        got = embed_chunk(chunk)
+        assert repr(got.nonzeros) == repr({i: x for i, x in enumerate(want) if x != 0.0})
+        assert repr(dense(got)) == repr(want)
+        # the norm is the one the dense cosine computes, so every cosine is unchanged
+        assert repr(got.norm) == repr(math.sqrt(sum(x * x for x in want)))
+        assert repr(_sparse_cosine(got, got)) == repr(cosine(want, want))
 
 
 # -- mock provider ----------------------------------------------------------------
