@@ -193,20 +193,13 @@ class Detector:
 
     # -- whole sequence ---------------------------------------------------------
 
-    def detect_sequence(
-        self, sequence: LogSequence | Sequence[str], sequence_id: Optional[str] = None
-    ) -> SequenceReport:
+    def detect_sequence(self, sequence: LogSequence) -> SequenceReport:
         """Evaluate all enabled levels bottom-up; any abnormal flags the sequence."""
-        if isinstance(sequence, LogSequence):
-            keys = sequence.keys
-            sequence_id = sequence_id or sequence.id
-        else:
-            keys = list(sequence)
-            sequence_id = sequence_id or "seq"
-        report = SequenceReport(sequence_id=sequence_id, final_verdict=False, raw_length=len(keys))
+        keys = sequence.keys
+        report = SequenceReport(sequence_id=sequence.id, final_verdict=False, raw_length=len(keys))
 
         if not keys:
-            log.warning("sequence %s is empty; treated as normal by vacuity", sequence_id)
+            log.warning("sequence %s is empty; treated as normal by vacuity", sequence.id)
             return report
 
         try:
@@ -262,7 +255,7 @@ def train(
     for sequence in sequences:
         if sequence.label is True:
             raise ValueError(f"training sequence {sequence.id} is labeled abnormal (one-class setting)")
-        if not sequence.events:
+        if not sequence.keys:
             continue
         try:
             result = top_down_decompose(sequence.keys, tree)

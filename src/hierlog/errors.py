@@ -15,26 +15,34 @@ class DuplicateKeyError(IngestError):
         self.key = key
 
 
-class CatalogParseError(IngestError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"catalog parse error at line {line_number}: {reason}")
-        self.line_number = line_number
+class LineParseError(IngestError):
+    """A line of an ingest input is not a valid record of its kind."""
 
-
-class SequenceParseError(IngestError):
-    """A line of a sequence file is not a valid sequence record."""
+    kind = "input"
 
     def __init__(self, line_number: int, reason: str):
-        super().__init__(f"sequence file parse error at line {line_number}: {reason}")
+        super().__init__(f"{self.kind} parse error at line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
 
 
-class RawRecordParseError(IngestError):
-    """A line of a raw log file is not a valid raw record."""
+class CatalogParseError(LineParseError):
+    kind = "catalog"
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"raw log parse error at line {line_number}: {reason}")
+
+class SequenceParseError(LineParseError):
+    kind = "sequence file"
+
+
+class RawRecordParseError(LineParseError):
+    kind = "raw log"
+
+
+class JsonLinesError(HierlogError):
+    """A line of a JSON-lines input file (triples, report, provider fixture) is malformed."""
+
+    def __init__(self, path, line_number: int, reason: str):
+        super().__init__(f"{path}: line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
 

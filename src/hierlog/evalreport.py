@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .detect import LEVEL_ORDER, SequenceReport
+from .errors import JsonLinesError
 from .hierarchy import LEVELS, TopicTree
+from .ingest import read_jsonl
 from .knowledge import KnowledgeBaseSet
 from .semantics import VERDICT_ABNORMAL
 
@@ -168,7 +171,18 @@ def save_reports(
 
 
 def load_report_records(path: str | Path) -> tuple[dict, list[dict]]:
-    with Path(path).open() as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
-    meta = json.loads(lines[0]).get("meta", {})
-    return meta, [json.loads(l) for l in lines[1:]]
+    """The meta header and the sequence records of a report that `save_reports` wrote."""
+    error = functools.partial(JsonLinesError, path)
+    rows = read_jsonl(path, error)
+    lineno, header = next(rows, (1, None))
+    if header is None or "meta" not in header:
+        raise error(lineno, "missing field 'meta': a report starts with its meta header")
+    records = []
+    for lineno, row in rows:
+        for name in ("sequence_id", "final_verdict"):
+            if name not in row:
+                raise error(lineno, f"missing field {name!r}")
+        if not isinstance(row["final_verdict"], bool):
+            raise error(lineno, "field 'final_verdict' must be true or false")
+        records.append(row)
+    return header["meta"], records

@@ -8,14 +8,15 @@ to exactly one template key.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import DuplicateKeyError, ExtractionError, TreeError
-from .ingest import WILDCARD, TemplateCatalog
+from .errors import DuplicateKeyError, ExtractionError, JsonLinesError, TreeError
+from .ingest import WILDCARD, TemplateCatalog, read_jsonl
 from . import prompts as prompt_assets
 
 NONE_STATUS = "none"
@@ -410,18 +411,13 @@ def save_triples(triples: list[TopicTriple], path: str | Path) -> None:
 
 
 def load_triples(path: str | Path) -> list[TopicTriple]:
+    """The triples of a file that `save_triples` wrote; a null or absent status is "none"."""
     triples = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                triples.append(
-                    TopicTriple(
-                        key=str(row["key"]),
-                        entity=row["entity"],
-                        action=row["action"],
-                        status=row.get("status") or NONE_STATUS,
-                    )
-                )
+    error = functools.partial(JsonLinesError, path)
+    for lineno, row in read_jsonl(path, error, ("key", "entity", "action")):
+        names = {"entity": row["entity"], "action": row["action"], "status": row.get("status") or NONE_STATUS}
+        for level, name in names.items():
+            if not isinstance(name, str) or not name:
+                raise error(lineno, f"field {level!r} must be a non-empty string")
+        triples.append(TopicTriple(str(row["key"]), **names))
     return triples

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CatalogParseError,
@@ -40,12 +40,6 @@ class LogTemplate:
         return self.tokens.count(WILDCARD)
 
 
-@dataclass(frozen=True)
-class LogEvent:
-    key: str
-    template: str
-
-
 @dataclass
 class RawLogRecord:
     message: str
@@ -56,13 +50,11 @@ class RawLogRecord:
 
 @dataclass
 class LogSequence:
-    id: str
-    events: list[LogEvent]
-    label: Optional[bool] = None
+    """A log sequence is its ordered list of catalog keys."""
 
-    @property
-    def keys(self) -> list[str]:
-        return [e.key for e in self.events]
+    id: str
+    keys: list[str]
+    label: Optional[bool] = None
 
 
 @dataclass
@@ -90,12 +82,6 @@ class PartitionSpec:
                 raise ValueError("count windows need a whole window_size and stride")
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    key: str
-    params: tuple[str, ...]
-
-
 class TemplateCatalog:
     """Immutable key -> template mapping with position-wise matching."""
 
@@ -107,7 +93,6 @@ class TemplateCatalog:
             if not t.text.strip():
                 raise ValueError(f"template {t.key!r} has empty text")
             self._by_key[t.key] = t
-        self._events = {k: LogEvent(key=k, template=t.text) for k, t in self._by_key.items()}
         self._tries: Optional[dict[int, list]] = None  # built on the first match
 
     def __len__(self) -> int:
@@ -119,9 +104,13 @@ class TemplateCatalog:
     def keys(self) -> list[str]:
         return list(self._by_key)
 
-    def event_for(self, key: str) -> LogEvent:
-        """The catalog's one shared (frozen) event for ``key``."""
-        return self._events[key]
+    def lookup(self, keys: Iterable[str]) -> list[str]:
+        """The catalog's own string object for each key, so equal keys share one string.
+
+        An unknown key raises KeyError.
+        """
+        by_key = self._by_key
+        return [by_key[k].key for k in keys]
 
     def _trie(self, n_tokens: int) -> Optional[list]:
         """Root of the token trie for templates of ``n_tokens`` tokens, if any.
@@ -162,16 +151,8 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
     path = Path(path)
     templates: list[LogTemplate] = []
     if path.suffix in (".jsonl", ".ndjson"):
-        with path.open() as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = _json_object(line, lineno, CatalogParseError)
-                for name in ("key", "template"):
-                    if name not in row:
-                        raise CatalogParseError(lineno, f"missing field {name!r}")
-                templates.append(LogTemplate(str(row["key"]), str(row["template"])))
+        for _, row in read_jsonl(path, CatalogParseError, ("key", "template")):
+            templates.append(LogTemplate(str(row["key"]), str(row["template"])))
     else:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -183,21 +164,15 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
                 if len(row) < 2:
                     raise CatalogParseError(lineno, "expected columns (key, template)")
                 templates.append(LogTemplate(row[0].strip(), row[1].strip()))
-    seen: set[str] = set()
-    for t in templates:
-        if t.key in seen:
-            raise DuplicateKeyError(t.key)
-        seen.add(t.key)
     return TemplateCatalog(templates)
 
 
-def match_message(catalog: TemplateCatalog, message: str) -> Optional[MatchResult]:
-    """Match a raw message against the catalog.
+def match_message(catalog: TemplateCatalog, message: str) -> Optional[str]:
+    """The key of the catalog template that a raw message matches, or None.
 
     Tokens must agree position-wise; a wildcard template token matches any
-    single message token and binds it as a parameter. Ambiguity resolves to
-    the template with fewest wildcards, then the lexicographically smallest
-    key. Returns None when nothing matches.
+    single message token. Ambiguity resolves to the template with fewest
+    wildcards, then the lexicographically smallest key.
     """
     tokens = message.split()
     n = len(tokens)
@@ -222,18 +197,14 @@ def match_message(catalog: TemplateCatalog, message: str) -> Optional[MatchResul
         child = literal.get(tokens[depth])
         if child is not None:
             stack.append((child, depth + 1))
-    if best is None:
-        return None
-    template = catalog._by_key[best[1]]
-    params = tuple(mt for mt, tt in zip(tokens, template.tokens) if tt == WILDCARD)
-    return MatchResult(key=template.key, params=params)
+    return None if best is None else best[1]  # the template's own key string
 
 
 @dataclass
 class MatchReport:
     """Outcome of matching a batch of raw records against a catalog."""
 
-    events: list[LogEvent] = field(default_factory=list)
+    keys: list[str] = field(default_factory=list)
     records: list[RawLogRecord] = field(default_factory=list)  # matched records, aligned
     skipped: list[tuple[int, str]] = field(default_factory=list)  # (index, message)
 
@@ -242,139 +213,125 @@ def match_records(catalog: TemplateCatalog, records: Sequence[RawLogRecord]) -> 
     """Match records in order; unmatched messages are reported, not fatal."""
     report = MatchReport()
     for i, rec in enumerate(records):
-        m = match_message(catalog, rec.message)
-        if m is None:
+        key = match_message(catalog, rec.message)
+        if key is None:
             report.skipped.append((i, rec.message))
         else:
-            report.events.append(catalog.event_for(m.key))
+            report.keys.append(key)
             report.records.append(rec)
     return report
 
 
 def partition(
     records: Sequence[RawLogRecord],
-    events: Sequence[LogEvent],
+    keys: Sequence[str],
     spec: PartitionSpec,
 ) -> list[LogSequence]:
-    """Split parallel (record, event) lists into log sequences.
+    """Split parallel (record, key) lists into log sequences.
 
     identifier mode groups by ``group_id`` preserving input order within a
     group; count_window emits fixed-size windows advancing by stride (final
-    shorter remainder kept); time_window emits events whose timestamps fall
-    in [start, start + window), the first window starting at the earliest
-    timestamp. Every mode keeps input order within a sequence.
+    shorter remainder kept); time_window emits the non-empty windows
+    [t0 + k * stride, t0 + k * stride + window), t0 the earliest timestamp.
+    Every mode keeps input order within a sequence.
     """
-    if len(records) != len(events):
-        raise ValueError("records and events must be the same length")
+    if len(records) != len(keys):
+        raise ValueError("records and keys must be the same length")
     if not records:
         return []
+    windows = {"identifier": _groups, "count_window": _count_windows, "time_window": _time_windows}
+    return [
+        LogSequence(seq_id, [keys[i] for i in idxs], _labels_or_none([records[i].label for i in idxs]))
+        for seq_id, idxs in windows[spec.mode](records, spec)
+    ]
 
-    if spec.mode == "identifier":
-        groups: dict[str, list[int]] = {}
-        for i, rec in enumerate(records):
-            if rec.group_id is None:
-                raise PartitionError(i, "identifier mode requires group_id")
-            groups.setdefault(rec.group_id, []).append(i)
-        return [
-            LogSequence(
-                id=gid,
-                events=[events[i] for i in idxs],
-                label=_labels_or_none([records[i].label for i in idxs]),
-            )
-            for gid, idxs in groups.items()
-        ]
 
-    if spec.mode == "count_window":
-        size = int(spec.window_size)
-        stride = int(spec.stride)
-        sequences = []
-        n = len(events)
-        for start in range(0, n, stride):
-            window = list(range(start, min(start + size, n)))
-            sequences.append(
-                LogSequence(
-                    id=f"w{len(sequences)}",
-                    events=[events[i] for i in window],
-                    label=_labels_or_none([records[i].label for i in window]),
-                )
-            )
-            if start + size >= n:
-                break
-        return sequences
-
-    # time_window
+def _groups(records: Sequence[RawLogRecord], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+    groups: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
-        if rec.timestamp is None:
-            raise PartitionError(i, "time_window mode requires timestamps")
+        if rec.group_id is None:
+            raise PartitionError(i, "identifier mode requires group_id")
+        groups.setdefault(rec.group_id, []).append(i)
+    yield from groups.items()
+
+
+def _count_windows(records: Sequence[RawLogRecord], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+    size, stride, n = int(spec.window_size), int(spec.stride), len(records)
+    for w, start in enumerate(range(0, n, stride)):
+        yield f"w{w}", list(range(start, min(start + size, n)))
+        if start + size >= n:
+            break
+
+
+def _time_windows(records: Sequence[RawLogRecord], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+    for i, rec in enumerate(records):
+        # the window sweep does arithmetic on stamps, so an inf, a string or a bool has no window
+        if type(rec.timestamp) not in (int, float) or not math.isfinite(rec.timestamp):
+            raise PartitionError(i, "time_window mode requires a finite numeric timestamp")
     # One sweep: indices sorted by timestamp (stable), and two monotone
-    # pointers bounding [start, end) as the window slides.
+    # pointers bounding window k, [t0 + k * stride, t0 + k * stride + size).
+    # Each start is computed afresh, never accumulated, so an empty stretch
+    # can be jumped over to the first window that reaches the next stamp.
     order = sorted(range(len(records)), key=lambda i: records[i].timestamp)
     stamps = [records[i].timestamp for i in order]
-    sequences = []
-    start, t_last = stamps[0], stamps[-1]
-    lo = hi = 0
-    while start <= t_last:
-        end = start + spec.window_size
-        while stamps[lo] < start:
+    t0, size, stride, n = stamps[0], spec.window_size, spec.stride, len(stamps)
+    emitted = k = lo = hi = 0
+    while True:
+        start = t0 + k * stride
+        while lo < n and stamps[lo] < start:
             lo += 1
-        while hi < len(stamps) and stamps[hi] < end:
+        if lo == n:
+            return
+        end = start + size
+        if stamps[lo] >= end:  # window k is empty, and so is every one that ends by stamps[lo]
+            k = max(k + 1, math.floor((stamps[lo] - size - t0) / stride) - 1)
+            while t0 + k * stride + size <= stamps[lo]:
+                k += 1
+            continue
+        while hi < n and stamps[hi] < end:
             hi += 1
-        if hi > lo:
-            window = sorted(order[lo:hi])
-            sequences.append(
-                LogSequence(
-                    id=f"t{len(sequences)}",
-                    events=[events[i] for i in window],
-                    label=_labels_or_none([records[i].label for i in window]),
-                )
-            )
-        start += spec.stride
-    return sequences
-
-
-def label_sequence(labels: Iterable[Optional[bool]]) -> bool:
-    """A sequence is abnormal iff it contains at least one abnormal event."""
-    return any(bool(l) for l in labels)
+        yield f"t{emitted}", sorted(order[lo:hi])
+        emitted += 1
+        k += 1
 
 
 def _labels_or_none(labels: list[Optional[bool]]) -> Optional[bool]:
-    if all(l is None for l in labels):
-        return None
-    return label_sequence(labels)
+    """A sequence's label: None if no record has one, else abnormal iff any record is."""
+    return None if all(l is None for l in labels) else any(labels)
 
 
-def _json_object(line: str, lineno: int, error: type[Exception]) -> dict:
-    """One JSONL line as an object; a bad line raises ``error(lineno, reason)``."""
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise error(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
-    if not isinstance(row, dict):
-        raise error(lineno, "expected a JSON object")
-    return row
+def read_jsonl(
+    path: str | Path, error: Callable[[int, str], Exception], fields: Sequence[str] = ()
+) -> Iterator[tuple[int, dict]]:
+    """(line number, object) per non-blank line of a JSON-lines file.
 
-
-def load_raw_records(path: str | Path) -> list[RawLogRecord]:
-    """Raw records, one JSON object per line: message, and optional timestamp, group_id, label."""
-    records = []
+    A line that is not a JSON object, or that lacks one of ``fields``,
+    raises ``error(line number, reason)``.
+    """
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = _json_object(line, lineno, RawRecordParseError)
-            if "message" not in row:
-                raise RawRecordParseError(lineno, "missing field 'message'")
-            if not isinstance(row["message"], str):
-                raise RawRecordParseError(lineno, "field 'message' must be a string")
-            records.append(
-                RawLogRecord(
-                    message=row["message"],
-                    timestamp=row.get("timestamp"),
-                    group_id=row.get("group_id"),
-                    label=row.get("label"),
-                )
-            )
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+            if not isinstance(row, dict):
+                raise error(lineno, "expected a JSON object")
+            for name in fields:
+                if name not in row:
+                    raise error(lineno, f"missing field {name!r}")
+            yield lineno, row
+
+
+def load_raw_records(path: str | Path) -> list[RawLogRecord]:
+    """Raw records, one JSON object per line: message, and optional timestamp, group_id, label."""
+    records = []
+    for lineno, row in read_jsonl(path, RawRecordParseError, ("message",)):
+        if not isinstance(row["message"], str):
+            raise RawRecordParseError(lineno, "field 'message' must be a string")
+        records.append(RawLogRecord(row["message"], row.get("timestamp"), row.get("group_id"), row.get("label")))
     return records
 
 
@@ -389,23 +346,16 @@ def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:
 
 
 def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequence]:
+    """The sequences of a file that `save_sequences` wrote, each key checked against the catalog."""
     sequences = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = _json_object(line, lineno, SequenceParseError)
-            for name in ("sequence_id", "keys"):
-                if name not in row:
-                    raise SequenceParseError(lineno, f"missing field {name!r}")
-            if not isinstance(row["keys"], list):
-                raise SequenceParseError(lineno, "field 'keys' must be a list")
-            try:
-                events = [catalog.event_for(str(k)) for k in row["keys"]]
-            except KeyError as exc:
-                raise SequenceParseError(lineno, f"unknown log key {exc.args[0]!r}") from exc
-            sequences.append(
-                LogSequence(id=str(row["sequence_id"]), events=events, label=row.get("label"))
-            )
+    for lineno, row in read_jsonl(path, SequenceParseError, ("sequence_id", "keys")):
+        if not isinstance(row["keys"], list):
+            raise SequenceParseError(lineno, "field 'keys' must be a list")
+        try:
+            keys = catalog.lookup(row["keys"])
+        except (KeyError, TypeError):  # TypeError: an unhashable key
+            known = catalog.keys()
+            unknown = next(k for k in row["keys"] if not isinstance(k, str) or k not in known)
+            raise SequenceParseError(lineno, f"unknown log key {unknown!r}") from None
+        sequences.append(LogSequence(str(row["sequence_id"]), keys, row.get("label")))
     return sequences

@@ -7,8 +7,8 @@ a sparse embedding, persisted as its ``[[index, value], ...]`` non-zeros.
 Test KBs cache decided LLM verdicts per chunk, so a repeated pattern that
 the symbolic detector rejects never re-queries the provider. Symbolic
 verdicts are never cached: the train-KB probe is already exact and cheap.
-Loading checks every field of every entry and raises `FormatError` naming
-the entry and the field.
+Loading checks every field of every entry and every transition pair, and
+raises `FormatError` naming the entry and the field, or the parent.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -171,7 +172,10 @@ class KnowledgeBase:
             for entry in kb.entries.values():
                 if entry.embedding is not None:
                     entry.embedding = sparse_vector(dict(entry.embedding))
-            kb.transition_index = {parent: {tuple(pair) for pair in pairs} for parent, pairs in index.items()}
+            if not _are_pair_lists(index.values()):
+                parent = next(p for p, pairs in index.items() if not _are_pair_lists([pairs]))
+                raise FormatError(f"transition_index[{parent!r}] must be a list of [prev, next] name pairs")
+            kb.transition_index = {parent: set(map(tuple, pairs)) for parent, pairs in index.items()}
         return kb
 
     def save(self, path: str | Path) -> None:
@@ -259,6 +263,14 @@ def _is_embedding(value) -> bool:
         and all(type(x) is float and x != 0.0 and math.isfinite(x) for _, x in value)
         and math.isfinite(sum(x * x for _, x in value))
     )
+
+
+def _are_pair_lists(lists) -> bool:
+    """True iff each of `lists` is a list of two-string lists, checked over all pairs at once."""
+    if not set(map(type, lists)) <= {list}:
+        return False
+    pairs = list(chain.from_iterable(lists))
+    return set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} and _of_type(str)(chain.from_iterable(pairs))
 
 
 # field -> check of a column of its values, in the order of the entry class's fields

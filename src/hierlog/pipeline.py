@@ -89,7 +89,7 @@ def load_provider(settings: Mapping[str, Optional[str]]) -> Provider:
     fields = {name: settings.get(name) or None for name in ("fixture_path", "endpoint", "model", "auth_env")}
     try:
         return make_provider(ProviderConfig(kind=settings.get("kind", "mock"), **fields))
-    except (ValueError, HierlogError) as exc:
+    except ValueError as exc:  # a bad fixture file is a run failure, not a setting
         raise ConfigError(f"provider: {exc}") from exc
 
 
@@ -113,7 +113,7 @@ def ingest(
     """
     spec = parse_partition_spec(partition)
     report = match_records(catalog, load_raw_records(logs_path))
-    sequences = partition_records(report.records, report.events, spec)
+    sequences = partition_records(report.records, report.keys, spec)
     save_sequences(sequences, out_path)
     return len(sequences), len(report.skipped)
 

@@ -22,10 +22,14 @@ from typing import NamedTuple, Optional, Protocol, Sequence
 
 from . import prompts as prompt_assets
 from .decompose import Seq
-from .errors import ProviderError
+from .errors import JsonLinesError, ProviderError
+from .ingest import read_jsonl
 
 VERDICT_NORMAL = "normal"
 VERDICT_ABNORMAL = "abnormal"
+
+HTTP_RETRIES = 2  # further attempts after a failed chat request
+HTTP_TIMEOUT_S = 30.0
 
 _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(NORMAL|ABNORMAL)\s*$", re.IGNORECASE | re.MULTILINE)
 
@@ -37,14 +41,10 @@ class ProviderConfig:
     endpoint: Optional[str] = None
     model: Optional[str] = None
     auth_env: Optional[str] = None  # env var holding the credential
-    retry_limit: int = 2
-    timeout: float = 30.0
 
     def __post_init__(self):
         if self.kind not in ("mock", "recorded", "http_chat"):
             raise ValueError(f"unknown provider kind: {self.kind!r}")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
 
 
 class Provider(Protocol):
@@ -121,12 +121,12 @@ class RecordedProvider:
         self.calls = 0
         self._cache: dict[str, str] = {}
         if self.path.exists():
-            with self.path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        row = json.loads(line)
-                        self._cache[row["request_hash"]] = row["response"]
+            error = functools.partial(JsonLinesError, self.path)
+            for lineno, row in read_jsonl(self.path, error, ("request_hash", "response")):
+                for name in ("request_hash", "response"):
+                    if not isinstance(row[name], str):
+                        raise error(lineno, f"field {name!r} must be a string")
+                self._cache[row["request_hash"]] = row["response"]
 
     @staticmethod
     def request_hash(request: str) -> str:
@@ -168,17 +168,17 @@ class HttpChatProvider:
             "messages": [{"role": "user", "content": request}],
         }
         last_exc: Optional[Exception] = None
-        for attempt in range(self.config.retry_limit + 1):
+        for attempt in range(HTTP_RETRIES + 1):
             self.calls += 1
             try:
                 resp = requests.post(
-                    self.config.endpoint, json=payload, headers=headers, timeout=self.config.timeout
+                    self.config.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
                 )
                 resp.raise_for_status()
                 return resp.json()["choices"][0]["message"]["content"]
             except Exception as exc:  # transport or schema failure, retry
                 last_exc = exc
-                if attempt < self.config.retry_limit:
+                if attempt < HTTP_RETRIES:
                     time.sleep(min(2.0**attempt, 10.0))
         raise ProviderError(f"chat endpoint failed after retries: {last_exc}") from last_exc
 

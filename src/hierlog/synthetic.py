@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .ingest import LogEvent, LogSequence, LogTemplate, TemplateCatalog
+from .ingest import LogSequence, LogTemplate, TemplateCatalog
 
 # -- toy template catalog (six-template login example used across the tests) --
 
@@ -171,8 +171,7 @@ def _inject(level: str, order: list[str], blocks: list[list[str]], rng: random.R
 
 
 def _to_sequence(seq_id: str, blocks: list[list[str]], catalog: TemplateCatalog, label: bool) -> LogSequence:
-    keys = [k for block in blocks for k in block]
-    return LogSequence(id=seq_id, events=[catalog.event_for(k) for k in keys], label=label)
+    return LogSequence(seq_id, catalog.lookup(k for block in blocks for k in block), label)
 
 
 def make_corpus(

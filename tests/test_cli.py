@@ -306,3 +306,69 @@ def test_run_failures_exit_1(tmp_path, data):
     result = invoke("ingest", "--templates", data / "templates.csv", "--logs", bad, "--out", tmp_path / "s.jsonl")
     assert result.exit_code == 1
     assert result.output == "error: raw log parse error at line 2: missing field 'message'\n"
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[1], [["<start>"]], [["<start>", 3]]],
+    ids=["int-pair", "one-element-pair", "non-string-member"],
+)
+def test_detect_names_the_file_and_parent_of_a_bad_transition_pair(tmp_path, data, trained, pairs):
+    kb_dir = train_only_kb(trained, tmp_path / "kb")
+    path = kb_dir / "train_entity.json"
+    kb = json.loads(path.read_text())
+    parent = sorted(kb["transition_index"])[0]
+    kb["transition_index"][parent] = pairs
+    path.write_text(json.dumps(kb))
+    result = detect_with_kb(data, trained, kb_dir, tmp_path / "report.jsonl")
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"error: {path}: transition_index[{parent!r}] must be a list of")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def _drop_field(line, name):
+    row = json.loads(line)
+    del row[name]
+    return json.dumps(row) + "\n"
+
+
+# case -> (input written from the trained run's lines, the command reading it, the fault reported)
+JSONL_FAULTS = {
+    "triple-without-action": (
+        "triples.jsonl", lambda lines: lines[0] + _drop_field(lines[1], "action"), "build", "line 2: missing field 'action'"
+    ),
+    "triple-not-json": (
+        "triples.jsonl", lambda lines: lines[0] + "not json\n", "build", "line 2: invalid JSON: Expecting value at column 1"
+    ),
+    "empty-report": (
+        "report.jsonl", lambda lines: "", "evaluate", "line 1: missing field 'meta': a report starts with its meta header"
+    ),
+    "report-without-verdict": (
+        "report.jsonl", lambda lines: "".join(lines[:2]) + _drop_field(lines[2], "final_verdict"), "evaluate",
+        "line 3: missing field 'final_verdict'",
+    ),
+    "fixture-without-hash": (
+        "fixture.jsonl", lambda lines: '{"response": "VERDICT: NORMAL"}\n', "train", "line 1: missing field 'request_hash'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(JSONL_FAULTS))
+def test_bad_jsonl_input_names_the_file_line_and_field(tmp_path, data, trained, case):
+    name, make, command, fault = JSONL_FAULTS[case]
+    path = tmp_path / name
+    lines = (trained / name).read_text().splitlines(keepends=True) if (trained / name).exists() else []
+    path.write_text(make(lines))
+    args = {
+        "build": ["hierarchy", "build", "--triples", path, "--out", tmp_path / "out"],
+        "evaluate": ["evaluate", "--report", path, "--test", trained / "test.jsonl",
+                     "--templates", data / "templates.csv", "--out", tmp_path / "out"],
+        "train": ["train", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                  "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "out", "--llm", "on",
+                  "--provider-kind", "recorded", "--provider-fixture", path],
+    }[command]
+    result = invoke(*args)
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {path}: {fault}\n"
+    assert not (tmp_path / "out").exists()

@@ -39,7 +39,7 @@ TOY_TEMPLATES_MAP = {
 
 def make_sequences(toy_cat, key_lists, label=False):
     return [
-        LogSequence(id=f"s{i}", events=[toy_cat.event_for(k) for k in keys], label=label)
+        LogSequence(id=f"s{i}", keys=toy_cat.lookup(keys), label=label)
         for i, keys in enumerate(key_lists)
     ]
 
@@ -233,7 +233,7 @@ def test_exact_run_leaves_automaton_verdicts_unchanged_on_splices():
     for i in range(300):
         a, b = rng.sample(corpus.train, 2)
         keys = a.keys[: rng.randint(1, len(a.keys))] + b.keys[rng.randint(0, len(b.keys) - 1):]
-        splices.append(LogSequence(f"x{i}", [corpus.catalog.event_for(k) for k in keys]))
+        splices.append(LogSequence(f"x{i}", keys))
     automaton = DetectConfig(detector_per_level=dict(ALL_AUTOMATON), early_exit=False)
     shared = train(corpus.train, tree, DetectConfig())
     exact = Detector(tree, shared, DetectConfig(early_exit=False)).run(splices)
@@ -341,7 +341,7 @@ def test_levels_preset_status_only(toy_cat, toy_tree):
 def test_empty_sequence_is_normal(toy_cat, toy_tree):
     kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree, DetectConfig())
     detector = Detector(toy_tree, kbs, DetectConfig())
-    report = detector.detect_sequence(LogSequence(id="empty", events=[]))
+    report = detector.detect_sequence(LogSequence(id="empty", keys=[]))
     assert report.final_verdict is False
     assert report.raw_length == 0
 
@@ -349,14 +349,14 @@ def test_empty_sequence_is_normal(toy_cat, toy_tree):
 def test_unknown_key_surfaces_as_abnormal(toy_cat, toy_tree):
     kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree, DetectConfig())
     detector = Detector(toy_tree, kbs, DetectConfig())
-    report = detector.detect_sequence(["k1", "mystery"], sequence_id="x")
+    report = detector.detect_sequence(LogSequence("x", ["k1", "mystery"]))
+    assert report.sequence_id == "x"
     assert report.final_verdict is True
     assert report.error is not None
 
 
 def test_train_aborts_on_unknown_key(toy_cat, toy_tree):
-    seqs = [LogSequence(id="bad", events=[toy_cat.event_for("k1")], label=False)]
-    seqs[0].events.append(type(seqs[0].events[0])(key="zz", template="zz"))
+    seqs = [LogSequence(id="bad", keys=["k1", "zz"], label=False)]
     with pytest.raises(DecompositionError):
         train(seqs, toy_tree, DetectConfig())
 

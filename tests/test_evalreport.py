@@ -45,9 +45,9 @@ def test_metrics_perfect_and_length_check():
 
 # -- structure report --------------------------------------------------------------
 
-def test_structure_report_tallies(toy_cat, toy_tree):
+def test_structure_report_tallies(toy_tree):
     sequences = [
-        LogSequence(id=f"s{i}", events=[toy_cat.event_for(k) for k in TOY_KEYS], label=False)
+        LogSequence(id=f"s{i}", keys=list(TOY_KEYS), label=False)
         for i in range(4)
     ]
     kbs = train(sequences, toy_tree, DetectConfig())

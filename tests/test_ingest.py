@@ -21,10 +21,8 @@ from hierlog.ingest import (
     LogTemplate,
     PartitionSpec,
     RawLogRecord,
-    MatchResult,
     TemplateCatalog,
     _labels_or_none,
-    label_sequence,
     load_raw_records,
     load_sequences,
     load_template_catalog,
@@ -34,6 +32,7 @@ from hierlog.ingest import (
     save_sequences,
 )
 from hierlog.pipeline import parse_partition_spec
+from hierlog.synthetic import make_corpus
 
 from conftest import toy_catalog
 
@@ -43,10 +42,6 @@ def _records(n, group=None, t0=0.0, dt=1.0):
         RawLogRecord(message=f"m {i}", timestamp=t0 + i * dt, group_id=group)
         for i in range(n)
     ]
-
-
-def _events(catalog, keys):
-    return [catalog.event_for(k) for k in keys]
 
 
 # -- catalog ------------------------------------------------------------------
@@ -109,10 +104,8 @@ def test_load_jsonl_catalog_errors_carry_line_and_reason(tmp_path, line, reason)
 # -- matching -----------------------------------------------------------------
 
 def test_match_exact_and_wildcard(toy_cat):
-    m = match_message(toy_cat, "Open session started")
-    assert m.key == "k1" and m.params == ()
-    m = match_message(toy_cat, "GET request sent to 10.0.0.1")
-    assert m.key == "k5" and m.params == ("10.0.0.1",)
+    assert match_message(toy_cat, "Open session started") == "k1"
+    assert match_message(toy_cat, "GET request sent to 10.0.0.1") == "k5"
 
 
 def test_match_returns_none(toy_cat):
@@ -128,7 +121,7 @@ def test_match_tiebreak_prefers_fewest_wildcards():
         ]
     )
     # both match; a9 has fewer wildcards and wins despite larger key
-    assert match_message(cat, "send data to host").key == "a9"
+    assert match_message(cat, "send data to host") == "a9"
 
 
 def test_match_tiebreak_smallest_key():
@@ -138,7 +131,7 @@ def test_match_tiebreak_smallest_key():
             LogTemplate("a", "ping <*>2"),  # same token count, same wildcards? no
         ]
     )
-    assert match_message(cat, "ping x").key == "b"
+    assert match_message(cat, "ping x") == "b"
     cat = TemplateCatalog(
         [
             LogTemplate("b", "ping <*>"),
@@ -146,7 +139,7 @@ def test_match_tiebreak_smallest_key():
         ]
     )
     # "ping x" matches both with one wildcard each; key "a" < "b"
-    assert match_message(cat, "ping x").key == "a"
+    assert match_message(cat, "ping x") == "a"
 
 
 def test_match_long_template_without_recursion():
@@ -154,14 +147,25 @@ def test_match_long_template_without_recursion():
     text = " ".join(WILDCARD if i % 3 == 0 else f"t{i}" for i in range(n))
     cat = TemplateCatalog([LogTemplate("long", text), LogTemplate("short", "t0 t1")])
     message = " ".join(f"p{i}" if i % 3 == 0 else f"t{i}" for i in range(n))
-    m = match_message(cat, message)
-    assert m == MatchResult("long", tuple(f"p{i}" for i in range(0, n, 3)))
+    assert match_message(cat, message) == "long"
     assert match_message(cat, message + " extra") is None
 
 
-def test_event_for_shares_one_event_per_key(toy_cat):
-    report = match_records(toy_cat, [RawLogRecord(message="Open session started")] * 3)
-    assert report.events[0] is report.events[2] is toy_cat.event_for("k1")
+def test_sequence_keys_are_the_catalogs_own_strings(tmp_path, toy_cat):
+    # one string object per key, whichever path built the sequence; the JSON
+    # decoder makes a fresh string for each key it reads
+    own = {k: k for k in toy_cat.keys()}
+    records = [RawLogRecord(message=m, group_id="g") for m in ["Open session started", "Authentication starts"] * 2]
+    report = match_records(toy_cat, records)
+    (matched,) = partition(report.records, report.keys, PartitionSpec("identifier"))
+    path = tmp_path / "seqs.jsonl"
+    path.write_text(json.dumps({"sequence_id": "s", "keys": ["k1", "k3", "k1"]}) + "\n")
+    (loaded,) = load_sequences(path, toy_cat)
+    assert matched.keys == ["k1", "k3", "k1", "k3"] and loaded.keys == ["k1", "k3", "k1"]
+    assert all(k is own[k] for k in matched.keys + loaded.keys)
+    corpus = make_corpus(n_train=5, n_test=5, seed=3)
+    own = {k: k for k in corpus.catalog.keys()}
+    assert all(k is own[k] for seq in corpus.train + corpus.test for k in seq.keys)
 
 
 def test_match_records_reports_skipped(toy_cat):
@@ -171,26 +175,26 @@ def test_match_records_reports_skipped(toy_cat):
         RawLogRecord(message="Authentication starts"),
     ]
     report = match_records(toy_cat, records)
-    assert [e.key for e in report.events] == ["k1", "k3"]
+    assert report.keys == ["k1", "k3"]
     assert report.skipped == [(1, "garbage")]
 
 
 # -- partitioning -------------------------------------------------------------
 
 def test_count_window_spec_example(toy_cat):
-    # 10 events, window 4, stride 4 -> sizes [4, 4, 2]
+    # 10 keys, window 4, stride 4 -> sizes [4, 4, 2]
     records = _records(10)
-    events = _events(toy_cat, ["k1"] * 10)
-    seqs = partition(records, events, PartitionSpec("count_window", window_size=4))
-    assert [len(s.events) for s in seqs] == [4, 4, 2]
+    keys = ["k1"] * 10
+    seqs = partition(records, keys, PartitionSpec("count_window", window_size=4))
+    assert [len(s.keys) for s in seqs] == [4, 4, 2]
 
 
 def test_count_window_with_stride(toy_cat):
     records = _records(10)
-    events = _events(toy_cat, [f"k{1 + i % 6}" for i in range(10)])
-    seqs = partition(records, events, PartitionSpec("count_window", window_size=4, stride=2))
-    assert [len(s.events) for s in seqs] == [4, 4, 4, 4]
-    assert seqs[1].keys == [e.key for e in events[2:6]]
+    keys = [f"k{1 + i % 6}" for i in range(10)]
+    seqs = partition(records, keys, PartitionSpec("count_window", window_size=4, stride=2))
+    assert [len(s.keys) for s in seqs] == [4, 4, 4, 4]
+    assert seqs[1].keys == keys[2:6]
 
 
 def test_identifier_grouping_preserves_order(toy_cat):
@@ -198,40 +202,40 @@ def test_identifier_grouping_preserves_order(toy_cat):
         RawLogRecord(message="x", group_id=g)
         for g in ["b1", "b2", "b1", "b1", "b2"]
     ]
-    events = _events(toy_cat, ["k1", "k2", "k3", "k4", "k5"])
-    seqs = {s.id: s for s in partition(records, events, PartitionSpec("identifier"))}
+    keys = ["k1", "k2", "k3", "k4", "k5"]
+    seqs = {s.id: s for s in partition(records, keys, PartitionSpec("identifier"))}
     assert seqs["b1"].keys == ["k1", "k3", "k4"]
     assert seqs["b2"].keys == ["k2", "k5"]
 
 
 def test_identifier_requires_group_id(toy_cat):
     with pytest.raises(PartitionError):
-        partition(_records(2), _events(toy_cat, ["k1", "k2"]), PartitionSpec("identifier"))
+        partition(_records(2), ["k1", "k2"], PartitionSpec("identifier"))
 
 
 def test_time_window(toy_cat):
     records = _records(6, t0=0.0, dt=10.0)  # timestamps 0..50
-    events = _events(toy_cat, ["k1", "k2", "k3", "k4", "k5", "k6"])
-    seqs = partition(records, events, PartitionSpec("time_window", window_size=25.0))
+    keys = ["k1", "k2", "k3", "k4", "k5", "k6"]
+    seqs = partition(records, keys, PartitionSpec("time_window", window_size=25.0))
     assert [s.keys for s in seqs] == [["k1", "k2", "k3"], ["k4", "k5"], ["k6"]]
 
 
 def test_time_window_starts_at_earliest_timestamp(toy_cat):
     records = [RawLogRecord(message="x", timestamp=t) for t in [5.0, 1.0, 2.0, 6.0]]
-    events = _events(toy_cat, ["k1", "k2", "k3", "k4"])
+    keys = ["k1", "k2", "k3", "k4"]
     for size in (1.0, 2.0, 3.0, 10.0):
-        seqs = partition(records, events, PartitionSpec("time_window", window_size=size))
+        seqs = partition(records, keys, PartitionSpec("time_window", window_size=size))
         assert sorted(k for s in seqs for k in s.keys) == ["k1", "k2", "k3", "k4"]
-    seqs = partition(records, events, PartitionSpec("time_window", window_size=2.0))
+    seqs = partition(records, keys, PartitionSpec("time_window", window_size=2.0))
     assert [s.keys for s in seqs] == [["k2", "k3"], ["k1", "k4"]]
-    seqs = partition(records, events, PartitionSpec("time_window", window_size=10.0))
+    seqs = partition(records, keys, PartitionSpec("time_window", window_size=10.0))
     assert [s.keys for s in seqs] == [["k1", "k2", "k3", "k4"]]  # input order kept
 
 
 def test_time_window_requires_timestamps(toy_cat):
     records = [RawLogRecord(message="x")]
     with pytest.raises(PartitionError):
-        partition(records, _events(toy_cat, ["k1"]), PartitionSpec("time_window", window_size=5))
+        partition(records, ["k1"], PartitionSpec("time_window", window_size=5))
 
 
 def test_partition_spec_validation():
@@ -283,18 +287,19 @@ def test_parse_partition_spec_rejects_malformed_specs(spec):
 # -- labels -------------------------------------------------------------------
 
 def test_label_rules(toy_cat):
-    assert label_sequence([False, True, False]) is True
-    assert label_sequence([False, None]) is False
+    assert _labels_or_none([False, True, False]) is True
+    assert _labels_or_none([False, None]) is False
+    assert _labels_or_none([None, None]) is None
     records = _records(4)
     for r in records:
         r.label = False
     records[2].label = True
-    seqs = partition(records, _events(toy_cat, ["k1"] * 4), PartitionSpec("count_window", window_size=2))
+    seqs = partition(records, ["k1"] * 4, PartitionSpec("count_window", window_size=2))
     assert [s.label for s in seqs] == [False, True]
 
 
 def test_unlabeled_stays_none(toy_cat):
-    seqs = partition(_records(2), _events(toy_cat, ["k1", "k2"]), PartitionSpec("count_window", window_size=2))
+    seqs = partition(_records(2), ["k1", "k2"], PartitionSpec("count_window", window_size=2))
     assert seqs[0].label is None
 
 
@@ -303,7 +308,7 @@ def test_unlabeled_stays_none(toy_cat):
 def test_sequence_round_trip(tmp_path, toy_cat):
     records = _records(5)
     records[0].label = True
-    seqs = partition(records, _events(toy_cat, ["k1", "k2", "k3", "k4", "k5"]),
+    seqs = partition(records, ["k1", "k2", "k3", "k4", "k5"],
                      PartitionSpec("count_window", window_size=3))
     path = tmp_path / "seqs.jsonl"
     save_sequences(seqs, path)
@@ -371,9 +376,9 @@ def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
 def test_count_window_covers_input_exactly(n, size):
     cat = toy_catalog()
     keys = [f"k{1 + i % 6}" for i in range(n)]
-    seqs = partition(_records(n), _events(cat, keys), PartitionSpec("count_window", window_size=size))
+    seqs = partition(_records(n), keys, PartitionSpec("count_window", window_size=size))
     assert [k for s in seqs for k in s.keys] == keys
-    assert all(len(s.events) <= size for s in seqs)
+    assert all(len(s.keys) <= size for s in seqs)
 
 
 def _linear_match(catalog, message):
@@ -384,14 +389,11 @@ def _linear_match(catalog, message):
         key=lambda t: (t.wildcard_count, t.key),
     )
     for template in bucket:
-        params = []
         for mt, tt in zip(tokens, template.tokens):
-            if tt == WILDCARD:
-                params.append(mt)
-            elif tt != mt:
+            if tt != WILDCARD and tt != mt:
                 break
         else:
-            return MatchResult(key=template.key, params=tuple(params))
+            return template.key
     return None
 
 
@@ -438,28 +440,71 @@ def test_trie_matches_linear_oracle_with_every_wildcard_position():
     cat = TemplateCatalog(templates)
     for message in ["go to db", "go to x", "x to db", "x y z", "go y db", "to go db"]:
         assert match_message(cat, message) == _linear_match(cat, message)
-    assert match_message(cat, "go to db").key == "lit"
-    assert match_message(cat, "x to db") == MatchResult("w1", ("x",))
+    assert match_message(cat, "go to db") == "lit"
+    assert match_message(cat, "x to db") == "w1"
 
 
-def _windows_oracle(records, events, spec):
-    """Reference time_window partition: one full scan of the records per window."""
-    sequences = []
-    start = min(r.timestamp for r in records)
+def _oracle_sequences(records, keys, windows, prefix):
+    return [
+        LogSequence(f"{prefix}{n}", [keys[i] for i in w], _labels_or_none([records[i].label for i in w]))
+        for n, w in enumerate(windows)
+    ]
+
+
+def _windows_oracle(records, keys, spec):
+    """Reference time_window partition: window k starts at t0 + k * stride; one full scan per window."""
+    t0 = min(r.timestamp for r in records)
     t_last = max(r.timestamp for r in records)
-    while start <= t_last:
-        end = start + spec.window_size
-        window = [i for i, r in enumerate(records) if start <= r.timestamp < end]
+    windows = []
+    k = 0
+    while t0 + k * spec.stride <= t_last:
+        start = t0 + k * spec.stride
+        window = [i for i, r in enumerate(records) if start <= r.timestamp < start + spec.window_size]
         if window:
-            sequences.append(
-                LogSequence(
-                    id=f"t{len(sequences)}",
-                    events=[events[i] for i in window],
-                    label=_labels_or_none([records[i].label for i in window]),
-                )
-            )
-        start += spec.stride
-    return sequences
+            windows.append(window)
+        k += 1
+    return _oracle_sequences(records, keys, windows, "t")
+
+
+def _count_windows_oracle(records, keys, spec):
+    """Reference count_window partition: every stride start until a window reaches the last record."""
+    size, stride, n = int(spec.window_size), int(spec.stride), len(records)
+    starts = [s for s in range(0, n, stride) if s == 0 or s - stride + size < n]
+    return _oracle_sequences(records, keys, [list(range(s, min(s + size, n))) for s in starts], "w")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    size=st.integers(min_value=1, max_value=40),
+    stride_frac=st.floats(min_value=0.0, max_value=1.0),
+    labels=st.lists(st.one_of(st.none(), st.booleans()), min_size=30, max_size=30),
+)
+def test_count_windows_match_scan_oracle(n, size, stride_frac, labels):
+    # sizes above n cover the case of one short window holding every record
+    stride = max(1, round(size * stride_frac))
+    records = [RawLogRecord(message="x", label=l) for l in labels[:n]]
+    keys = [f"k{1 + i % 6}" for i in range(n)]
+    spec = PartitionSpec("count_window", window_size=size, stride=stride)
+    got = partition(records, keys, spec)
+    want = _count_windows_oracle(records, keys, spec)
+    assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]
+
+
+def test_time_windows_jump_over_an_empty_stretch():
+    # a millisecond-epoch stamp among second stamps: 1.7e12 one-second windows
+    # lie between them, and only the two that hold a record are visited
+    records = [RawLogRecord(message="x", timestamp=t) for t in (0.0, 1.7e12)]
+    seqs = partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
+    assert [(s.id, s.keys) for s in seqs] == [("t0", ["k1"]), ("t1", ["k2"])]
+
+
+@pytest.mark.parametrize("stamp", [math.inf, -math.inf, "5", True])
+def test_time_window_rejects_a_stamp_without_a_window(stamp):
+    # inf made the sweep spin forever, and a string failed inside sorted()
+    records = [RawLogRecord(message="x", timestamp=0.0), RawLogRecord(message="x", timestamp=stamp)]
+    with pytest.raises(PartitionError, match="record 1"):
+        partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,8 +524,8 @@ def _windows_oracle(records, events, spec):
 def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac):
     cat = toy_catalog()
     records = [RawLogRecord(message="x", timestamp=t, label=l) for t, l in zip(stamps, labels)]
-    events = _events(cat, [f"k{1 + i % 6}" for i in range(len(records))])
+    keys = [f"k{1 + i % 6}" for i in range(len(records))]
     spec = PartitionSpec("time_window", window_size=size, stride=size * stride_frac)
-    got = partition(records, events, spec)
-    want = _windows_oracle(records, events, spec)
+    got = partition(records, keys, spec)
+    want = _windows_oracle(records, keys, spec)
     assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]
