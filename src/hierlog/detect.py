@@ -6,12 +6,14 @@ pattern it rejects goes to the LLM, with retrieved sibling examples, and
 a decided LLM verdict is cached per chunk in the test KB of its level, so
 a repeated pattern costs one provider round. Symbolic verdicts are never
 cached, so a verdict does not depend on what ran before. Verdicts
-aggregate bottom-up per sequence with optional early exit.
+aggregate bottom-up per sequence with optional early exit. A whole
+sequence's report is memoised by its key list (`Detector.detect_sequence`).
 """
 
 from __future__ import annotations
 
 import logging
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,6 +46,8 @@ LEVEL_PRESETS = {
 
 EXACT = "exact"
 AUTOMATON = "automaton"
+
+MEMO_SIZE = 4096  # reports a Detector memoises, least recently used dropped first
 
 
 @dataclass
@@ -111,7 +115,19 @@ def detect_local_automaton(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
 
 
 class Detector:
-    """Executes hybrid detection over decomposed sequences, sharing KBs."""
+    """Executes hybrid detection over decomposed sequences, sharing KBs.
+
+    `detect_sequence` memoises whole-sequence reports in a bounded LRU
+    (`MEMO_SIZE` entries) keyed by the tuple of the sequence's keys; a hit
+    returns a copy under the caller's sequence id. Only reports that made
+    no LLM call and met no provider error are stored: a provider error is
+    retried on the next sight, and an LLM-routed sequence is stored at its
+    second sight, when the LLM cache answers it. The memo is sound because
+    the train KBs do not change during a Detector's life and `store_test`
+    writes an LLM cache entry only on a miss, so a report is a function of
+    the key list alone once it calls no LLM. `memo_hits`/`memo_misses`
+    count lookups for the logs; they never reach the report body.
+    """
 
     def __init__(
         self,
@@ -129,6 +145,9 @@ class Detector:
         self.provider = provider
         self.templates = templates or {}
         self._summary_cache: dict[tuple[str, str], str] = {}
+        self._memo: OrderedDict[tuple[str, ...], SequenceReport] = OrderedDict()
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # -- single sub-sequence --------------------------------------------------
 
@@ -194,6 +213,27 @@ class Detector:
     # -- whole sequence ---------------------------------------------------------
 
     def detect_sequence(self, sequence: LogSequence) -> SequenceReport:
+        """The memoised report for the sequence's keys, or a fresh `_detect`."""
+        key = tuple(sequence.keys)
+        memo = self._memo.get(key)
+        if memo is not None:
+            self.memo_hits += 1
+            self._memo.move_to_end(key)
+            counters = memo.counters
+            return SequenceReport(
+                sequence.id, memo.final_verdict, list(memo.verdicts), memo.first_abnormal_level,
+                Counters(0, 0, dict(counters.keys_per_level), dict(counters.evals_per_level)),
+                memo.raw_length, memo.error,
+            )
+        self.memo_misses += 1
+        report = self._detect(sequence)
+        if report.counters.llm_calls == 0 and report.counters.provider_errors == 0:
+            self._memo[key] = report
+            if len(self._memo) > MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return report
+
+    def _detect(self, sequence: LogSequence) -> SequenceReport:
         """Evaluate all enabled levels bottom-up; any abnormal flags the sequence."""
         keys = sequence.keys
         report = SequenceReport(sequence_id=sequence.id, final_verdict=False, raw_length=len(keys))

@@ -138,7 +138,14 @@ class TopicTree:
 
     @classmethod
     def load(cls, path: str | Path) -> "TopicTree":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except (json.JSONDecodeError, OSError) as exc:
+            raise TreeError(f"cannot load tree from {path}: {exc}") from exc
+        try:
+            return cls.from_json(data)
+        except TreeError as exc:
+            raise TreeError(f"{path}: {exc}") from exc
 
 
 def build_tree(triples: list[TopicTriple]) -> TopicTree:

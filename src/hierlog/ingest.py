@@ -300,6 +300,9 @@ def _labels_or_none(labels: list[Optional[bool]]) -> Optional[bool]:
     return None if all(l is None for l in labels) else any(labels)
 
 
+_LABEL_RULE = "field 'label' must be true, false or null"
+
+
 def read_jsonl(
     path: str | Path, error: Callable[[int, str], Exception], fields: Sequence[str] = ()
 ) -> Iterator[tuple[int, dict]]:
@@ -331,7 +334,12 @@ def load_raw_records(path: str | Path) -> list[RawLogRecord]:
     for lineno, row in read_jsonl(path, RawRecordParseError, ("message",)):
         if not isinstance(row["message"], str):
             raise RawRecordParseError(lineno, "field 'message' must be a string")
-        records.append(RawLogRecord(row["message"], row.get("timestamp"), row.get("group_id"), row.get("label")))
+        group_id, label = row.get("group_id"), row.get("label")
+        if group_id is not None and not isinstance(group_id, str):
+            raise RawRecordParseError(lineno, "field 'group_id' must be a string or null")
+        if label is not None and type(label) is not bool:
+            raise RawRecordParseError(lineno, _LABEL_RULE)
+        records.append(RawLogRecord(row["message"], row.get("timestamp"), group_id, label))
     return records
 
 
@@ -357,5 +365,8 @@ def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequen
             known = catalog.keys()
             unknown = next(k for k in row["keys"] if not isinstance(k, str) or k not in known)
             raise SequenceParseError(lineno, f"unknown log key {unknown!r}") from None
-        sequences.append(LogSequence(str(row["sequence_id"]), keys, row.get("label")))
+        label = row.get("label")
+        if label is not None and type(label) is not bool:
+            raise SequenceParseError(lineno, _LABEL_RULE)
+        sequences.append(LogSequence(str(row["sequence_id"]), keys, label))
     return sequences

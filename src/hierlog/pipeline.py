@@ -176,6 +176,7 @@ def detect(
     }
     save_reports(reports, report_path, meta=meta)
     kbs.save_dir(kb_dir)
+    log.info("detected %d sequences: %d memo hits, %d misses", len(reports), detector.memo_hits, detector.memo_misses)
     return sequences, reports
 
 

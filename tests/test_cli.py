@@ -308,6 +308,59 @@ def test_run_failures_exit_1(tmp_path, data):
     assert result.output == "error: raw log parse error at line 2: missing field 'message'\n"
 
 
+def test_string_labels_are_rejected_not_scored(tmp_path, data, trained):
+    # a "false" string is truthy: scored, it would count every sequence as abnormal
+    relabeled = tmp_path / "test.jsonl"
+    rows = [json.loads(line) for line in (trained / "test.jsonl").read_text().splitlines()]
+    relabeled.write_text("".join(json.dumps({**row, "label": str(row["label"]).lower()}) + "\n" for row in rows))
+    result = invoke("evaluate", "--report", trained / "report.jsonl", "--test", relabeled,
+                    "--templates", data / "templates.csv", "--out", tmp_path / "eval.json")
+    assert result.exit_code == 1
+    assert result.output == "error: sequence file parse error at line 1: field 'label' must be true, false or null\n"
+    assert not (tmp_path / "eval.json").exists()
+
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text((data / "raw.jsonl").read_text().replace('"label": false', '"label": "false"', 1))
+    result = invoke("ingest", "--templates", data / "templates.csv", "--logs", raw,
+                    "--partition", "identifier", "--out", tmp_path / "s.jsonl")
+    assert result.exit_code == 1
+    assert "field 'label' must be true, false or null" in result.output
+
+
+@pytest.mark.parametrize("group_id", [["a"], 5], ids=["list", "int"])
+def test_ingest_rejects_a_group_id_that_is_not_a_string(tmp_path, data, group_id):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"message": "no template matches this line", "group_id": group_id}) + "\n")
+    result = invoke("ingest", "--templates", data / "templates.csv", "--logs", raw,
+                    "--partition", "identifier", "--out", tmp_path / "s.jsonl")
+    assert result.exit_code == 1
+    assert result.output == "error: raw log parse error at line 1: field 'group_id' must be a string or null\n"
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", ["", '{"nodes": ['], ids=["empty", "not-json"])
+def test_train_names_a_tree_file_it_cannot_load(tmp_path, data, text):
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    result = invoke("train", "--templates", data / "templates.csv", "--tree", path,
+                    "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "kb")
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: cannot load tree from {path}: ")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "kb").exists()
+
+
+def test_detect_logs_memo_hits_and_misses(tmp_path, data, caplog):
+    with caplog.at_level(logging.INFO, logger="hierlog.pipeline"):
+        run_ini_pipeline(data, tmp_path, "off")
+    n = len((tmp_path / "test.jsonl").read_text().splitlines())
+    distinct = len({tuple(json.loads(line)["keys"]) for line in (tmp_path / "test.jsonl").read_text().splitlines()})
+    lines = [r.getMessage() for r in caplog.records if "memo" in r.getMessage()]
+    assert lines == [f"detected {n} sequences: {n - distinct} memo hits, {distinct} misses"]
+    assert "memo" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
+    assert "memo" not in (tmp_path / "eval.json").read_text()
+
+
 @pytest.mark.parametrize(
     "pairs",
     [[1], [["<start>"]], [["<start>", 3]]],

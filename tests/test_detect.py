@@ -1,6 +1,8 @@
 """Hybrid detection: routing, caching, early exit, and training."""
 
 import functools
+import itertools
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from hierlog.detect import (
     AUTOMATON,
+    MEMO_SIZE,
     DetectConfig,
     Detector,
     LEVEL_PRESETS,
@@ -198,6 +201,88 @@ def test_provider_error_fallback_not_cached(toy_cat, toy_tree):
     assert failing.calls > errors_first
     assert report2.counters.provider_errors == 1
     assert not detector.kbs.test[STATUS].entries
+
+
+# -- whole-sequence memo ------------------------------------------------------------
+
+def test_llm_reports_are_memoised_only_once_the_cache_answers(toy_cat, toy_tree):
+    provider, detector = hybrid_setup(toy_cat, toy_tree, [])
+    seq = make_sequences(toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"]])[0]
+    first, second = detector.detect_sequence(seq), detector.detect_sequence(seq)
+    assert (first.counters.llm_calls, second.counters.llm_calls) == (1, 0)
+    assert (detector.memo_hits, detector.memo_misses) == (0, 2)  # a report with llm_calls > 0 is not stored
+    calls = provider.calls
+    third = detector.detect_sequence(LogSequence("again", seq.keys))
+    assert (detector.memo_hits, detector.memo_misses) == (1, 2)
+    assert provider.calls == calls
+    assert third.sequence_id == "again" and third.counters.llm_calls == 0
+    assert report_to_json(third) == {**report_to_json(second), "sequence_id": "again"}
+    # each hit is its own report: changing one leaves the memoised body as it was
+    body = json.dumps(report_to_json(second))
+    third.verdicts.clear()
+    third.counters.keys_per_level[STATUS] += 1
+    third.counters.evals_per_level[STATUS] += 1
+    assert json.dumps(report_to_json(detector.detect_sequence(seq))) == body
+
+
+def test_provider_errors_are_never_memoised(toy_cat, toy_tree):
+    config = DetectConfig(llm_enabled=True)
+    kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree, config,
+                provider=MockProvider(), templates=TOY_TEMPLATES_MAP)
+    failing = FailingProvider()
+    detector = Detector(toy_tree, kbs, config, provider=failing, templates=TOY_TEMPLATES_MAP)
+    seq = make_sequences(toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"]])[0]
+    calls = []
+    for _ in range(3):
+        assert detector.detect_sequence(seq).counters.provider_errors == 1
+        calls.append(failing.calls)
+    assert calls[0] < calls[1] < calls[2]
+    assert (detector.memo_hits, detector.memo_misses) == (0, 3)
+
+
+def test_memo_is_bounded_and_evicts_the_least_recently_used(toy_cat, toy_tree):
+    kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree, DetectConfig())
+    detector = Detector(toy_tree, kbs, DetectConfig(early_exit=False))
+    key_lists = itertools.product(TOY_KEYS, repeat=5)
+    seqs = [LogSequence(f"s{i}", list(keys)) for i, keys in zip(range(MEMO_SIZE + 3), key_lists)]
+    first = [report_to_json(detector.detect_sequence(s)) for s in seqs[:MEMO_SIZE]]
+    assert len(detector._memo) == MEMO_SIZE
+    detector.detect_sequence(seqs[0])  # now the most recently used
+    for s in seqs[MEMO_SIZE:]:
+        detector.detect_sequence(s)
+    assert len(detector._memo) == MEMO_SIZE
+    assert tuple(seqs[0].keys) in detector._memo
+    assert all(tuple(s.keys) not in detector._memo for s in seqs[1:4])
+    misses = detector.memo_misses
+    assert report_to_json(detector.detect_sequence(seqs[1])) == first[1]  # evicted, so run again
+    assert detector.memo_misses == misses + 1
+
+
+@pytest.mark.parametrize("llm", [False, True], ids=["llm-off", "mock-llm"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_memoised_run_matches_a_fresh_detector_per_sequence(llm, data):
+    corpus, tree, templates, config, kbs = shuffle_setup(llm)
+    pool = [s.keys for s in corpus.test] + [[], ["k-unknown"]]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=150), label="picks")
+    seqs = [LogSequence(f"q{i}", pool[p]) for i, p in enumerate(picks)]
+
+    def provider():
+        return MockProvider() if llm else None
+
+    memoised = Detector(tree, fresh_caches(kbs), config, provider=provider(), templates=templates)
+    got = [json.dumps(report_to_json(r)) for r in memoised.run(seqs)]
+    oracle_kbs = fresh_caches(kbs)
+    want = [
+        json.dumps(report_to_json(
+            Detector(tree, oracle_kbs, config, provider=provider(), templates=templates).detect_sequence(s)
+        ))
+        for s in seqs
+    ]
+    assert got == want
+    assert memoised.memo_hits + memoised.memo_misses == len(seqs)
+    if not llm:
+        assert memoised.memo_misses == len({tuple(s.keys) for s in seqs})
 
 
 # -- verdicts as a function of the inputs -------------------------------------------

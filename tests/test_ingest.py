@@ -326,8 +326,10 @@ def test_sequence_round_trip(tmp_path, toy_cat):
         ('{"sequence_id": "s2"}', "missing field 'keys'"),
         ('{"sequence_id": "s2", "keys": ["k1", "k9"]}', "unknown log key 'k9'"),
         ('{"sequence_id": "s2", "keys": "k1"}', "'keys' must be a list"),
+        ('{"sequence_id": "s2", "keys": ["k1"], "label": "false"}', "'label' must be true, false or null"),
+        ('{"sequence_id": "s2", "keys": ["k1"], "label": 0}', "'label' must be true, false or null"),
     ],
-    ids=["bad-json", "not-object", "missing-keys", "unknown-key", "keys-not-list"],
+    ids=["bad-json", "not-object", "missing-keys", "unknown-key", "keys-not-list", "label-string", "label-int"],
 )
 def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, reason):
     path = tmp_path / "seqs.jsonl"
@@ -341,8 +343,11 @@ def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, re
 
 def test_load_raw_records(tmp_path):
     path = tmp_path / "raw.jsonl"
-    path.write_text('{"message": "a b", "timestamp": 1.5, "group_id": "g", "label": true}\n\n{"message": "c"}\n')
-    assert load_raw_records(path) == [RawLogRecord("a b", 1.5, "g", True), RawLogRecord("c")]
+    path.write_text('{"message": "a b", "timestamp": 1.5, "group_id": "g", "label": true}\n\n{"message": "c"}\n'
+                    '{"message": "d", "group_id": null, "label": false}\n{"message": "e", "label": null}\n')
+    assert load_raw_records(path) == [
+        RawLogRecord("a b", 1.5, "g", True), RawLogRecord("c"), RawLogRecord("d", label=False), RawLogRecord("e"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -353,8 +358,13 @@ def test_load_raw_records(tmp_path):
         ('{"group_id": "g"}', "missing field 'message'"),
         ('{"message": 3}', "'message' must be a string"),
         ('{"message": null}', "'message' must be a string"),
+        ('{"message": "x", "label": "false"}', "'label' must be true, false or null"),
+        ('{"message": "x", "label": 1}', "'label' must be true, false or null"),
+        ('{"message": "x", "group_id": ["a"]}', "'group_id' must be a string or null"),
+        ('{"message": "x", "group_id": 5}', "'group_id' must be a string or null"),
     ],
-    ids=["bad-json", "not-object", "missing-message", "message-not-string", "message-null"],
+    ids=["bad-json", "not-object", "missing-message", "message-not-string", "message-null",
+         "label-string", "label-int", "group-list", "group-int"],
 )
 def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
     path = tmp_path / "raw.jsonl"
