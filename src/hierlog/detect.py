@@ -70,9 +70,14 @@ class DetectConfig:
             raise ValueError("bottom-up presets require the status level whenever any level is enabled")
         for level in LEVEL_ORDER:
             self.detector_per_level.setdefault(level, EXACT)
+        for level, kind in self.detector_per_level.items():
+            if level not in LEVEL_ORDER:
+                raise ValueError(f"detector set for an unknown level {level!r}")
+            if kind not in (EXACT, AUTOMATON):
+                raise ValueError(f"unknown detector {kind!r} for level {level!r}; use {EXACT!r} or {AUTOMATON!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqVerdict:
     signature: str
     level: str
@@ -103,15 +108,18 @@ class SequenceReport:
 
 def detect_local_exact(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
     """Normal iff the signature was observed in training."""
-    verdict = VERDICT_NORMAL if train_kb.contains(seq.signature) else VERDICT_ABNORMAL
-    return SeqVerdict(signature=seq.signature, level=seq.level, verdict=verdict, source="pattern_match")
+    signature = seq.signature
+    verdict = VERDICT_NORMAL if train_kb.contains(signature) else VERDICT_ABNORMAL
+    return SeqVerdict(signature, seq.level, verdict, "pattern_match")
 
 
 def detect_local_automaton(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
     """Normal iff every adjacent node pair (with start/end marks) was trained."""
-    ok = train_kb.accepts_transitions(seq.parent_key, seq.nodes)
-    verdict = VERDICT_NORMAL if ok else VERDICT_ABNORMAL
-    return SeqVerdict(signature=seq.signature, level=seq.level, verdict=verdict, source="automaton")
+    verdict = VERDICT_NORMAL if train_kb.accepts_transitions(seq.parent_key, seq.nodes) else VERDICT_ABNORMAL
+    return SeqVerdict(seq.signature, seq.level, verdict, "automaton")
+
+
+LOCAL_DETECTORS = {EXACT: detect_local_exact, AUTOMATON: detect_local_automaton}
 
 
 class Detector:
@@ -144,6 +152,12 @@ class Detector:
         self.config = config
         self.provider = provider
         self.templates = templates or {}
+        # the enabled levels bottom-up, each with its local detector, chosen once
+        self._levels = [
+            (level, LOCAL_DETECTORS[config.detector_per_level[level]])
+            for level in LEVEL_ORDER
+            if level in config.levels_enabled
+        ]
         self._summary_cache: dict[tuple[str, str], str] = {}
         self._memo: OrderedDict[tuple[str, ...], SequenceReport] = OrderedDict()
         self.memo_hits = 0
@@ -151,16 +165,8 @@ class Detector:
 
     # -- single sub-sequence --------------------------------------------------
 
-    def detect_seq(self, seq: Seq, counters: Counters) -> SeqVerdict:
-        """Local detector, then, for a rejected pattern, the cached or a fresh LLM verdict."""
-        train_kb = self.kbs.train[seq.level]
-        if self.config.detector_per_level.get(seq.level, EXACT) == AUTOMATON:
-            verdict = detect_local_automaton(seq, train_kb)
-        else:
-            verdict = detect_local_exact(seq, train_kb)
-        if verdict.verdict == VERDICT_NORMAL or not self.config.llm_enabled:
-            return verdict
-
+    def _llm_verdict(self, seq: Seq, counters: Counters) -> SeqVerdict:
+        """The cached or a fresh LLM verdict on a pattern that the local detector rejected."""
         cache = self.kbs.test[seq.level]
         ck = chunk_key(seq.chunk)
         entry = cache.lookup_test(ck)
@@ -249,24 +255,24 @@ class Detector:
             report.final_verdict = True  # undecidable sequences surface, not vanish
             return report
 
-        stop = False
-        for level in LEVEL_ORDER:
-            if level not in self.config.levels_enabled:
-                continue
+        counters, verdicts = report.counters, report.verdicts
+        evals, level_keys = counters.evals_per_level, counters.keys_per_level
+        llm_enabled, early_exit = self.config.llm_enabled, self.config.early_exit
+        for level, local in self._levels:
+            train_kb = self.kbs.train[level]
             for seq in result.by_level(level):
-                verdict = self.detect_seq(seq, report.counters)
-                report.verdicts.append(verdict)
-                report.counters.evals_per_level[level] += 1
-                report.counters.keys_per_level[level] += len(seq.chunk)
+                verdict = local(seq, train_kb)
+                if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
+                    verdict = self._llm_verdict(seq, counters)
+                verdicts.append(verdict)
+                evals[level] += 1
+                level_keys[level] += len(seq.chunk)
                 if verdict.verdict == VERDICT_ABNORMAL:
                     report.final_verdict = True
                     if report.first_abnormal_level is None:
                         report.first_abnormal_level = level
-                    if self.config.early_exit:
-                        stop = True
-                        break
-            if stop:
-                break
+                    if early_exit:
+                        return report
         return report
 
     def run(self, sequences: Sequence[LogSequence]) -> list[SequenceReport]:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -69,12 +71,13 @@ class TopicTree:
         self.nodes = nodes
         self.key_index = key_index
         # key -> (entity, action, status) names, so per-key lookup is one dict hit;
-        # names are unique per parent, and the shared string objects make
-        # identity comparison valid for run detection
+        # names are unique per parent (`from_json` checks it), so identity
+        # comparison of these interned strings is valid for run detection, and
+        # a transition pair loaded from a KB is the very same pair of objects
         self.key_names: dict[str, tuple[str, str, str]] = {}
         # precomputed parent paths per key: (root,) / (root, entity) / (root, entity, action)
         self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        root_name = nodes[ROOT].name if ROOT in nodes else ROOT
+        root_name = nodes[ROOT].name
         self.root_path: tuple[str, ...] = (root_name,)
         self.root_prefix = escape_name(root_name)
         e_paths: dict[str, tuple[str, ...]] = {}
@@ -83,16 +86,17 @@ class TopicTree:
             status = nodes[sid]
             action = nodes[status.parent_id]
             entity = nodes[action.parent_id]
-            self.key_names[key] = (entity.name, action.name, status.name)
-            e_path = e_paths.setdefault(entity.node_id, self.root_path + (entity.name,))
-            a_path = a_paths.setdefault(action.node_id, e_path + (action.name,))
+            names = self.key_names[key] = tuple(map(sys.intern, (entity.name, action.name, status.name)))
+            e_path = e_paths.setdefault(entity.node_id, self.root_path + names[:1])
+            a_path = a_paths.setdefault(action.node_id, e_path + names[1:2])
             self.key_paths[key] = (e_path, a_path)
         # the signature encoding, built once: node name -> escaped name, and the
         # parent paths as escaped names joined by SIG_NODE_SEP (Seq.parent_key)
-        self.escaped = {name: escape_name(name) for names in self.key_names.values() for name in names}
+        self.escaped = {name: escape_name(name) for name in set(chain.from_iterable(self.key_names.values()))}
+        paths = set(chain.from_iterable(self.key_paths.values()))
+        prefix = {path: SIG_NODE_SEP.join(map(escape_name, path)) for path in paths}
         self.key_prefixes: dict[str, tuple[str, ...]] = {
-            key: tuple(SIG_NODE_SEP.join(map(escape_name, path)) for path in paths)
-            for key, paths in self.key_paths.items()
+            key: (prefix[e_path], prefix[a_path]) for key, (e_path, a_path) in self.key_paths.items()
         }
 
     def __len__(self) -> int:
@@ -118,18 +122,11 @@ class TopicTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "TopicTree":
-        if data.get("format_version") != TREE_FORMAT_VERSION:
-            raise TreeError(f"unsupported tree format version: {data.get('format_version')}")
-        nodes = {
-            row["node_id"]: TreeNode(
-                node_id=row["node_id"],
-                level=row["level"],
-                name=row["name"],
-                parent_id=row["parent_id"],
-                key=row.get("key"),
-            )
-            for row in data["nodes"]
-        }
+        """The tree that `to_json` wrote, checked by `_tree_nodes`."""
+        version = data.get("format_version") if isinstance(data, dict) else None
+        if version != TREE_FORMAT_VERSION:
+            raise TreeError(f"unsupported tree format version: {version}")
+        nodes = _tree_nodes(data.get("nodes"))
         key_index = {n.key: n.node_id for n in nodes.values() if n.key is not None}
         return cls(nodes, key_index)
 
@@ -146,6 +143,64 @@ class TopicTree:
             return cls.from_json(data)
         except TreeError as exc:
             raise TreeError(f"{path}: {exc}") from exc
+
+
+_PARENT_LEVEL = {ROOT: None, ENTITY: ROOT, ACTION: ENTITY, STATUS: ACTION}
+
+
+def _tree_nodes(rows) -> dict[str, TreeNode]:
+    """The nodes of a saved tree by id; a fault raises `TreeError` naming the node.
+
+    Decompose marks runs by the identity of interned names, so the levels
+    must nest root -> entity -> action -> status under the one root node,
+    names must be unique under each parent, and each key must map to
+    exactly one status node.
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise TreeError("'nodes' must be a list of objects")
+    nodes: dict[str, TreeNode] = {}
+    for n, row in enumerate(rows):
+        node_id, level, name = row.get("node_id"), row.get("level"), row.get("name")
+        parent_id, key = row.get("parent_id"), row.get("key")
+        if type(node_id) is not str:
+            raise TreeError(f"node {n}: 'node_id' must be a string")
+        if not (type(level) is type(name) is str and name and {type(parent_id), type(key)} <= {str, type(None)}):
+            raise TreeError(f"node {node_id!r}: level and name must be strings, name non-empty, "
+                            "and parent_id and key strings or null")
+        if level not in _PARENT_LEVEL:
+            raise TreeError(f"node {node_id!r}: level {level!r} is not one of {', '.join(_PARENT_LEVEL)}")
+        if ROOT in (node_id, level) and (node_id, level, parent_id, key) != (ROOT, ROOT, None, None):
+            raise TreeError(f"node {node_id!r}: only the node {ROOT!r} is of level {ROOT!r}, "
+                            "and it has no parent and no key")
+        if node_id in nodes:
+            raise TreeError(f"node {node_id!r} appears twice")
+        nodes[node_id] = TreeNode(node_id, level, name, parent_id, key)
+    if ROOT not in nodes:
+        raise TreeError(f"the tree has no node {ROOT!r}")
+    names: set[tuple[str, str]] = set()  # (parent_id, name)
+    keys: set[str] = set()
+    for node in nodes.values():
+        if node.level == ROOT:
+            continue
+        parent = nodes.get(node.parent_id)
+        if parent is None:
+            fault = f"parent {node.parent_id!r} is not in the tree"
+        elif parent.level != _PARENT_LEVEL[node.level]:
+            fault = f"its parent {parent.node_id!r} is of level {parent.level!r}, not {_PARENT_LEVEL[node.level]!r}"
+        elif (node.parent_id, node.name) in names:
+            fault = f"name {node.name!r} appears twice under {node.parent_id!r}"
+        elif (node.level == STATUS) != (node.key is not None):
+            fault = "status nodes need a key, and other nodes must have none"
+        elif node.key in keys:
+            fault = f"key {node.key!r} maps to a second status node"
+        else:
+            fault = None
+        if fault:
+            raise TreeError(f"node {node.node_id!r}: {fault}")
+        names.add((node.parent_id, node.name))
+        if node.key is not None:
+            keys.add(node.key)
+    return nodes
 
 
 def build_tree(triples: list[TopicTriple]) -> TopicTree:

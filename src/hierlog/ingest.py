@@ -357,6 +357,8 @@ def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequen
     """The sequences of a file that `save_sequences` wrote, each key checked against the catalog."""
     sequences = []
     for lineno, row in read_jsonl(path, SequenceParseError, ("sequence_id", "keys")):
+        if type(row["sequence_id"]) is not str:
+            raise SequenceParseError(lineno, "field 'sequence_id' must be a string")
         if not isinstance(row["keys"], list):
             raise SequenceParseError(lineno, "field 'keys' must be a list")
         try:
@@ -368,5 +370,5 @@ def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequen
         label = row.get("label")
         if label is not None and type(label) is not bool:
             raise SequenceParseError(lineno, _LABEL_RULE)
-        sequences.append(LogSequence(str(row["sequence_id"]), keys, label))
+        sequences.append(LogSequence(row["sequence_id"], keys, label))
     return sequences

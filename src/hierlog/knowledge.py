@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from itertools import chain
@@ -29,8 +30,11 @@ from .semantics import EMBED_DIM, SparseVector, sparse_vector
 
 KB_FORMAT_VERSION = 3
 
-START_MARK = "<start>"
-END_MARK = "<end>"
+# interned, like the tree's node names and every loaded transition name, so
+# a probe's pairs match the stored pairs by identity
+START_MARK = sys.intern("<start>")
+END_MARK = sys.intern("<end>")
+_NO_TRANSITIONS: frozenset = frozenset()
 
 _CHUNK_SEP = "\x1f"
 
@@ -93,8 +97,7 @@ class KnowledgeBase:
         else:
             entry.occurrence_count += 1
         transitions = self.transition_index.setdefault(seq.parent_key, set())
-        walk = [START_MARK] + list(seq.nodes) + [END_MARK]
-        transitions.update(zip(walk, walk[1:]))
+        transitions.update(zip([START_MARK, *seq.nodes], [*seq.nodes, END_MARK]))
         return entry
 
     def contains(self, signature: str) -> bool:
@@ -102,9 +105,8 @@ class KnowledgeBase:
 
     def accepts_transitions(self, parent_key: str, nodes: Sequence[str]) -> bool:
         """True iff every adjacent pair (with start/end marks) was seen in training."""
-        transitions = self.transition_index.get(parent_key, set())
-        walk = [START_MARK] + list(nodes) + [END_MARK]
-        return all(pair in transitions for pair in zip(walk, walk[1:]))
+        pairs = zip([START_MARK, *nodes], [*nodes, END_MARK])
+        return self.transition_index.get(parent_key, _NO_TRANSITIONS).issuperset(pairs)
 
     def retrieve_similar(
         self, parent_path: Sequence[str], query: SparseVector, m: int
@@ -175,7 +177,10 @@ class KnowledgeBase:
             if not _are_pair_lists(index.values()):
                 parent = next(p for p, pairs in index.items() if not _are_pair_lists([pairs]))
                 raise FormatError(f"transition_index[{parent!r}] must be a list of [prev, next] name pairs")
-            kb.transition_index = {parent: set(map(tuple, pairs)) for parent, pairs in index.items()}
+            intern = sys.intern  # see START_MARK
+            kb.transition_index = {
+                parent: {(intern(a), intern(b)) for a, b in pairs} for parent, pairs in index.items()
+            }
         return kb
 
     def save(self, path: str | Path) -> None:

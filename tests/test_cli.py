@@ -350,6 +350,32 @@ def test_train_names_a_tree_file_it_cannot_load(tmp_path, data, text):
     assert not (tmp_path / "kb").exists()
 
 
+@pytest.mark.parametrize("sequence_id", [["a"], 5], ids=["list", "int"])
+def test_detect_rejects_a_sequence_id_that_is_not_a_string(tmp_path, data, trained, sequence_id):
+    lines = (trained / "test.jsonl").read_text().splitlines(keepends=True)
+    bad = tmp_path / "test.jsonl"
+    bad.write_text("".join(lines[:2]) + json.dumps({**json.loads(lines[2]), "sequence_id": sequence_id}) + "\n")
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", trained / "kb", "--test", bad, "--report", tmp_path / "report.jsonl")
+    assert result.exit_code == 1
+    assert result.output == "error: sequence file parse error at line 3: field 'sequence_id' must be a string\n"
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_train_names_the_tree_file_and_node_of_a_bad_tree(tmp_path, data, trained):
+    tree = json.loads((trained / "tree.json").read_text())
+    action = next(node for node in tree["nodes"] if node["level"] == "action")
+    action["level"] = "status"
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    result = invoke("train", "--templates", data / "templates.csv", "--tree", path,
+                    "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "kb")
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: {path}: node {action['node_id']!r}: ")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "kb").exists()
+
+
 def test_detect_logs_memo_hits_and_misses(tmp_path, data, caplog):
     with caplog.at_level(logging.INFO, logger="hierlog.pipeline"):
         run_ini_pipeline(data, tmp_path, "off")

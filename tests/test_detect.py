@@ -452,3 +452,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Detector(None, None, DetectConfig(llm_enabled=True), provider=None)
     assert DetectConfig(levels_enabled="SA").levels_enabled == (STATUS, ACTION)
+    with pytest.raises(ValueError, match="^detector set for an unknown level 'stauts'$"):
+        DetectConfig(detector_per_level={"stauts": AUTOMATON})
+
+
+@pytest.mark.parametrize("kind", ["automata", "Exact", ""])
+def test_config_rejects_an_unknown_detector_kind(kind):
+    with pytest.raises(ValueError) as info:
+        DetectConfig(detector_per_level={STATUS: "exact", ACTION: kind})
+    assert str(info.value) == f"unknown detector {kind!r} for level 'action'; use 'exact' or 'automaton'"

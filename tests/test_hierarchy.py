@@ -1,5 +1,8 @@
 """Topic extraction, refinement, and tree construction."""
 
+import json
+import re
+
 import pytest
 
 from hierlog.errors import DuplicateKeyError, ExtractionError, TreeError
@@ -102,6 +105,62 @@ def test_tree_version_check(tmp_path, toy_tree):
     data["format_version"] = 99
     with pytest.raises(TreeError):
         TopicTree.from_json(data)
+
+
+def _set(node_id, **values):
+    return lambda nodes: nodes[node_id].update(values)
+
+
+@pytest.mark.parametrize(
+    "mutate, fault",
+    [
+        (_set("s:k1", parent_id="e:Session"), "node 's:k1': its parent 'e:Session' is of level 'entity', not 'action'"),
+        (_set("a:Auth/start", level="entity"),
+         "node 'a:Auth/start': its parent 'e:Auth' is of level 'entity', not 'root'"),
+        (_set("e:Comm", level="topic"), "node 'e:Comm': level 'topic' is not one of root, entity, action, status"),
+        (_set("e:Comm", parent_id="e:Ghost"), "node 'e:Comm': parent 'e:Ghost' is not in the tree"),
+        (_set("root", parent_id="e:Comm"),
+         "node 'root': only the node 'root' is of level 'root', and it has no parent and no key"),
+        (_set("a:Auth/succd", name="start"), "node 'a:Auth/succd': name 'start' appears twice under 'e:Auth'"),
+        (_set("s:k2", name="started"), "node 's:k2': name 'started' appears twice under 'a:Session/open'"),
+        (_set("s:k2", key="k1"), "node 's:k2': key 'k1' maps to a second status node"),
+        (_set("s:k2", key=None), "node 's:k2': status nodes need a key, and other nodes must have none"),
+        (_set("a:Auth/start", key="k9"),
+         "node 'a:Auth/start': status nodes need a key, and other nodes must have none"),
+        (_set("e:Comm", name=""), "node 'e:Comm': level and name must be strings, name non-empty"),
+        (_set("e:Comm", parent_id=["root"]), "node 'e:Comm': level and name must be strings, name non-empty"),
+        (_set("e:Comm", level="root"), "node 'e:Comm': only the node 'root' is of level 'root'"),
+        (lambda nodes: nodes.pop("root"), "the tree has no node 'root'"),
+    ],
+    ids=["status-under-entity", "entity-under-entity", "unknown-level", "missing-parent", "root-with-parent",
+         "duplicate-action-name", "duplicate-status-name", "key-twice", "status-without-key", "key-on-action",
+         "empty-name", "list-parent", "second-root", "no-root"],
+)
+def test_tree_load_rejects_a_malformed_tree(tmp_path, toy_tree, mutate, fault):
+    data = toy_tree.to_json()
+    nodes = {row["node_id"]: row for row in data["nodes"]}
+    mutate(nodes)
+    data["nodes"] = list(nodes.values())
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(TreeError) as info:
+        TopicTree.load(path)
+    assert str(info.value).startswith(f"{path}: {fault}")
+
+
+@pytest.mark.parametrize(
+    "rows, fault",
+    [
+        (None, "'nodes' must be a list of objects"),
+        ([["root"]], "'nodes' must be a list of objects"),
+        ([{"node_id": 7}], "node 0: 'node_id' must be a string"),
+        ([{"node_id": "root", "level": "root", "name": "root", "parent_id": None}] * 2, "node 'root' appears twice"),
+    ],
+    ids=["no-list", "not-objects", "id-not-string", "duplicate-id"],
+)
+def test_tree_from_json_rejects_malformed_node_rows(rows, fault):
+    with pytest.raises(TreeError, match=f"^{re.escape(fault)}"):
+        TopicTree.from_json({"format_version": 1, "nodes": rows})
 
 
 # -- extractors -----------------------------------------------------------------

@@ -328,8 +328,12 @@ def test_sequence_round_trip(tmp_path, toy_cat):
         ('{"sequence_id": "s2", "keys": "k1"}', "'keys' must be a list"),
         ('{"sequence_id": "s2", "keys": ["k1"], "label": "false"}', "'label' must be true, false or null"),
         ('{"sequence_id": "s2", "keys": ["k1"], "label": 0}', "'label' must be true, false or null"),
+        ('{"sequence_id": ["a"], "keys": ["k1"]}', "field 'sequence_id' must be a string"),
+        ('{"sequence_id": 5, "keys": ["k1"]}', "field 'sequence_id' must be a string"),
+        ('{"sequence_id": null, "keys": ["k1"]}', "field 'sequence_id' must be a string"),
     ],
-    ids=["bad-json", "not-object", "missing-keys", "unknown-key", "keys-not-list", "label-string", "label-int"],
+    ids=["bad-json", "not-object", "missing-keys", "unknown-key", "keys-not-list", "label-string", "label-int",
+         "id-list", "id-int", "id-null"],
 )
 def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, reason):
     path = tmp_path / "seqs.jsonl"

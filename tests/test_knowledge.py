@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hierlog.decompose import Seq, top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
-from hierlog.hierarchy import ENTITY, STATUS
+from hierlog.detect import DetectConfig, train as train_kbs
+from hierlog.hierarchy import ENTITY, STATUS, FixtureExtractor, TopicTree, build_tree, escape_name, extract_topics
 from hierlog.knowledge import (
     END_MARK,
     KB_FORMAT_VERSION,
@@ -74,6 +75,54 @@ def test_transition_index_keyed_by_escaped_parent_path():
     assert kb.accepts_transitions(seq.parent_key, ["s"])
     # the unescaped join names another parent path, ("root", "A", "B", "x")
     assert not kb.accepts_transitions("root>A>B>x", ["s"])
+
+
+def per_pair_check(kb, parent_key, nodes):
+    """Every adjacent pair of the walk looked up in turn: the oracle for `accepts_transitions`."""
+    transitions = kb.transition_index.get(parent_key, set())
+    walk = [START_MARK] + list(nodes) + [END_MARK]
+    return all(pair in transitions for pair in zip(walk, walk[1:]))
+
+
+_NAMES = st.sampled_from(["a", "bc", "a|b", "b>c", "c\\", "\\|>", "x\\>y|"])
+_PARENT_KEYS = ["root", "root>A", "root>A\\>B"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    trained=st.lists(st.tuples(st.sampled_from(_PARENT_KEYS), st.lists(_NAMES, min_size=1, max_size=5)), max_size=8),
+    probes=st.lists(
+        st.tuples(st.sampled_from(_PARENT_KEYS + ["root>Ghost"]), st.lists(_NAMES, max_size=5)), min_size=1, max_size=10
+    ),
+)
+def test_accepts_transitions_matches_the_per_pair_check(trained, probes):
+    kb = KnowledgeBase(level=STATUS, role="train")
+    for parent_key, nodes in trained:
+        escaped = {n: escape_name(n) for n in nodes}
+        kb.insert_train(Seq(STATUS, ("root",), nodes, ["k"] * len(nodes), parent_key, escaped))
+    loaded = KnowledgeBase.from_json(json.loads(json.dumps(kb.to_json())))
+    for parent_key, nodes in probes:
+        copies = [(name + "!")[:-1] for name in nodes]  # equal strings that are other objects
+        expected = per_pair_check(kb, parent_key, nodes)
+        for probed in (kb, loaded):
+            assert probed.accepts_transitions(parent_key, nodes) == expected
+            assert probed.accepts_transitions(parent_key, copies) == expected
+        assert kb.accepts_transitions(parent_key, []) == per_pair_check(kb, parent_key, [])
+
+
+def test_loaded_transition_names_are_the_trees_own_objects(tmp_path, corpus):
+    built = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
+    kbs = train_kbs(corpus.train, built, DetectConfig())
+    built.save(tmp_path / "tree.json")
+    kbs.save_dir(tmp_path / "kb")
+    tree = TopicTree.load(tmp_path / "tree.json")
+    loaded = KnowledgeBaseSet.load_dir(tmp_path / "kb")
+    own = {name: name for names in tree.key_names.values() for name in names}
+    own.update({START_MARK: START_MARK, END_MARK: END_MARK})
+    names = [name for kb in loaded.train.values() for pairs in kb.transition_index.values() for pair in pairs
+             for name in pair]
+    assert len(names) > 100
+    assert all(own[name] is name for name in names)
 
 
 def test_role_guards(toy_tree):
