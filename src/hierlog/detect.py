@@ -62,6 +62,8 @@ class DetectConfig:
 
     def __post_init__(self):
         if isinstance(self.levels_enabled, str):
+            if self.levels_enabled not in LEVEL_PRESETS:
+                raise ValueError(f"unknown levels {self.levels_enabled!r}; use {', '.join(LEVEL_PRESETS)}")
             self.levels_enabled = LEVEL_PRESETS[self.levels_enabled]
         unknown = set(self.levels_enabled) - set(LEVEL_ORDER)
         if unknown:
@@ -297,7 +299,7 @@ def train(
     if config.llm_enabled and provider is None:
         raise ValueError("llm_enabled training requires a provider for summaries")
     templates = templates or {}
-    kbs = KnowledgeBaseSet()
+    kbs = KnowledgeBaseSet(llm=config.llm_enabled)
     for sequence in sequences:
         if sequence.label is True:
             raise ValueError(f"training sequence {sequence.id} is labeled abnormal (one-class setting)")

@@ -58,18 +58,6 @@ class StructureReport:
     llm_calls: int = 0
     llm_call_ratio: float = 0.0  # vs test sequence count
 
-    def to_json(self) -> dict:
-        return {
-            "node_counts": self.node_counts,
-            "unique_seqs": self.unique_seqs,
-            "total_occurrences": self.total_occurrences,
-            "reuse_ratio": self.reuse_ratio,
-            "keys_by_level_set": self.keys_by_level_set,
-            "raw_test_keys": self.raw_test_keys,
-            "llm_calls": self.llm_calls,
-            "llm_call_ratio": self.llm_call_ratio,
-        }
-
 
 def structure_report(
     tree: TopicTree,

@@ -413,49 +413,32 @@ def extract_topics(catalog: TemplateCatalog, extractor) -> list[TopicTriple]:
     return extractor.extract(catalog)
 
 
-def refine_topics(
-    triples: list[TopicTriple],
-    synonyms: Optional[dict[str, str]] = None,
-) -> list[TopicTriple]:
+def refine_topics(triples: list[TopicTriple]) -> list[TopicTriple]:
     """Canonicalize entity and action names against the extracted pools.
 
-    Names that agree up to case folding (or via the synonym table) merge
-    into one canonical spelling: the most frequent original, ties broken
-    lexicographically. Entities are pooled globally, actions per entity;
-    statuses are left untouched.
+    Names that agree up to case folding merge into one canonical spelling:
+    the most frequent original, ties broken lexicographically. Entities
+    are pooled globally, actions per entity; statuses are left untouched.
     """
-    if not triples:
-        return []
-    synonyms = {k.lower(): v for k, v in (synonyms or {}).items()}
-
-    def fold(name: str) -> str:
-        return synonyms.get(name.lower(), name).lower()
-
     entity_pool: dict[str, Counter] = {}
     for t in triples:
-        entity_pool.setdefault(fold(t.entity), Counter())[synonyms.get(t.entity.lower(), t.entity)] += 1
+        entity_pool.setdefault(t.entity.lower(), Counter())[t.entity] += 1
     entity_canon = {k: _canonical(c) for k, c in entity_pool.items()}
 
     action_pool: dict[tuple[str, str], Counter] = {}
     for t in triples:
-        ekey = fold(t.entity)
-        action_pool.setdefault((ekey, fold(t.action)), Counter())[
-            synonyms.get(t.action.lower(), t.action)
-        ] += 1
+        action_pool.setdefault((t.entity.lower(), t.action.lower()), Counter())[t.action] += 1
     action_canon = {k: _canonical(c) for k, c in action_pool.items()}
 
-    refined = []
-    for t in triples:
-        ekey = fold(t.entity)
-        refined.append(
-            TopicTriple(
-                key=t.key,
-                entity=entity_canon[ekey],
-                action=action_canon[(ekey, fold(t.action))],
-                status=t.status,
-            )
+    return [
+        TopicTriple(
+            key=t.key,
+            entity=entity_canon[t.entity.lower()],
+            action=action_canon[(t.entity.lower(), t.action.lower())],
+            status=t.status,
         )
-    return refined
+        for t in triples
+    ]
 
 
 def _canonical(counter: Counter) -> str:

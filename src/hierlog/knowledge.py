@@ -2,13 +2,22 @@
 
 Training KBs store deduplicated normal sub-sequences (keyed by signature,
 with occurrence counts and an adjacency transition index per escaped
-parent path). With the LLM path on, each entry also holds a summary and
-a sparse embedding, persisted as its ``[[index, value], ...]`` non-zeros.
-Test KBs cache decided LLM verdicts per chunk, so a repeated pattern that
-the symbolic detector rejects never re-queries the provider. Symbolic
-verdicts are never cached: the train-KB probe is already exact and cheap.
-Loading checks every field of every entry and every transition pair, and
-raises `FormatError` naming the entry and the field, or the parent.
+parent path). With the LLM path on, each entry also holds an example
+chunk, a summary and a sparse embedding. Test KBs cache decided LLM
+verdicts per chunk, so a repeated pattern that the symbolic detector
+rejects never re-queries the provider. Symbolic verdicts are never cached:
+the train-KB probe is already exact and cheap.
+
+A train file persists only what cannot be derived. Its entries are grouped
+by parent path, ``"groups": [[parent_path, rows], ...]``, in the order of
+the escaped parent path and, within a group, of the signature. A row is
+``[nodes, occurrence_count]``; in a KB trained with the LLM on, which the
+header's ``"llm"`` flag records, it is ``[nodes, occurrence_count,
+example_chunk, summary, embedding]``, the embedding as its ``[[index,
+value], ...]`` non-zeros. Loading rebuilds each signature and the
+transition index from the rows, interning every name on the way, and
+checks every field of every row and every name; a fault raises
+`FormatError` naming the group and the row.
 """
 
 from __future__ import annotations
@@ -19,19 +28,20 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import add, attrgetter, itemgetter, lt, mul
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .decompose import Seq
 from .errors import FormatError, KnowledgeBaseError
-from .hierarchy import LEVELS
+from .hierarchy import ACTION, ENTITY, LEVELS, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, escape_name
 from .semantics import EMBED_DIM, SparseVector, sparse_vector
 
-KB_FORMAT_VERSION = 3
+KB_FORMAT_VERSION = 4
 
-# interned, like the tree's node names and every loaded transition name, so
-# a probe's pairs match the stored pairs by identity
+# interned, like the tree's node names and every loaded name, so a probe's
+# pairs match the stored pairs by identity
 START_MARK = sys.intern("<start>")
 END_MARK = sys.intern("<end>")
 _NO_TRANSITIONS: frozenset = frozenset()
@@ -44,12 +54,12 @@ def chunk_key(chunk: Sequence[str]) -> str:
     return _CHUNK_SEP.join(chunk)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainEntry:
     signature: str
     parent_path: list[str]
     nodes: list[str]
-    example_chunk: list[str]
+    example_chunk: Optional[list[str]]  # None when loaded from a KB trained with the LLM off
     occurrence_count: int = 1
     summary: Optional[str] = None
     embedding: Optional[SparseVector] = None
@@ -73,6 +83,9 @@ class KnowledgeBase:
     # escaped parent path (Seq.parent_key) -> set of (prev, next) node-name
     # pairs incl. start/end marks
     transition_index: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
+    # a train KB trained with the LLM on: its entries carry example chunks,
+    # summaries and embeddings, and its file persists them
+    llm: bool = False
 
     def __post_init__(self):
         # Retrieval index, built lazily and never persisted: parent path ->
@@ -90,7 +103,7 @@ class KnowledgeBase:
                 signature=seq.signature,
                 parent_path=list(seq.parent_path),
                 nodes=list(seq.nodes),
-                example_chunk=list(seq.chunk),
+                example_chunk=list(seq.chunk) if self.llm else None,
             )
             self.entries[seq.signature] = entry
             self._siblings = None
@@ -146,16 +159,20 @@ class KnowledgeBase:
     # -- persistence --------------------------------------------------------
 
     def to_json(self) -> dict:
-        _, spec = _ENTRIES[self.role]
-        entries = [{name: getattr(e, name) for name in spec} for _, e in sorted(self.entries.items())]
-        data = {"format_version": KB_FORMAT_VERSION, "role": self.role, "level": self.level, "entries": entries}
-        if self.role == "train":
-            for row in entries:
-                if row["embedding"] is not None:
-                    row["embedding"] = [[i, x] for i, x in row["embedding"].nonzeros.items()]
-            data["transition_index"] = {
-                parent: sorted(map(list, pairs)) for parent, pairs in sorted(self.transition_index.items())
-            }
+        data = {"format_version": KB_FORMAT_VERSION, "role": self.role, "level": self.level}
+        if self.role == "test":
+            rows = sorted(self.entries.items())
+            data["entries"] = [{name: getattr(e, name) for name in _TEST_FIELDS} for _, e in rows]
+            return data
+        by_parent: dict[tuple[str, ...], list[TrainEntry]] = {}
+        for entry in self.entries.values():
+            by_parent.setdefault(tuple(entry.parent_path), []).append(entry)
+        keyed = sorted((SIG_NODE_SEP.join(map(escape_name, path)), path) for path in by_parent)
+        row = _llm_row if self.llm else _row
+        data["llm"] = self.llm
+        data["groups"] = [
+            [list(path), [row(e) for e in sorted(by_parent[path], key=attrgetter("signature"))]] for _, path in keyed
+        ]
         return data
 
     @classmethod
@@ -164,28 +181,24 @@ class KnowledgeBase:
         if version != KB_FORMAT_VERSION:
             raise FormatError(f"KB format version {version!r}, expected {KB_FORMAT_VERSION}")
         kb = cls(level=data.get("level"), role=data.get("role"))
-        rows, index = data.get("entries"), data.get("transition_index", {})
-        if kb.role not in ("train", "test") or kb.level not in LEVELS or (type(rows), type(index)) != (list, dict):
-            raise FormatError("a KB needs a role (train or test), a level, a list of entries and a transition map")
-        entry_class, spec = _ENTRIES[kb.role]
-        columns = _columns(rows, spec)
-        kb.entries = dict(zip(columns[0], map(entry_class, *columns)))  # by signature or chunk key
-        if kb.role == "train":
-            for entry in kb.entries.values():
-                if entry.embedding is not None:
-                    entry.embedding = sparse_vector(dict(entry.embedding))
-            if not _are_pair_lists(index.values()):
-                parent = next(p for p, pairs in index.items() if not _are_pair_lists([pairs]))
-                raise FormatError(f"transition_index[{parent!r}] must be a list of [prev, next] name pairs")
-            intern = sys.intern  # see START_MARK
-            kb.transition_index = {
-                parent: {(intern(a), intern(b)) for a, b in pairs} for parent, pairs in index.items()
-            }
+        if kb.role not in ("train", "test") or kb.level not in LEVELS:
+            raise FormatError("a KB needs a role (train or test) and a level")
+        if kb.role == "test":
+            rows = data.get("entries")
+            if type(rows) is not list:
+                raise FormatError("a test KB needs a list of entries")
+            columns = _columns(rows, _TEST_FIELDS)
+            kb.entries = dict(zip(columns[0], map(TestEntry, *columns)))  # by chunk key
+        else:
+            kb.llm, groups = data.get("llm"), data.get("groups")
+            if type(kb.llm) is not bool or type(groups) is not list:
+                raise FormatError("a train KB needs an llm flag (true or false) and a list of groups")
+            _load_groups(kb, groups)
         return kb
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        payload = json.dumps(self.to_json(), sort_keys=True)
+        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -231,13 +244,24 @@ def _sparse_cosine(a: SparseVector, b: SparseVector) -> float:
     return dot / (a.norm * b.norm)
 
 
+# -- the train file's rows -----------------------------------------------------
+
+
+def _row(entry: TrainEntry) -> list:
+    return [entry.nodes, entry.occurrence_count]
+
+
+def _llm_row(entry: TrainEntry) -> list:
+    embedding = entry.embedding
+    pairs = None if embedding is None else [[i, x] for i, x in embedding.nonzeros.items()]
+    return [entry.nodes, entry.occurrence_count, entry.example_chunk, entry.summary, pairs]
+
+
 # -- validation on load ---------------------------------------------------------
 #
 # A KB holds thousands of entries and loading is on the detector's set-up
 # path, so each field is checked down a whole column of entries, by set
-# operations that run in C; only a fault is looked up entry by entry. The
-# strings inside list fields go unchecked, because checking each of them
-# costs more than all the other checks together.
+# operations that run in C; only a fault is looked up entry by entry.
 
 _ABSENT = object()
 
@@ -251,42 +275,55 @@ def _among(*values):
     return lambda column: set(map(type, column)) <= {str} and set(column) <= set(values)
 
 
-def _is_embedding(value) -> bool:
-    """None, or the ``[[index, value], ...]`` non-zeros of a vector whose sparse cosine is exact.
+def _name_lists(length: Optional[int] = None):
+    """Each value a non-empty list of strings, of `length` strings when given."""
+
+    def check(column) -> bool:
+        lengths = set(map(len, column)) if set(map(type, column)) <= {list} else {-1}
+        ok = lengths <= {length} if length is not None else min(lengths, default=1) > 0
+        return ok and set(map(type, chain.from_iterable(column))) <= {str}
+
+    return check
+
+
+def _embeddings(column) -> bool:
+    """Each value None, or the ``[[index, value], ...]`` non-zeros of a vector whose sparse cosine is exact.
 
     Indices are ints that ascend strictly within [0, EMBED_DIM); values are
     finite non-zero floats whose squares sum to a finite norm.
     """
-    if value is None:
-        return True
-    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
+    vectors = [v for v in column if v is not None]
+    if not set(map(type, vectors)) <= {list}:
         return False
-    indices = [-1] + [i for i, _ in value] + [EMBED_DIM]
-    return (
-        all(type(i) is int for i in indices)
-        and all(a < b for a, b in zip(indices, indices[1:]))
-        and all(type(x) is float and x != 0.0 and math.isfinite(x) for _, x in value)
-        and math.isfinite(sum(x * x for _, x in value))
+    pairs = list(chain.from_iterable(vectors))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return False
+    indices, values = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+    if not (set(map(type, indices)) <= {int} and set(map(type, values)) <= {float}):
+        return False
+    if not (0 <= min(indices, default=0) and max(indices, default=0) < EMBED_DIM):
+        return False
+    if 0.0 in values or not all(map(math.isfinite, values)):  # 0.0 == -0.0
+        return False
+    # each vector's indices ascend strictly iff, shifted up by EMBED_DIM more
+    # for each later vector, all of them do
+    shifts = chain.from_iterable(repeat(k * EMBED_DIM, len(v)) for k, v in enumerate(vectors))
+    shifted = list(map(add, indices, shifts))
+    if not all(map(lt, shifted, islice(shifted, 1, None))):
+        return False
+    # a square is never negative, so a vector's sum of squares is finite when the sum over all vectors is
+    return math.isfinite(sum(map(mul, values, values))) or all(
+        math.isfinite(sum(x * x for _, x in vector)) for vector in vectors
     )
 
 
-def _are_pair_lists(lists) -> bool:
-    """True iff each of `lists` is a list of two-string lists, checked over all pairs at once."""
-    if not set(map(type, lists)) <= {list}:
-        return False
-    pairs = list(chain.from_iterable(lists))
-    return set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} and _of_type(str)(chain.from_iterable(pairs))
-
-
-# field -> check of a column of its values, in the order of the entry class's fields
-_TRAIN_FIELDS = {
-    "signature": _of_type(str),
-    "parent_path": _of_type(list),
-    "nodes": _of_type(list),
-    "example_chunk": _of_type(list),
+# field -> check of a column of its values: a train row's, in row order, and a test entry's
+_ROW_FIELDS = {
+    "nodes": _name_lists(),
     "occurrence_count": lambda column: set(map(type, column)) <= {int} and min(column, default=1) > 0,
+    "example_chunk": _name_lists(),
     "summary": _of_type(str, type(None)),
-    "embedding": lambda column: all(map(_is_embedding, column)),
+    "embedding": _embeddings,
 }
 _TEST_FIELDS = {
     "chunk_key": _of_type(str),
@@ -294,12 +331,18 @@ _TEST_FIELDS = {
     "explanation": _of_type(str, type(None)),
     "confidence_flag": _among("normal", "low"),
 }
-_OPTIONAL = {"summary", "embedding", "explanation"}  # absent means null
-_ENTRIES = {"train": (TrainEntry, _TRAIN_FIELDS), "test": (TestEntry, _TEST_FIELDS)}
+_OPTIONAL = {"explanation"}  # absent means null
+_PATH_LENGTH = {ENTITY: 1, ACTION: 2, STATUS: 3}  # names in a parent path: root, entity, action
+
+
+def _fault(column: list, check, name: str) -> tuple[int, str]:
+    """The index of the first value of `column` that fails `check`, and what is wrong with it."""
+    n, value = next((n, v) for n, v in enumerate(column) if not check([v]))
+    return n, f"missing field {name!r}" if value is _ABSENT else f"field {name!r} has a bad value {value!r}"
 
 
 def _columns(rows: list, spec: dict) -> list[list]:
-    """The values of each field that `spec` names across all entries, checked."""
+    """The values of each field that `spec` names across all test entries, checked."""
     if not set(map(type, rows)) <= {dict}:
         n = next(n for n, row in enumerate(rows) if type(row) is not dict)
         raise FormatError(f"entry {n} is not an object")
@@ -308,25 +351,90 @@ def _columns(rows: list, spec: dict) -> list[list]:
         absent = None if name in _OPTIONAL else _ABSENT
         column = [row.get(name, absent) for row in rows]
         if not check(column):
-            n, value = next((n, v) for n, v in enumerate(column) if not check([v]))
-            fault = f"missing field {name!r}" if value is _ABSENT else f"field {name!r} has a bad value {value!r}"
+            n, fault = _fault(column, check, name)
             raise FormatError(f"entry {n}: {fault}")
         columns.append(column)
     return columns
 
 
+def _load_groups(kb: KnowledgeBase, groups: list) -> None:
+    """Check the ``[parent_path, rows]`` groups of a train file and fill `kb` from them."""
+    if not (set(map(type, groups)) <= {list} and set(map(len, groups)) <= {2}):
+        g = next(g for g, group in enumerate(groups) if type(group) is not list or len(group) != 2)
+        raise FormatError(f"group {g} is not a [parent_path, rows] pair")
+    parents, row_lists = [g[0] for g in groups], [g[1] for g in groups]
+    for name, column, check in (
+        ("parent_path", parents, _name_lists(_PATH_LENGTH[kb.level])), ("rows", row_lists, _of_type(list))
+    ):
+        if not check(column):
+            g, fault = _fault(column, check, name)
+            raise FormatError(f"group {g}: {fault}")
+
+    def where(n: int) -> str:  # a row's index over all groups -> its place in the file
+        for g, rows in enumerate(row_lists):
+            if n < len(rows):
+                return f"group {g}, row {n}"
+            n -= len(rows)
+
+    all_rows = list(chain.from_iterable(row_lists))
+    spec = list(_ROW_FIELDS.items())[: 5 if kb.llm else 2]
+    width = len(spec)
+    if not (set(map(type, all_rows)) <= {list} and set(map(len, all_rows)) <= {width}):
+        n, row = next((n, row) for n, row in enumerate(all_rows) if type(row) is not list or len(row) != width)
+        if type(row) is not list:
+            fault = "is not a list"
+        elif len(row) < width:
+            fault = f"missing field {spec[len(row)][0]!r}"
+        else:
+            fault = f"has {len(row)} fields, but a row of this KB has {width}"
+        raise FormatError(f"{where(n)}: {fault}")
+    columns = list(zip(*all_rows)) or [()] * width
+    for (name, check), column in zip(spec, columns):
+        if not check(column):
+            n, fault = _fault(column, check, name)
+            raise FormatError(f"{where(n)}: {fault}")
+
+    # Every name is interned once, here, so the pairs that a probe builds
+    # from the tree's names match the stored pairs by identity.
+    intern = sys.intern
+    escape = {name: escape_name(name) for name in set(chain(*parents, *columns[0]))}.__getitem__
+    entries, index = kb.entries, kb.transition_index
+    for g, (parent, rows) in enumerate(zip(parents, row_lists)):
+        parent = list(map(intern, parent))  # shared by the group's entries
+        parent_key = SIG_NODE_SEP.join(map(escape, parent))
+        prefix = parent_key + SIG_PARENT_SEP
+        transitions = index.setdefault(parent_key, set())
+        for r, row in enumerate(rows):
+            nodes = list(map(intern, row[0]))
+            signature = prefix + SIG_NODE_SEP.join(map(escape, nodes))
+            if signature in entries:
+                raise FormatError(f"group {g}, row {r}: repeats the parent path and nodes of an earlier row")
+            transitions.update(zip([START_MARK, *nodes], [*nodes, END_MARK]))
+            entries[signature] = TrainEntry(signature, parent, nodes, None, row[1])
+    if kb.llm:
+        for entry, (_, _, chunk, summary, pairs) in zip(entries.values(), all_rows):
+            entry.example_chunk, entry.summary = chunk, summary
+            if pairs is not None:
+                entry.embedding = sparse_vector(dict(pairs))
+
+
 class KnowledgeBaseSet:
     """The six KBs of one run: train and test, one per level."""
 
-    def __init__(self):
-        self.train = {level: KnowledgeBase(level=level, role="train") for level in LEVELS}
+    def __init__(self, llm: bool = False):
+        self.train = {level: KnowledgeBase(level=level, role="train", llm=llm) for level in LEVELS}
         self.test = {level: KnowledgeBase(level=level, role="test") for level in LEVELS}
 
-    def save_dir(self, directory: str | Path) -> None:
+    def save_dir(self, directory: str | Path, train: bool = True) -> None:
+        """Write the six KB files, or with ``train=False`` only the three LLM caches.
+
+        Detection never changes a train KB, so it writes the caches alone.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for level in LEVELS:
-            self.train[level].save(directory / f"train_{level}.json")
+            if train:
+                self.train[level].save(directory / f"train_{level}.json")
             self.test[level].save(directory / f"test_{level}.json")
 
     @classmethod

@@ -57,16 +57,12 @@ log = logging.getLogger(__name__)
 
 
 def parse_detector_spec(spec: str) -> dict[str, str]:
-    """Parse '<exact|automaton>[:level=kind,...]' into a per-level map."""
+    """Parse '<kind>[:level=kind,...]' into a per-level map; `DetectConfig` checks the kinds and levels."""
     base, _, overrides = spec.partition(":")
-    if base not in ("exact", "automaton"):
-        raise ConfigError(f"unknown detector: {base!r}")
     per_level = {level: base for level in ("status", "action", "entity")}
     if overrides:
         for item in overrides.split(","):
             level, _, kind = item.partition("=")
-            if level not in per_level or kind not in ("exact", "automaton"):
-                raise ConfigError(f"bad detector override: {item!r}")
             per_level[level] = kind
     return per_level
 
@@ -158,14 +154,20 @@ def train(
 
 def detect_config(levels: str, detector: str, llm: bool, m: int, early_exit: bool) -> DetectConfig:
     """The detector settings that the CLI options and the [detect] section name."""
-    return DetectConfig(levels, parse_detector_spec(detector), llm_enabled=llm, m=m, early_exit=early_exit)
+    try:
+        return DetectConfig(levels, parse_detector_spec(detector), llm_enabled=llm, m=m, early_exit=early_exit)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def detect(
     catalog: TemplateCatalog, tree: TopicTree, kbs: KnowledgeBaseSet, kb_dir: str | Path,
     sequences_path: str | Path, report_path: str | Path, config: DetectConfig, provider: Optional[Provider],
 ) -> tuple[list[LogSequence], list[SequenceReport]]:
-    """Detect over the test sequences, save the report, and save the LLM verdict caches to kb_dir."""
+    """Detect over the test sequences, save the report, and save the LLM verdict caches to kb_dir.
+
+    Detection never changes a train KB, so the train files in kb_dir are left as they are.
+    """
     sequences = load_sequences(sequences_path, catalog)
     detector = Detector(tree, kbs, config, provider=provider, templates=_template_texts(catalog))
     reports = detector.run(sequences)
@@ -175,7 +177,7 @@ def detect(
         "llm": config.llm_enabled,
     }
     save_reports(reports, report_path, meta=meta)
-    kbs.save_dir(kb_dir)
+    kbs.save_dir(kb_dir, train=False)
     log.info("detected %d sequences: %d memo hits, %d misses", len(reports), detector.memo_hits, detector.memo_misses)
     return sequences, reports
 
@@ -210,7 +212,7 @@ def evaluate(
     by_id = {r.sequence_id: r for r in reports}
     payload = {
         "metrics": score(sequences, {sid: r.final_verdict for sid, r in by_id.items()}),
-        "structure": structure_report(tree, kbs, reports).to_json(),
+        "structure": asdict(structure_report(tree, kbs, reports)),
     }
     if attribution:
         labeled = [s for s in sequences if s.label is not None]

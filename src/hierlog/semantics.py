@@ -316,19 +316,20 @@ def parse_verdict(text: str) -> Optional[tuple[str, str]]:
     return verdict, explanation
 
 
-def llm_detect(
-    prompt: DetectionPrompt, provider: Provider, retry_limit: int = 2
-) -> tuple[str, str, bool]:
+RETRY_LIMIT = 2  # retries of a detection request whose response carries no verdict
+
+
+def llm_detect(prompt: DetectionPrompt, provider: Provider) -> tuple[str, str, bool]:
     """Query the provider for a verdict.
 
     Returns (verdict, explanation, low_confidence). An unparseable response
-    is retried up to retry_limit times and then falls back to abnormal with
+    is retried up to RETRY_LIMIT times and then falls back to abnormal with
     the low-confidence flag set (the pipeline is recall-first). Transport
     failures propagate as ProviderError.
     """
     request = prompt.render()
     last_text = ""
-    for _ in range(retry_limit + 1):
+    for _ in range(RETRY_LIMIT + 1):
         last_text = provider.complete(request)
         parsed = parse_verdict(last_text)
         if parsed is not None:

@@ -152,7 +152,7 @@ def _coverage_blocks() -> list[tuple[list[str], list[list[str]]]]:
     return out
 
 
-def _inject(level: str, order: list[str], blocks: list[list[str]], rng: random.Random) -> None:
+def _inject(level: str, order: list[str], blocks: list[list[str]]) -> None:
     """Mutate blocks in place so only `level` gains an unseen pattern."""
     if level == "status":
         # reverse the opening session statuses: [started, succf] -> [succf, started]
@@ -211,7 +211,7 @@ def make_corpus(
         order, blocks = _normal_blocks(rng)
         if i < n_anomalies:
             level = levels[i % len(levels)]
-            _inject(level, order, blocks, rng)
+            _inject(level, order, blocks)
             injection_level[seq_id] = level
             test.append(_to_sequence(seq_id, blocks, catalog, label=True))
         else:

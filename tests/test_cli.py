@@ -14,6 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from hierlog.cli import main
+from hierlog.decompose import make_signature
+from hierlog.knowledge import END_MARK, KB_FORMAT_VERSION, START_MARK
 
 KB_FILES = [f"{role}_{level}.json" for role in ("train", "test") for level in ("entity", "action", "status")]
 
@@ -145,11 +147,17 @@ def test_configuration_errors_exit_2(tmp_path, data, trained):
                      '{"message": "Open session successful", "timestamp": 1}\n')
     bad_ini = tmp_path / "bad.ini"
     bad_ini.write_text("templates = t.csv\n")
+    ini = tmp_path / "ini"
+    ini.mkdir()
     cases = [
         [*detect, "--detector", "bogus"],
         [*detect, "--detector", "exact:galaxy=exact"],
+        [*detect, "--detector", "exact:stauts=automaton"],
+        [*detect, "--detector", "exact:status"],
         ["pipeline", "--config", bad_ini],
         ["pipeline", "--config", tmp_path / "missing.ini"],
+        ["pipeline", "--config", write_ini(data, ini, "off", {"detect": {"detector": "bogus"}})],
+        ["pipeline", "--config", write_ini(data, ini, "off", {"detect": {"levels": "AE"}})],
     ]
     for spec in ("time:abc", "time:nan", "time:1:nan", "count:1.5", "count:0.5", "count", "bogus"):
         cases.append(["ingest", "--templates", templates, "--logs", timed, "--partition", spec,
@@ -267,36 +275,65 @@ def trained_llm(data, tmp_path_factory):
     return out
 
 
-def test_detect_rejects_a_version_2_kb_directory(tmp_path, data, trained_llm):
-    # what the previous format wrote: every embedding as a dense 256-wide list
-    old = train_only_kb(trained_llm, tmp_path / "v2")
+def format_3(kb):
+    """A format-4 train KB's JSON as format 3 wrote it: one object per entry, signatures and the transition index."""
+    entries, index = [], {}
+    for parent, rows in kb["groups"]:
+        pairs = index.setdefault(">".join(parent), set())  # no name in these KBs needs escaping
+        for nodes, count, chunk, summary, embedding in rows:
+            entries.append({"signature": make_signature(parent, nodes), "parent_path": parent, "nodes": nodes,
+                            "example_chunk": chunk, "occurrence_count": count, "summary": summary,
+                            "embedding": embedding})
+            pairs.update(zip([START_MARK, *nodes], [*nodes, END_MARK]))
+    return {"format_version": 3, "role": kb["role"], "level": kb["level"],
+            "entries": sorted(entries, key=lambda e: e["signature"]),
+            "transition_index": {parent: sorted(map(list, pairs)) for parent, pairs in sorted(index.items())}}
+
+
+def write_old_format(trained_llm, out, version):
+    """The LLM-on train KBs of `trained_llm` in format 3; in format 2, each embedding was a dense 256-wide list."""
+    old = train_only_kb(trained_llm, out)
     for level in ("entity", "action", "status"):
         path = old / f"train_{level}.json"
-        kb = json.loads(path.read_text())
+        kb = format_3(json.loads(path.read_text()))
         assert kb["entries"] and all(row["embedding"] for row in kb["entries"])
-        for row in kb["entries"]:
-            vector = [0.0] * 256
-            for i, x in row["embedding"]:
-                vector[i] = x
-            row["embedding"] = vector
-        kb["format_version"] = 2
+        if version == 2:
+            for row in kb["entries"]:
+                vector = [0.0] * 256
+                for i, x in row["embedding"]:
+                    vector[i] = x
+                row["embedding"] = vector
+        kb["format_version"] = version
         path.write_text(json.dumps(kb, sort_keys=True))
+    return old
+
+
+def assert_old_format_rejected(tmp_path, data, trained_llm, version):
+    old = write_old_format(trained_llm, tmp_path / f"v{version}", version)
     result = detect_with_kb(data, trained_llm, old, tmp_path / "report.jsonl")
     assert result.exit_code == 1
-    assert f"{old / 'train_entity.json'}: KB format version 2, expected 3" in result.output
+    assert f"{old / 'train_entity.json'}: KB format version {version}, expected {KB_FORMAT_VERSION}" in result.output
     assert "re-run `hierlog train`" in result.output
     assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_detect_rejects_a_version_2_kb_directory(tmp_path, data, trained_llm):
+    assert_old_format_rejected(tmp_path, data, trained_llm, 2)
+
+
+def test_detect_rejects_a_format_3_kb_directory(tmp_path, data, trained_llm):
+    assert_old_format_rejected(tmp_path, data, trained_llm, 3)
 
 
 def test_detect_names_the_file_and_entry_of_a_missing_field(tmp_path, data, trained):
     kb_dir = train_only_kb(trained, tmp_path / "kb")
     path = kb_dir / "train_status.json"
     kb = json.loads(path.read_text())
-    del kb["entries"][0]["occurrence_count"]
+    del kb["groups"][0][1][0][1:]
     path.write_text(json.dumps(kb))
     result = detect_with_kb(data, trained, kb_dir, tmp_path / "report.jsonl")
     assert result.exit_code == 1
-    assert f"error: {path}: entry 0: missing field 'occurrence_count'" in result.output
+    assert f"error: {path}: group 0, row 0: missing field 'occurrence_count'" in result.output
     assert not (tmp_path / "report.jsonl").exists()
 
 
@@ -387,23 +424,60 @@ def test_detect_logs_memo_hits_and_misses(tmp_path, data, caplog):
     assert "memo" not in (tmp_path / "eval.json").read_text()
 
 
-@pytest.mark.parametrize(
-    "pairs",
-    [[1], [["<start>"]], [["<start>", 3]]],
-    ids=["int-pair", "one-element-pair", "non-string-member"],
-)
-def test_detect_names_the_file_and_parent_of_a_bad_transition_pair(tmp_path, data, trained, pairs):
+def _second_group(kb):
+    return kb["groups"][1]
+
+
+# case -> (an edit of a train_status.json, the fault reported)
+ROW_FAULTS = {
+    "int-name-in-parent-path": (
+        lambda kb: _second_group(kb)[0].__setitem__(2, 3), "group 1: field 'parent_path' has a bad value"
+    ),
+    "wide-row": (lambda kb: _second_group(kb)[1][0].append(None), "group 1, row 0: has 3 fields, but a row of this KB"),
+    "duplicate-row": (
+        lambda kb: _second_group(kb)[1].append(_second_group(kb)[1][0]), "group 1, row 1: repeats the parent path"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_FAULTS))
+def test_detect_names_the_file_group_and_row_of_a_bad_train_row(tmp_path, data, trained, case):
+    edit, fault = ROW_FAULTS[case]
     kb_dir = train_only_kb(trained, tmp_path / "kb")
-    path = kb_dir / "train_entity.json"
+    path = kb_dir / "train_status.json"
     kb = json.loads(path.read_text())
-    parent = sorted(kb["transition_index"])[0]
-    kb["transition_index"][parent] = pairs
+    edit(kb)
     path.write_text(json.dumps(kb))
     result = detect_with_kb(data, trained, kb_dir, tmp_path / "report.jsonl")
     assert result.exit_code == 1, result.output
-    assert result.output.startswith(f"error: {path}: transition_index[{parent!r}] must be a list of")
+    assert result.output.startswith(f"error: {path}: {fault}")
+    assert "re-run `hierlog train`" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "report.jsonl").exists()
+
+
+def _train_files(kb_dir):
+    """Each train KB file's inode and bytes: a rewrite, even of the same bytes, makes a new inode."""
+    paths = [kb_dir / f"train_{level}.json" for level in ("entity", "action", "status")]
+    return {path.name: (path.stat().st_ino, path.read_bytes()) for path in paths}
+
+
+def test_detect_and_a_resumed_pipeline_leave_the_train_files_alone(tmp_path, data, trained):
+    kb_dir = train_only_kb(trained, tmp_path / "kb")
+    before = _train_files(kb_dir)
+    ok("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json", "--kb-dir", kb_dir,
+       "--test", trained / "test.jsonl", "--report", tmp_path / "report.jsonl")
+    assert (kb_dir / "test_status.json").exists()
+    assert _train_files(kb_dir) == before
+
+    shutil.copy(trained / "tree.json", tmp_path / "tree.json")
+    resume = {"hierarchy": {"resume": "on"}, "train": {"resume": "on", "kb_dir": str(kb_dir)}}
+    config = write_ini(data, tmp_path, "off", resume)
+    ok("pipeline", "--config", config)
+    assert (tmp_path / "report.jsonl").read_bytes().split(b"\n", 1)[1] == (
+        (trained / "report.jsonl").read_bytes().split(b"\n", 1)[1]
+    )
+    assert _train_files(kb_dir) == before
 
 
 def _drop_field(line, name):

@@ -230,17 +230,18 @@ def test_refine_tie_breaks_lexicographically():
     assert {t.entity for t in refined} == {"Auth"}  # "Auth" < "auth"
 
 
-def test_refine_synonyms_and_action_scope():
+def test_refine_action_scope():
     triples = [
-        TopicTriple("k1", "Sess", "open"),
-        TopicTriple("k2", "Session", "open"),
-        TopicTriple("k3", "Disk", "open"),
+        TopicTriple("k1", "Session", "open"),
+        TopicTriple("k2", "session", "Open"),
+        TopicTriple("k3", "Session", "Open"),
+        TopicTriple("k4", "Disk", "open"),
     ]
-    refined = refine_topics(triples, synonyms={"sess": "Session"})
-    by_key = {t.key: t for t in refined}
-    assert by_key["k1"].entity == "Session"
-    # actions pool per entity: Disk/open unaffected by Session/open counts
-    assert by_key["k3"].action == "open"
+    by_key = {t.key: t for t in refine_topics(triples)}
+    assert {t.entity for t in by_key.values()} == {"Session", "Disk"}
+    assert by_key["k1"].action == "Open"  # Session's actions merge into their most frequent spelling
+    # actions pool per entity: Disk/open unaffected by Session/Open counts
+    assert by_key["k4"].action == "open"
 
 
 def test_refine_leaves_statuses_untouched():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,16 @@ from hypothesis import strategies as st
 from hierlog.decompose import Seq, top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
 from hierlog.detect import DetectConfig, train as train_kbs
-from hierlog.hierarchy import ENTITY, STATUS, FixtureExtractor, TopicTree, build_tree, escape_name, extract_topics
+from hierlog.hierarchy import (
+    ENTITY,
+    STATUS,
+    FixtureExtractor,
+    TopicTree,
+    TopicTriple,
+    build_tree,
+    escape_name,
+    extract_topics,
+)
 from hierlog.knowledge import (
     END_MARK,
     KB_FORMAT_VERSION,
@@ -21,7 +31,8 @@ from hierlog.knowledge import (
     chunk_key,
     _sparse_cosine,
 )
-from hierlog.semantics import EMBED_DIM, embed_chunk, sparse_vector
+from hierlog.ingest import LogSequence
+from hierlog.semantics import EMBED_DIM, MockProvider, embed_chunk, sparse_vector
 
 from conftest import TOY_KEYS, cosine, dense
 
@@ -33,7 +44,7 @@ def entity_seq(toy_tree, keys):
 # -- training entries ---------------------------------------------------------
 
 def test_insert_counts_occurrences(toy_tree):
-    kb = KnowledgeBase(level=ENTITY, role="train")
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     seq = entity_seq(toy_tree, TOY_KEYS)
     kb.insert_train(seq)
     kb.insert_train(seq)
@@ -42,6 +53,8 @@ def test_insert_counts_occurrences(toy_tree):
     assert entry.example_chunk == TOY_KEYS
     assert kb.contains(seq.signature)
     assert not kb.contains("root|Nothing")
+    # only the LLM path reads an example chunk, so an LLM-off KB keeps none
+    assert KnowledgeBase(level=ENTITY, role="train").insert_train(seq).example_chunk is None
 
 
 def test_transition_enumeration_oracle(toy_tree):
@@ -85,21 +98,23 @@ def per_pair_check(kb, parent_key, nodes):
 
 
 _NAMES = st.sampled_from(["a", "bc", "a|b", "b>c", "c\\", "\\|>", "x\\>y|"])
-_PARENT_KEYS = ["root", "root>A", "root>A\\>B"]
+_PARENT_PATHS = [("root", "A", "x"), ("root", "A>B", "x"), ("root", "A", "B>x")]
+_PARENT_KEYS = [">".join(map(escape_name, path)) for path in _PARENT_PATHS]  # three keys: escaping is injective
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    trained=st.lists(st.tuples(st.sampled_from(_PARENT_KEYS), st.lists(_NAMES, min_size=1, max_size=5)), max_size=8),
+    trained=st.lists(st.tuples(st.sampled_from(_PARENT_PATHS), st.lists(_NAMES, min_size=1, max_size=5)), max_size=8),
     probes=st.lists(
-        st.tuples(st.sampled_from(_PARENT_KEYS + ["root>Ghost"]), st.lists(_NAMES, max_size=5)), min_size=1, max_size=10
+        st.tuples(st.sampled_from(_PARENT_KEYS + ["root>Ghost>x"]), st.lists(_NAMES, max_size=5)),
+        min_size=1, max_size=10,
     ),
 )
 def test_accepts_transitions_matches_the_per_pair_check(trained, probes):
     kb = KnowledgeBase(level=STATUS, role="train")
-    for parent_key, nodes in trained:
+    for path, nodes in trained:
         escaped = {n: escape_name(n) for n in nodes}
-        kb.insert_train(Seq(STATUS, ("root",), nodes, ["k"] * len(nodes), parent_key, escaped))
+        kb.insert_train(Seq(STATUS, path, nodes, ["k"] * len(nodes), ">".join(map(escape_name, path)), escaped))
     loaded = KnowledgeBase.from_json(json.loads(json.dumps(kb.to_json())))
     for parent_key, nodes in probes:
         copies = [(name + "!")[:-1] for name in nodes]  # equal strings that are other objects
@@ -123,6 +138,47 @@ def test_loaded_transition_names_are_the_trees_own_objects(tmp_path, corpus):
              for name in pair]
     assert len(names) > 100
     assert all(own[name] is name for name in names)
+    entry_names = [name for kb in loaded.train.values() for e in kb.entries.values()
+                   for name in e.parent_path[1:] + e.nodes]
+    assert len(entry_names) > 100
+    assert all(own[name] is name for name in entry_names)
+
+
+# names that the signature encoding must escape, and a plain one
+_TREE_NAMES = st.sampled_from(["a", "b|c", "d>e", "f\\", "\\|>", "g\\>h|"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    names=st.lists(st.tuples(_TREE_NAMES, _TREE_NAMES, _TREE_NAMES), min_size=1, max_size=8),
+    llm=st.booleans(),
+)
+def test_train_save_load_round_trip_keeps_entries_and_transitions(data, names, llm):
+    triples = [TopicTriple(f"k{i}", *triple) for i, triple in enumerate(names)]
+    tree = build_tree(triples)
+    keys = st.sampled_from([t.key for t in triples])
+    sequences = [
+        LogSequence(f"s{i}", keys_, False)
+        for i, keys_ in enumerate(data.draw(st.lists(st.lists(keys, min_size=1, max_size=8), max_size=6)))
+    ]
+    config = DetectConfig(llm_enabled=llm)
+    built = train_kbs(sequences, tree, config, provider=MockProvider() if llm else None)
+    with tempfile.TemporaryDirectory() as directory:
+        built.save_dir(directory)
+        loaded = KnowledgeBaseSet.load_dir(directory)
+
+    def fields(entry):
+        own = (entry.signature, entry.parent_path, entry.nodes, entry.occurrence_count)
+        return own + ((entry.example_chunk, entry.summary, entry.embedding) if llm else ())
+
+    for level, kb in built.train.items():
+        got = loaded.train[level]
+        assert got.llm is llm
+        assert {s: fields(e) for s, e in got.entries.items()} == {s: fields(e) for s, e in kb.entries.items()}
+        assert all(sig == e.signature for sig, e in got.entries.items())
+        assert got.transition_index == kb.transition_index
+        assert got == kb
 
 
 def test_role_guards(toy_tree):
@@ -217,7 +273,7 @@ def test_sparse_cosine_is_bit_identical_to_cosine(a, b):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_retrieve_similar_matches_brute_force_oracle(data):
-    kb = KnowledgeBase(level=ENTITY, role="train")
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
 
     def insert(parent, nodes):
         seq = Seq(ENTITY, parent, nodes, nodes, ">".join(parent), {n: n for n in nodes})
@@ -231,7 +287,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
         entry.embedding = data.draw(_VECTORS, label="embedding")
 
     def check():
-        snapshot = json.dumps(kb.to_json(), sort_keys=True)  # a copy, not shared lists
+        snapshot = json.dumps(kb.to_json(), sort_keys=True)  # a copy, not shared lists, with the embeddings
         for parent in _PARENTS + [("root", "Ghost")]:
             query = data.draw(_VECTORS, label="query")
             m = data.draw(st.integers(-1, len(kb.entries) + 2), label="m")
@@ -270,7 +326,7 @@ def test_test_cache_round_trip(tmp_path):
 # -- persistence ------------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path, toy_tree):
-    kb = KnowledgeBase(level=ENTITY, role="train")
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     seq = entity_seq(toy_tree, TOY_KEYS)
     kb.insert_train(seq)
     kb.insert_train(entity_seq(toy_tree, ["k3", "k1"]))
@@ -343,11 +399,13 @@ def test_load_dir_names_the_file_of_an_old_format(tmp_path):
     assert "re-run `hierlog train`" in str(info.value)
 
 
-def _saved_train_kb(tmp_path, toy_tree):
-    """A saved entity train KB whose one entry has an embedding, and its JSON."""
-    kb = KnowledgeBase(level=ENTITY, role="train")
+def _saved_train_kb(tmp_path, toy_tree, llm=True):
+    """A saved entity train KB whose one entry has, with the LLM on, an embedding, and its JSON."""
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=llm)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    kb.insert_train(seq).embedding = embed_chunk(seq.chunk)
+    entry = kb.insert_train(seq)
+    if llm:
+        entry.summary, entry.embedding = "E:Session>Auth>Comm", embed_chunk(seq.chunk)
     path = tmp_path / "train_entity.json"
     kb.save(path)
     assert KnowledgeBase.load(path) == kb
@@ -377,48 +435,112 @@ def _saved_train_kb(tmp_path, toy_tree):
 )
 def test_load_rejects_a_bad_embedding(tmp_path, toy_tree, pairs):
     path, data = _saved_train_kb(tmp_path, toy_tree)
-    data["entries"][0]["embedding"] = pairs
+    data["groups"][0][1][0][4] = pairs
     path.write_text(json.dumps(data))  # NaN and Infinity as json writes and reads them
     with pytest.raises(FormatError) as info:
         KnowledgeBase.load(path)
-    assert f"{path}: entry 0: field 'embedding' has a bad value {pairs!r}" in str(info.value)
+    assert f"{path}: group 0, row 0: field 'embedding' has a bad value {pairs!r}" in str(info.value)
 
 
 def test_load_accepts_the_edges_of_a_valid_embedding(tmp_path, toy_tree):
     path, data = _saved_train_kb(tmp_path, toy_tree)
     pairs = [[0, -1e-300], [7, 5e-324], [EMBED_DIM - 1, 1e150]]
-    data["entries"][0]["embedding"] = pairs
+    data["groups"][0][1][0][4] = pairs
     path.write_text(json.dumps(data))
     kb = KnowledgeBase.load(path)
-    assert kb.entries[data["entries"][0]["signature"]].embedding == sparse_vector(dict(pairs))
-    assert kb.to_json()["entries"][0]["embedding"] == pairs
+    assert kb.entries["root|Session>Auth>Comm"].embedding == sparse_vector(dict(pairs))
+    assert kb.to_json()["groups"][0][1][0][4] == pairs
+
+
+def test_load_checks_each_norm_on_its_own(tmp_path, toy_tree):
+    # two vectors whose squares are finite each, 1e308, but overflow summed over both
+    path, data = _saved_train_kb(tmp_path, toy_tree)
+    rows = data["groups"][0][1]
+    rows.append([["Auth"], 1, ["k3"], "E:Auth", [[3, 1e154]]])
+    rows[0][4] = [[1, 1e154]]
+    path.write_text(json.dumps(data))
+    kb = KnowledgeBase.load(path)
+    assert [e.embedding.norm for e in kb.entries.values()] == [1e154, 1e154]
+    rows[0][4] = [[1, 1e154], [2, 1e154]]  # now the first one's norm is infinite
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="group 0, row 0: field 'embedding' has a bad value"):
+        KnowledgeBase.load(path)
 
 
 @pytest.mark.parametrize(
     "field, value, fault",
     [
         ("occurrence_count", None, "missing field 'occurrence_count'"),
-        ("signature", None, "missing field 'signature'"),
+        ("nodes", None, "missing field 'nodes'"),
         ("occurrence_count", "2", "field 'occurrence_count' has a bad value '2'"),
         ("occurrence_count", 0, "field 'occurrence_count' has a bad value 0"),
         ("occurrence_count", True, "field 'occurrence_count' has a bad value True"),
         ("nodes", {"0": "Session"}, "field 'nodes' has a bad value {'0': 'Session'}"),
         ("parent_path", "root", "field 'parent_path' has a bad value 'root'"),
         ("summary", 3, "field 'summary' has a bad value 3"),
+        ("occurrence_count", -1, "field 'occurrence_count' has a bad value -1"),
+        ("occurrence_count", 1.5, "field 'occurrence_count' has a bad value 1.5"),
+        ("nodes", ["Session", 3], "field 'nodes' has a bad value ['Session', 3]"),
+        ("nodes", [None], "field 'nodes' has a bad value [None]"),
+        ("nodes", [], "field 'nodes' has a bad value []"),
+        ("parent_path", [7], "field 'parent_path' has a bad value [7]"),
+        ("parent_path", ["root", "Auth"], "field 'parent_path' has a bad value ['root', 'Auth']"),  # too long
+        ("example_chunk", ["k1", 2], "field 'example_chunk' has a bad value ['k1', 2]"),
     ],
 )
 def test_load_names_the_entry_and_field_at_fault(tmp_path, toy_tree, field, value, fault):
     path, data = _saved_train_kb(tmp_path, toy_tree)
-    data["entries"].append(dict(data["entries"][0], signature="root|Other"))
-    row = data["entries"][1]
-    if value is None:
-        del row[field]
+    data["groups"].append([["Root"], json.loads(json.dumps(data["groups"][0][1]))])  # a second parent path
+    group = data["groups"][1]
+    columns = ["nodes", "occurrence_count", "example_chunk", "summary", "embedding"]
+    if field == "parent_path":
+        group[0], where = value, "group 1"
+    elif value is None:  # a row cut short just before the field
+        del group[1][0][columns.index(field):]
+        where = "group 1, row 0"
     else:
-        row[field] = value
+        group[1][0][columns.index(field)], where = value, "group 1, row 0"
     path.write_text(json.dumps(data))
     with pytest.raises(FormatError) as info:
         KnowledgeBase.load(path)
-    assert f"{path}: entry 1: {fault}" in str(info.value)
+    assert f"{path}: {where}: {fault}" in str(info.value)
+
+
+def _add_row(data, row):
+    data["groups"][0][1].append(row)
+
+
+# case -> (the LLM flag of the saved KB, an edit of its JSON, the fault reported)
+TRAIN_FAULTS = {
+    "wide-row": (False, lambda d: _add_row(d, [["Auth"], 1, None]), "group 0, row 1: has 3 fields, but a row of this"),
+    "llm-row-in-an-llm-off-kb": (
+        False, lambda d: _add_row(d, [["Auth"], 1, ["k3"], "A", None]), "group 0, row 1: has 5 fields, but a row"
+    ),
+    "short-llm-row": (True, lambda d: _add_row(d, [["Auth"], 1]), "group 0, row 1: missing field 'example_chunk'"),
+    "row-not-a-list": (False, lambda d: _add_row(d, {"nodes": ["Auth"]}), "group 0, row 1: is not a list"),
+    "duplicate-row": (
+        False, lambda d: _add_row(d, list(d["groups"][0][1][0])), "group 0, row 1: repeats the parent path and nodes"
+    ),
+    "duplicate-across-groups": (
+        False, lambda d: d["groups"].append(json.loads(json.dumps(d["groups"][0]))), "group 1, row 0: repeats"
+    ),
+    "group-not-a-pair": (False, lambda d: d["groups"].append([["root"]]), "group 1 is not a [parent_path, rows] pair"),
+    "rows-not-a-list": (False, lambda d: d["groups"][0].__setitem__(1, "rows"), "group 0: field 'rows' has a bad"),
+    "llm-flag-not-a-bool": (False, lambda d: d.__setitem__("llm", "false"), "a train KB needs an llm flag"),
+    "no-groups": (False, lambda d: d.pop("groups"), "a train KB needs an llm flag (true or false) and a list of"),
+}
+
+
+@pytest.mark.parametrize("case", list(TRAIN_FAULTS))
+def test_load_rejects_a_bad_train_file(tmp_path, toy_tree, case):
+    llm, edit, fault = TRAIN_FAULTS[case]
+    path, data = _saved_train_kb(tmp_path, toy_tree, llm=llm)
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as info:
+        KnowledgeBase.load(path)
+    assert f"{path}: {fault}" in str(info.value)
+    assert "re-run `hierlog train`" in str(info.value)
 
 
 def test_load_checks_the_kb_and_test_entries(tmp_path):
@@ -426,10 +548,10 @@ def test_load_checks_the_kb_and_test_entries(tmp_path):
     base = {"format_version": KB_FORMAT_VERSION, "role": "test", "level": STATUS}
     cases = [
         ([], "KB format version None"),
-        ({**base, "level": "galaxy", "entries": []}, "a KB needs a role (train or test), a level"),
+        ({**base, "level": "galaxy", "entries": []}, "a KB needs a role (train or test) and a level"),
         ({**base, "role": ["test"], "entries": []}, "a KB needs a role"),
-        ({**base}, "a KB needs"),
-        ({**base, "entries": [], "transition_index": []}, "a KB needs"),
+        ({**base}, "a test KB needs a list of entries"),
+        ({**base, "entries": {}}, "a test KB needs a list of entries"),
         ({**base, "entries": ["k1"]}, "entry 0 is not an object"),
         ({**base, "entries": [{"chunk_key": "k1", "confidence_flag": "low"}]}, "entry 0: missing field 'verdict'"),
         (

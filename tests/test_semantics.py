@@ -15,6 +15,7 @@ from hierlog.semantics import (
     DetectionPrompt,
     MockProvider,
     ProviderConfig,
+    RETRY_LIMIT,
     RecordedProvider,
     embed_chunk,
     llm_detect,
@@ -163,9 +164,9 @@ def test_llm_detect_fallback_after_retries():
 
     provider = Garbage()
     prompt = DetectionPrompt(target_nodes="x", target_summary="s")
-    verdict, explanation, low = llm_detect(prompt, provider, retry_limit=2)
+    verdict, explanation, low = llm_detect(prompt, provider)
     assert verdict == "abnormal" and low is True
-    assert provider.calls == 3  # initial try plus two retries
+    assert RETRY_LIMIT == 2 and provider.calls == 3  # initial try plus two retries
 
 
 def test_llm_detect_transport_error_propagates():
