@@ -4,8 +4,10 @@ Each decomposed sub-sequence is checked by the configured symbolic
 detector (exact signature matching or a transition automaton). Only a
 pattern it rejects goes to the LLM, with retrieved sibling examples, and
 a decided LLM verdict is cached per chunk in the test KB of its level, so
-a repeated pattern costs one provider round. Symbolic verdicts are never
-cached, so a verdict does not depend on what ran before. Verdicts
+a repeated pattern costs one provider round. Within a `Detector`, every
+decided status and action verdict is also kept per chunk, so a chunk seen
+before skips its signature, its probe and the LLM routing; the verdict is
+a function of the chunk, so this never changes a report. Verdicts
 aggregate bottom-up per sequence with optional early exit. A whole
 sequence's report is memoised by its key list (`Detector.detect_sequence`).
 """
@@ -48,6 +50,11 @@ EXACT = "exact"
 AUTOMATON = "automaton"
 
 MEMO_SIZE = 4096  # reports a Detector memoises, least recently used dropped first
+# chunks a Detector keeps a verdict (and, with the LLM on, a summary) for, per
+# level; a full level is emptied. Larger than MEMO_SIZE because distinct
+# sub-sequences far outnumber distinct whole sequences: on a stream of unique
+# windows, a 4,096 bound lost about half of the status hits.
+VERDICT_CACHE_SIZE = 1 << 15
 
 
 @dataclass
@@ -124,6 +131,13 @@ def detect_local_automaton(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
 LOCAL_DETECTORS = {EXACT: detect_local_exact, AUTOMATON: detect_local_automaton}
 
 
+def _bounded_put(cache: dict, key, value) -> None:
+    """Store into a per-level Detector cache, emptying it first when it holds VERDICT_CACHE_SIZE entries."""
+    if len(cache) >= VERDICT_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+
+
 class Detector:
     """Executes hybrid detection over decomposed sequences, sharing KBs.
 
@@ -137,6 +151,15 @@ class Detector:
     writes an LLM cache entry only on a miss, so a report is a function of
     the key list alone once it calls no LLM. `memo_hits`/`memo_misses`
     count lookups for the logs; they never reach the report body.
+
+    Below the memo, `_detect` keeps the decided verdict of each status and
+    action chunk in a plain dict per level (`VERDICT_CACHE_SIZE` entries,
+    emptied when full), so reports share `SeqVerdict` objects. A chunk
+    fixes its signature and, by the same argument as the memo's, its
+    verdict, symbolic or LLM; a verdict made under a provider error is not
+    kept. The entity level has no such dict: its chunk is the whole key
+    list, which the memo already keys. `verdict_hits`/`verdict_misses`
+    count lookups per level for the logs.
     """
 
     def __init__(
@@ -154,16 +177,20 @@ class Detector:
         self.config = config
         self.provider = provider
         self.templates = templates or {}
-        # the enabled levels bottom-up, each with its local detector, chosen once
+        # chunk -> decided verdict, per level but the entity level (see above)
+        self._verdicts: dict[str, dict[tuple[str, ...], SeqVerdict]] = {STATUS: {}, ACTION: {}}
+        # the enabled levels bottom-up, each with its local detector and verdict dict, chosen once
         self._levels = [
-            (level, LOCAL_DETECTORS[config.detector_per_level[level]])
+            (level, LOCAL_DETECTORS[config.detector_per_level[level]], self._verdicts.get(level))
             for level in LEVEL_ORDER
             if level in config.levels_enabled
         ]
-        self._summary_cache: dict[tuple[str, str], str] = {}
+        self._summary_cache: dict[str, dict[tuple[str, ...], str]] = {level: {} for level in LEVEL_ORDER}
         self._memo: OrderedDict[tuple[str, ...], SequenceReport] = OrderedDict()
         self.memo_hits = 0
         self.memo_misses = 0
+        self.verdict_hits = {STATUS: 0, ACTION: 0}
+        self.verdict_misses = {STATUS: 0, ACTION: 0}
 
     # -- single sub-sequence --------------------------------------------------
 
@@ -200,9 +227,10 @@ class Detector:
         )
 
     def _summary_for(self, seq: Seq) -> str:
-        """Bottom-up summary, cached in memory per (level, chunk)."""
-        ck = chunk_key(seq.chunk)
-        cached = self._summary_cache.get((seq.level, ck))
+        """Bottom-up summary, cached in memory per level and chunk, bounded like the verdict dicts."""
+        cache = self._summary_cache[seq.level]
+        key = tuple(seq.chunk)
+        cached = cache.get(key)
         if cached is not None:
             return cached
         # reuse training summaries when the same pattern+chunk was summarized
@@ -215,7 +243,7 @@ class Detector:
         else:
             child_summaries = [self._summary_for(child) for child in seq.children]
             summary = summarize_parent_seq(seq, child_summaries, self.provider)
-        self._summary_cache[(seq.level, ck)] = summary
+        _bounded_put(cache, key, summary)
         return summary
 
     # -- whole sequence ---------------------------------------------------------
@@ -260,12 +288,22 @@ class Detector:
         counters, verdicts = report.counters, report.verdicts
         evals, level_keys = counters.evals_per_level, counters.keys_per_level
         llm_enabled, early_exit = self.config.llm_enabled, self.config.early_exit
-        for level, local in self._levels:
+        hits, misses = self.verdict_hits, self.verdict_misses
+        for level, local, cache in self._levels:
             train_kb = self.kbs.train[level]
             for seq in result.by_level(level):
-                verdict = local(seq, train_kb)
-                if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
-                    verdict = self._llm_verdict(seq, counters)
+                verdict = None if cache is None else cache.get(key := tuple(seq.chunk))
+                if verdict is None:
+                    errors = counters.provider_errors
+                    verdict = local(seq, train_kb)
+                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
+                        verdict = self._llm_verdict(seq, counters)
+                    if cache is not None:
+                        misses[level] += 1
+                        if counters.provider_errors == errors:  # undecided verdicts are asked again
+                            _bounded_put(cache, key, verdict)
+                else:
+                    hits[level] += 1
                 verdicts.append(verdict)
                 evals[level] += 1
                 level_keys[level] += len(seq.chunk)

@@ -203,6 +203,11 @@ def _tree_nodes(rows) -> dict[str, TreeNode]:
     return nodes
 
 
+def _escape_id(entity: str) -> str:
+    """An entity name with "\\" and "/" escaped, so an action id "a:<entity>/<action>" is one-to-one."""
+    return entity.replace("\\", "\\\\").replace("/", "\\/")
+
+
 def build_tree(triples: list[TopicTriple]) -> TopicTree:
     """Assemble the tree from refined triples, one status node per key.
 
@@ -231,7 +236,7 @@ def build_tree(triples: list[TopicTriple]) -> TopicTree:
         akey = (ACTION, entity_id, triple.action)
         action_id = name_index.get(akey)
         if action_id is None:
-            action_id = f"a:{triple.entity}/{triple.action}"
+            action_id = f"a:{_escape_id(triple.entity)}/{triple.action}"
             nodes[action_id] = TreeNode(action_id, ACTION, triple.action, entity_id)
             name_index[akey] = action_id
 

@@ -179,6 +179,10 @@ def detect(
     save_reports(reports, report_path, meta=meta)
     kbs.save_dir(kb_dir, train=False)
     log.info("detected %d sequences: %d memo hits, %d misses", len(reports), detector.memo_hits, detector.memo_misses)
+    per_level = ", ".join(
+        f"{level} {hits} hits, {detector.verdict_misses[level]} misses" for level, hits in detector.verdict_hits.items()
+    )
+    log.info("sub-sequence verdicts: %s", per_level)
     return sequences, reports
 
 
@@ -225,10 +229,25 @@ def evaluate(
 
 # -- INI pipeline ---------------------------------------------------------------
 
-def _flag(value: str | bool, default: bool = False) -> bool:
-    if isinstance(value, bool):
-        return value
-    return {"on": True, "off": False, "true": True, "false": False, "": default}[value.strip().lower()]
+_FLAGS = {"on": True, "off": False, "true": True, "false": False}
+
+
+def _flag(section: configparser.SectionProxy, key: str, default: bool = False) -> bool:
+    """An on/off setting; any other value is a ConfigError."""
+    value = section.get(key, "").strip().lower()
+    if not value:
+        return default
+    if value not in _FLAGS:
+        raise ConfigError(f"{key} = {section[key]!r} is not a flag; use on, off, true or false")
+    return _FLAGS[value]
+
+
+def _int(section: configparser.SectionProxy, key: str, default: int) -> int:
+    """An integer setting; any other value is a ConfigError."""
+    try:
+        return section.getint(key, default)
+    except ValueError:
+        raise ConfigError(f"{key} = {section[key]!r} is not an integer") from None
 
 
 @contextmanager
@@ -294,7 +313,7 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
             raise KeyError("missing [hierarchy] section")
         sec = parser["hierarchy"]
         catalog = load_template_catalog(sec["templates"])
-        if _flag(sec.get("resume", "off")) and Path(sec["tree_out"]).exists():
+        if _flag(sec, "resume") and Path(sec["tree_out"]).exists():
             tree = TopicTree.load(sec["tree_out"])
         else:
             triples = extract(
@@ -306,16 +325,16 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     with _stage("train"):
         sec = parser["train"]
         kb_dir = sec["kb_dir"]
-        if _flag(sec.get("resume", "off")) and (Path(kb_dir) / "train_status.json").exists():
+        if _flag(sec, "resume") and (Path(kb_dir) / "train_status.json").exists():
             kbs = KnowledgeBaseSet.load_dir(kb_dir)
         else:
-            kbs = train(catalog, tree, sec["sequences"], kb_dir, _flag(sec.get("llm", "off")), provider)
+            kbs = train(catalog, tree, sec["sequences"], kb_dir, _flag(sec, "llm"), provider)
 
     with _stage("detect"):
         sec = parser["detect"]
         config = detect_config(
-            sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec.get("llm", "off")), sec.getint("m", 5),
-            _flag(sec.get("early_exit", "on"), default=True),
+            sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
+            _flag(sec, "early_exit", default=True),
         )
         sequences, reports = detect(
             catalog, tree, kbs, kb_dir, sec["sequences"], sec["report"], config, provider
@@ -325,6 +344,6 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     if parser.has_section("eval"):
         with _stage("eval"):
             sec = parser["eval"]
-            attribution = _flag(sec.get("attribution", "off"))
+            attribution = _flag(sec, "attribution")
             metrics = evaluate(tree, kbs, sequences, reports, attribution, sec.get("out"))
     return PipelineResult(tree=tree, kbs=kbs, metrics=metrics)

@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from hierlog.cli import main
-from hierlog.decompose import make_signature
+from hierlog.decompose import make_signature, top_down_decompose
+from hierlog.hierarchy import TopicTree
 from hierlog.knowledge import END_MARK, KB_FORMAT_VERSION, START_MARK
 
 KB_FILES = [f"{role}_{level}.json" for role in ("train", "test") for level in ("entity", "action", "status")]
@@ -186,6 +187,22 @@ def test_pipeline_rejects_unknown_ini_sections_and_keys(tmp_path, data, extra, f
     assert result.exit_code == 2, result.output
     assert result.output == f"error: {config}: {fault}\n"
     assert not (tmp_path / "test.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, fault",
+    [
+        ({"detect": {"m": "abc"}}, "[detect] m = 'abc' is not an integer"),
+        ({"detect": {"early_exit": "maybe"}}, "[detect] early_exit = 'maybe' is not a flag; use on, off, true or false"),
+        ({"train": {"llm": "yes"}}, "[train] llm = 'yes' is not a flag; use on, off, true or false"),
+    ],
+    ids=["m-not-int", "early-exit-not-flag", "train-llm-not-flag"],
+)
+def test_pipeline_rejects_bad_ini_values_as_configuration_errors(tmp_path, data, extra, fault):
+    result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", extra))
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {fault}\n"
+    assert not (tmp_path / "report.jsonl").exists()
 
 
 def test_pipeline_accepts_default_keys_used_for_interpolation(tmp_path, data):
@@ -422,6 +439,28 @@ def test_detect_logs_memo_hits_and_misses(tmp_path, data, caplog):
     assert lines == [f"detected {n} sequences: {n - distinct} memo hits, {distinct} misses"]
     assert "memo" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
     assert "memo" not in (tmp_path / "eval.json").read_text()
+
+
+def test_detect_logs_sub_sequence_verdict_hits_and_misses(tmp_path, data, caplog):
+    with caplog.at_level(logging.INFO, logger="hierlog.pipeline"):
+        run_ini_pipeline(data, tmp_path, "off")
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sub-sequence verdicts:")]
+    assert len(lines) == 1
+    # the chunks each level checked, over the first sight of each key list (later sights are memo hits)
+    tree = TopicTree.load(tmp_path / "tree.json")
+    reports = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()[1:]]
+    seqs = [json.loads(line)["keys"] for line in (tmp_path / "test.jsonl").read_text().splitlines()]
+    checked = {"status": [], "action": []}
+    for i in sorted({tuple(keys): i for i, keys in reversed(list(enumerate(seqs)))}.values()):
+        result = top_down_decompose(seqs[i], tree)
+        for level, chunks in checked.items():
+            evals = reports[i]["counters"]["evals_per_level"][level]
+            chunks += [tuple(seq.chunk) for seq in result.by_level(level)[:evals]]
+    want = ", ".join(f"{level} {len(c) - len(set(c))} hits, {len(set(c))} misses" for level, c in checked.items())
+    assert lines == [f"sub-sequence verdicts: {want}"]
+    assert len(checked["status"]) > len(set(checked["status"]))  # the corpus repeats status chunks
+    assert "hits" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
+    assert "hits" not in (tmp_path / "eval.json").read_text()
 
 
 def _second_group(kb):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierlog import detect as detect_module
 from hierlog.detect import (
     AUTOMATON,
     MEMO_SIZE,
@@ -283,6 +284,104 @@ def test_memoised_run_matches_a_fresh_detector_per_sequence(llm, data):
     assert memoised.memo_hits + memoised.memo_misses == len(seqs)
     if not llm:
         assert memoised.memo_misses == len({tuple(s.keys) for s in seqs})
+
+
+# -- sub-sequence verdict cache ------------------------------------------------------
+
+def spliced_sequences(corpus, n=80):
+    """Pairs of test sequences joined end to end: their chunks repeat, their key lists never do."""
+    rng = random.Random(5)
+    pool = [s.keys for s in corpus.test]
+    seen, seqs = set(), []
+    while len(seqs) < n:
+        keys = rng.choice(pool) + rng.choice(pool)
+        if tuple(keys) not in seen:
+            seen.add(tuple(keys))
+            seqs.append(LogSequence(f"j{len(seqs)}", keys))
+    return seqs
+
+
+class DetectionLog(MockProvider):
+    """A MockProvider that records each detection request it answers."""
+
+    def __init__(self, asked):
+        super().__init__()
+        self.asked = asked
+
+    def complete(self, request):
+        if request.startswith("TASK: detect"):
+            self.asked.append(request)
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("early_exit", [True, False], ids=["early-exit", "all-levels"])
+@pytest.mark.parametrize("llm", [False, True], ids=["llm-off", "mock-llm"])
+def test_shared_chunks_give_the_same_reports_as_a_fresh_detector(llm, early_exit):
+    corpus, tree, templates, _, kbs = shuffle_setup(llm)
+    config = DetectConfig(llm_enabled=llm, early_exit=early_exit)
+    seqs = spliced_sequences(corpus)
+    warm_asked, oracle_asked = [], []
+
+    def provider(asked):
+        return DetectionLog(asked) if llm else None
+
+    warm = Detector(tree, fresh_caches(kbs), config, provider=provider(warm_asked), templates=templates)
+    got = [json.dumps(report_to_json(r)) for r in warm.run(seqs)]
+    oracle_kbs = fresh_caches(kbs)
+    want = [
+        json.dumps(report_to_json(
+            Detector(tree, oracle_kbs, config, provider=provider(oracle_asked), templates=templates).detect_sequence(s)
+        ))
+        for s in seqs
+    ]
+    assert got == want
+    # the warm detector's summary cache puts the same summaries into the same prompts
+    assert warm_asked == oracle_asked and bool(warm_asked) == llm
+    assert warm.memo_hits == 0
+    assert warm.verdict_hits[STATUS] > 0 and warm.verdict_hits[ACTION] > 0
+    evals = [json.loads(body)["counters"]["evals_per_level"] for body in got]
+    for level in (STATUS, ACTION):
+        assert warm.verdict_hits[level] + warm.verdict_misses[level] == sum(e[level] for e in evals)
+
+
+class FailsOnce(MockProvider):
+    def complete(self, request):
+        if not self.calls:
+            self.calls += 1
+            raise ProviderError("offline")
+        return super().complete(request)
+
+
+def test_a_chunk_undecided_by_a_provider_error_is_asked_again(toy_cat, toy_tree):
+    config = DetectConfig(llm_enabled=True)
+    kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree, config,
+                provider=MockProvider(), templates=TOY_TEMPLATES_MAP)
+    detector = Detector(toy_tree, kbs, config, provider=FailsOnce(), templates=TOY_TEMPLATES_MAP)
+    # three key lists that share the unseen status chunk k2, k1
+    failed, retried, reused = (detector.detect_sequence(s) for s in make_sequences(
+        toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"], ["k2", "k1", "k3", "k4"], ["k2", "k1", "k5", "k6"]]
+    ))
+    assert (failed.counters.provider_errors, failed.counters.llm_calls) == (1, 0)
+    assert (retried.counters.provider_errors, retried.counters.llm_calls) == (0, 1)
+    assert (reused.counters.provider_errors, reused.counters.llm_calls) == (0, 0)
+    assert failed.verdicts[0].explanation.startswith("undecided")
+    assert reused.verdicts[0] is retried.verdicts[0] and retried.verdicts[0].source == "llm"
+    assert (detector.verdict_hits[STATUS], detector.verdict_misses[STATUS]) == (1, 2)
+
+
+def test_verdict_and_summary_dicts_stay_within_their_bound(monkeypatch):
+    corpus, tree, templates, _, kbs = shuffle_setup(True)
+    config = DetectConfig(llm_enabled=True, early_exit=False)
+    seqs = spliced_sequences(corpus, 40)
+    want = [report_to_json(r) for r in Detector(
+        tree, fresh_caches(kbs), config, provider=MockProvider(), templates=templates
+    ).run(seqs)]
+    monkeypatch.setattr(detect_module, "VERDICT_CACHE_SIZE", 2)
+    small = Detector(tree, fresh_caches(kbs), config, provider=MockProvider(), templates=templates)
+    for s, body in zip(seqs, want):
+        assert report_to_json(small.detect_sequence(s)) == body
+        assert all(len(d) <= 2 for d in [*small._verdicts.values(), *small._summary_cache.values()])
+    assert small.verdict_hits[STATUS] > 0
 
 
 # -- verdicts as a function of the inputs -------------------------------------------

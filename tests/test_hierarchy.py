@@ -89,6 +89,29 @@ def test_status_name_collision_disambiguated():
     assert len(tree.key_index) == 2
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [TopicTriple("k1", "a/b", "c", "x"), TopicTriple("k2", "a", "b/c", "y")],
+        [TopicTriple("k1", "x\\", "y/z", "p"), TopicTriple("k2", "x/y", "z", "q")],
+    ],
+    ids=["slash", "backslash"],
+)
+def test_action_ids_are_one_to_one_when_names_hold_slashes(tmp_path, triples):
+    tree = build_tree(triples)
+    for t in triples:
+        assert tree.key_names[t.key] == (t.entity, t.action, t.status)
+    assert len([n for n in tree.nodes.values() if n.level == ACTION]) == 2
+    tree.save(tmp_path / "tree.json")
+    assert TopicTree.load(tmp_path / "tree.json").key_names == tree.key_names
+
+
+def test_action_ids_of_plain_names_are_unchanged(toy_tree):
+    assert {n.node_id for n in toy_tree.nodes.values() if n.level == ACTION} == {
+        f"a:{t.entity}/{t.action}" for t in toy_triples()
+    }
+
+
 def test_empty_entity_rejected():
     with pytest.raises(ValueError):
         TopicTriple("k1", "", "act")
