@@ -127,7 +127,7 @@ def detect(templates_path, tree_path, kb_dir, test_path, levels, detector_spec, 
            m, early_exit, report_path, **provider_opts):
     """Run hybrid detection over test sequences."""
     config = stages.detect_config(levels, detector_spec, llm == "on", m, early_exit == "on")
-    _, reports = stages.detect(
+    _, reports, _ = stages.detect(
         stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path),
         stages.KnowledgeBaseSet.load_dir(kb_dir), kb_dir, test_path, report_path, config,
         _provider(provider_opts),

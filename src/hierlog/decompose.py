@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import DecompositionError, LookupError_
+from .errors import DecompositionError
 from .hierarchy import ACTION, ENTITY, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, TopicTree, escape_name
 
 
@@ -97,7 +97,7 @@ def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionRes
     for i, key in enumerate(keys_list):
         names = key_names.get(key)
         if names is None:
-            raise DecompositionError(f"position {i}: {LookupError_(key, ENTITY)}")
+            raise DecompositionError(f"position {i}: unknown log key {key!r} at level {ENTITY!r}")
         en, an, sn = names
         if en is not last_e:
             a_runs = [(an, i, [sn])]

@@ -8,14 +8,13 @@ a repeated pattern costs one provider round. Within a `Detector`, every
 decided status and action verdict is also kept per chunk, so a chunk seen
 before skips its signature, its probe and the LLM routing; the verdict is
 a function of the chunk, so this never changes a report. Verdicts
-aggregate bottom-up per sequence with optional early exit. A whole
-sequence's report is memoised by its key list (`Detector.detect_sequence`).
+aggregate bottom-up per sequence with optional early exit. A report is a
+function of its key list and is memoised by it (`Detector.detect_sequence`).
 """
 
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,7 +48,7 @@ LEVEL_PRESETS = {
 EXACT = "exact"
 AUTOMATON = "automaton"
 
-MEMO_SIZE = 4096  # reports a Detector memoises, least recently used dropped first
+MEMO_SIZE = 4096  # reports a Detector memoises; a full memo is emptied
 # chunks a Detector keeps a verdict (and, with the LLM on, a summary) for, per
 # level; a full level is emptied. Larger than MEMO_SIZE because distinct
 # sub-sequences far outnumber distinct whole sequences: on a stream of unique
@@ -98,7 +97,6 @@ class SeqVerdict:
 
 @dataclass
 class Counters:
-    llm_calls: int = 0
     provider_errors: int = 0
     keys_per_level: dict[str, int] = field(default_factory=lambda: {l: 0 for l in LEVEL_ORDER})
     evals_per_level: dict[str, int] = field(default_factory=lambda: {l: 0 for l in LEVEL_ORDER})
@@ -131,9 +129,9 @@ def detect_local_automaton(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
 LOCAL_DETECTORS = {EXACT: detect_local_exact, AUTOMATON: detect_local_automaton}
 
 
-def _bounded_put(cache: dict, key, value) -> None:
-    """Store into a per-level Detector cache, emptying it first when it holds VERDICT_CACHE_SIZE entries."""
-    if len(cache) >= VERDICT_CACHE_SIZE:
+def _bounded_put(cache: dict, key, value, bound: int) -> None:
+    """Store into a Detector cache, emptying it first when it holds `bound` entries."""
+    if len(cache) >= bound:
         cache.clear()
     cache[key] = value
 
@@ -141,16 +139,14 @@ def _bounded_put(cache: dict, key, value) -> None:
 class Detector:
     """Executes hybrid detection over decomposed sequences, sharing KBs.
 
-    `detect_sequence` memoises whole-sequence reports in a bounded LRU
-    (`MEMO_SIZE` entries) keyed by the tuple of the sequence's keys; a hit
-    returns a copy under the caller's sequence id. Only reports that made
-    no LLM call and met no provider error are stored: a provider error is
-    retried on the next sight, and an LLM-routed sequence is stored at its
-    second sight, when the LLM cache answers it. The memo is sound because
-    the train KBs do not change during a Detector's life and `store_test`
-    writes an LLM cache entry only on a miss, so a report is a function of
-    the key list alone once it calls no LLM. `memo_hits`/`memo_misses`
-    count lookups for the logs; they never reach the report body.
+    `detect_sequence` memoises every report that met no provider error in
+    a dict keyed by the tuple of the sequence's keys, emptied when it holds
+    `MEMO_SIZE` reports; a hit returns a copy under the caller's sequence
+    id. This is sound because the train KBs do not change during a
+    Detector's life and `store_test` writes an LLM cache entry only on a
+    miss, so a fresh LLM verdict equals the cached one of a later sight: a
+    report is a function of its key list. `llm_calls` (detection rounds)
+    and `memo_hits`/`memo_misses` are run history, kept out of reports.
 
     Below the memo, `_detect` keeps the decided verdict of each status and
     action chunk in a plain dict per level (`VERDICT_CACHE_SIZE` entries,
@@ -186,7 +182,8 @@ class Detector:
             if level in config.levels_enabled
         ]
         self._summary_cache: dict[str, dict[tuple[str, ...], str]] = {level: {} for level in LEVEL_ORDER}
-        self._memo: OrderedDict[tuple[str, ...], SequenceReport] = OrderedDict()
+        self._memo: dict[tuple[str, ...], SequenceReport] = {}
+        self.llm_calls = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self.verdict_hits = {STATUS: 0, ACTION: 0}
@@ -202,7 +199,7 @@ class Detector:
         if entry is None:
             try:
                 prompt = self._build_prompt(seq)
-                counters.llm_calls += 1
+                self.llm_calls += 1
                 answer, explanation, low = llm_detect(prompt, self.provider)
             except ProviderError as exc:  # undecided, so never cached
                 counters.provider_errors += 1
@@ -243,7 +240,7 @@ class Detector:
         else:
             child_summaries = [self._summary_for(child) for child in seq.children]
             summary = summarize_parent_seq(seq, child_summaries, self.provider)
-        _bounded_put(cache, key, summary)
+        _bounded_put(cache, key, summary, VERDICT_CACHE_SIZE)
         return summary
 
     # -- whole sequence ---------------------------------------------------------
@@ -254,19 +251,15 @@ class Detector:
         memo = self._memo.get(key)
         if memo is not None:
             self.memo_hits += 1
-            self._memo.move_to_end(key)
-            counters = memo.counters
             return SequenceReport(
                 sequence.id, memo.final_verdict, list(memo.verdicts), memo.first_abnormal_level,
-                Counters(0, 0, dict(counters.keys_per_level), dict(counters.evals_per_level)),
+                Counters(0, dict(memo.counters.keys_per_level), dict(memo.counters.evals_per_level)),
                 memo.raw_length, memo.error,
             )
         self.memo_misses += 1
         report = self._detect(sequence)
-        if report.counters.llm_calls == 0 and report.counters.provider_errors == 0:
-            self._memo[key] = report
-            if len(self._memo) > MEMO_SIZE:
-                self._memo.popitem(last=False)
+        if report.counters.provider_errors == 0:  # an undecided report is asked again
+            _bounded_put(self._memo, key, report, MEMO_SIZE)
         return report
 
     def _detect(self, sequence: LogSequence) -> SequenceReport:
@@ -301,7 +294,7 @@ class Detector:
                     if cache is not None:
                         misses[level] += 1
                         if counters.provider_errors == errors:  # undecided verdicts are asked again
-                            _bounded_put(cache, key, verdict)
+                            _bounded_put(cache, key, verdict, VERDICT_CACHE_SIZE)
                 else:
                     hits[level] += 1
                 verdicts.append(verdict)

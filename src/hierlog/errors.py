@@ -65,16 +65,6 @@ class TreeError(HierlogError):
     pass
 
 
-class LookupError_(TreeError):
-    """Unknown key or level during tree lookup."""
-
-    def __init__(self, key: str, level: str | None = None):
-        at = f" at level {level!r}" if level else ""
-        super().__init__(f"unknown log key {key!r}{at}")
-        self.key = key
-        self.level = level
-
-
 class DecompositionError(HierlogError):
     pass
 

@@ -63,9 +63,10 @@ def structure_report(
     tree: TopicTree,
     kbs: KnowledgeBaseSet,
     reports: Sequence[SequenceReport],
+    llm_calls: int,
 ) -> StructureReport:
-    """Cardinality, reuse, and resource tallies for one run."""
-    out = StructureReport()
+    """Cardinality, reuse, and resource tallies for one run; `llm_calls` is its Detector's count."""
+    out = StructureReport(llm_calls=llm_calls)
     for level in LEVELS:
         out.node_counts[level] = sum(1 for n in tree.nodes.values() if n.level == level)
         kb = kbs.train[level]
@@ -80,13 +81,12 @@ def structure_report(
         for level in LEVEL_ORDER:
             keys[level] += report.counters.keys_per_level[level]
         out.raw_test_keys += report.raw_length
-        out.llm_calls += report.counters.llm_calls
     out.keys_by_level_set = {
         "S": keys["status"],
         "SA": keys["status"] + keys["action"],
         "SAE": keys["status"] + keys["action"] + keys["entity"],
     }
-    out.llm_call_ratio = out.llm_calls / len(reports) if reports else 0.0
+    out.llm_call_ratio = llm_calls / len(reports) if reports else 0.0
     return out
 
 
@@ -129,7 +129,6 @@ def report_to_json(report: SequenceReport) -> dict:
         "raw_length": report.raw_length,
         "error": report.error,
         "counters": {
-            "llm_calls": report.counters.llm_calls,
             "provider_errors": report.counters.provider_errors,
             "keys_per_level": report.counters.keys_per_level,
             "evals_per_level": report.counters.evals_per_level,
@@ -165,12 +164,17 @@ def load_report_records(path: str | Path) -> tuple[dict, list[dict]]:
     lineno, header = next(rows, (1, None))
     if header is None or "meta" not in header:
         raise error(lineno, "missing field 'meta': a report starts with its meta header")
-    records = []
+    records, first_line = [], {}
     for lineno, row in rows:
         for name in ("sequence_id", "final_verdict"):
             if name not in row:
                 raise error(lineno, f"missing field {name!r}")
         if not isinstance(row["final_verdict"], bool):
             raise error(lineno, "field 'final_verdict' must be true or false")
+        if type(row["sequence_id"]) is not str:
+            raise error(lineno, "field 'sequence_id' must be a string")
+        first = first_line.setdefault(row["sequence_id"], lineno)
+        if first != lineno:
+            raise error(lineno, f"repeated sequence_id {row['sequence_id']!r}, first at line {first}")
         records.append(row)
     return header["meta"], records

@@ -354,11 +354,15 @@ def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:
 
 
 def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequence]:
-    """The sequences of a file that `save_sequences` wrote, each key checked against the catalog."""
-    sequences = []
+    """The sequences of a file that `save_sequences` wrote; keys must be in the catalog and ids unique."""
+    sequences, first_line = [], {}
     for lineno, row in read_jsonl(path, SequenceParseError, ("sequence_id", "keys")):
-        if type(row["sequence_id"]) is not str:
+        sid = row["sequence_id"]
+        if type(sid) is not str:
             raise SequenceParseError(lineno, "field 'sequence_id' must be a string")
+        first = first_line.setdefault(sid, lineno)
+        if first != lineno:
+            raise SequenceParseError(lineno, f"repeated sequence_id {sid!r}, first at line {first}")
         if not isinstance(row["keys"], list):
             raise SequenceParseError(lineno, "field 'keys' must be a list")
         try:
@@ -370,5 +374,5 @@ def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequen
         label = row.get("label")
         if label is not None and type(label) is not bool:
             raise SequenceParseError(lineno, _LABEL_RULE)
-        sequences.append(LogSequence(row["sequence_id"], keys, label))
+        sequences.append(LogSequence(sid, keys, label))
     return sequences

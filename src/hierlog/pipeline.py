@@ -139,11 +139,17 @@ def build(triples: list[TopicTriple], tree_out: str | Path) -> TopicTree:
     return tree
 
 
+def _require_provider(llm: bool, provider: Optional[Provider]) -> None:
+    if llm and provider is None:
+        raise ConfigError("the LLM path is on but no provider is set; give --provider-kind or a [provider] section")
+
+
 def train(
     catalog: TemplateCatalog, tree: TopicTree, sequences_path: str | Path, kb_dir: str | Path,
     llm: bool, provider: Optional[Provider],
 ) -> KnowledgeBaseSet:
     """Build the training knowledge bases from normal sequences and save them."""
+    _require_provider(llm, provider)
     sequences = load_sequences(sequences_path, catalog)
     kbs = train_kbs(
         sequences, tree, DetectConfig(llm_enabled=llm), provider=provider, templates=_template_texts(catalog)
@@ -163,11 +169,12 @@ def detect_config(levels: str, detector: str, llm: bool, m: int, early_exit: boo
 def detect(
     catalog: TemplateCatalog, tree: TopicTree, kbs: KnowledgeBaseSet, kb_dir: str | Path,
     sequences_path: str | Path, report_path: str | Path, config: DetectConfig, provider: Optional[Provider],
-) -> tuple[list[LogSequence], list[SequenceReport]]:
+) -> tuple[list[LogSequence], list[SequenceReport], int]:
     """Detect over the test sequences, save the report, and save the LLM verdict caches to kb_dir.
 
-    Detection never changes a train KB, so the train files in kb_dir are left as they are.
+    Returns the sequences, their reports and the LLM call count. Detection never changes a train KB.
     """
+    _require_provider(config.llm_enabled, provider)
     sequences = load_sequences(sequences_path, catalog)
     detector = Detector(tree, kbs, config, provider=provider, templates=_template_texts(catalog))
     reports = detector.run(sequences)
@@ -178,12 +185,13 @@ def detect(
     }
     save_reports(reports, report_path, meta=meta)
     kbs.save_dir(kb_dir, train=False)
-    log.info("detected %d sequences: %d memo hits, %d misses", len(reports), detector.memo_hits, detector.memo_misses)
+    log.info("detected %d sequences: %d memo hits, %d misses, %d LLM calls",
+             len(reports), detector.memo_hits, detector.memo_misses, detector.llm_calls)
     per_level = ", ".join(
         f"{level} {hits} hits, {detector.verdict_misses[level]} misses" for level, hits in detector.verdict_hits.items()
     )
     log.info("sub-sequence verdicts: %s", per_level)
-    return sequences, reports
+    return sequences, reports, detector.llm_calls
 
 
 def score(sequences: list[LogSequence], verdicts: dict[str, bool]) -> dict:
@@ -210,13 +218,13 @@ def score_report(
 
 def evaluate(
     tree: TopicTree, kbs: KnowledgeBaseSet, sequences: list[LogSequence], reports: list[SequenceReport],
-    attribution: bool, out: Optional[str | Path],
+    llm_calls: int, attribution: bool, out: Optional[str | Path],
 ) -> dict:
-    """Metrics, structure report and, optionally, level attribution of one run."""
+    """Metrics, structure report and, optionally, level attribution of one run of `llm_calls` LLM rounds."""
     by_id = {r.sequence_id: r for r in reports}
     payload = {
         "metrics": score(sequences, {sid: r.final_verdict for sid, r in by_id.items()}),
-        "structure": asdict(structure_report(tree, kbs, reports)),
+        "structure": asdict(structure_report(tree, kbs, reports, llm_calls)),
     }
     if attribution:
         labeled = [s for s in sequences if s.label is not None]
@@ -336,7 +344,7 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
             sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
             _flag(sec, "early_exit", default=True),
         )
-        sequences, reports = detect(
+        sequences, reports, llm_calls = detect(
             catalog, tree, kbs, kb_dir, sec["sequences"], sec["report"], config, provider
         )
 
@@ -345,5 +353,5 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
         with _stage("eval"):
             sec = parser["eval"]
             attribution = _flag(sec, "attribution")
-            metrics = evaluate(tree, kbs, sequences, reports, attribution, sec.get("out"))
+            metrics = evaluate(tree, kbs, sequences, reports, llm_calls, attribution, sec.get("out"))
     return PipelineResult(tree=tree, kbs=kbs, metrics=metrics)

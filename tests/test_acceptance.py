@@ -352,8 +352,9 @@ def test_criterion_8_reuse_and_resources(corpus):
     tree = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
     config = DetectConfig(early_exit=False)
     kbs = train(corpus.train, tree, config)
-    reports = Detector(tree, kbs, config).run(corpus.test)
-    rep = structure_report(tree, kbs, reports)
+    detector = Detector(tree, kbs, config)
+    reports = detector.run(corpus.test)
+    rep = structure_report(tree, kbs, reports, detector.llm_calls)
 
     # independent tallies straight from decompositions
     uniques = {ENTITY: set(), ACTION: set(), STATUS: set()}

@@ -416,6 +416,45 @@ def test_detect_rejects_a_sequence_id_that_is_not_a_string(tmp_path, data, train
     assert not (tmp_path / "report.jsonl").exists()
 
 
+def test_detect_and_evaluate_reject_a_repeated_sequence_id(tmp_path, data, trained):
+    # scored by id, an abnormal and a normal "x" would count as one missed anomaly and one true negative
+    lines = (trained / "test.jsonl").read_text().splitlines()
+    pair = [next(line for line in lines if json.loads(line)["label"] is value) for value in (True, False)]
+    repeated = tmp_path / "test.jsonl"
+    repeated.write_text("".join(_with_id(line, "x") for line in pair))
+    fault = "sequence file parse error at line 2: repeated sequence_id 'x', first at line 1"
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", trained / "kb", "--test", repeated, "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (1, f"error: {fault}\n")
+    assert not (tmp_path / "report.jsonl").exists()
+    result = invoke("evaluate", "--report", trained / "report.jsonl", "--test", repeated,
+                    "--templates", data / "templates.csv", "--out", tmp_path / "eval.json")
+    assert (result.exit_code, result.output) == (1, f"error: {fault}\n")
+    assert not (tmp_path / "eval.json").exists()
+
+
+NO_PROVIDER = "the LLM path is on but no provider is set; give --provider-kind or a [provider] section"
+
+
+def test_cli_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, trained):
+    result = invoke("train", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "kb", "--llm", "on")
+    assert (result.exit_code, result.output) == (2, f"error: {NO_PROVIDER}\n")
+    assert not (tmp_path / "kb").exists()
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", trained / "kb", "--test", trained / "test.jsonl", "--llm", "on",
+                    "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (2, f"error: {NO_PROVIDER}\n")
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "detect"])
+def test_ini_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, stage):
+    result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", {stage: {"llm": "on"}}))
+    assert (result.exit_code, result.output) == (2, f"error: [{stage}] {NO_PROVIDER}\n")
+    assert not (tmp_path / "report.jsonl").exists()
+
+
 def test_train_names_the_tree_file_and_node_of_a_bad_tree(tmp_path, data, trained):
     tree = json.loads((trained / "tree.json").read_text())
     action = next(node for node in tree["nodes"] if node["level"] == "action")
@@ -436,9 +475,19 @@ def test_detect_logs_memo_hits_and_misses(tmp_path, data, caplog):
     n = len((tmp_path / "test.jsonl").read_text().splitlines())
     distinct = len({tuple(json.loads(line)["keys"]) for line in (tmp_path / "test.jsonl").read_text().splitlines()})
     lines = [r.getMessage() for r in caplog.records if "memo" in r.getMessage()]
-    assert lines == [f"detected {n} sequences: {n - distinct} memo hits, {distinct} misses"]
+    assert lines == [f"detected {n} sequences: {n - distinct} memo hits, {distinct} misses, 0 LLM calls"]
     assert "memo" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
     assert "memo" not in (tmp_path / "eval.json").read_text()
+
+
+def test_detect_logs_the_llm_calls_that_eval_json_counts(tmp_path, data, caplog):
+    with caplog.at_level(logging.INFO, logger="hierlog.pipeline"):
+        run_ini_pipeline(data, tmp_path, "on")
+    [line] = [r.getMessage() for r in caplog.records if "memo" in r.getMessage()]
+    structure = json.loads((tmp_path / "eval.json").read_text())["structure"]
+    assert structure["llm_calls"] > 0
+    assert line.endswith(f", {structure['llm_calls']} LLM calls")
+    assert "llm_calls" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
 
 
 def test_detect_logs_sub_sequence_verdict_hits_and_misses(tmp_path, data, caplog):
@@ -525,6 +574,10 @@ def _drop_field(line, name):
     return json.dumps(row) + "\n"
 
 
+def _with_id(line, sequence_id):
+    return json.dumps({**json.loads(line), "sequence_id": sequence_id}) + "\n"
+
+
 # case -> (input written from the trained run's lines, the command reading it, the fault reported)
 JSONL_FAULTS = {
     "triple-without-action": (
@@ -539,6 +592,15 @@ JSONL_FAULTS = {
     "report-without-verdict": (
         "report.jsonl", lambda lines: "".join(lines[:2]) + _drop_field(lines[2], "final_verdict"), "evaluate",
         "line 3: missing field 'final_verdict'",
+    ),
+    # scored by id, a repeated id would drop one of its verdicts
+    "report-with-a-repeated-id": (
+        "report.jsonl", lambda lines: lines[0] + _with_id(lines[1], "x") + _with_id(lines[2], "x"), "evaluate",
+        "line 3: repeated sequence_id 'x', first at line 2",
+    ),
+    "report-id-not-a-string": (
+        "report.jsonl", lambda lines: lines[0] + _with_id(lines[1], ["x"]), "evaluate",
+        "line 2: field 'sequence_id' must be a string",
     ),
     "fixture-without-hash": (
         "fixture.jsonl", lambda lines: '{"response": "VERDICT: NORMAL"}\n', "train", "line 1: missing field 'request_hash'"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hierlog import detect as detect_module
 from hierlog.detect import (
     AUTOMATON,
-    MEMO_SIZE,
     DetectConfig,
     Detector,
     LEVEL_PRESETS,
@@ -149,12 +148,12 @@ def test_llm_default_abnormal_and_cache(toy_cat, toy_tree):
     report1 = detector.detect_sequence(seq)
     assert report1.final_verdict is True
     assert report1.first_abnormal_level == STATUS
-    assert report1.counters.llm_calls == 1
+    assert detector.llm_calls == 1
     calls_after_first = provider.calls
 
     report2 = detector.detect_sequence(seq)
     assert provider.calls == calls_after_first  # cached, no new provider traffic
-    assert report2.counters.llm_calls == 0
+    assert detector.llm_calls == 1
     assert report2.verdicts == report1.verdicts
     assert report2.verdicts[0].source == "llm"
 
@@ -206,23 +205,24 @@ def test_provider_error_fallback_not_cached(toy_cat, toy_tree):
 
 # -- whole-sequence memo ------------------------------------------------------------
 
-def test_llm_reports_are_memoised_only_once_the_cache_answers(toy_cat, toy_tree):
+def test_llm_reports_are_memoised_at_their_first_sight(toy_cat, toy_tree):
     provider, detector = hybrid_setup(toy_cat, toy_tree, [])
     seq = make_sequences(toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"]])[0]
-    first, second = detector.detect_sequence(seq), detector.detect_sequence(seq)
-    assert (first.counters.llm_calls, second.counters.llm_calls) == (1, 0)
-    assert (detector.memo_hits, detector.memo_misses) == (0, 2)  # a report with llm_calls > 0 is not stored
     calls = provider.calls
-    third = detector.detect_sequence(LogSequence("again", seq.keys))
-    assert (detector.memo_hits, detector.memo_misses) == (1, 2)
-    assert provider.calls == calls
-    assert third.sequence_id == "again" and third.counters.llm_calls == 0
-    assert report_to_json(third) == {**report_to_json(second), "sequence_id": "again"}
+    first = detector.detect_sequence(seq)
+    assert provider.calls > calls and detector.llm_calls == 1
+    assert first.verdicts[0].source == "llm"
+    calls = provider.calls
+    second = detector.detect_sequence(LogSequence("again", seq.keys))
+    assert (detector.memo_hits, detector.memo_misses) == (1, 1)
+    assert provider.calls == calls and detector.llm_calls == 1
+    assert second.sequence_id == "again"
+    assert report_to_json(second) == {**report_to_json(first), "sequence_id": "again"}
     # each hit is its own report: changing one leaves the memoised body as it was
-    body = json.dumps(report_to_json(second))
-    third.verdicts.clear()
-    third.counters.keys_per_level[STATUS] += 1
-    third.counters.evals_per_level[STATUS] += 1
+    body = json.dumps(report_to_json(first))
+    second.verdicts.clear()
+    second.counters.keys_per_level[STATUS] += 1
+    second.counters.evals_per_level[STATUS] += 1
     assert json.dumps(report_to_json(detector.detect_sequence(seq))) == body
 
 
@@ -241,22 +241,20 @@ def test_provider_errors_are_never_memoised(toy_cat, toy_tree):
     assert (detector.memo_hits, detector.memo_misses) == (0, 3)
 
 
-def test_memo_is_bounded_and_evicts_the_least_recently_used(toy_cat, toy_tree):
+def test_memo_stays_within_its_bound(toy_cat, toy_tree, monkeypatch):
     kbs = train(make_sequences(toy_cat, [TOY_KEYS]), toy_tree, DetectConfig())
-    detector = Detector(toy_tree, kbs, DetectConfig(early_exit=False))
-    key_lists = itertools.product(TOY_KEYS, repeat=5)
-    seqs = [LogSequence(f"s{i}", list(keys)) for i, keys in zip(range(MEMO_SIZE + 3), key_lists)]
-    first = [report_to_json(detector.detect_sequence(s)) for s in seqs[:MEMO_SIZE]]
-    assert len(detector._memo) == MEMO_SIZE
-    detector.detect_sequence(seqs[0])  # now the most recently used
-    for s in seqs[MEMO_SIZE:]:
-        detector.detect_sequence(s)
-    assert len(detector._memo) == MEMO_SIZE
-    assert tuple(seqs[0].keys) in detector._memo
-    assert all(tuple(s.keys) not in detector._memo for s in seqs[1:4])
-    misses = detector.memo_misses
-    assert report_to_json(detector.detect_sequence(seqs[1])) == first[1]  # evicted, so run again
-    assert detector.memo_misses == misses + 1
+    config = DetectConfig(early_exit=False)
+    key_lists = itertools.product(TOY_KEYS, repeat=3)
+    seqs = [LogSequence(f"s{i}", list(keys)) for i, keys in zip(range(12), key_lists)]
+    seqs += [LogSequence(f"r{s.id}", s.keys) for s in seqs[::-1]]  # later sights of every key list
+    want = [report_to_json(Detector(toy_tree, kbs, config).detect_sequence(s)) for s in seqs]
+    monkeypatch.setattr(detect_module, "MEMO_SIZE", 5)
+    detector = Detector(toy_tree, kbs, config)
+    for s, body in zip(seqs, want):
+        assert report_to_json(detector.detect_sequence(s)) == body
+        assert len(detector._memo) <= 5
+    assert detector.memo_hits > 0
+    assert detector.memo_misses > len(seqs) // 2  # emptied, so key lists ran again
 
 
 @pytest.mark.parametrize("llm", [False, True], ids=["llm-off", "mock-llm"])
@@ -282,8 +280,7 @@ def test_memoised_run_matches_a_fresh_detector_per_sequence(llm, data):
     ]
     assert got == want
     assert memoised.memo_hits + memoised.memo_misses == len(seqs)
-    if not llm:
-        assert memoised.memo_misses == len({tuple(s.keys) for s in seqs})
+    assert memoised.memo_misses == len({tuple(s.keys) for s in seqs})  # LLM-routed reports too
 
 
 # -- sub-sequence verdict cache ------------------------------------------------------
@@ -361,9 +358,8 @@ def test_a_chunk_undecided_by_a_provider_error_is_asked_again(toy_cat, toy_tree)
     failed, retried, reused = (detector.detect_sequence(s) for s in make_sequences(
         toy_cat, [["k2", "k1", "k3", "k4", "k5", "k6"], ["k2", "k1", "k3", "k4"], ["k2", "k1", "k5", "k6"]]
     ))
-    assert (failed.counters.provider_errors, failed.counters.llm_calls) == (1, 0)
-    assert (retried.counters.provider_errors, retried.counters.llm_calls) == (0, 1)
-    assert (reused.counters.provider_errors, reused.counters.llm_calls) == (0, 0)
+    assert [r.counters.provider_errors for r in (failed, retried, reused)] == [1, 0, 0]
+    assert detector.llm_calls == 1  # asked after the error, then reused
     assert failed.verdicts[0].explanation.startswith("undecided")
     assert reused.verdicts[0] is retried.verdicts[0] and retried.verdicts[0].source == "llm"
     assert (detector.verdict_hits[STATUS], detector.verdict_misses[STATUS]) == (1, 2)
@@ -439,11 +435,11 @@ def shuffle_setup(llm):
     return corpus, tree, templates, config, kbs
 
 
-def verdict_lists(llm, kbs, sequences):
+def report_bodies(llm, kbs, sequences):
     _, tree, templates, config, _ = shuffle_setup(llm)
     provider = MockProvider() if llm else None
     reports = Detector(tree, kbs, config, provider=provider, templates=templates).run(sequences)
-    return {r.sequence_id: report_to_json(r)["verdicts"] for r in reports}
+    return {r.sequence_id: report_to_json(r) for r in reports}
 
 
 def fresh_caches(kbs):
@@ -456,15 +452,16 @@ def fresh_caches(kbs):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_shuffled_input_gives_the_same_verdicts(llm, data):
+    # the whole report body, not only its verdicts, is a function of the key list
     corpus, _, _, _, kbs = shuffle_setup(llm)
-    in_order = verdict_lists(llm, fresh_caches(kbs), corpus.test)
+    in_order = report_bodies(llm, fresh_caches(kbs), corpus.test)
     if llm:
-        assert any(v["source"] == "llm" for vs in in_order.values() for v in vs)
+        assert any(v["source"] == "llm" for body in in_order.values() for v in body["verdicts"])
     order = data.draw(st.permutations(range(len(corpus.test))), label="order")
     shuffled = [corpus.test[i] for i in order]
     warm = fresh_caches(kbs)
-    assert verdict_lists(llm, warm, shuffled) == in_order
-    assert verdict_lists(llm, warm, corpus.test) == in_order  # on warm caches
+    assert report_bodies(llm, warm, shuffled) == in_order
+    assert report_bodies(llm, warm, corpus.test) == in_order  # on warm caches
 
 
 def test_llm_trained_kb_dir_loads_and_saves_back_byte_identical(tmp_path):
@@ -479,7 +476,7 @@ def test_llm_trained_kb_dir_loads_and_saves_back_byte_identical(tmp_path):
     for path in sorted((tmp_path / "saved").iterdir()):
         assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
     # the loaded vectors retrieve the same examples, so the verdicts agree
-    assert verdict_lists(True, fresh_caches(loaded), corpus.test) == verdict_lists(True, fresh_caches(kbs), corpus.test)
+    assert report_bodies(True, fresh_caches(loaded), corpus.test) == report_bodies(True, fresh_caches(kbs), corpus.test)
 
 
 # -- early exit and levels ----------------------------------------------------------

@@ -53,7 +53,7 @@ def test_structure_report_tallies(toy_tree):
     kbs = train(sequences, toy_tree, DetectConfig())
     detector = Detector(toy_tree, kbs, DetectConfig(early_exit=False))
     reports = detector.run(sequences)
-    rep = structure_report(toy_tree, kbs, reports)
+    rep = structure_report(toy_tree, kbs, reports, detector.llm_calls)
 
     assert rep.node_counts == {ENTITY: 3, ACTION: 5, STATUS: 6}
     assert rep.unique_seqs == {ENTITY: 1, ACTION: 3, STATUS: 5}
@@ -67,13 +67,13 @@ def test_structure_report_tallies(toy_tree):
 
 # -- attribution ---------------------------------------------------------------------
 
-def _report(levels_abnormal):
+def _report(levels_abnormal, sequence_id="s"):
     verdicts = [
         SeqVerdict(signature=f"sig-{level}", level=level, verdict="abnormal", source="pattern_match")
         for level in levels_abnormal
     ]
     return SequenceReport(
-        sequence_id="s", final_verdict=bool(levels_abnormal), verdicts=verdicts, counters=Counters()
+        sequence_id=sequence_id, final_verdict=bool(levels_abnormal), verdicts=verdicts, counters=Counters()
     )
 
 
@@ -99,7 +99,7 @@ def test_attribution_buckets():
 # -- persistence ------------------------------------------------------------------------
 
 def test_save_load_reports(tmp_path):
-    reports = [_report([STATUS]), _report([])]
+    reports = [_report([STATUS], "s1"), _report([], "s2")]  # ids are unique in a report
     path = tmp_path / "report.jsonl"
     save_reports(reports, path, meta={"levels": "SAE"})
     meta, records = load_report_records(path)
