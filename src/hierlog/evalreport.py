@@ -5,10 +5,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .detect import LEVEL_ORDER, SequenceReport
+from .detect import LEVEL_ORDER, SeqVerdict, SequenceReport
 from .errors import JsonLinesError
 from .hierarchy import LEVELS, TopicTree
 from .ingest import read_jsonl
@@ -121,40 +122,54 @@ def attribution_report(
 # Report persistence
 # ---------------------------------------------------------------------------
 
-def report_to_json(report: SequenceReport) -> dict:
-    return {
-        "sequence_id": report.sequence_id,
-        "final_verdict": report.final_verdict,
-        "first_abnormal_level": report.first_abnormal_level,
-        "raw_length": report.raw_length,
-        "error": report.error,
-        "counters": {
-            "provider_errors": report.counters.provider_errors,
-            "keys_per_level": report.counters.keys_per_level,
-            "evals_per_level": report.counters.evals_per_level,
-        },
-        "verdicts": [
-            {
-                "signature": v.signature,
-                "level": v.level,
-                "verdict": v.verdict,
-                "source": v.source,
-                "explanation": v.explanation,
-                "confidence_flag": v.confidence_flag,
-            }
-            for v in report.verdicts
-        ],
-    }
+def _text(value: Optional[str]) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
+def _counts(per_level: dict[str, int]) -> str:
+    return ", ".join(["%s: %d" % (encode_basestring_ascii(k), n) for k, n in sorted(per_level.items())])
 
 
 def save_reports(
-    reports: Sequence[SequenceReport], path: str | Path, meta: Optional[dict] = None
+    reports: Iterable[SequenceReport], path: str | Path, meta: Optional[dict] = None
 ) -> None:
-    """JSONL report: first line is a metadata header, then one sequence per line."""
+    """JSONL report: first line is a metadata header, then one sequence per line.
+
+    A line holds the bytes `json.dumps(..., sort_keys=True)` gives for the
+    report's fields, built by %-formatting in sorted-key order. Reports
+    share verdict objects (the per-level verdict dicts and the memo hand out
+    the same ones), so each distinct verdict is encoded once per call,
+    keyed by `id`; the entry holds the verdict, so no other object can take
+    its id before the call ends, even when `reports` is a generator.
+    """
+    encoded: dict[int, tuple[SeqVerdict, str]] = {}
     with Path(path).open("w") as fh:
         fh.write(json.dumps({"meta": meta or {}}, sort_keys=True) + "\n")
         for report in reports:
-            fh.write(json.dumps(report_to_json(report), sort_keys=True) + "\n")
+            verdicts = []
+            for v in report.verdicts:
+                entry = encoded.get(id(v))
+                if entry is None:
+                    entry = encoded[id(v)] = (v, (
+                        '{"confidence_flag": %s, "explanation": %s, "level": %s, "signature": %s, '
+                        '"source": %s, "verdict": %s}' % (
+                            encode_basestring_ascii(v.confidence_flag), _text(v.explanation),
+                            encode_basestring_ascii(v.level), encode_basestring_ascii(v.signature),
+                            encode_basestring_ascii(v.source), encode_basestring_ascii(v.verdict),
+                        )
+                    ))
+                verdicts.append(entry[1])
+            counters = report.counters
+            fh.write(
+                '{"counters": {"evals_per_level": {%s}, "keys_per_level": {%s}, "provider_errors": %d}, '
+                '"error": %s, "final_verdict": %s, "first_abnormal_level": %s, "raw_length": %d, '
+                '"sequence_id": %s, "verdicts": [%s]}\n' % (
+                    _counts(counters.evals_per_level), _counts(counters.keys_per_level), counters.provider_errors,
+                    _text(report.error), "true" if report.final_verdict else "false",
+                    _text(report.first_abnormal_level), report.raw_length,
+                    encode_basestring_ascii(report.sequence_id), ", ".join(verdicts),
+                )
+            )
 
 
 def load_report_records(path: str | Path) -> tuple[dict, list[dict]]:

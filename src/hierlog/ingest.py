@@ -40,7 +40,7 @@ class LogTemplate:
         return self.tokens.count(WILDCARD)
 
 
-@dataclass
+@dataclass(slots=True)
 class RawLogRecord:
     message: str
     timestamp: Optional[float] = None
@@ -311,15 +311,23 @@ def read_jsonl(
     A line that is not a JSON object, or that lacks one of ``fields``,
     raises ``error(line number, reason)``.
     """
+    decode = json.JSONDecoder().raw_decode
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            # One raw_decode call parses a stripped line; where it fails or stops
+            # short (trailing data, a BOM), json.loads gives the reason.
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+                row, end = decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
             if not isinstance(row, dict):
                 raise error(lineno, "expected a JSON object")
             for name in fields:

@@ -308,6 +308,25 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     if parser.has_section("provider"):
         provider = load_provider(parser["provider"])
 
+    # every setting is read, and the provider rule applied, before the first stage writes a file
+    with _stage("hierarchy"):
+        if not parser.has_section("hierarchy"):
+            raise KeyError("missing [hierarchy] section")
+        resume_tree = _flag(parser["hierarchy"], "resume")
+    with _stage("train"):
+        sec = parser["train"]
+        resume_kbs, train_llm = _flag(sec, "resume"), _flag(sec, "llm")
+        _require_provider(train_llm, provider)
+    with _stage("detect"):
+        sec = parser["detect"]
+        config = detect_config(
+            sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
+            _flag(sec, "early_exit", default=True),
+        )
+        _require_provider(config.llm_enabled, provider)
+    with _stage("eval"):
+        attribution = parser.has_section("eval") and _flag(parser["eval"], "attribution")
+
     if parser.has_section("ingest"):
         with _stage("ingest"):
             sec = parser["ingest"]
@@ -317,11 +336,9 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
             log.warning("[ingest] skipped %d unmatched messages", skipped)
 
     with _stage("hierarchy"):
-        if not parser.has_section("hierarchy"):
-            raise KeyError("missing [hierarchy] section")
         sec = parser["hierarchy"]
         catalog = load_template_catalog(sec["templates"])
-        if _flag(sec, "resume") and Path(sec["tree_out"]).exists():
+        if resume_tree and Path(sec["tree_out"]).exists():
             tree = TopicTree.load(sec["tree_out"])
         else:
             triples = extract(
@@ -333,17 +350,13 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     with _stage("train"):
         sec = parser["train"]
         kb_dir = sec["kb_dir"]
-        if _flag(sec, "resume") and (Path(kb_dir) / "train_status.json").exists():
+        if resume_kbs and (Path(kb_dir) / "train_status.json").exists():
             kbs = KnowledgeBaseSet.load_dir(kb_dir)
         else:
-            kbs = train(catalog, tree, sec["sequences"], kb_dir, _flag(sec, "llm"), provider)
+            kbs = train(catalog, tree, sec["sequences"], kb_dir, train_llm, provider)
 
     with _stage("detect"):
         sec = parser["detect"]
-        config = detect_config(
-            sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
-            _flag(sec, "early_exit", default=True),
-        )
         sequences, reports, llm_calls = detect(
             catalog, tree, kbs, kb_dir, sec["sequences"], sec["report"], config, provider
         )
@@ -351,7 +364,5 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     metrics = None
     if parser.has_section("eval"):
         with _stage("eval"):
-            sec = parser["eval"]
-            attribution = _flag(sec, "attribution")
-            metrics = evaluate(tree, kbs, sequences, reports, llm_calls, attribution, sec.get("out"))
+            metrics = evaluate(tree, kbs, sequences, reports, llm_calls, attribution, parser["eval"].get("out"))
     return PipelineResult(tree=tree, kbs=kbs, metrics=metrics)

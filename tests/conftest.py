@@ -16,6 +16,34 @@ def toy_catalog() -> TemplateCatalog:
     return TemplateCatalog([LogTemplate(k, t) for k, t in TOY_TEMPLATES])
 
 
+def report_to_json(report) -> dict:
+    """A report's fields as a JSON object: `json.dumps(..., sort_keys=True)` of it is the
+    oracle for each body line that `save_reports` writes."""
+    return {
+        "sequence_id": report.sequence_id,
+        "final_verdict": report.final_verdict,
+        "first_abnormal_level": report.first_abnormal_level,
+        "raw_length": report.raw_length,
+        "error": report.error,
+        "counters": {
+            "provider_errors": report.counters.provider_errors,
+            "keys_per_level": report.counters.keys_per_level,
+            "evals_per_level": report.counters.evals_per_level,
+        },
+        "verdicts": [
+            {
+                "signature": v.signature,
+                "level": v.level,
+                "verdict": v.verdict,
+                "source": v.source,
+                "explanation": v.explanation,
+                "confidence_flag": v.confidence_flag,
+            }
+            for v in report.verdicts
+        ],
+    }
+
+
 def dense(vector) -> list[float]:
     """The EMBED_DIM-wide list that a sparse vector stands for."""
     values = [0.0] * EMBED_DIM

@@ -195,14 +195,22 @@ def test_pipeline_rejects_unknown_ini_sections_and_keys(tmp_path, data, extra, f
         ({"detect": {"m": "abc"}}, "[detect] m = 'abc' is not an integer"),
         ({"detect": {"early_exit": "maybe"}}, "[detect] early_exit = 'maybe' is not a flag; use on, off, true or false"),
         ({"train": {"llm": "yes"}}, "[train] llm = 'yes' is not a flag; use on, off, true or false"),
+        ({"train": {"resume": "2"}}, "[train] resume = '2' is not a flag; use on, off, true or false"),
+        ({"hierarchy": {"resume": "yes"}}, "[hierarchy] resume = 'yes' is not a flag; use on, off, true or false"),
+        ({"detect": {"llm": "yes"}}, "[detect] llm = 'yes' is not a flag; use on, off, true or false"),
+        ({"detect": {"detector": "bogus"}}, "[detect] unknown detector 'bogus' for level 'status'; use 'exact' or 'automaton'"),
+        ({"detect": {"levels": "AE"}}, "[detect] unknown levels 'AE'; use S, SA, SAE"),
+        ({"eval": {"attribution": "maybe"}}, "[eval] attribution = 'maybe' is not a flag; use on, off, true or false"),
     ],
-    ids=["m-not-int", "early-exit-not-flag", "train-llm-not-flag"],
+    ids=["m-not-int", "early-exit-not-flag", "train-llm-not-flag", "train-resume-not-flag",
+         "hierarchy-resume-not-flag", "detect-llm-not-flag", "unknown-detector", "unknown-levels",
+         "attribution-not-flag"],
 )
 def test_pipeline_rejects_bad_ini_values_as_configuration_errors(tmp_path, data, extra, fault):
     result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", extra))
     assert result.exit_code == 2, result.output
     assert result.output == f"error: {fault}\n"
-    assert not (tmp_path / "report.jsonl").exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]  # no stage ran
 
 
 def test_pipeline_accepts_default_keys_used_for_interpolation(tmp_path, data):
@@ -452,7 +460,7 @@ def test_cli_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, 
 def test_ini_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, stage):
     result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", {stage: {"llm": "on"}}))
     assert (result.exit_code, result.output) == (2, f"error: [{stage}] {NO_PROVIDER}\n")
-    assert not (tmp_path / "report.jsonl").exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]  # no stage ran
 
 
 def test_train_names_the_tree_file_and_node_of_a_bad_tree(tmp_path, data, trained):

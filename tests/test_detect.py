@@ -21,14 +21,13 @@ from hierlog.detect import (
 )
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import DecompositionError, ProviderError
-from hierlog.evalreport import report_to_json
 from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, build_tree, extract_topics
 from hierlog.ingest import LogSequence
 from hierlog.knowledge import KnowledgeBaseSet
 from hierlog.semantics import MockProvider
 from hierlog.synthetic import make_corpus
 
-from conftest import TOY_KEYS
+from conftest import TOY_KEYS, report_to_json
 
 TOY_TEMPLATES_MAP = {
     "k1": "Open session started",

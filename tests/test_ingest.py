@@ -29,6 +29,7 @@ from hierlog.ingest import (
     match_message,
     match_records,
     partition,
+    read_jsonl,
     save_sequences,
 )
 from hierlog.pipeline import parse_partition_spec
@@ -378,6 +379,46 @@ def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
     assert info.value.line_number == 2
     assert reason in info.value.reason
     assert "line 2" in str(info.value) and "line 1" not in str(info.value)
+
+
+# Each reason is the one `json.loads` gives for the whole line. Without the
+# end-of-line check, a single raw_decode call would accept trailing data.
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"message": "x"} y', "invalid JSON: Extra data at column 18"),
+        ('{"message": "x"}   y', "invalid JSON: Extra data at column 20"),
+        ('{"message": "x"}{}', "invalid JSON: Extra data at column 17"),
+        ("[1]", "expected a JSON object"),
+        ('\ufeff{"message": "x"}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) at column 1"),
+        ('{"message": "x"', "invalid JSON: Expecting ',' delimiter at column 16"),
+        ("nul", "invalid JSON: Expecting value at column 1"),
+    ],
+    ids=["trailing-data", "space-then-trailing-data", "second-object", "not-object", "bom", "truncated", "bad-literal"],
+)
+def test_read_jsonl_gives_the_reason_json_loads_gives(tmp_path, line, reason):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"message": "Open session started"}\n' + line + "\n", encoding="utf-8")
+    rows = read_jsonl(path, RawRecordParseError)
+    assert next(rows) == (1, {"message": "Open session started"})
+    with pytest.raises(RawRecordParseError) as info:
+        next(rows)
+    assert (info.value.line_number, info.value.reason) == (2, reason)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.text(), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+), max_size=4), max_size=5))
+def test_read_jsonl_decodes_each_line_as_json_loads_does(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "decoded.jsonl"
+    lines = [json.dumps(row, ensure_ascii=i % 2 == 0) for i, row in enumerate(rows)]
+    path.write_text("".join(f"  {line}\t\n" for line in lines), encoding="utf-8")
+    assert list(read_jsonl(path, RawRecordParseError)) == [
+        (lineno, json.loads(line)) for lineno, line in enumerate(lines, start=1)
+    ]
 
 
 # -- properties ---------------------------------------------------------------
