@@ -5,41 +5,15 @@ class HierlogError(Exception):
     """Base class for all package errors."""
 
 
-class IngestError(HierlogError):
-    pass
-
-
-class DuplicateKeyError(IngestError):
+class DuplicateKeyError(HierlogError):
     def __init__(self, key: str):
         super().__init__(f"duplicate template key: {key!r}")
         self.key = key
 
 
-class LineParseError(IngestError):
-    """A line of an ingest input is not a valid record of its kind."""
-
-    kind = "input"
-
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"{self.kind} parse error at line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
-
-
-class CatalogParseError(LineParseError):
-    kind = "catalog"
-
-
-class SequenceParseError(LineParseError):
-    kind = "sequence file"
-
-
-class RawRecordParseError(LineParseError):
-    kind = "raw log"
-
-
-class JsonLinesError(HierlogError):
-    """A line of a JSON-lines input file (triples, report, provider fixture) is malformed."""
+class LineParseError(HierlogError):
+    """A line of a line-oriented input file (a catalog, raw records, sequences,
+    triples, a report or a provider fixture) is malformed."""
 
     def __init__(self, path, line_number: int, reason: str):
         super().__init__(f"{path}: line {line_number}: {reason}")
@@ -47,10 +21,11 @@ class JsonLinesError(HierlogError):
         self.reason = reason
 
 
-class PartitionError(IngestError):
+class PartitionError(HierlogError):
     def __init__(self, index: int, reason: str):
         super().__init__(f"record {index}: {reason}")
         self.index = index
+        self.reason = reason
 
 
 class ExtractionError(HierlogError):

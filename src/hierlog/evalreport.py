@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -10,7 +9,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .detect import LEVEL_ORDER, SeqVerdict, SequenceReport
-from .errors import JsonLinesError
+from .errors import LineParseError
 from .hierarchy import LEVELS, TopicTree
 from .ingest import read_jsonl
 from .knowledge import KnowledgeBaseSet
@@ -174,22 +173,21 @@ def save_reports(
 
 def load_report_records(path: str | Path) -> tuple[dict, list[dict]]:
     """The meta header and the sequence records of a report that `save_reports` wrote."""
-    error = functools.partial(JsonLinesError, path)
-    rows = read_jsonl(path, error)
+    rows = read_jsonl(path)
     lineno, header = next(rows, (1, None))
     if header is None or "meta" not in header:
-        raise error(lineno, "missing field 'meta': a report starts with its meta header")
+        raise LineParseError(path, lineno, "missing field 'meta': a report starts with its meta header")
     records, first_line = [], {}
     for lineno, row in rows:
         for name in ("sequence_id", "final_verdict"):
             if name not in row:
-                raise error(lineno, f"missing field {name!r}")
+                raise LineParseError(path, lineno, f"missing field {name!r}")
         if not isinstance(row["final_verdict"], bool):
-            raise error(lineno, "field 'final_verdict' must be true or false")
+            raise LineParseError(path, lineno, "field 'final_verdict' must be true or false")
         if type(row["sequence_id"]) is not str:
-            raise error(lineno, "field 'sequence_id' must be a string")
+            raise LineParseError(path, lineno, "field 'sequence_id' must be a string")
         first = first_line.setdefault(row["sequence_id"], lineno)
         if first != lineno:
-            raise error(lineno, f"repeated sequence_id {row['sequence_id']!r}, first at line {first}")
+            raise LineParseError(path, lineno, f"repeated sequence_id {row['sequence_id']!r}, first at line {first}")
         records.append(row)
     return header["meta"], records

@@ -8,7 +8,6 @@ to exactly one template key.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from collections import Counter
@@ -17,7 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .errors import DuplicateKeyError, ExtractionError, JsonLinesError, TreeError
+from .errors import ConfigError, DuplicateKeyError, ExtractionError, LineParseError, TreeError
 from .ingest import WILDCARD, TemplateCatalog, read_jsonl
 from . import prompts as prompt_assets
 
@@ -255,17 +254,6 @@ def build_tree(triples: list[TopicTriple]) -> TopicTree:
 # Extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExtractorConfig:
-    kind: str  # fixture | lexicon | llm
-    fixture_path: Optional[str] = None
-    lexicon_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixture", "lexicon", "llm"):
-            raise ValueError(f"unknown extractor kind: {self.kind!r}")
-
-
 class FixtureExtractor:
     """Exact key -> triple map, for tests and golden runs."""
 
@@ -282,7 +270,16 @@ class FixtureExtractor:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureExtractor":
-        return cls(json.loads(Path(path).read_text()))
+        mapping = _read_json(path)
+        if not isinstance(mapping, dict):
+            raise ValueError(f"{path}: a fixture is a JSON object mapping each template key to its triple")
+        for key, t in mapping.items():
+            if not isinstance(t, dict) or not all(
+                type(name) is str and name for name in (t.get(ENTITY), t.get(ACTION), t.get(STATUS) or NONE_STATUS)
+            ):
+                raise ValueError(f"{path}: key {key!r}: a triple needs non-empty strings 'entity' and 'action', "
+                                 "and 'status' if given")
+        return cls(mapping)
 
     def extract(self, catalog: TemplateCatalog) -> list[TopicTriple]:
         missing = [k for k in catalog.keys() if k not in self.mapping]
@@ -325,7 +322,15 @@ class LexiconExtractor:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconExtractor":
-        cfg = json.loads(Path(path).read_text())
+        cfg = _read_json(path)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: a lexicon is a JSON object")
+        for name, shape in (("entity_terms", dict), ("action_verbs", list), ("status_words", list)):
+            value = cfg.get(name, shape())
+            words = value.values() if isinstance(value, dict) else value
+            if not isinstance(value, shape) or not all(type(w) is str for w in words):
+                kind = "an object" if shape is dict else "a list"
+                raise ValueError(f"{path}: field {name!r} must be {kind} of strings")
         return cls(
             entity_terms=cfg.get("entity_terms"),
             action_verbs=set(cfg["action_verbs"]) if "action_verbs" in cfg else None,
@@ -400,15 +405,30 @@ class LlmExtractor:
         )
 
 
-def make_extractor(config: ExtractorConfig, provider=None):
-    if config.kind == "fixture":
-        return FixtureExtractor.from_file(config.fixture_path)
-    if config.kind == "lexicon":
-        if config.lexicon_path:
-            return LexiconExtractor.from_file(config.lexicon_path)
-        return LexiconExtractor()
-    if provider is None:
-        raise ValueError("llm extractor requires a provider")
+def _read_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
+
+
+def check_extractor(kind: str, fixture_path: Optional[str], provider) -> None:
+    """Raise ConfigError unless the settings name an extractor that `make_extractor` can build."""
+    if kind not in ("fixture", "lexicon", "llm"):
+        raise ConfigError(f"unknown extractor {kind!r}; use fixture, lexicon or llm")
+    if kind == "fixture" and not fixture_path:
+        raise ConfigError("the fixture extractor needs a fixture file; give --fixture or [hierarchy] fixture")
+    if kind == "llm" and provider is None:
+        raise ConfigError("the llm extractor needs a provider; give --provider-kind or a [provider] section")
+
+
+def make_extractor(kind: str, fixture_path: Optional[str] = None, lexicon_path: Optional[str] = None, provider=None):
+    """The extractor of a kind; a file of the wrong shape is a ValueError that names it."""
+    check_extractor(kind, fixture_path, provider)
+    if kind == "fixture":
+        return FixtureExtractor.from_file(fixture_path)
+    if kind == "lexicon":
+        return LexiconExtractor.from_file(lexicon_path) if lexicon_path else LexiconExtractor()
     return LlmExtractor(provider)
 
 
@@ -463,11 +483,10 @@ def save_triples(triples: list[TopicTriple], path: str | Path) -> None:
 def load_triples(path: str | Path) -> list[TopicTriple]:
     """The triples of a file that `save_triples` wrote; a null or absent status is "none"."""
     triples = []
-    error = functools.partial(JsonLinesError, path)
-    for lineno, row in read_jsonl(path, error, ("key", "entity", "action")):
+    for lineno, row in read_jsonl(path, ("key", "entity", "action")):
         names = {"entity": row["entity"], "action": row["action"], "status": row.get("status") or NONE_STATUS}
         for level, name in names.items():
             if not isinstance(name, str) or not name:
-                raise error(lineno, f"field {level!r} must be a non-empty string")
+                raise LineParseError(path, lineno, f"field {level!r} must be a non-empty string")
         triples.append(TopicTriple(str(row["key"]), **names))
     return triples

@@ -12,16 +12,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    CatalogParseError,
-    DuplicateKeyError,
-    PartitionError,
-    RawRecordParseError,
-    SequenceParseError,
-)
+from .errors import DuplicateKeyError, LineParseError, PartitionError
 
 WILDCARD = "<*>"
 
@@ -151,18 +146,18 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
     path = Path(path)
     templates: list[LogTemplate] = []
     if path.suffix in (".jsonl", ".ndjson"):
-        for _, row in read_jsonl(path, CatalogParseError, ("key", "template")):
+        for _, row in read_jsonl(path, ("key", "template")):
             templates.append(LogTemplate(str(row["key"]), str(row["template"])))
     else:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
+            for n, row in enumerate(reader):
                 if not row or all(not c.strip() for c in row):
                     continue
-                if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["key", "template"]:
+                if n == 0 and [c.strip().lower() for c in row[:2]] == ["key", "template"]:
                     continue
-                if len(row) < 2:
-                    raise CatalogParseError(lineno, "expected columns (key, template)")
+                if len(row) < 2:  # line_num counts lines, and a quoted field may span several
+                    raise LineParseError(path, reader.line_num, "expected columns (key, template)")
                 templates.append(LogTemplate(row[0].strip(), row[1].strip()))
     return TemplateCatalog(templates)
 
@@ -303,13 +298,11 @@ def _labels_or_none(labels: list[Optional[bool]]) -> Optional[bool]:
 _LABEL_RULE = "field 'label' must be true, false or null"
 
 
-def read_jsonl(
-    path: str | Path, error: Callable[[int, str], Exception], fields: Sequence[str] = ()
-) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, fields: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
     """(line number, object) per non-blank line of a JSON-lines file.
 
     A line that is not a JSON object, or that lacks one of ``fields``,
-    raises ``error(line number, reason)``.
+    raises `LineParseError`.
     """
     decode = json.JSONDecoder().raw_decode
     with Path(path).open() as fh:
@@ -327,28 +320,41 @@ def read_jsonl(
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise error(lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+                    raise LineParseError(path, lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
             if not isinstance(row, dict):
-                raise error(lineno, "expected a JSON object")
+                raise LineParseError(path, lineno, "expected a JSON object")
             for name in fields:
                 if name not in row:
-                    raise error(lineno, f"missing field {name!r}")
+                    raise LineParseError(path, lineno, f"missing field {name!r}")
             yield lineno, row
 
 
 def load_raw_records(path: str | Path) -> list[RawLogRecord]:
     """Raw records, one JSON object per line: message, and optional timestamp, group_id, label."""
     records = []
-    for lineno, row in read_jsonl(path, RawRecordParseError, ("message",)):
+    for lineno, row in read_jsonl(path, ("message",)):
         if not isinstance(row["message"], str):
-            raise RawRecordParseError(lineno, "field 'message' must be a string")
+            raise LineParseError(path, lineno, "field 'message' must be a string")
         group_id, label = row.get("group_id"), row.get("label")
         if group_id is not None and not isinstance(group_id, str):
-            raise RawRecordParseError(lineno, "field 'group_id' must be a string or null")
+            raise LineParseError(path, lineno, "field 'group_id' must be a string or null")
         if label is not None and type(label) is not bool:
-            raise RawRecordParseError(lineno, _LABEL_RULE)
+            raise LineParseError(path, lineno, _LABEL_RULE)
         records.append(RawLogRecord(row["message"], row.get("timestamp"), group_id, label))
     return records
+
+
+def raw_record_line(path: str | Path, report: MatchReport, index: int) -> int:
+    """The line of ``path`` that the ``index``-th matched record of ``report`` came from.
+
+    ``report`` is what `match_records` made of `load_raw_records(path)`,
+    which keeps one record per line that `read_jsonl` yields. Only an error
+    needs the line, so the file is read again instead of every record
+    keeping its line.
+    """
+    skipped = {i for i, _ in report.skipped}
+    matched = (lineno for i, (lineno, _) in enumerate(read_jsonl(path)) if i not in skipped)
+    return next(islice(matched, index, None))
 
 
 def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:
@@ -364,23 +370,23 @@ def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:
 def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequence]:
     """The sequences of a file that `save_sequences` wrote; keys must be in the catalog and ids unique."""
     sequences, first_line = [], {}
-    for lineno, row in read_jsonl(path, SequenceParseError, ("sequence_id", "keys")):
+    for lineno, row in read_jsonl(path, ("sequence_id", "keys")):
         sid = row["sequence_id"]
         if type(sid) is not str:
-            raise SequenceParseError(lineno, "field 'sequence_id' must be a string")
+            raise LineParseError(path, lineno, "field 'sequence_id' must be a string")
         first = first_line.setdefault(sid, lineno)
         if first != lineno:
-            raise SequenceParseError(lineno, f"repeated sequence_id {sid!r}, first at line {first}")
+            raise LineParseError(path, lineno, f"repeated sequence_id {sid!r}, first at line {first}")
         if not isinstance(row["keys"], list):
-            raise SequenceParseError(lineno, "field 'keys' must be a list")
+            raise LineParseError(path, lineno, "field 'keys' must be a list")
         try:
             keys = catalog.lookup(row["keys"])
         except (KeyError, TypeError):  # TypeError: an unhashable key
             known = catalog.keys()
             unknown = next(k for k in row["keys"] if not isinstance(k, str) or k not in known)
-            raise SequenceParseError(lineno, f"unknown log key {unknown!r}") from None
+            raise LineParseError(path, lineno, f"unknown log key {unknown!r}") from None
         label = row.get("label")
         if label is not None and type(label) is not bool:
-            raise SequenceParseError(lineno, _LABEL_RULE)
+            raise LineParseError(path, lineno, _LABEL_RULE)
         sequences.append(LogSequence(sid, keys, label))
     return sequences

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .detect import DetectConfig, Detector, SequenceReport, train as train_kbs
-from .errors import ConfigError, HierlogError, StageError
+from .errors import ConfigError, HierlogError, LineParseError, PartitionError, StageError
 from .evalreport import (
     attribution_report,
     compute_metrics,
@@ -29,10 +29,10 @@ from .evalreport import (
     structure_report,
 )
 from .hierarchy import (
-    ExtractorConfig,
     TopicTree,
     TopicTriple,
     build_tree,
+    check_extractor,
     extract_topics,
     load_triples,
     make_extractor,
@@ -48,6 +48,7 @@ from .ingest import (
     load_template_catalog,
     match_records,
     partition as partition_records,
+    raw_record_line,
     save_sequences,
 )
 from .knowledge import KnowledgeBaseSet
@@ -81,11 +82,15 @@ def parse_partition_spec(spec: str) -> PartitionSpec:
 
 
 def load_provider(settings: Mapping[str, Optional[str]]) -> Provider:
-    """The LLM provider that a [provider] section, or the CLI's --provider-* options, describe."""
+    """The LLM provider that a [provider] section, or the CLI's --provider-* options, describe.
+
+    A bad setting, or a recorded fixture that does not exist, is a ConfigError;
+    a malformed line in a fixture is a run failure, not a setting.
+    """
     fields = {name: settings.get(name) or None for name in ("fixture_path", "endpoint", "model", "auth_env")}
     try:
         return make_provider(ProviderConfig(kind=settings.get("kind", "mock"), **fields))
-    except ValueError as exc:  # a bad fixture file is a run failure, not a setting
+    except (ValueError, FileNotFoundError) as exc:
         raise ConfigError(f"provider: {exc}") from exc
 
 
@@ -109,7 +114,10 @@ def ingest(
     """
     spec = parse_partition_spec(partition)
     report = match_records(catalog, load_raw_records(logs_path))
-    sequences = partition_records(report.records, report.keys, spec)
+    try:
+        sequences = partition_records(report.records, report.keys, spec)
+    except PartitionError as exc:  # its index counts matched records only
+        raise LineParseError(logs_path, raw_record_line(logs_path, report, exc.index), exc.reason) from exc
     save_sequences(sequences, out_path)
     return len(sequences), len(report.skipped)
 
@@ -119,11 +127,7 @@ def extract(
     provider: Optional[Provider], refine: bool = True, triples_out: Optional[str | Path] = None,
 ) -> list[TopicTriple]:
     """One (entity, action, status) triple per template, saved when given a path."""
-    extractor = make_extractor(
-        ExtractorConfig(kind=kind, fixture_path=fixture or None, lexicon_path=lexicon or None),
-        provider=provider,
-    )
-    triples = extract_topics(catalog, extractor)
+    triples = extract_topics(catalog, make_extractor(kind, fixture, lexicon, provider))
     if refine:
         triples = refine_topics(triples)
     if triples_out:
@@ -312,7 +316,9 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     with _stage("hierarchy"):
         if not parser.has_section("hierarchy"):
             raise KeyError("missing [hierarchy] section")
-        resume_tree = _flag(parser["hierarchy"], "resume")
+        sec = parser["hierarchy"]
+        resume_tree = _flag(sec, "resume")
+        check_extractor(sec.get("extractor", "lexicon"), sec.get("fixture"), provider)
     with _stage("train"):
         sec = parser["train"]
         resume_kbs, train_llm = _flag(sec, "resume"), _flag(sec, "llm")

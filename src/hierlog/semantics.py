@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import os
 import re
@@ -22,7 +21,7 @@ from typing import NamedTuple, Optional, Protocol, Sequence
 
 from . import prompts as prompt_assets
 from .decompose import Seq
-from .errors import JsonLinesError, ProviderError
+from .errors import LineParseError, ProviderError
 from .ingest import read_jsonl
 
 VERDICT_NORMAL = "normal"
@@ -109,24 +108,17 @@ class MockProvider:
 
 
 class RecordedProvider:
-    """Replay provider backed by an append-only (request-hash, response) file.
+    """Replay provider backed by a (request-hash, response) JSON-lines file; an unseen request is an error."""
 
-    With an inner provider, unseen requests are forwarded and the response
-    recorded; without one, an unseen request is an error.
-    """
-
-    def __init__(self, path: str | Path, inner: Optional[Provider] = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.inner = inner
         self.calls = 0
         self._cache: dict[str, str] = {}
-        if self.path.exists():
-            error = functools.partial(JsonLinesError, self.path)
-            for lineno, row in read_jsonl(self.path, error, ("request_hash", "response")):
-                for name in ("request_hash", "response"):
-                    if not isinstance(row[name], str):
-                        raise error(lineno, f"field {name!r} must be a string")
-                self._cache[row["request_hash"]] = row["response"]
+        for lineno, row in read_jsonl(self.path, ("request_hash", "response")):
+            for name in ("request_hash", "response"):
+                if not isinstance(row[name], str):
+                    raise LineParseError(self.path, lineno, f"field {name!r} must be a string")
+            self._cache[row["request_hash"]] = row["response"]
 
     @staticmethod
     def request_hash(request: str) -> str:
@@ -135,15 +127,9 @@ class RecordedProvider:
     def complete(self, request: str) -> str:
         self.calls += 1
         h = self.request_hash(request)
-        if h in self._cache:
-            return self._cache[h]
-        if self.inner is None:
+        if h not in self._cache:
             raise ProviderError(f"no recorded response for request hash {h[:12]}")
-        response = self.inner.complete(request)
-        self._cache[h] = response
-        with self.path.open("a") as fh:
-            fh.write(json.dumps({"request_hash": h, "response": response}) + "\n")
-        return response
+        return self._cache[h]
 
 
 class HttpChatProvider:
@@ -183,13 +169,13 @@ class HttpChatProvider:
         raise ProviderError(f"chat endpoint failed after retries: {last_exc}") from last_exc
 
 
-def make_provider(config: ProviderConfig, inner: Optional[Provider] = None) -> Provider:
+def make_provider(config: ProviderConfig) -> Provider:
     if config.kind == "mock":
         return MockProvider()
     if config.kind == "recorded":
         if not config.fixture_path:
             raise ValueError("recorded provider requires fixture_path")
-        return RecordedProvider(config.fixture_path, inner=inner)
+        return RecordedProvider(config.fixture_path)
     return HttpChatProvider(config)
 
 

@@ -1,12 +1,13 @@
 """Shared fixtures: the six-template login example and the synthetic corpus."""
 
+import json
 import math
 
 import pytest
 
 from hierlog.hierarchy import FixtureExtractor, build_tree, extract_topics
 from hierlog.ingest import LogTemplate, TemplateCatalog
-from hierlog.semantics import EMBED_DIM
+from hierlog.semantics import EMBED_DIM, RecordedProvider
 from hierlog.synthetic import TOY_FIXTURE, TOY_TEMPLATES, make_corpus
 
 TOY_KEYS = ["k1", "k2", "k3", "k4", "k5", "k6"]
@@ -42,6 +43,26 @@ def report_to_json(report) -> dict:
             for v in report.verdicts
         ],
     }
+
+
+class Recorder:
+    """A provider that answers through `inner` and keeps each answer, to save as a recorded provider's fixture."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.responses: dict[str, str] = {}  # request hash -> response
+
+    def complete(self, request: str) -> str:
+        self.calls += 1
+        response = self.responses[RecordedProvider.request_hash(request)] = self.inner.complete(request)
+        return response
+
+    def save(self, path) -> None:
+        """One (request_hash, response) line per request, the lines `RecordedProvider` replays."""
+        path.write_text("".join(
+            json.dumps({"request_hash": h, "response": r}) + "\n" for h, r in self.responses.items()
+        ))
 
 
 def dense(vector) -> list[float]:

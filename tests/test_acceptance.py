@@ -32,7 +32,7 @@ from hierlog.hierarchy import (
 from hierlog.ingest import load_sequences, load_template_catalog
 from hierlog.knowledge import KnowledgeBaseSet
 from hierlog.pipeline import run_pipeline
-from hierlog.semantics import MockProvider, RecordedProvider
+from hierlog.semantics import MockProvider
 from hierlog.synthetic import (
     BENIGN_UNSEEN_ACTION_NODES,
     TOY_FIXTURE,
@@ -40,7 +40,7 @@ from hierlog.synthetic import (
     write_corpus,
 )
 
-from conftest import TOY_KEYS, toy_catalog
+from conftest import TOY_KEYS, Recorder, toy_catalog
 
 
 VERDICT_LINES: list[str] = []
@@ -470,7 +470,7 @@ def test_criterion_10_determinism(tmp_path):
     triples = refine_topics(extract_topics(catalog, FixtureExtractor.from_file(data / "fixture.json")))
     tree = build_tree(triples)
     templates = {t.key: t.text for t in catalog.templates()}
-    recorder = RecordedProvider(fixture_file, inner=MockProvider())
+    recorder = Recorder(MockProvider())
     config = DetectConfig(llm_enabled=True)
     kbs = train(
         load_sequences(data / "train.jsonl", catalog), tree, config,
@@ -479,6 +479,7 @@ def test_criterion_10_determinism(tmp_path):
     Detector(tree, kbs, config, provider=recorder, templates=templates).run(
         load_sequences(data / "test.jsonl", catalog)
     )
+    recorder.save(fixture_file)
 
     outputs = []
     for name in ("run1", "run2"):

@@ -189,6 +189,11 @@ def test_pipeline_rejects_unknown_ini_sections_and_keys(tmp_path, data, extra, f
     assert not (tmp_path / "test.jsonl").exists()
 
 
+NO_FIXTURE = "the fixture extractor needs a fixture file; give --fixture or [hierarchy] fixture"
+NO_EXTRACTOR_PROVIDER = "the llm extractor needs a provider; give --provider-kind or a [provider] section"
+NOT_A_TRIPLE = "a triple needs non-empty strings 'entity' and 'action', and 'status' if given"
+
+
 @pytest.mark.parametrize(
     "extra, fault",
     [
@@ -201,16 +206,73 @@ def test_pipeline_rejects_unknown_ini_sections_and_keys(tmp_path, data, extra, f
         ({"detect": {"detector": "bogus"}}, "[detect] unknown detector 'bogus' for level 'status'; use 'exact' or 'automaton'"),
         ({"detect": {"levels": "AE"}}, "[detect] unknown levels 'AE'; use S, SA, SAE"),
         ({"eval": {"attribution": "maybe"}}, "[eval] attribution = 'maybe' is not a flag; use on, off, true or false"),
+        ({"hierarchy": {"extractor": "bogus"}}, "[hierarchy] unknown extractor 'bogus'; use fixture, lexicon or llm"),
+        ({"hierarchy": {"fixture": ""}}, f"[hierarchy] {NO_FIXTURE}"),
+        ({"hierarchy": {"extractor": "llm"}}, f"[hierarchy] {NO_EXTRACTOR_PROVIDER}"),
     ],
     ids=["m-not-int", "early-exit-not-flag", "train-llm-not-flag", "train-resume-not-flag",
          "hierarchy-resume-not-flag", "detect-llm-not-flag", "unknown-detector", "unknown-levels",
-         "attribution-not-flag"],
+         "attribution-not-flag", "unknown-extractor", "fixture-extractor-without-a-file",
+         "llm-extractor-without-a-provider"],
 )
 def test_pipeline_rejects_bad_ini_values_as_configuration_errors(tmp_path, data, extra, fault):
     result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", extra))
     assert result.exit_code == 2, result.output
     assert result.output == f"error: {fault}\n"
     assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]  # no stage ran
+
+
+@pytest.mark.parametrize(
+    "args, fault",
+    [(["--extractor", "fixture"], NO_FIXTURE), (["--extractor", "llm"], NO_EXTRACTOR_PROVIDER)],
+    ids=["fixture-without-a-file", "llm-without-a-provider"],
+)
+def test_cli_extractor_settings_are_configuration_errors(tmp_path, data, args, fault):
+    result = invoke("hierarchy", "extract", "--templates", data / "templates.csv", *args,
+                    "--out", tmp_path / "triples.jsonl")
+    assert (result.exit_code, result.output) == (2, f"error: {fault}\n")
+    assert not (tmp_path / "triples.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, fault",
+    [
+        ("fixture", '["x"]', "a fixture is a JSON object mapping each template key to its triple"),
+        ("fixture", '{"k1": "x"}', f"key 'k1': {NOT_A_TRIPLE}"),
+        ("fixture", '{"k1": {"entity": "Session", "action": 3}}', f"key 'k1': {NOT_A_TRIPLE}"),
+        ("fixture", '{"k1": {"entity": "", "action": "open"}}', f"key 'k1': {NOT_A_TRIPLE}"),
+        ("fixture", "{", "invalid JSON: Expecting property name enclosed in double quotes at line 1 column 2"),
+        ("lexicon", '{"action_verbs": 5}', "field 'action_verbs' must be a list of strings"),
+        ("lexicon", '{"status_words": ["ok", null]}', "field 'status_words' must be a list of strings"),
+        ("lexicon", '{"entity_terms": {"disk": 1}}', "field 'entity_terms' must be an object of strings"),
+        ("lexicon", "[]", "a lexicon is a JSON object"),
+    ],
+    ids=["fixture-list", "fixture-triple-a-string", "fixture-action-an-int", "fixture-entity-empty", "fixture-not-json",
+         "lexicon-verbs-an-int", "lexicon-word-null", "lexicon-term-an-int", "lexicon-list"],
+)
+def test_extractor_files_of_the_wrong_shape_name_the_file(tmp_path, data, kind, text, fault):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    result = invoke("hierarchy", "extract", "--templates", data / "templates.csv", "--extractor", kind,
+                    f"--{kind}", path, "--out", tmp_path / "triples.jsonl")
+    assert (result.exit_code, result.output) == (1, f"error: {path}: {fault}\n")
+    assert not (tmp_path / "triples.jsonl").exists()
+
+
+def test_a_missing_recorded_fixture_is_a_configuration_error(tmp_path, data, trained):
+    missing = tmp_path / "no-such-file.jsonl"
+    fault = f"provider: [Errno 2] No such file or directory: '{missing}'"
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", trained / "kb", "--test", trained / "test.jsonl", "--llm", "on",
+                    "--provider-kind", "recorded", "--provider-fixture", missing, "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (2, f"error: {fault}\n")
+    assert not (tmp_path / "report.jsonl").exists()
+    ini = tmp_path / "ini"
+    ini.mkdir()
+    config = write_ini(data, ini, "on", {"provider": {"kind": "recorded", "fixture_path": str(missing)}})
+    result = invoke("pipeline", "--config", config)
+    assert (result.exit_code, result.output) == (2, f"error: {fault}\n")
+    assert [path.name for path in ini.iterdir()] == ["run.ini"]
 
 
 def test_pipeline_accepts_default_keys_used_for_interpolation(tmp_path, data):
@@ -362,44 +424,6 @@ def test_detect_names_the_file_and_entry_of_a_missing_field(tmp_path, data, trai
     assert not (tmp_path / "report.jsonl").exists()
 
 
-def test_run_failures_exit_1(tmp_path, data):
-    bad = tmp_path / "raw.jsonl"
-    bad.write_text('{"message": "Open session started"}\n{"timestamp": 1}\n')
-    result = invoke("ingest", "--templates", data / "templates.csv", "--logs", bad, "--out", tmp_path / "s.jsonl")
-    assert result.exit_code == 1
-    assert result.output == "error: raw log parse error at line 2: missing field 'message'\n"
-
-
-def test_string_labels_are_rejected_not_scored(tmp_path, data, trained):
-    # a "false" string is truthy: scored, it would count every sequence as abnormal
-    relabeled = tmp_path / "test.jsonl"
-    rows = [json.loads(line) for line in (trained / "test.jsonl").read_text().splitlines()]
-    relabeled.write_text("".join(json.dumps({**row, "label": str(row["label"]).lower()}) + "\n" for row in rows))
-    result = invoke("evaluate", "--report", trained / "report.jsonl", "--test", relabeled,
-                    "--templates", data / "templates.csv", "--out", tmp_path / "eval.json")
-    assert result.exit_code == 1
-    assert result.output == "error: sequence file parse error at line 1: field 'label' must be true, false or null\n"
-    assert not (tmp_path / "eval.json").exists()
-
-    raw = tmp_path / "raw.jsonl"
-    raw.write_text((data / "raw.jsonl").read_text().replace('"label": false', '"label": "false"', 1))
-    result = invoke("ingest", "--templates", data / "templates.csv", "--logs", raw,
-                    "--partition", "identifier", "--out", tmp_path / "s.jsonl")
-    assert result.exit_code == 1
-    assert "field 'label' must be true, false or null" in result.output
-
-
-@pytest.mark.parametrize("group_id", [["a"], 5], ids=["list", "int"])
-def test_ingest_rejects_a_group_id_that_is_not_a_string(tmp_path, data, group_id):
-    raw = tmp_path / "raw.jsonl"
-    raw.write_text(json.dumps({"message": "no template matches this line", "group_id": group_id}) + "\n")
-    result = invoke("ingest", "--templates", data / "templates.csv", "--logs", raw,
-                    "--partition", "identifier", "--out", tmp_path / "s.jsonl")
-    assert result.exit_code == 1
-    assert result.output == "error: raw log parse error at line 1: field 'group_id' must be a string or null\n"
-    assert not (tmp_path / "s.jsonl").exists()
-
-
 @pytest.mark.parametrize("text", ["", '{"nodes": ['], ids=["empty", "not-json"])
 def test_train_names_a_tree_file_it_cannot_load(tmp_path, data, text):
     path = tmp_path / "tree.json"
@@ -410,35 +434,6 @@ def test_train_names_a_tree_file_it_cannot_load(tmp_path, data, text):
     assert result.output.startswith(f"error: cannot load tree from {path}: ")
     assert "Traceback" not in result.output
     assert not (tmp_path / "kb").exists()
-
-
-@pytest.mark.parametrize("sequence_id", [["a"], 5], ids=["list", "int"])
-def test_detect_rejects_a_sequence_id_that_is_not_a_string(tmp_path, data, trained, sequence_id):
-    lines = (trained / "test.jsonl").read_text().splitlines(keepends=True)
-    bad = tmp_path / "test.jsonl"
-    bad.write_text("".join(lines[:2]) + json.dumps({**json.loads(lines[2]), "sequence_id": sequence_id}) + "\n")
-    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
-                    "--kb-dir", trained / "kb", "--test", bad, "--report", tmp_path / "report.jsonl")
-    assert result.exit_code == 1
-    assert result.output == "error: sequence file parse error at line 3: field 'sequence_id' must be a string\n"
-    assert not (tmp_path / "report.jsonl").exists()
-
-
-def test_detect_and_evaluate_reject_a_repeated_sequence_id(tmp_path, data, trained):
-    # scored by id, an abnormal and a normal "x" would count as one missed anomaly and one true negative
-    lines = (trained / "test.jsonl").read_text().splitlines()
-    pair = [next(line for line in lines if json.loads(line)["label"] is value) for value in (True, False)]
-    repeated = tmp_path / "test.jsonl"
-    repeated.write_text("".join(_with_id(line, "x") for line in pair))
-    fault = "sequence file parse error at line 2: repeated sequence_id 'x', first at line 1"
-    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
-                    "--kb-dir", trained / "kb", "--test", repeated, "--report", tmp_path / "report.jsonl")
-    assert (result.exit_code, result.output) == (1, f"error: {fault}\n")
-    assert not (tmp_path / "report.jsonl").exists()
-    result = invoke("evaluate", "--report", trained / "report.jsonl", "--test", repeated,
-                    "--templates", data / "templates.csv", "--out", tmp_path / "eval.json")
-    assert (result.exit_code, result.output) == (1, f"error: {fault}\n")
-    assert not (tmp_path / "eval.json").exists()
 
 
 NO_PROVIDER = "the LLM path is on but no provider is set; give --provider-kind or a [provider] section"
@@ -582,55 +577,136 @@ def _drop_field(line, name):
     return json.dumps(row) + "\n"
 
 
-def _with_id(line, sequence_id):
-    return json.dumps({**json.loads(line), "sequence_id": sequence_id}) + "\n"
+def _with(line, **fields):
+    return json.dumps({**json.loads(line), **fields}) + "\n"
 
 
-# case -> (input written from the trained run's lines, the command reading it, the fault reported)
+def _repeated_id(lines):
+    """An abnormal and a normal line under one id: scored by id, they would count as one missed anomaly and one
+    true negative."""
+    pair = [next(line for line in lines if json.loads(line)["label"] is value) for value in (True, False)]
+    return "".join(_with(line, sequence_id="x") for line in pair)
+
+
+UNMATCHED = json.dumps({"message": "no template matches this line"}) + "\n"
+NOT_A_LABEL = "field 'label' must be true, false or null"
+
+# case -> (command, the option naming the input, the input's file name, its text made from the lines of the
+# trained run's or the corpus's file of that name, the fault reported after "<path>: ")
 JSONL_FAULTS = {
+    "catalog-row-with-one-column": (
+        "ingest", "--templates", "templates.csv", lambda lines: lines[0] + "justonecolumn\n",
+        "line 2: expected columns (key, template)",
+    ),
+    "jsonl-catalog-without-template": (
+        "ingest", "--templates", "templates.jsonl", lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2"}\n',
+        "line 2: missing field 'template'",
+    ),
+    "raw-record-without-message": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: lines[0] + '{"timestamp": 1}\n',
+        "line 2: missing field 'message'",
+    ),
+    # a "false" string is truthy: scored, it would count the sequence as abnormal
+    "raw-label-a-string": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: _with(lines[0], label="false") + "".join(lines[1:]),
+        f"line 1: {NOT_A_LABEL}",
+    ),
+    "raw-group-id-a-list": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: _with(UNMATCHED, group_id=["a"]),
+        "line 1: field 'group_id' must be a string or null",
+    ),
+    "raw-group-id-an-int": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: _with(UNMATCHED, group_id=5),
+        "line 1: field 'group_id' must be a string or null",
+    ),
+    # the line in the file, not the index among the records that matched a template
+    "raw-record-without-group-id": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: UNMATCHED * 2 + _drop_field(lines[0], "group_id"),
+        "line 3: identifier mode requires group_id",
+    ),
+    "raw-record-without-timestamp": (
+        "ingest-by-time", "--logs", "raw.jsonl",
+        lambda lines: UNMATCHED + "\n" + _with(lines[0], timestamp=0) + lines[1],
+        "line 4: time_window mode requires a finite numeric timestamp",
+    ),
+    "sequence-id-a-list": (
+        "detect", "--test", "test.jsonl", lambda lines: "".join(lines[:2]) + _with(lines[2], sequence_id=["a"]),
+        "line 3: field 'sequence_id' must be a string",
+    ),
+    "sequence-id-an-int": (
+        "detect", "--test", "test.jsonl", lambda lines: "".join(lines[:2]) + _with(lines[2], sequence_id=5),
+        "line 3: field 'sequence_id' must be a string",
+    ),
+    "sequence-label-a-string": (
+        "evaluate", "--test", "test.jsonl",
+        lambda lines: "".join(_with(line, label=str(json.loads(line)["label"]).lower()) for line in lines),
+        f"line 1: {NOT_A_LABEL}",
+    ),
+    "repeated-sequence-id-in-detect": (
+        "detect", "--test", "test.jsonl", _repeated_id, "line 2: repeated sequence_id 'x', first at line 1",
+    ),
+    "repeated-sequence-id-in-evaluate": (
+        "evaluate", "--test", "test.jsonl", _repeated_id, "line 2: repeated sequence_id 'x', first at line 1",
+    ),
     "triple-without-action": (
-        "triples.jsonl", lambda lines: lines[0] + _drop_field(lines[1], "action"), "build", "line 2: missing field 'action'"
+        "build", "--triples", "triples.jsonl", lambda lines: lines[0] + _drop_field(lines[1], "action"),
+        "line 2: missing field 'action'",
     ),
     "triple-not-json": (
-        "triples.jsonl", lambda lines: lines[0] + "not json\n", "build", "line 2: invalid JSON: Expecting value at column 1"
+        "build", "--triples", "triples.jsonl", lambda lines: lines[0] + "not json\n",
+        "line 2: invalid JSON: Expecting value at column 1",
     ),
     "empty-report": (
-        "report.jsonl", lambda lines: "", "evaluate", "line 1: missing field 'meta': a report starts with its meta header"
+        "evaluate", "--report", "report.jsonl", lambda lines: "",
+        "line 1: missing field 'meta': a report starts with its meta header",
     ),
     "report-without-verdict": (
-        "report.jsonl", lambda lines: "".join(lines[:2]) + _drop_field(lines[2], "final_verdict"), "evaluate",
+        "evaluate", "--report", "report.jsonl",
+        lambda lines: "".join(lines[:2]) + _drop_field(lines[2], "final_verdict"),
         "line 3: missing field 'final_verdict'",
     ),
     # scored by id, a repeated id would drop one of its verdicts
     "report-with-a-repeated-id": (
-        "report.jsonl", lambda lines: lines[0] + _with_id(lines[1], "x") + _with_id(lines[2], "x"), "evaluate",
+        "evaluate", "--report", "report.jsonl",
+        lambda lines: lines[0] + _with(lines[1], sequence_id="x") + _with(lines[2], sequence_id="x"),
         "line 3: repeated sequence_id 'x', first at line 2",
     ),
     "report-id-not-a-string": (
-        "report.jsonl", lambda lines: lines[0] + _with_id(lines[1], ["x"]), "evaluate",
+        "evaluate", "--report", "report.jsonl", lambda lines: lines[0] + _with(lines[1], sequence_id=["x"]),
         "line 2: field 'sequence_id' must be a string",
     ),
     "fixture-without-hash": (
-        "fixture.jsonl", lambda lines: '{"response": "VERDICT: NORMAL"}\n', "train", "line 1: missing field 'request_hash'"
+        "train", "--provider-fixture", "fixture.jsonl", lambda lines: '{"response": "VERDICT: NORMAL"}\n',
+        "line 1: missing field 'request_hash'",
     ),
 }
 
 
+def _command(command, data, trained, out):
+    """The words and the options of a command that reads the trained run's files and writes `out`."""
+    templates, tree = data / "templates.csv", trained / "tree.json"
+    ingest = {"--templates": templates, "--logs": data / "raw.jsonl", "--partition": "identifier", "--out": out}
+    return {
+        "ingest": (["ingest"], ingest),
+        "ingest-by-time": (["ingest"], {**ingest, "--partition": "time:10"}),
+        "build": (["hierarchy", "build"], {"--triples": trained / "triples.jsonl", "--out": out}),
+        "train": (["train"], {"--templates": templates, "--tree": tree, "--sequences": data / "train.jsonl",
+                              "--kb-dir": out, "--llm": "on", "--provider-kind": "recorded"}),
+        "detect": (["detect"], {"--templates": templates, "--tree": tree, "--kb-dir": trained / "kb",
+                                "--test": trained / "test.jsonl", "--report": out}),
+        "evaluate": (["evaluate"], {"--report": trained / "report.jsonl", "--test": trained / "test.jsonl",
+                                    "--templates": templates, "--out": out}),
+    }[command]
+
+
 @pytest.mark.parametrize("case", list(JSONL_FAULTS))
 def test_bad_jsonl_input_names_the_file_line_and_field(tmp_path, data, trained, case):
-    name, make, command, fault = JSONL_FAULTS[case]
+    command, option, name, make, fault = JSONL_FAULTS[case]
+    source = next((d / name for d in (trained, data) if (d / name).exists()), None)
     path = tmp_path / name
-    lines = (trained / name).read_text().splitlines(keepends=True) if (trained / name).exists() else []
-    path.write_text(make(lines))
-    args = {
-        "build": ["hierarchy", "build", "--triples", path, "--out", tmp_path / "out"],
-        "evaluate": ["evaluate", "--report", path, "--test", trained / "test.jsonl",
-                     "--templates", data / "templates.csv", "--out", tmp_path / "out"],
-        "train": ["train", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
-                  "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "out", "--llm", "on",
-                  "--provider-kind", "recorded", "--provider-fixture", path],
-    }[command]
-    result = invoke(*args)
+    path.write_text(make(source.read_text().splitlines(keepends=True) if source else []))
+    words, options = _command(command, data, trained, tmp_path / "out")
+    result = invoke(*words, *(arg for pair in {**options, option: path}.items() for arg in pair))
     assert result.exit_code == 1, result.output
     assert result.output == f"error: {path}: {fault}\n"
     assert not (tmp_path / "out").exists()

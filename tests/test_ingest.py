@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.errors import (
-    CatalogParseError,
-    ConfigError,
-    DuplicateKeyError,
-    PartitionError,
-    RawRecordParseError,
-    SequenceParseError,
-)
+from hierlog.errors import ConfigError, DuplicateKeyError, LineParseError, PartitionError
 from hierlog.ingest import (
     WILDCARD,
     LogSequence,
@@ -79,8 +72,18 @@ def test_duplicate_key_rejected(tmp_path):
 def test_malformed_row(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("justonecolumn\n")
-    with pytest.raises(CatalogParseError):
+    with pytest.raises(LineParseError) as info:
         load_template_catalog(p)
+    assert (info.value.line_number, info.value.reason) == (1, "expected columns (key, template)")
+    assert str(info.value) == f"{p}: line 1: expected columns (key, template)"
+
+
+def test_malformed_row_after_a_quoted_newline_names_its_line(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text('key,template\nk1,"Open\nsession"\njustonecolumn\n')
+    with pytest.raises(LineParseError) as info:
+        load_template_catalog(p)
+    assert info.value.line_number == 4  # the third row
 
 
 @pytest.mark.parametrize(
@@ -96,10 +99,10 @@ def test_malformed_row(tmp_path):
 def test_load_jsonl_catalog_errors_carry_line_and_reason(tmp_path, line, reason):
     p = tmp_path / "t.jsonl"
     p.write_text('{"key": "k1", "template": "alpha beta"}\n' + line + "\n")
-    with pytest.raises(CatalogParseError) as info:
+    with pytest.raises(LineParseError) as info:
         load_template_catalog(p)
     assert info.value.line_number == 2
-    assert str(info.value) == f"catalog parse error at line 2: {reason}"
+    assert str(info.value) == f"{p}: line 2: {reason}"
 
 
 # -- matching -----------------------------------------------------------------
@@ -339,7 +342,7 @@ def test_sequence_round_trip(tmp_path, toy_cat):
 def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, reason):
     path = tmp_path / "seqs.jsonl"
     path.write_text('{"sequence_id": "s1", "keys": ["k1", "k2"]}\n' + line + "\n")
-    with pytest.raises(SequenceParseError) as info:
+    with pytest.raises(LineParseError) as info:
         load_sequences(path, toy_cat)
     assert info.value.line_number == 2
     assert reason in info.value.reason
@@ -374,7 +377,7 @@ def test_load_raw_records(tmp_path):
 def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"message": "Open session started"}\n' + line + "\n")
-    with pytest.raises(RawRecordParseError) as info:
+    with pytest.raises(LineParseError) as info:
         load_raw_records(path)
     assert info.value.line_number == 2
     assert reason in info.value.reason
@@ -399,9 +402,9 @@ def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
 def test_read_jsonl_gives_the_reason_json_loads_gives(tmp_path, line, reason):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"message": "Open session started"}\n' + line + "\n", encoding="utf-8")
-    rows = read_jsonl(path, RawRecordParseError)
+    rows = read_jsonl(path)
     assert next(rows) == (1, {"message": "Open session started"})
-    with pytest.raises(RawRecordParseError) as info:
+    with pytest.raises(LineParseError) as info:
         next(rows)
     assert (info.value.line_number, info.value.reason) == (2, reason)
 
@@ -416,7 +419,7 @@ def test_read_jsonl_decodes_each_line_as_json_loads_does(tmp_path_factory, rows)
     path = tmp_path_factory.getbasetemp() / "decoded.jsonl"
     lines = [json.dumps(row, ensure_ascii=i % 2 == 0) for i, row in enumerate(rows)]
     path.write_text("".join(f"  {line}\t\n" for line in lines), encoding="utf-8")
-    assert list(read_jsonl(path, RawRecordParseError)) == [
+    assert list(read_jsonl(path)) == [
         (lineno, json.loads(line)) for lineno, line in enumerate(lines, start=1)
     ]
 

@@ -26,7 +26,7 @@ from hierlog.semantics import (
     summarize_status_seq,
 )
 
-from conftest import TOY_KEYS, cosine, dense
+from conftest import TOY_KEYS, Recorder, cosine, dense
 
 
 # -- embeddings -----------------------------------------------------------------
@@ -119,22 +119,24 @@ def test_mock_exact_response_map():
 def test_recorded_provider_records_then_replays(tmp_path):
     path = tmp_path / "fixture.jsonl"
     inner = MockProvider(responses={"req-a": "resp-a", "req-b": "resp-b"})
-    rec = RecordedProvider(path, inner=inner)
-    assert rec.complete("req-a") == "resp-a"
-    assert rec.complete("req-b") == "resp-b"
-    assert inner.calls == 2
-    assert rec.complete("req-a") == "resp-a"  # served from cache
-    assert inner.calls == 2
+    recorder = Recorder(inner)
+    assert recorder.complete("req-a") == "resp-a"
+    assert recorder.complete("req-b") == "resp-b"
+    recorder.save(path)
 
     replay = RecordedProvider(path)
     assert replay.complete("req-b") == "resp-b"
+    assert replay.complete("req-a") == "resp-a"
+    assert (inner.calls, replay.calls) == (2, 2)  # a replay never reaches the provider that was recorded
     with pytest.raises(ProviderError):
         replay.complete("never-seen")
 
 
 def test_make_provider_kinds(tmp_path):
     assert isinstance(make_provider(ProviderConfig(kind="mock")), MockProvider)
-    p = make_provider(ProviderConfig(kind="recorded", fixture_path=str(tmp_path / "f.jsonl")))
+    fixture = tmp_path / "f.jsonl"
+    fixture.write_text("")
+    p = make_provider(ProviderConfig(kind="recorded", fixture_path=str(fixture)))
     assert isinstance(p, RecordedProvider)
     with pytest.raises(ValueError):
         make_provider(ProviderConfig(kind="recorded"))
