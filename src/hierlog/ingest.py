@@ -146,8 +146,11 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
     path = Path(path)
     templates: list[LogTemplate] = []
     if path.suffix in (".jsonl", ".ndjson"):
-        for _, row in read_jsonl(path, ("key", "template")):
-            templates.append(LogTemplate(str(row["key"]), str(row["template"])))
+        for lineno, row in read_jsonl(path, ("key", "template")):
+            for name in ("key", "template"):
+                if not isinstance(row[name], str):
+                    raise LineParseError(path, lineno, f"field {name!r} must be a string")
+            templates.append(LogTemplate(row["key"], row["template"]))
     else:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)

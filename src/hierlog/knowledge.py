@@ -30,7 +30,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from operator import add, attrgetter, itemgetter, lt, mul
+from operator import add, attrgetter, itemgetter, lt, mul, truediv
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -89,9 +89,12 @@ class KnowledgeBase:
     llm: bool = False
 
     def __post_init__(self):
-        # Retrieval index, built lazily and never persisted: parent path ->
-        # sibling entries in insertion order.
+        # Retrieval index, built lazily, never persisted and dropped by every
+        # insert, since an insert adds a sibling or moves the tie order:
+        # parent path -> its sibling entries in insertion order, and parent
+        # path -> the columns that rank them, built at the parent's first query.
         self._siblings: Optional[dict[tuple[str, ...], list[TrainEntry]]] = None
+        self._columns: dict[tuple[str, ...], _SiblingColumns] = {}
 
     # -- training side ------------------------------------------------------
 
@@ -107,9 +110,9 @@ class KnowledgeBase:
                 example_chunk=list(seq.chunk) if self.llm else None,
             )
             self.entries[seq.signature] = entry
-            self._siblings = None
         else:
             entry.occurrence_count += 1
+        self._siblings = None
         transitions = self.transition_index.setdefault(seq.parent_key, set())
         transitions.update(zip([START_MARK, *seq.nodes], [*seq.nodes, END_MARK]))
         return entry
@@ -132,20 +135,23 @@ class KnowledgeBase:
         """
         self._require(role="train")
         if self._siblings is None:
-            self._siblings = {}
+            self._siblings, self._columns = {}, {}
             for e in self.entries.values():
                 self._siblings.setdefault(tuple(e.parent_path), []).append(e)
-        siblings = self._siblings.get(tuple(parent_path), [])
-        missing = [e.signature for e in siblings if e.embedding is None]
-        if missing:
-            raise KnowledgeBaseError(
-                f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
-            )
-        ranked = sorted(
-            siblings,
-            key=lambda e: (-_sparse_cosine(query, e.embedding), -e.occurrence_count, e.signature),
-        )
-        return ranked[: max(m, 0)]
+        parent = tuple(parent_path)
+        siblings = self._siblings.get(parent, [])
+        embeddings = [e.embedding for e in siblings]
+        columns = self._columns.get(parent)
+        # an embedding may be set or replaced after a query, so the columns
+        # stand only while they were built from these very vectors
+        if columns is None or columns.embeddings != embeddings:
+            missing = [e.signature for e in siblings if e.embedding is None]
+            if missing:
+                raise KnowledgeBaseError(
+                    f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
+                )
+            columns = self._columns[parent] = _SiblingColumns(siblings, embeddings)
+        return columns.top(query, max(m, 0))
 
     # -- test side ----------------------------------------------------------
 
@@ -231,18 +237,54 @@ class KnowledgeBase:
             raise KnowledgeBaseError(f"level mismatch: KB is {self.level}, got {level}")
 
 
-def _sparse_cosine(a: SparseVector, b: SparseVector) -> float:
-    """The cosine of the dense vectors that a and b stand for, bit for bit, summed over shared indices only.
+class _SiblingColumns:
+    """The embeddings of one parent's siblings as dense columns, one per bucket that any of them uses.
 
-    A zero term adds nothing to an IEEE sum that starts at +0.0 as long as
-    the other factor is finite (0 * inf is NaN). `embed_chunk` makes finite
-    vectors, and `KnowledgeBase.from_json` rejects any other.
+    `top` gives each sibling, bit for bit, the cosine of its dense vector
+    and the query's. It sums the sibling's products over the query's
+    buckets, which a `SparseVector` holds in ascending index order, the
+    order a dense dot product sums in, and divides by the two norms. The
+    dense sum's other terms are ``x * 0.0`` for a finite ``x``, +0.0 or
+    -0.0, and adding either to an IEEE sum that starts at +0.0 changes
+    nothing, as such a sum is never -0.0; so negative values and exact ties
+    need no special case. `embed_chunk` makes finite vectors, and
+    `KnowledgeBase.from_json` rejects any other.
+
+    The siblings are held in the tie order, higher occurrence count first,
+    then smaller signature, so a stable sort by descending cosine ranks as
+    the key ``(-cosine, -occurrence_count, signature)`` does. A sibling
+    whose non-zeros underflow to a norm of 0.0 has cosine 0.0, as the dense
+    cosine gives it, so it stays out of the columns and divides its 0.0 dot
+    product by the query's norm alone. A zero query ranks by the tie order
+    alone.
     """
-    if a.norm == 0.0 or b.norm == 0.0:
-        return 0.0
-    bz = b.nonzeros
-    dot = sum(x * bz[i] for i, x in a.nonzeros.items() if i in bz)
-    return dot / (a.norm * b.norm)
+
+    __slots__ = ("embeddings", "by_rank", "zeros", "columns", "norms")
+
+    def __init__(self, siblings: list[TrainEntry], embeddings: list[SparseVector]):
+        self.embeddings = embeddings  # in insertion order, as the caller compares them
+        tied = sorted(zip(siblings, embeddings), key=lambda pair: (-pair[0].occurrence_count, pair[0].signature))
+        self.by_rank = [entry for entry, _ in tied]
+        self.zeros = [0.0] * len(tied)
+        self.columns: dict[int, list[float]] = {}  # bucket -> each sibling's value there, or 0.0
+        self.norms = []
+        for j, (_, vector) in enumerate(tied):
+            self.norms.append(vector.norm or 1.0)
+            if vector.norm:
+                for i, x in vector.nonzeros.items():
+                    self.columns.setdefault(i, self.zeros.copy())[j] = x
+
+    def top(self, query: SparseVector, m: int) -> list[TrainEntry]:
+        """The first m siblings by descending cosine with `query`, then in the tie order."""
+        qn = query.norm
+        if qn == 0.0:
+            return self.by_rank[:m]
+        columns = self.columns
+        terms = [map(mul, repeat(x), columns[i]) for i, x in query.nonzeros.items() if i in columns]
+        dots = map(sum, zip(self.zeros, *terms))  # each sibling's terms, from +0.0 up
+        cosines = list(map(truediv, dots, map(mul, repeat(qn), self.norms)))
+        ranked = sorted(range(len(cosines)), key=cosines.__getitem__, reverse=True)  # stable: ties stay in tie order
+        return [self.by_rank[j] for j in ranked[:m]]
 
 
 # -- the train file's rows -----------------------------------------------------

@@ -602,6 +602,15 @@ JSONL_FAULTS = {
         "ingest", "--templates", "templates.jsonl", lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2"}\n',
         "line 2: missing field 'template'",
     ),
+    "jsonl-catalog-key-null": (
+        "ingest", "--templates", "templates.jsonl", lambda lines: '{"key": null, "template": "x y"}\n',
+        "line 1: field 'key' must be a string",
+    ),
+    "jsonl-catalog-template-a-list": (
+        "ingest", "--templates", "templates.jsonl",
+        lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2", "template": ["a", "b"]}\n',
+        "line 2: field 'template' must be a string",
+    ),
     "raw-record-without-message": (
         "ingest", "--logs", "raw.jsonl", lambda lines: lines[0] + '{"timestamp": 1}\n',
         "line 2: missing field 'message'",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hierlog.decompose import Seq, top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
-from hierlog.detect import DetectConfig, train as train_kbs
+from hierlog.detect import DetectConfig, Detector, train as train_kbs
 from hierlog.hierarchy import (
     ENTITY,
     STATUS,
@@ -29,10 +29,10 @@ from hierlog.knowledge import (
     KnowledgeBaseSet,
     TestEntry as KBTestEntry,
     chunk_key,
-    _sparse_cosine,
 )
 from hierlog.ingest import LogSequence
 from hierlog.semantics import EMBED_DIM, MockProvider, embed_chunk, sparse_vector
+from hierlog.synthetic import make_corpus
 
 from conftest import TOY_KEYS, cosine, dense
 
@@ -263,13 +263,6 @@ def _oracle(kb, parent, query, m):
     return ranked[: max(m, 0)]
 
 
-@settings(max_examples=500, deadline=None)
-@given(a=_VECTORS, b=_VECTORS)
-def test_sparse_cosine_is_bit_identical_to_cosine(a, b):
-    # repr tells -0.0 from 0.0 and round-trips every other float exactly
-    assert repr(_sparse_cosine(a, b)) == repr(cosine(dense(a), dense(b)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_retrieve_similar_matches_brute_force_oracle(data):
@@ -306,6 +299,122 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
         kb.retrieve_similar(parent, sparse_vector({0: 1.0}), 1)
     late.embedding = data.draw(_VECTORS, label="late embedding")
     check()
+
+
+def _sibling(kb, name, embedding, count=1, parent=("root",)):
+    seq = Seq(ENTITY, parent, [name], [name], ">".join(parent), {name: name})
+    for _ in range(count):
+        entry = kb.insert_train(seq)
+    entry.embedding = embedding
+    return entry
+
+
+def _names(entries):
+    return [e.nodes[0] for e in entries]
+
+
+def test_retrieve_ranks_negative_values_loaded_from_a_file_as_the_dense_cosine_does():
+    rows = [  # nodes, count, embedding; E has A's vector and a higher count
+        (["A"], 1, [[0, -1.0], [1, 2.0]]),
+        (["B"], 1, [[0, 1.0]]),
+        (["C"], 3, [[1, -0.5], [2, 3.0]]),
+        (["D"], 1, [[3, -2.0]]),
+        (["E"], 2, [[0, -1.0], [1, 2.0]]),
+        (["F"], 5, [[4, 1.0]]),
+    ]
+    kb = KnowledgeBase.from_json({
+        "format_version": KB_FORMAT_VERSION, "role": "train", "level": ENTITY, "llm": True,
+        "groups": [[["root"], [[nodes, count, nodes, None, pairs] for nodes, count, pairs in rows]]],
+    })
+    query = sparse_vector({0: 1.0, 1: -1.0, 3: 0.5})
+    # cosines: B 0.67, C 0.11, F 0, D -0.33, and E and A -0.89, E first by its count
+    assert _names(kb.retrieve_similar(("root",), query, 10)) == ["B", "C", "F", "D", "E", "A"]
+    for m in range(-1, 8):
+        assert kb.retrieve_similar(("root",), query, m) == _oracle(kb, ("root",), query, m)
+
+
+def test_retrieve_gives_a_norm_zero_sibling_and_a_zero_query_cosine_zero():
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
+    tiny = _sibling(kb, "T", sparse_vector({0: 5e-324}))
+    assert tiny.embedding.norm == 0.0  # its one non-zero squares to 0.0
+    _sibling(kb, "P", sparse_vector({0: 1.0}))
+    _sibling(kb, "N", sparse_vector({0: -1.0}))
+    _sibling(kb, "O", sparse_vector({1: 1.0}), count=2)
+    query = sparse_vector({0: 1.0})
+    # T ties with O at 0, not above it, and O comes first by its count
+    assert _names(kb.retrieve_similar(("root",), query, 4)) == ["P", "O", "T", "N"]
+    assert kb.retrieve_similar(("root",), query, 4) == _oracle(kb, ("root",), query, 4)
+    # every cosine 0: the tie order alone, by count, then by signature
+    for query in (sparse_vector({}), sparse_vector({7: 1.0})):
+        assert _names(kb.retrieve_similar(("root",), query, 4)) == ["O", "N", "P", "T"]
+        assert kb.retrieve_similar(("root",), query, 4) == _oracle(kb, ("root",), query, 4)
+    assert _names(kb.retrieve_similar(("root",), sparse_vector({}), 2)) == ["O", "N"]
+
+
+def test_retrieve_returns_nothing_for_m_up_to_zero_and_for_an_unknown_parent():
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
+    _sibling(kb, "P", sparse_vector({0: 1.0}))
+    query = sparse_vector({0: 1.0})
+    assert kb.retrieve_similar(("root",), query, 0) == []
+    assert kb.retrieve_similar(("root",), query, -1) == []
+    assert kb.retrieve_similar(("root", "Ghost"), query, 5) == []
+    assert _names(kb.retrieve_similar(("root",), query, 5)) == ["P"]
+
+
+def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
+    p = _sibling(kb, "P", sparse_vector({0: 1.0}))
+    _sibling(kb, "N", sparse_vector({0: -1.0}))
+    query = sparse_vector({0: 1.0})
+
+    def ranked():
+        got = kb.retrieve_similar(("root",), query, 5)
+        assert got == _oracle(kb, ("root",), query, 5)
+        return _names(got)
+
+    assert ranked() == ["P", "N"]
+    _sibling(kb, "Q", sparse_vector({0: 1.0}))  # a new sibling ties with P
+    assert ranked() == ["P", "Q", "N"]
+    _sibling(kb, "Q", sparse_vector({0: 1.0}))  # a repeat moves Q ahead in the tie order
+    assert ranked() == ["Q", "P", "N"]
+    p.embedding = sparse_vector({0: -2.0})  # replaced in place, with no insert
+    assert ranked() == ["Q", "N", "P"]
+
+
+def test_retrieve_raises_for_a_missing_embedding_until_it_is_set():
+    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
+    _sibling(kb, "P", sparse_vector({0: 1.0}))
+    query = sparse_vector({0: 1.0})
+    assert _names(kb.retrieve_similar(("root",), query, 5)) == ["P"]
+    late = _sibling(kb, "L", None)
+    for _ in range(2):  # the failure is not remembered as a result, nor the result as a success
+        with pytest.raises(KnowledgeBaseError, match=r"root\|L"):
+            kb.retrieve_similar(("root",), query, 5)
+    late.embedding = sparse_vector({0: 2.0})
+    assert _names(kb.retrieve_similar(("root",), query, 5)) == ["L", "P"]
+
+
+def test_retrieval_on_detection_traffic_ranks_as_the_dense_oracle(monkeypatch):
+    # MockProvider decides on the target nodes alone, so a wrong ranking of
+    # the examples would leave every verdict as it is
+    corpus = make_corpus(n_test=800, anomaly_rate=0.3, benign_unseen_rate=0.5)
+    tree = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
+    templates = {t.key: t.text for t in corpus.catalog.templates()}
+    config = DetectConfig(llm_enabled=True)
+    kbs = train_kbs(corpus.train, tree, config, provider=MockProvider(), templates=templates)
+    retrieve, ranked = KnowledgeBase.retrieve_similar, []
+
+    def checked(kb, parent_path, query, m):
+        got = retrieve(kb, parent_path, query, m)
+        assert got == _oracle(kb, parent_path, query, m)
+        everything = retrieve(kb, parent_path, query, len(kb.entries))
+        assert everything == _oracle(kb, parent_path, query, len(kb.entries))
+        ranked.append(len(everything))
+        return got
+
+    monkeypatch.setattr(KnowledgeBase, "retrieve_similar", checked)
+    Detector(tree, kbs, config, provider=MockProvider(), templates=templates).run(corpus.test)
+    assert len(ranked) >= 50 and max(ranked) >= 5
 
 
 # -- LLM verdict cache -------------------------------------------------------------
@@ -576,6 +685,6 @@ def test_cosine_basics():
     assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
     assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
     assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0))
-    assert _sparse_cosine(sparse_vector({0: 1.0, 1: 1.0}), sparse_vector({0: 1.0})) == pytest.approx(
+    assert cosine(dense(sparse_vector({0: 1.0, 1: 1.0})), dense(sparse_vector({0: 1.0}))) == pytest.approx(
         1.0 / math.sqrt(2.0)
     )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import ProviderError
-from hierlog.knowledge import _sparse_cosine
 from hierlog.semantics import (
     EMBED_DIM,
     DetectionPrompt,
@@ -47,11 +46,11 @@ def test_embedding_permutation_invariant():
 def test_embedding_self_concatenation_cosine_one():
     a = embed_chunk(["k1", "k2"])
     b = embed_chunk(["k1", "k2", "k1", "k2"])
-    assert _sparse_cosine(a, b) == pytest.approx(1.0)
+    assert cosine(dense(a), dense(b)) == pytest.approx(1.0)
 
 
 def test_embedding_distinguishes_content():
-    assert _sparse_cosine(embed_chunk(["k1"]), embed_chunk(["k2"])) < 0.99
+    assert cosine(dense(embed_chunk(["k1"])), dense(embed_chunk(["k2"]))) < 0.99
 
 
 def _embed_inline(chunk):
@@ -73,7 +72,7 @@ def test_embedding_bit_identical_to_inline_hash(chunk):
         assert repr(dense(got)) == repr(want)
         # the norm is the one the dense cosine computes, so every cosine is unchanged
         assert repr(got.norm) == repr(math.sqrt(sum(x * x for x in want)))
-        assert repr(_sparse_cosine(got, got)) == repr(cosine(want, want))
+        assert repr(cosine(dense(got), dense(got))) == repr(cosine(want, want))
 
 
 # -- mock provider ----------------------------------------------------------------
