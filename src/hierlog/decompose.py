@@ -13,16 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DecompositionError
-from .hierarchy import ACTION, ENTITY, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, TopicTree, escape_name
-
-
-def make_signature(parent_path: Sequence[str], nodes: Sequence[str]) -> str:
-    """Canonical KB key: injective over (parent path names, node names)."""
-    return (
-        SIG_NODE_SEP.join(escape_name(n) for n in parent_path)
-        + SIG_PARENT_SEP
-        + SIG_NODE_SEP.join(escape_name(n) for n in nodes)
-    )
+from .hierarchy import ACTION, ENTITY, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, TopicTree
 
 
 @dataclass(slots=True)
@@ -42,7 +33,7 @@ class Seq:
 
     @property
     def signature(self) -> str:
-        """``make_signature(parent_path, nodes)``, built once."""
+        """Canonical KB key, injective over (parent path names, node names), built once."""
         sig = self._signature
         if sig is None:
             nodes = SIG_NODE_SEP.join(map(self.escaped.__getitem__, self.nodes))

@@ -175,12 +175,14 @@ class Detector:
         self.templates = templates or {}
         # chunk -> decided verdict, per level but the entity level (see above)
         self._verdicts: dict[str, dict[tuple[str, ...], SeqVerdict]] = {STATUS: {}, ACTION: {}}
-        # the enabled levels bottom-up, each with its local detector and verdict dict, chosen once
-        self._levels = [
-            (level, LOCAL_DETECTORS[config.detector_per_level[level]], self._verdicts.get(level))
-            for level in LEVEL_ORDER
-            if level in config.levels_enabled
-        ]
+        # the enabled levels bottom-up with their checks and verdict dicts; set-up builds an automaton's index
+        self._levels = []
+        for level in LEVEL_ORDER:
+            if level in config.levels_enabled:
+                kind = config.detector_per_level[level]
+                if kind == AUTOMATON:
+                    kbs.train[level].transition_index()
+                self._levels.append((level, LOCAL_DETECTORS[kind], self._verdicts.get(level)))
         self._summary_cache: dict[str, dict[tuple[str, ...], str]] = {level: {} for level in LEVEL_ORDER}
         self._memo: dict[tuple[str, ...], SequenceReport] = {}
         self.llm_calls = 0
@@ -213,9 +215,7 @@ class Detector:
     def _build_prompt(self, seq: Seq) -> DetectionPrompt:
         target_summary = self._summary_for(seq)
         query = embed_chunk(seq.chunk)
-        examples = self.kbs.train[seq.level].retrieve_similar(
-            seq.parent_path, query, self.config.m
-        )
+        examples = self.kbs.train[seq.level].retrieve_similar(seq.parent_key, query, self.config.m)
         return DetectionPrompt(
             target_nodes=">".join(seq.nodes),
             target_summary=target_summary,

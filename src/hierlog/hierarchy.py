@@ -72,7 +72,7 @@ class TopicTree:
         # key -> (entity, action, status) names, so per-key lookup is one dict hit;
         # names are unique per parent (`from_json` checks it), so identity
         # comparison of these interned strings is valid for run detection, and
-        # a transition pair loaded from a KB is the very same pair of objects
+        # a transition pair derived from a loaded KB holds the very same objects
         self.key_names: dict[str, tuple[str, str, str]] = {}
         # precomputed parent paths per key: (root,) / (root, entity) / (root, entity, action)
         self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}

@@ -1,13 +1,14 @@
 """Per-level knowledge bases for training patterns and the LLM verdict cache.
 
-Training KBs store deduplicated normal sub-sequences (keyed by signature,
-with occurrence counts and an adjacency transition index per escaped
-parent path). With the LLM path on, each entry also holds an example
-chunk, a summary and a sparse embedding. Test KBs cache decided LLM
-verdicts per chunk, so a repeated pattern that the symbolic detector
-rejects never re-queries the provider. Symbolic verdicts are not stored
-here: they are a function of the train KBs, so a `Detector` keeps them only
-in memory, per chunk, for its own life.
+Training KBs store deduplicated normal sub-sequences, keyed by signature,
+with occurrence counts; their grouping by parent, the automaton's
+transition index and the retrieval columns are derived on first use. With
+the LLM path on, each entry also holds an example chunk, a summary and a
+sparse embedding. Test KBs cache decided LLM verdicts per chunk, so a
+repeated pattern that the symbolic detector rejects never re-queries the
+provider. Symbolic verdicts are not stored here: they are a function of
+the train KBs, so a `Detector` keeps them only in memory, per chunk, for
+its own life.
 
 A train file persists only what cannot be derived. Its entries are grouped
 by parent path, ``"groups": [[parent_path, rows], ...]``, in the order of
@@ -15,10 +16,9 @@ the escaped parent path and, within a group, of the signature. A row is
 ``[nodes, occurrence_count]``; in a KB trained with the LLM on, which the
 header's ``"llm"`` flag records, it is ``[nodes, occurrence_count,
 example_chunk, summary, embedding]``, the embedding as its ``[[index,
-value], ...]`` non-zeros. Loading rebuilds each signature and the
-transition index from the rows, interning every name on the way, and
-checks every field of every row and every name; a fault raises
-`FormatError` naming the group and the row.
+value], ...]`` non-zeros. Loading rebuilds each signature from the rows,
+interning every name on the way, and checks every field of every row and
+every name; a fault raises `FormatError` naming the group and the row.
 """
 
 from __future__ import annotations
@@ -51,14 +51,15 @@ _CHUNK_SEP = "\x1f"
 
 
 def chunk_key(chunk: Sequence[str]) -> str:
-    """Canonical encoding of a log-key chunk (the LLM-cache key)."""
-    return _CHUNK_SEP.join(chunk)
+    """The LLM-cache key of a log-key chunk: its keys, ``\\`` and ``\\x1f`` escaped, joined by ``\\x1f``."""
+    return _CHUNK_SEP.join([k.replace("\\", "\\\\").replace(_CHUNK_SEP, "\\" + _CHUNK_SEP) for k in chunk])
 
 
 @dataclass(slots=True)
 class TrainEntry:
     signature: str
     parent_path: list[str]
+    parent_key: str  # escaped parent path (Seq.parent_key), the signature's prefix
     nodes: list[str]
     example_chunk: Optional[list[str]]  # None when loaded from a KB trained with the LLM off
     occurrence_count: int = 1
@@ -81,20 +82,18 @@ class KnowledgeBase:
     level: str
     role: str  # train | test
     entries: dict = field(default_factory=dict)
-    # escaped parent path (Seq.parent_key) -> set of (prev, next) node-name
-    # pairs incl. start/end marks
-    transition_index: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
     # a train KB trained with the LLM on: its entries carry example chunks,
     # summaries and embeddings, and its file persists them
     llm: bool = False
 
     def __post_init__(self):
-        # Retrieval index, built lazily, never persisted and dropped by every
-        # insert, since an insert adds a sibling or moves the tie order:
-        # parent path -> its sibling entries in insertion order, and parent
-        # path -> the columns that rank them, built at the parent's first query.
-        self._siblings: Optional[dict[tuple[str, ...], list[TrainEntry]]] = None
-        self._columns: dict[tuple[str, ...], _SiblingColumns] = {}
+        # Derived from the entries on first use, never persisted and dropped by
+        # every insert: per escaped parent path (Seq.parent_key), the entries in
+        # insertion order, the pairs of the transition index, and the columns
+        # that rank the entries, built at the parent's first retrieval query.
+        self._groups: Optional[dict[str, list[TrainEntry]]] = None
+        self._transitions: Optional[dict[str, set[tuple[str, str]]]] = None
+        self._columns: dict[str, _SiblingColumns] = {}
 
     # -- training side ------------------------------------------------------
 
@@ -103,45 +102,50 @@ class KnowledgeBase:
         self._require(role="train", level=seq.level)
         entry = self.entries.get(seq.signature)
         if entry is None:
-            entry = TrainEntry(
-                signature=seq.signature,
-                parent_path=list(seq.parent_path),
-                nodes=list(seq.nodes),
-                example_chunk=list(seq.chunk) if self.llm else None,
+            chunk = list(seq.chunk) if self.llm else None
+            entry = self.entries[seq.signature] = TrainEntry(
+                seq.signature, list(seq.parent_path), seq.parent_key, list(seq.nodes), chunk
             )
-            self.entries[seq.signature] = entry
         else:
             entry.occurrence_count += 1
-        self._siblings = None
-        transitions = self.transition_index.setdefault(seq.parent_key, set())
-        transitions.update(zip([START_MARK, *seq.nodes], [*seq.nodes, END_MARK]))
+        self._groups = self._transitions = None
         return entry
 
     def contains(self, signature: str) -> bool:
         return signature in self.entries
 
+    def _by_parent(self) -> dict[str, list[TrainEntry]]:
+        """The entries grouped by escaped parent path, each group in insertion order."""
+        if self._groups is None:
+            self._require(role="train")
+            self._groups, self._columns = {}, {}
+            for entry in self.entries.values():
+                self._groups.setdefault(entry.parent_key, []).append(entry)
+        return self._groups
+
+    def transition_index(self) -> dict[str, set[tuple[str, str]]]:
+        """Escaped parent path -> the adjacent node-name pairs of its entries, start and end marks included."""
+        if self._transitions is None:
+            self._transitions = {
+                parent_key: set(chain.from_iterable(zip([START_MARK, *e.nodes], [*e.nodes, END_MARK]) for e in group))
+                for parent_key, group in self._by_parent().items()
+            }
+        return self._transitions
+
     def accepts_transitions(self, parent_key: str, nodes: Sequence[str]) -> bool:
         """True iff every adjacent pair (with start/end marks) was seen in training."""
-        pairs = zip([START_MARK, *nodes], [*nodes, END_MARK])
-        return self.transition_index.get(parent_key, _NO_TRANSITIONS).issuperset(pairs)
+        index = self._transitions or self.transition_index()  # an empty index is returned as it is
+        return index.get(parent_key, _NO_TRANSITIONS).issuperset(zip([START_MARK, *nodes], [*nodes, END_MARK]))
 
-    def retrieve_similar(
-        self, parent_path: Sequence[str], query: SparseVector, m: int
-    ) -> list[TrainEntry]:
-        """Top-m sibling entries by cosine similarity.
+    def retrieve_similar(self, parent_key: str, query: SparseVector, m: int) -> list[TrainEntry]:
+        """Top-m entries by cosine similarity among the siblings under `parent_key` (Seq.parent_key).
 
         Ties break by higher occurrence count, then smaller signature.
         Raises when siblings exist but lack embeddings.
         """
-        self._require(role="train")
-        if self._siblings is None:
-            self._siblings, self._columns = {}, {}
-            for e in self.entries.values():
-                self._siblings.setdefault(tuple(e.parent_path), []).append(e)
-        parent = tuple(parent_path)
-        siblings = self._siblings.get(parent, [])
+        siblings = self._by_parent().get(parent_key, [])
         embeddings = [e.embedding for e in siblings]
-        columns = self._columns.get(parent)
+        columns = self._columns.get(parent_key)
         # an embedding may be set or replaced after a query, so the columns
         # stand only while they were built from these very vectors
         if columns is None or columns.embeddings != embeddings:
@@ -150,7 +154,7 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(
                     f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
                 )
-            columns = self._columns[parent] = _SiblingColumns(siblings, embeddings)
+            columns = self._columns[parent_key] = _SiblingColumns(siblings, embeddings)
         return columns.top(query, max(m, 0))
 
     # -- test side ----------------------------------------------------------
@@ -171,14 +175,11 @@ class KnowledgeBase:
             rows = sorted(self.entries.items())
             data["entries"] = [{name: getattr(e, name) for name in _TEST_FIELDS} for _, e in rows]
             return data
-        by_parent: dict[tuple[str, ...], list[TrainEntry]] = {}
-        for entry in self.entries.values():
-            by_parent.setdefault(tuple(entry.parent_path), []).append(entry)
-        keyed = sorted((SIG_NODE_SEP.join(map(escape_name, path)), path) for path in by_parent)
         row = _llm_row if self.llm else _row
         data["llm"] = self.llm
         data["groups"] = [
-            [list(path), [row(e) for e in sorted(by_parent[path], key=attrgetter("signature"))]] for _, path in keyed
+            [group[0].parent_path, [row(e) for e in sorted(group, key=attrgetter("signature"))]]
+            for _, group in sorted(self._by_parent().items(), key=itemgetter(0))
         ]
         return data
 
@@ -438,22 +439,20 @@ def _load_groups(kb: KnowledgeBase, groups: list) -> None:
             raise FormatError(f"{where(n)}: {fault}")
 
     # Every name is interned once, here, so the pairs that a probe builds
-    # from the tree's names match the stored pairs by identity.
+    # from the tree's names match the derived transition pairs by identity.
     intern = sys.intern
     escape = {name: escape_name(name) for name in set(chain(*parents, *columns[0]))}.__getitem__
-    entries, index = kb.entries, kb.transition_index
+    entries = kb.entries
     for g, (parent, rows) in enumerate(zip(parents, row_lists)):
         parent = list(map(intern, parent))  # shared by the group's entries
         parent_key = SIG_NODE_SEP.join(map(escape, parent))
         prefix = parent_key + SIG_PARENT_SEP
-        transitions = index.setdefault(parent_key, set())
         for r, row in enumerate(rows):
             nodes = list(map(intern, row[0]))
             signature = prefix + SIG_NODE_SEP.join(map(escape, nodes))
             if signature in entries:
                 raise FormatError(f"group {g}, row {r}: repeats the parent path and nodes of an earlier row")
-            transitions.update(zip([START_MARK, *nodes], [*nodes, END_MARK]))
-            entries[signature] = TrainEntry(signature, parent, nodes, None, row[1])
+            entries[signature] = TrainEntry(signature, parent, parent_key, nodes, None, row[1])
     if kb.llm:
         for entry, (_, _, chunk, summary, pairs) in zip(entries.values(), all_rows):
             entry.example_chunk, entry.summary = chunk, summary

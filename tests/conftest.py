@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hierlog.hierarchy import FixtureExtractor, build_tree, extract_topics
+from hierlog.hierarchy import SIG_NODE_SEP, SIG_PARENT_SEP, FixtureExtractor, build_tree, escape_name, extract_topics
 from hierlog.ingest import LogTemplate, TemplateCatalog
 from hierlog.semantics import EMBED_DIM, RecordedProvider
 from hierlog.synthetic import TOY_FIXTURE, TOY_TEMPLATES, make_corpus
@@ -15,6 +15,15 @@ TOY_KEYS = ["k1", "k2", "k3", "k4", "k5", "k6"]
 
 def toy_catalog() -> TemplateCatalog:
     return TemplateCatalog([LogTemplate(k, t) for k, t in TOY_TEMPLATES])
+
+
+def make_signature(parent_path, nodes) -> str:
+    """Canonical KB key, injective over (parent path names, node names): the oracle for `Seq.signature`."""
+    return (
+        SIG_NODE_SEP.join(escape_name(n) for n in parent_path)
+        + SIG_PARENT_SEP
+        + SIG_NODE_SEP.join(escape_name(n) for n in nodes)
+    )
 
 
 def report_to_json(report) -> dict:

@@ -8,15 +8,22 @@ inputs; configuration errors must exit with code 2.
 import configparser
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hierlog
 from hierlog.cli import main
-from hierlog.decompose import make_signature, top_down_decompose
+from hierlog.decompose import top_down_decompose
 from hierlog.hierarchy import TopicTree
 from hierlog.knowledge import END_MARK, KB_FORMAT_VERSION, START_MARK
+
+from conftest import make_signature
 
 KB_FILES = [f"{role}_{level}.json" for role in ("train", "test") for level in ("entity", "action", "status")]
 
@@ -123,6 +130,22 @@ def test_cli_chain_matches_pipeline(tmp_path, data, llm):
     if llm == "on":
         report = (cli / "report.jsonl").read_text()
         assert '"source": "llm"' in report
+
+
+def test_pipeline_artifacts_do_not_depend_on_the_hash_seed(tmp_path, data):
+    """Two `hierlog pipeline` processes under other hash seeds, so other dict and set orders, write the same bytes."""
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        config = write_ini(data, out, "on", {"detect": {"detector": "exact:entity=automaton"}})
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(hierlog.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-m", "hierlog.cli", "pipeline", "--config", str(config)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        runs.append({**artifacts(out), "eval.json": (out / "eval.json").read_bytes()})
+    assert runs[0] == runs[1]
+    assert b'"source": "llm"' in runs[0]["report body"] and b'"source": "automaton"' in runs[0]["report body"]
 
 
 def test_pipeline_warns_of_unmatched_messages(tmp_path, data, caplog):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import make_signature, top_down_decompose
+from hierlog.decompose import top_down_decompose
 from hierlog.errors import DecompositionError
 from hierlog.hierarchy import ACTION, ENTITY, STATUS, TopicTriple, build_tree
 
-from conftest import TOY_KEYS
+from conftest import TOY_KEYS, make_signature
 
 toy_keys_st = st.lists(st.sampled_from(TOY_KEYS), min_size=1, max_size=40)
 

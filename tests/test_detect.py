@@ -21,7 +21,7 @@ from hierlog.detect import (
 )
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import DecompositionError, ProviderError
-from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, build_tree, extract_topics
+from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, TopicTriple, build_tree, extract_topics
 from hierlog.ingest import LogSequence
 from hierlog.knowledge import KnowledgeBaseSet
 from hierlog.semantics import MockProvider
@@ -116,6 +116,27 @@ def test_detector_per_level_override(toy_cat, toy_tree):
     assert mixed.detect_sequence(test_seq).final_verdict is False
 
 
+def test_only_an_automaton_level_builds_its_transition_index_at_construction(toy_cat, toy_tree):
+    provider = MockProvider()
+    config = DetectConfig(llm_enabled=True, early_exit=False)
+    kbs = train(make_sequences(toy_cat, [["k1", "k3"], ["k3", "k5"], TOY_KEYS]), toy_tree, config, provider=provider)
+    walks = [TOY_KEYS, ["k1", "k3", "k5"], ["k5", "k1"], ["k2", "k1", "k3", "k4", "k5", "k6"]]
+    sequences = make_sequences(toy_cat, walks)
+    exact = Detector(toy_tree, kbs, config, provider=provider)
+    exact.run(sequences)
+    assert exact.llm_calls > 0  # retrieval grouped the entries, and built no index either
+    assert [kbs.train[level]._transitions for level in (STATUS, ACTION, ENTITY)] == [None, None, None]
+
+    mixed = DetectConfig(detector_per_level={ENTITY: AUTOMATON}, llm_enabled=True, early_exit=False)
+    detector = Detector(toy_tree, kbs, mixed, provider=provider)
+    index = kbs.train[ENTITY]._transitions
+    assert index is not None and ("Session", "Auth") in index["root"]
+    assert kbs.train[STATUS]._transitions is None and kbs.train[ACTION]._transitions is None
+    reports = detector.run(sequences)
+    assert kbs.train[ENTITY]._transitions is index  # built once, at construction
+    assert any(v.source == "automaton" for report in reports for v in report.verdicts)
+
+
 # -- hybrid routing ---------------------------------------------------------------
 
 def hybrid_setup(toy_cat, toy_tree, detect_rules):
@@ -168,6 +189,21 @@ def test_cache_hit_returns_the_original_verdict(toy_cat, toy_tree):
     again = detector.detect_sequence(seq).verdicts[0]
     assert provider.calls == calls
     assert again == first
+
+
+def test_chunks_whose_keys_join_alike_get_their_own_llm_verdicts():
+    # one key that holds the chunk-key separator, and the two keys that it joins
+    tree = build_tree([TopicTriple("a\x1fb", "E", "X", "joined"), TopicTriple("a", "E", "X", "sa"),
+                       TopicTriple("b", "E", "X", "sb")])
+    provider = MockProvider(detect_rules=[("TARGET-NODES: joined", "VERDICT: NORMAL\nbenign")])
+    config = DetectConfig(llm_enabled=True)
+    kbs = train([LogSequence("t", ["a"], False)], tree, config, provider=provider)
+    detector = Detector(tree, kbs, config, provider=provider)
+    joined, split = detector.run([LogSequence("s1", ["a\x1fb"]), LogSequence("s2", ["a", "b"])])
+    assert (joined.final_verdict, split.final_verdict) == (False, True)
+    assert [v.source for v in split.verdicts] == ["llm"]
+    assert detector.llm_calls == 2
+    assert len(kbs.test[STATUS].entries) == 2
 
 
 def test_llm_cache_holds_only_llm_verdicts(toy_cat, toy_tree):

@@ -34,7 +34,7 @@ from hierlog.ingest import LogSequence
 from hierlog.semantics import EMBED_DIM, MockProvider, embed_chunk, sparse_vector
 from hierlog.synthetic import make_corpus
 
-from conftest import TOY_KEYS, cosine, dense
+from conftest import TOY_KEYS, cosine, dense, make_signature
 
 
 def entity_seq(toy_tree, keys):
@@ -60,7 +60,7 @@ def test_insert_counts_occurrences(toy_tree):
 def test_transition_enumeration_oracle(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
-    assert kb.transition_index["root"] == {
+    assert kb.transition_index()["root"] == {
         (START_MARK, "Session"),
         ("Session", "Auth"),
         ("Auth", "Comm"),
@@ -83,7 +83,7 @@ def test_transition_index_keyed_by_escaped_parent_path():
     kb = KnowledgeBase(level=STATUS, role="train")
     seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"], "root>A\\>B>x", {"s": "s"})
     kb.insert_train(seq)
-    assert list(kb.transition_index) == [seq.parent_key]
+    assert list(kb.transition_index()) == [seq.parent_key]
     assert seq.signature == "root>A\\>B>x|s"
     assert kb.accepts_transitions(seq.parent_key, ["s"])
     # the unescaped join names another parent path, ("root", "A", "B", "x")
@@ -92,7 +92,7 @@ def test_transition_index_keyed_by_escaped_parent_path():
 
 def per_pair_check(kb, parent_key, nodes):
     """Every adjacent pair of the walk looked up in turn: the oracle for `accepts_transitions`."""
-    transitions = kb.transition_index.get(parent_key, set())
+    transitions = kb.transition_index().get(parent_key, set())
     walk = [START_MARK] + list(nodes) + [END_MARK]
     return all(pair in transitions for pair in zip(walk, walk[1:]))
 
@@ -125,6 +125,19 @@ def test_accepts_transitions_matches_the_per_pair_check(trained, probes):
         assert kb.accepts_transitions(parent_key, []) == per_pair_check(kb, parent_key, [])
 
 
+def test_a_resumed_kb_accepts_the_transitions_of_an_insert_after_a_probe(tmp_path, toy_tree):
+    kbs = KnowledgeBaseSet()
+    for seq in top_down_decompose(TOY_KEYS, toy_tree).all_seqs():
+        kbs.train[seq.level].insert_train(seq)
+    kbs.save_dir(tmp_path)
+    kb = KnowledgeBaseSet.load_dir(tmp_path).train[ENTITY]
+    walks = [["Session", "Auth", "Comm"], ["Comm", "Session"], ["Comm", "Session", "Auth", "Comm"], ["Auth", "Comm"]]
+    assert [kb.accepts_transitions("root", walk) for walk in walks] == [True, False, False, False]
+    kb.insert_train(entity_seq(toy_tree, ["k5", "k1"]))  # Comm > Session, a new pattern
+    assert [kb.accepts_transitions("root", walk) for walk in walks] == [True, True, True, False]
+    assert [per_pair_check(kb, "root", walk) for walk in walks] == [True, True, True, False]
+
+
 def test_loaded_transition_names_are_the_trees_own_objects(tmp_path, corpus):
     built = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
     kbs = train_kbs(corpus.train, built, DetectConfig())
@@ -134,7 +147,7 @@ def test_loaded_transition_names_are_the_trees_own_objects(tmp_path, corpus):
     loaded = KnowledgeBaseSet.load_dir(tmp_path / "kb")
     own = {name: name for names in tree.key_names.values() for name in names}
     own.update({START_MARK: START_MARK, END_MARK: END_MARK})
-    names = [name for kb in loaded.train.values() for pairs in kb.transition_index.values() for pair in pairs
+    names = [name for kb in loaded.train.values() for pairs in kb.transition_index().values() for pair in pairs
              for name in pair]
     assert len(names) > 100
     assert all(own[name] is name for name in names)
@@ -169,7 +182,7 @@ def test_train_save_load_round_trip_keeps_entries_and_transitions(data, names, l
         loaded = KnowledgeBaseSet.load_dir(directory)
 
     def fields(entry):
-        own = (entry.signature, entry.parent_path, entry.nodes, entry.occurrence_count)
+        own = (entry.signature, entry.parent_path, entry.parent_key, entry.nodes, entry.occurrence_count)
         return own + ((entry.example_chunk, entry.summary, entry.embedding) if llm else ())
 
     for level, kb in built.train.items():
@@ -177,7 +190,7 @@ def test_train_save_load_round_trip_keeps_entries_and_transitions(data, names, l
         assert got.llm is llm
         assert {s: fields(e) for s, e in got.entries.items()} == {s: fields(e) for s, e in kb.entries.items()}
         assert all(sig == e.signature for sig, e in got.entries.items())
-        assert got.transition_index == kb.transition_index
+        assert got.transition_index() == kb.transition_index()
         assert got == kb
 
 
@@ -204,13 +217,13 @@ def test_retrieve_similar_matches_brute_force(toy_tree):
         entry.embedding = embed_chunk(seq.chunk)
     query = embed_chunk(["k1", "k3", "k5", "k5"])
 
-    got = [e.signature for e in kb.retrieve_similar(("root",), query, 3)]
+    got = [e.signature for e in kb.retrieve_similar("root", query, 3)]
     ranked = sorted(
         kb.entries.values(),
         key=lambda e: (-cosine(dense(query), dense(e.embedding)), -e.occurrence_count, e.signature),
     )
     assert got == [e.signature for e in ranked[:3]]
-    assert len(kb.retrieve_similar(("root",), query, 100)) == len(kb.entries)
+    assert len(kb.retrieve_similar("root", query, 100)) == len(kb.entries)
 
 
 def test_retrieve_tie_break_by_count_then_signature(toy_tree):
@@ -222,7 +235,7 @@ def test_retrieve_tie_break_by_count_then_signature(toy_tree):
     kb.insert_train(b)
     kb.entries[b.signature].embedding = sparse_vector({0: 1.0})
     # identical cosine: higher occurrence count (b has 2) wins
-    got = kb.retrieve_similar(("root",), sparse_vector({0: 1.0}), 2)
+    got = kb.retrieve_similar("root", sparse_vector({0: 1.0}), 2)
     assert got[0].occurrence_count == 2
 
 
@@ -231,7 +244,7 @@ def test_retrieve_filters_siblings(toy_tree):
     result = top_down_decompose(TOY_KEYS, toy_tree)
     for a_seq in result.a_seqs:
         kb.insert_train(a_seq).embedding = embed_chunk(a_seq.chunk)
-    got = kb.retrieve_similar(("root", "Auth"), embed_chunk(["k3"]), 10)
+    got = kb.retrieve_similar("root>Auth", embed_chunk(["k3"]), 10)
     assert [e.parent_path for e in got] == [["root", "Auth"]]
 
 
@@ -239,7 +252,7 @@ def test_retrieve_requires_embeddings(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
     with pytest.raises(KnowledgeBaseError):
-        kb.retrieve_similar(("root",), sparse_vector({0: 1.0}), 1)
+        kb.retrieve_similar("root", sparse_vector({0: 1.0}), 1)
 
 
 _PARENTS = [("root",), ("root", "Auth"), ("root", "Comm")]
@@ -284,7 +297,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
         for parent in _PARENTS + [("root", "Ghost")]:
             query = data.draw(_VECTORS, label="query")
             m = data.draw(st.integers(-1, len(kb.entries) + 2), label="m")
-            assert kb.retrieve_similar(parent, query, m) == _oracle(kb, parent, query, m)
+            assert kb.retrieve_similar(">".join(parent), query, m) == _oracle(kb, parent, query, m)
         assert json.dumps(kb.to_json(), sort_keys=True) == snapshot
 
     check()
@@ -296,7 +309,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     parent = data.draw(st.sampled_from(_PARENTS), label="late parent")
     late = insert(parent, data.draw(st.lists(st.sampled_from("EF"), min_size=1, max_size=2)))
     with pytest.raises(KnowledgeBaseError):
-        kb.retrieve_similar(parent, sparse_vector({0: 1.0}), 1)
+        kb.retrieve_similar(">".join(parent), sparse_vector({0: 1.0}), 1)
     late.embedding = data.draw(_VECTORS, label="late embedding")
     check()
 
@@ -328,9 +341,9 @@ def test_retrieve_ranks_negative_values_loaded_from_a_file_as_the_dense_cosine_d
     })
     query = sparse_vector({0: 1.0, 1: -1.0, 3: 0.5})
     # cosines: B 0.67, C 0.11, F 0, D -0.33, and E and A -0.89, E first by its count
-    assert _names(kb.retrieve_similar(("root",), query, 10)) == ["B", "C", "F", "D", "E", "A"]
+    assert _names(kb.retrieve_similar("root", query, 10)) == ["B", "C", "F", "D", "E", "A"]
     for m in range(-1, 8):
-        assert kb.retrieve_similar(("root",), query, m) == _oracle(kb, ("root",), query, m)
+        assert kb.retrieve_similar("root", query, m) == _oracle(kb, ("root",), query, m)
 
 
 def test_retrieve_gives_a_norm_zero_sibling_and_a_zero_query_cosine_zero():
@@ -342,23 +355,23 @@ def test_retrieve_gives_a_norm_zero_sibling_and_a_zero_query_cosine_zero():
     _sibling(kb, "O", sparse_vector({1: 1.0}), count=2)
     query = sparse_vector({0: 1.0})
     # T ties with O at 0, not above it, and O comes first by its count
-    assert _names(kb.retrieve_similar(("root",), query, 4)) == ["P", "O", "T", "N"]
-    assert kb.retrieve_similar(("root",), query, 4) == _oracle(kb, ("root",), query, 4)
+    assert _names(kb.retrieve_similar("root", query, 4)) == ["P", "O", "T", "N"]
+    assert kb.retrieve_similar("root", query, 4) == _oracle(kb, ("root",), query, 4)
     # every cosine 0: the tie order alone, by count, then by signature
     for query in (sparse_vector({}), sparse_vector({7: 1.0})):
-        assert _names(kb.retrieve_similar(("root",), query, 4)) == ["O", "N", "P", "T"]
-        assert kb.retrieve_similar(("root",), query, 4) == _oracle(kb, ("root",), query, 4)
-    assert _names(kb.retrieve_similar(("root",), sparse_vector({}), 2)) == ["O", "N"]
+        assert _names(kb.retrieve_similar("root", query, 4)) == ["O", "N", "P", "T"]
+        assert kb.retrieve_similar("root", query, 4) == _oracle(kb, ("root",), query, 4)
+    assert _names(kb.retrieve_similar("root", sparse_vector({}), 2)) == ["O", "N"]
 
 
 def test_retrieve_returns_nothing_for_m_up_to_zero_and_for_an_unknown_parent():
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     _sibling(kb, "P", sparse_vector({0: 1.0}))
     query = sparse_vector({0: 1.0})
-    assert kb.retrieve_similar(("root",), query, 0) == []
-    assert kb.retrieve_similar(("root",), query, -1) == []
-    assert kb.retrieve_similar(("root", "Ghost"), query, 5) == []
-    assert _names(kb.retrieve_similar(("root",), query, 5)) == ["P"]
+    assert kb.retrieve_similar("root", query, 0) == []
+    assert kb.retrieve_similar("root", query, -1) == []
+    assert kb.retrieve_similar("root>Ghost", query, 5) == []
+    assert _names(kb.retrieve_similar("root", query, 5)) == ["P"]
 
 
 def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
@@ -368,7 +381,7 @@ def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
     query = sparse_vector({0: 1.0})
 
     def ranked():
-        got = kb.retrieve_similar(("root",), query, 5)
+        got = kb.retrieve_similar("root", query, 5)
         assert got == _oracle(kb, ("root",), query, 5)
         return _names(got)
 
@@ -385,13 +398,13 @@ def test_retrieve_raises_for_a_missing_embedding_until_it_is_set():
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     _sibling(kb, "P", sparse_vector({0: 1.0}))
     query = sparse_vector({0: 1.0})
-    assert _names(kb.retrieve_similar(("root",), query, 5)) == ["P"]
+    assert _names(kb.retrieve_similar("root", query, 5)) == ["P"]
     late = _sibling(kb, "L", None)
     for _ in range(2):  # the failure is not remembered as a result, nor the result as a success
         with pytest.raises(KnowledgeBaseError, match=r"root\|L"):
-            kb.retrieve_similar(("root",), query, 5)
+            kb.retrieve_similar("root", query, 5)
     late.embedding = sparse_vector({0: 2.0})
-    assert _names(kb.retrieve_similar(("root",), query, 5)) == ["L", "P"]
+    assert _names(kb.retrieve_similar("root", query, 5)) == ["L", "P"]
 
 
 def test_retrieval_on_detection_traffic_ranks_as_the_dense_oracle(monkeypatch):
@@ -404,10 +417,13 @@ def test_retrieval_on_detection_traffic_ranks_as_the_dense_oracle(monkeypatch):
     kbs = train_kbs(corpus.train, tree, config, provider=MockProvider(), templates=templates)
     retrieve, ranked = KnowledgeBase.retrieve_similar, []
 
-    def checked(kb, parent_path, query, m):
-        got = retrieve(kb, parent_path, query, m)
+    def checked(kb, parent_key, query, m):
+        # the oracle filters by parent path, which it finds through the signature oracle's encoding
+        paths = {make_signature(e.parent_path, [])[:-1]: e.parent_path for e in kb.entries.values()}
+        parent_path = paths.get(parent_key, ["no such parent"])
+        got = retrieve(kb, parent_key, query, m)
         assert got == _oracle(kb, parent_path, query, m)
-        everything = retrieve(kb, parent_path, query, len(kb.entries))
+        everything = retrieve(kb, parent_key, query, len(kb.entries))
         assert everything == _oracle(kb, parent_path, query, len(kb.entries))
         ranked.append(len(everything))
         return got
@@ -428,8 +444,11 @@ def test_test_cache_round_trip(tmp_path):
     kb.save(tmp_path / "test_status.json")
     assert KnowledgeBase.load(tmp_path / "test_status.json").lookup_test(ck) == entry
     assert kb.lookup_test(chunk_key(["k1"])) is None
-    # chunk keys distinguish concatenation ambiguities
+    # chunk keys distinguish concatenation ambiguities, also of keys that hold the separator or the escape
     assert chunk_key(["ab", "c"]) != chunk_key(["a", "bc"])
+    assert chunk_key(["a\x1fb"]) != chunk_key(["a", "b"])
+    assert chunk_key(["a\\", "b"]) != chunk_key(["a\\\x1fb"])
+    assert chunk_key(["k1", "k2"]) == "k1\x1fk2"  # keys without either are joined as they are
 
 
 # -- persistence ------------------------------------------------------------------
