@@ -9,6 +9,8 @@ import click
 
 from . import pipeline as stages
 from .errors import ConfigError, HierlogError
+from .hierarchy import EXTRACTOR_KINDS
+from .semantics import PROVIDER_KINDS
 from .synthetic import make_corpus, write_corpus
 
 
@@ -24,7 +26,7 @@ class _Main(click.Group):
 
 
 def _provider_options(fn):
-    fn = click.option("--provider-kind", default=None, type=click.Choice(["mock", "recorded", "http_chat"]))(fn)
+    fn = click.option("--provider-kind", default=None, type=click.Choice(PROVIDER_KINDS))(fn)
     fn = click.option("--provider-fixture", "provider_fixture_path", default=None,
                       help="Recorded-provider fixture path.")(fn)
     fn = click.option("--provider-endpoint", default=None)(fn)
@@ -68,7 +70,7 @@ def hierarchy():
 
 @hierarchy.command()
 @click.option("--templates", "templates_path", required=True, type=click.Path(exists=True))
-@click.option("--extractor", "kind", default="lexicon", type=click.Choice(["fixture", "lexicon", "llm"]))
+@click.option("--extractor", "kind", default="lexicon", type=click.Choice(EXTRACTOR_KINDS))
 @click.option("--fixture", default=None, type=click.Path(), help="Key->triple map for the fixture extractor.")
 @click.option("--lexicon", default=None, type=click.Path(), help="Lexicon config for the rule extractor.")
 @click.option("--no-refine", is_flag=True, default=False)

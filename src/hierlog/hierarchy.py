@@ -16,7 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, DuplicateKeyError, ExtractionError, LineParseError, TreeError
+from .errors import ConfigError, DuplicateKeyError, ExtractionError, LineParseError, ProviderError, TreeError
 from .ingest import WILDCARD, TemplateCatalog, read_jsonl
 from . import prompts as prompt_assets
 
@@ -384,7 +384,7 @@ class LlmExtractor:
             try:
                 response = self.provider.complete(request)
                 triples.append(self._parse(t.key, response))
-            except Exception:
+            except (ProviderError, KeyError, ValueError):  # no answer, or one without ENTITY and ACTION
                 failed.append(t.key)
         if failed:
             raise ExtractionError(failed)
@@ -412,10 +412,13 @@ def _read_json(path: str | Path):
         raise ValueError(f"{path}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
 
 
+EXTRACTOR_KINDS = ("fixture", "lexicon", "llm")
+
+
 def check_extractor(kind: str, fixture_path: Optional[str], provider) -> None:
     """Raise ConfigError unless the settings name an extractor that `make_extractor` can build."""
-    if kind not in ("fixture", "lexicon", "llm"):
-        raise ConfigError(f"unknown extractor {kind!r}; use fixture, lexicon or llm")
+    if kind not in EXTRACTOR_KINDS:
+        raise ConfigError(f"unknown extractor {kind!r}; use {', '.join(EXTRACTOR_KINDS[:-1])} or {EXTRACTOR_KINDS[-1]}")
     if kind == "fixture" and not fixture_path:
         raise ConfigError("the fixture extractor needs a fixture file; give --fixture or [hierarchy] fixture")
     if kind == "llm" and provider is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 import os
 import re
@@ -18,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from . import prompts as prompt_assets
 from .decompose import Seq
@@ -27,7 +29,9 @@ from .ingest import read_jsonl
 VERDICT_NORMAL = "normal"
 VERDICT_ABNORMAL = "abnormal"
 
-HTTP_RETRIES = 2  # further attempts after a failed chat request
+PROVIDER_KINDS = ("mock", "recorded", "http_chat")
+
+HTTP_RETRIES = 2  # further attempts after a chat request fails with a fault that a retry can fix
 HTTP_TIMEOUT_S = 30.0
 
 _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(NORMAL|ABNORMAL)\s*$", re.IGNORECASE | re.MULTILINE)
@@ -35,14 +39,14 @@ _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(NORMAL|ABNORMAL)\s*$", re.IGNORECASE 
 
 @dataclass
 class ProviderConfig:
-    kind: str  # mock | recorded | http_chat
+    kind: str  # one of PROVIDER_KINDS
     fixture_path: Optional[str] = None
     endpoint: Optional[str] = None
     model: Optional[str] = None
     auth_env: Optional[str] = None  # env var holding the credential
 
     def __post_init__(self):
-        if self.kind not in ("mock", "recorded", "http_chat"):
+        if self.kind not in PROVIDER_KINDS:
             raise ValueError(f"unknown provider kind: {self.kind!r}")
 
 
@@ -133,40 +137,91 @@ class RecordedProvider:
 
 
 class HttpChatProvider:
-    """Generic JSON chat-completion client (OpenAI-style wire format)."""
+    """Generic JSON chat-completion client (OpenAI-style wire format) on the standard library.
+
+    Only what a retry can fix is retried: a transport fault, a 429 or a 5xx.
+    Any other status, a redirect included (none is followed, so the credential
+    goes only to the endpoint), or a body without a string
+    `choices[0].message.content`, is a ProviderError after one call.
+    """
 
     def __init__(self, config: ProviderConfig):
         if not config.endpoint:
             raise ValueError("http_chat provider requires an endpoint")
+        if not _is_http_url(config.endpoint):
+            raise ValueError(f"http_chat endpoint {config.endpoint!r} is not an http:// or https:// URL with a host")
         self.config = config
         self.calls = 0
+        self._headers = {"Content-Type": "application/json"}
+        if config.auth_env:
+            token = os.environ.get(config.auth_env)
+            if not token:
+                raise ValueError(f"auth_env names {config.auth_env}, which is unset or empty")
+            if not (token.isascii() and token.isprintable()):  # a header value cannot carry it; the message omits it
+                raise ValueError(f"auth_env names {config.auth_env}, whose value is not printable ASCII")
+            self._headers["Authorization"] = f"Bearer {token}"
 
     def complete(self, request: str) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        headers = {"Content-Type": "application/json"}
-        if self.config.auth_env:
-            token = os.environ.get(self.config.auth_env)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        payload = {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": request}],
-        }
-        last_exc: Optional[Exception] = None
+        payload = {"model": self.config.model, "messages": [{"role": "user", "content": request}]}
+        post = urllib.request.Request(
+            self.config.endpoint, data=json.dumps(payload).encode(), headers=self._headers, method="POST"
+        )
+        opener = _no_redirect_opener()
         for attempt in range(HTTP_RETRIES + 1):
             self.calls += 1
             try:
-                resp = requests.post(
-                    self.config.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
-                )
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except Exception as exc:  # transport or schema failure, retry
-                last_exc = exc
-                if attempt < HTTP_RETRIES:
-                    time.sleep(min(2.0**attempt, 10.0))
-        raise ProviderError(f"chat endpoint failed after retries: {last_exc}") from last_exc
+                with opener.open(post, timeout=HTTP_TIMEOUT_S) as resp:
+                    return _chat_content(resp.read())
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code != 429 and exc.code < 500:
+                    raise ProviderError(f"chat endpoint answered HTTP {exc.code} {exc.reason}") from None
+                fault = f"HTTP {exc.code} {exc.reason}"
+            except (OSError, http.client.HTTPException) as exc:  # URLError, timeouts, dropped connections
+                fault = exc
+            if attempt < HTTP_RETRIES:
+                time.sleep(2.0**attempt)
+        raise ProviderError(f"chat endpoint failed after {HTTP_RETRIES + 1} attempts: {fault}")
+
+
+def _is_http_url(endpoint: str) -> bool:
+    """Whether `endpoint` is an http:// or https:// URL with a host, a valid port if any, and no
+    character outside printable ASCII or space, which a send would only reject mid-run."""
+    if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
+        return False
+    try:
+        url = urlsplit(endpoint)
+        url.port  # a non-numeric or out-of-range port is a ValueError
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
+def _no_redirect_opener():
+    """A urllib opener that follows no redirect: a 3xx is an HTTPError, so the
+    Authorization header is never sent to another URL."""
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(NoRedirect)
+
+
+def _chat_content(body: bytes) -> str:
+    """The reply text of a chat-completion response body; any other body is a ProviderError."""
+    try:
+        content = json.loads(body)["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):  # not JSON, or no choices[0].message.content
+        raise ProviderError(f"chat endpoint response has no choices[0].message.content: {body[:200]!r}") from None
+    if not isinstance(content, str):
+        raise ProviderError(f"chat endpoint response content is {type(content).__name__}, not a string")
+    return content
 
 
 def make_provider(config: ProviderConfig) -> Provider:

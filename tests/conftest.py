@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from hierlog import semantics
 from hierlog.hierarchy import SIG_NODE_SEP, SIG_PARENT_SEP, FixtureExtractor, build_tree, escape_name, extract_topics
 from hierlog.ingest import LogTemplate, TemplateCatalog
-from hierlog.semantics import EMBED_DIM, RecordedProvider
+from hierlog.semantics import EMBED_DIM, MockProvider, RecordedProvider
 from hierlog.synthetic import TOY_FIXTURE, TOY_TEMPLATES, make_corpus
 
 TOY_KEYS = ["k1", "k2", "k3", "k4", "k5", "k6"]
@@ -72,6 +76,81 @@ class Recorder:
         path.write_text("".join(
             json.dumps({"request_hash": h, "response": r}) + "\n" for h, r in self.responses.items()
         ))
+
+
+DROP = "drop"  # a scripted reply that closes the connection without an answer
+
+
+def chat_body(content) -> bytes:
+    """A chat-completion response body whose reply is `content`."""
+    return json.dumps({"choices": [{"index": 0, "message": {"role": "assistant", "content": content}}]}).encode()
+
+
+class ChatServer:
+    """A chat-completion endpoint on 127.0.0.1, served from a thread.
+
+    Each POST takes the next reply of `script`, a (status, body) pair, a
+    (status, body, headers) triple or DROP; once the script is spent, it
+    answers `MockProvider().complete(content)`. A GET is recorded and refused.
+    """
+
+    def __init__(self):
+        self.script: list = []
+        self.requests: list = []  # (method, path, headers, JSON body or None), one per request received
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+        self.httpd.chat = self
+        self.url = f"http://127.0.0.1:{self.httpd.server_port}/v1/chat/completions"
+        self.thread = threading.Thread(target=self.httpd.serve_forever, args=(0.02,))  # poll interval: a quick shutdown
+        self.thread.start()
+
+    def close(self) -> None:
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join()
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        chat = self.server.chat
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        chat.requests.append((self.command, self.path, self.headers, body))
+        reply = chat.script.pop(0) if chat.script else (200, chat_body(MockProvider().complete(body["messages"][0]["content"])))
+        if reply == DROP:
+            self.close_connection = True
+            return
+        status, payload, *headers = reply
+        self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def do_GET(self):
+        self.server.chat.requests.append((self.command, self.path, self.headers, None))
+        self.send_error(405)
+
+    def log_message(self, format, *args):  # no access log on stderr
+        pass
+
+
+@pytest.fixture
+def backoffs(monkeypatch):
+    """The chat provider's backoff delays, recorded instead of slept, with every proxy variable unset."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    delays = []
+    monkeypatch.setattr(semantics.time, "sleep", delays.append)
+    return delays
+
+
+@pytest.fixture
+def chat_server(backoffs):
+    server = ChatServer()
+    yield server
+    server.close()
 
 
 def dense(vector) -> list[float]:

@@ -298,6 +298,52 @@ def test_a_missing_recorded_fixture_is_a_configuration_error(tmp_path, data, tra
     assert [path.name for path in ini.iterdir()] == ["run.ini"]
 
 
+@pytest.mark.parametrize(
+    "fault_kind",
+    ["file-endpoint", "port-not-numeric", "unset-auth-env", "empty-auth-env", "crlf-in-token", "non-latin-1-token"],
+)
+def test_a_bad_chat_endpoint_or_credential_is_a_configuration_error(tmp_path, data, trained, monkeypatch, fault_kind):
+    token = {"empty-auth-env": "", "crlf-in-token": "tok\r\nX-Injected: 1", "non-latin-1-token": "tok-\u03a9"}
+    if fault_kind in token:
+        monkeypatch.setenv("HIERLOG_CHAT_TOKEN", token[fault_kind])
+    else:
+        monkeypatch.delenv("HIERLOG_CHAT_TOKEN", raising=False)
+    if fault_kind in ("file-endpoint", "port-not-numeric"):
+        endpoint = (tmp_path / "reply.json").as_uri() if fault_kind == "file-endpoint" else "http://127.0.0.1:abc/v1"
+        auth_env = ""
+        fault = f"provider: http_chat endpoint {endpoint!r} is not an http:// or https:// URL with a host"
+    else:
+        endpoint, auth_env = "http://127.0.0.1:9/v1/chat/completions", "HIERLOG_CHAT_TOKEN"
+        why = "which is unset or empty" if fault_kind.endswith("auth-env") else "whose value is not printable ASCII"
+        fault = f"provider: auth_env names HIERLOG_CHAT_TOKEN, {why}"
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", trained / "kb", "--test", trained / "test.jsonl", "--llm", "on",
+                    "--provider-kind", "http_chat", "--provider-endpoint", endpoint,
+                    "--provider-auth-env", auth_env, "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (2, f"error: {fault}\n")
+    assert not (tmp_path / "report.jsonl").exists()
+    ini = tmp_path / "ini"
+    ini.mkdir()
+    provider = {"kind": "http_chat", "endpoint": endpoint, "auth_env": auth_env}
+    result = invoke("pipeline", "--config", write_ini(data, ini, "on", {"provider": provider}))
+    assert (result.exit_code, result.output) == (2, f"error: {fault}\n")
+    assert [path.name for path in ini.iterdir()] == ["run.ini"]
+
+
+def test_an_http_chat_pipeline_writes_what_a_mock_one_does(tmp_path, data, chat_server):
+    """The INI pipeline through a loopback chat endpoint that answers as `MockProvider` does."""
+    http_chat = {"kind": "http_chat", "endpoint": chat_server.url, "model": "chat-1"}
+    runs = []
+    for name, provider in (("mock", {"kind": "mock"}), ("http", http_chat)):
+        out = tmp_path / name
+        out.mkdir()
+        ok("pipeline", "--config", write_ini(data, out, "on", {"provider": provider}))
+        runs.append({**artifacts(out), "eval.json": (out / "eval.json").read_bytes()})
+    assert runs[0] == runs[1]
+    assert b'"source": "llm"' in runs[1]["report body"]
+    assert chat_server.requests
+
+
 def test_pipeline_accepts_default_keys_used_for_interpolation(tmp_path, data):
     config = write_ini(data, tmp_path, "off", {"eval": {"out": "%(out_dir)s/eval.json"}})
     config.write_text(f"[DEFAULT]\nout_dir = {tmp_path}\n\n" + config.read_text())

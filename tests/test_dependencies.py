@@ -1,12 +1,25 @@
 """The package imports nothing at run time beyond the standard library and its declared dependencies."""
 
 import ast
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hierlog
 
-DECLARED = {"click", "requests"}  # pyproject.toml's dependencies
+DECLARED = {"click"}  # pyproject.toml's dependencies, as import names
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+
+
+def test_declared_matches_the_pyproject_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9._-]+", spec).group().lower() for spec in project["dependencies"]}
+    assert names == DECLARED
 
 
 def test_every_absolute_import_is_the_standard_library_or_declared():
@@ -24,3 +37,11 @@ def test_every_absolute_import_is_the_standard_library_or_declared():
                 if top not in sys.stdlib_module_names and top not in DECLARED:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside
+
+
+def test_importing_the_package_loads_no_http_client():
+    """The chat provider imports `urllib.request` when it first sends, so a run without it never pays for it."""
+    code = "import sys, hierlog.cli, hierlog.pipeline; print(sorted({'http.client', 'urllib.request'} & sys.modules.keys()))"
+    env = dict(os.environ, PYTHONPATH=str(Path(hierlog.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

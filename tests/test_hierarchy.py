@@ -234,6 +234,17 @@ def test_llm_extractor_collects_failures(toy_cat):
     assert set(err.value.failed_keys) == {"k2", "k3", "k4", "k5", "k6"}
 
 
+def test_llm_extractor_lets_an_unexpected_error_through(toy_cat):
+    class Broken:
+        calls = 0
+
+        def complete(self, request):
+            raise RuntimeError("a bug, not a failed extraction")
+
+    with pytest.raises(RuntimeError, match="a bug"):
+        LlmExtractor(Broken()).extract(toy_cat)
+
+
 # -- refinement -----------------------------------------------------------------
 
 def test_refine_case_folding_majority():
