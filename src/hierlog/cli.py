@@ -135,7 +135,9 @@ def detect(templates_path, tree_path, kb_dir, test_path, levels, detector_spec, 
         _provider(provider_opts),
     )
     flagged = sum(1 for r in reports if r.final_verdict)
-    click.echo(f"{flagged}/{len(reports)} sequences flagged abnormal; report at {report_path}")
+    undecided = stages.undecided_by_provider(reports)
+    note = f", {undecided} undecided by provider errors" if undecided else ""
+    click.echo(f"{flagged}/{len(reports)} sequences flagged abnormal{note}; report at {report_path}")
 
 
 @main.command()

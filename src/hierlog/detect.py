@@ -83,6 +83,8 @@ class DetectConfig:
                 raise ValueError(f"detector set for an unknown level {level!r}")
             if kind not in (EXACT, AUTOMATON):
                 raise ValueError(f"unknown detector {kind!r} for level {level!r}; use {EXACT!r} or {AUTOMATON!r}")
+        if self.m < 0:
+            raise ValueError(f"m must be 0 or more, not {self.m}")
 
 
 @dataclass(slots=True)

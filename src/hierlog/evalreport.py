@@ -68,7 +68,7 @@ def structure_report(
     """Cardinality, reuse, and resource tallies for one run; `llm_calls` is its Detector's count."""
     out = StructureReport(llm_calls=llm_calls)
     for level in LEVELS:
-        out.node_counts[level] = sum(1 for n in tree.nodes.values() if n.level == level)
+        out.node_counts[level] = tree.node_counts[level]
         kb = kbs.train[level]
         out.unique_seqs[level] = len(kb.entries)
         out.total_occurrences[level] = sum(e.occurrence_count for e in kb.entries.values())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -51,86 +51,85 @@ class TopicTriple:
             raise ValueError(f"triple for {self.key!r} has empty entity or action")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    node_id: str
-    level: str
-    name: str
-    parent_id: Optional[str]
-    key: Optional[str] = None  # template key, status nodes only
-
-
-TREE_FORMAT_VERSION = 1
+TREE_FORMAT_VERSION = 2
 
 
 class TopicTree:
-    """Immutable rooted three-level hierarchy with O(1) key lookup."""
+    """Immutable three-level hierarchy: each template key's (entity, action, status) path under the root.
 
-    def __init__(self, nodes: dict[str, TreeNode], key_index: dict[str, str]):
-        self.nodes = nodes
-        self.key_index = key_index
+    The path is the tree: entity nodes are the distinct entities, action
+    nodes the distinct (entity, action) pairs, and status nodes the keys,
+    since each path names exactly one key.
+    """
+
+    def __init__(self, key_names: dict[str, tuple[str, str, str]]):
         # key -> (entity, action, status) names, so per-key lookup is one dict hit;
-        # names are unique per parent (`from_json` checks it), so identity
-        # comparison of these interned strings is valid for run detection, and
-        # a transition pair derived from a loaded KB holds the very same objects
-        self.key_names: dict[str, tuple[str, str, str]] = {}
-        # precomputed parent paths per key: (root,) / (root, entity) / (root, entity, action)
+        # names are unique per parent (one path per key), so identity comparison
+        # of these interned strings is valid for run detection, and a transition
+        # pair derived from a loaded KB holds the very same objects
+        self.key_names = {key: tuple(map(sys.intern, names)) for key, names in key_names.items()}
+        # precomputed parent paths per key: (root, entity) / (root, entity, action)
         self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        root_name = nodes[ROOT].name
-        self.root_path: tuple[str, ...] = (root_name,)
-        self.root_prefix = escape_name(root_name)
+        self.root_path: tuple[str, ...] = (ROOT,)
+        self.root_prefix = escape_name(ROOT)
         e_paths: dict[str, tuple[str, ...]] = {}
-        a_paths: dict[str, tuple[str, ...]] = {}
-        for key, sid in key_index.items():
-            status = nodes[sid]
-            action = nodes[status.parent_id]
-            entity = nodes[action.parent_id]
-            names = self.key_names[key] = tuple(map(sys.intern, (entity.name, action.name, status.name)))
-            e_path = e_paths.setdefault(entity.node_id, self.root_path + names[:1])
-            a_path = a_paths.setdefault(action.node_id, e_path + names[1:2])
+        a_paths: dict[tuple[str, str], tuple[str, ...]] = {}
+        for key, (entity, action, _) in self.key_names.items():
+            e_path = e_paths.setdefault(entity, (ROOT, entity))
+            a_path = a_paths.setdefault((entity, action), e_path + (action,))
             self.key_paths[key] = (e_path, a_path)
+        self.node_counts = {ENTITY: len(e_paths), ACTION: len(a_paths), STATUS: len(self.key_names)}
         # the signature encoding, built once: node name -> escaped name, and the
         # parent paths as escaped names joined by SIG_NODE_SEP (Seq.parent_key)
         self.escaped = {name: escape_name(name) for name in set(chain.from_iterable(self.key_names.values()))}
-        paths = set(chain.from_iterable(self.key_paths.values()))
-        prefix = {path: SIG_NODE_SEP.join(map(escape_name, path)) for path in paths}
+        prefix = {path: SIG_NODE_SEP.join(map(escape_name, path)) for path in chain(e_paths.values(), a_paths.values())}
         self.key_prefixes: dict[str, tuple[str, ...]] = {
             key: (prefix[e_path], prefix[a_path]) for key, (e_path, a_path) in self.key_paths.items()
         }
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        """The node count, the root included."""
+        return 1 + sum(self.node_counts.values())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TopicTree) and self.nodes == other.nodes
+        return isinstance(other, TopicTree) and self.key_names == other.key_names
 
     def to_json(self) -> dict:
-        return {
-            "format_version": TREE_FORMAT_VERSION,
-            "nodes": [
-                {
-                    "node_id": n.node_id,
-                    "level": n.level,
-                    "name": n.name,
-                    "parent_id": n.parent_id,
-                    "key": n.key,
-                }
-                for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
-            ],
-        }
+        rows = [[key, *names] for key, names in sorted(self.key_names.items())]
+        return {"format_version": TREE_FORMAT_VERSION, "keys": rows}
 
     @classmethod
     def from_json(cls, data: dict) -> "TopicTree":
-        """The tree that `to_json` wrote, checked by `_tree_nodes`."""
+        """The tree that `to_json` wrote; a fault raises `TreeError` naming the row.
+
+        Each row is four non-empty strings, and each key and each path
+        appears once; the format cannot express any other fault.
+        """
         version = data.get("format_version") if isinstance(data, dict) else None
         if version != TREE_FORMAT_VERSION:
-            raise TreeError(f"unsupported tree format version: {version}")
-        nodes = _tree_nodes(data.get("nodes"))
-        key_index = {n.key: n.node_id for n in nodes.values() if n.key is not None}
-        return cls(nodes, key_index)
+            raise TreeError(f"unsupported tree format version: {version}; re-run hierlog hierarchy build")
+        rows = data.get("keys")
+        if not isinstance(rows, list):
+            raise TreeError("'keys' must be a list of [key, entity, action, status] rows")
+        key_names: dict[str, tuple[str, str, str]] = {}
+        owners: dict[tuple[str, str, str], str] = {}  # path -> its key
+        for n, row in enumerate(rows):
+            if not (type(row) is list and len(row) == 4 and all(type(name) is str and name for name in row)):
+                raise TreeError(f"row {n}: a row is [key, entity, action, status], four non-empty strings")
+            key, *names = row
+            path = tuple(names)
+            if key in key_names:
+                raise TreeError(f"row {n}: key {key!r} appears twice")
+            if path in owners:
+                raise TreeError(f"row {n}: key {key!r} has the path {' > '.join(path)!r} of key {owners[path]!r}")
+            key_names[key] = path
+            owners[path] = key
+        return cls(key_names)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        """One row per line, sorted by key."""
+        rows = ",\n".join(map(json.dumps, self.to_json()["keys"]))
+        Path(path).write_text(f'{{"format_version": {TREE_FORMAT_VERSION}, "keys": [\n{rows}\n]}}\n')
 
     @classmethod
     def load(cls, path: str | Path) -> "TopicTree":
@@ -144,110 +143,24 @@ class TopicTree:
             raise TreeError(f"{path}: {exc}") from exc
 
 
-_PARENT_LEVEL = {ROOT: None, ENTITY: ROOT, ACTION: ENTITY, STATUS: ACTION}
-
-
-def _tree_nodes(rows) -> dict[str, TreeNode]:
-    """The nodes of a saved tree by id; a fault raises `TreeError` naming the node.
-
-    Decompose marks runs by the identity of interned names, so the levels
-    must nest root -> entity -> action -> status under the one root node,
-    names must be unique under each parent, and each key must map to
-    exactly one status node.
-    """
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise TreeError("'nodes' must be a list of objects")
-    nodes: dict[str, TreeNode] = {}
-    for n, row in enumerate(rows):
-        node_id, level, name = row.get("node_id"), row.get("level"), row.get("name")
-        parent_id, key = row.get("parent_id"), row.get("key")
-        if type(node_id) is not str:
-            raise TreeError(f"node {n}: 'node_id' must be a string")
-        if not (type(level) is type(name) is str and name and {type(parent_id), type(key)} <= {str, type(None)}):
-            raise TreeError(f"node {node_id!r}: level and name must be strings, name non-empty, "
-                            "and parent_id and key strings or null")
-        if level not in _PARENT_LEVEL:
-            raise TreeError(f"node {node_id!r}: level {level!r} is not one of {', '.join(_PARENT_LEVEL)}")
-        if ROOT in (node_id, level) and (node_id, level, parent_id, key) != (ROOT, ROOT, None, None):
-            raise TreeError(f"node {node_id!r}: only the node {ROOT!r} is of level {ROOT!r}, "
-                            "and it has no parent and no key")
-        if node_id in nodes:
-            raise TreeError(f"node {node_id!r} appears twice")
-        nodes[node_id] = TreeNode(node_id, level, name, parent_id, key)
-    if ROOT not in nodes:
-        raise TreeError(f"the tree has no node {ROOT!r}")
-    names: set[tuple[str, str]] = set()  # (parent_id, name)
-    keys: set[str] = set()
-    for node in nodes.values():
-        if node.level == ROOT:
-            continue
-        parent = nodes.get(node.parent_id)
-        if parent is None:
-            fault = f"parent {node.parent_id!r} is not in the tree"
-        elif parent.level != _PARENT_LEVEL[node.level]:
-            fault = f"its parent {parent.node_id!r} is of level {parent.level!r}, not {_PARENT_LEVEL[node.level]!r}"
-        elif (node.parent_id, node.name) in names:
-            fault = f"name {node.name!r} appears twice under {node.parent_id!r}"
-        elif (node.level == STATUS) != (node.key is not None):
-            fault = "status nodes need a key, and other nodes must have none"
-        elif node.key in keys:
-            fault = f"key {node.key!r} maps to a second status node"
-        else:
-            fault = None
-        if fault:
-            raise TreeError(f"node {node.node_id!r}: {fault}")
-        names.add((node.parent_id, node.name))
-        if node.key is not None:
-            keys.add(node.key)
-    return nodes
-
-
-def _escape_id(entity: str) -> str:
-    """An entity name with "\\" and "/" escaped, so an action id "a:<entity>/<action>" is one-to-one."""
-    return entity.replace("\\", "\\\\").replace("/", "\\/")
-
-
 def build_tree(triples: list[TopicTriple]) -> TopicTree:
-    """Assemble the tree from refined triples, one status node per key.
+    """Assemble the tree from refined triples, one path per key.
 
-    Hash-indexed construction, linear in the number of triples. When two
-    keys under the same action share a status name, the later node keeps
-    its own identity under a key-suffixed name (status <-> key stays
-    one-to-one).
+    When a key's path is taken, its status name gets a "~<key>" suffix,
+    repeated while the path is still taken, so path <-> key stays
+    one-to-one.
     """
-    nodes: dict[str, TreeNode] = {ROOT: TreeNode(ROOT, ROOT, ROOT, None)}
-    key_index: dict[str, str] = {}
-    name_index: dict[tuple[str, str, str], str] = {}  # (level, parent_id, name) -> node_id
-    seen_keys: set[str] = set()
-
-    for triple in triples:
-        if triple.key in seen_keys:
-            raise DuplicateKeyError(triple.key)
-        seen_keys.add(triple.key)
-
-        ekey = (ENTITY, ROOT, triple.entity)
-        entity_id = name_index.get(ekey)
-        if entity_id is None:
-            entity_id = f"e:{triple.entity}"
-            nodes[entity_id] = TreeNode(entity_id, ENTITY, triple.entity, ROOT)
-            name_index[ekey] = entity_id
-
-        akey = (ACTION, entity_id, triple.action)
-        action_id = name_index.get(akey)
-        if action_id is None:
-            action_id = f"a:{_escape_id(triple.entity)}/{triple.action}"
-            nodes[action_id] = TreeNode(action_id, ACTION, triple.action, entity_id)
-            name_index[akey] = action_id
-
-        status_name = triple.status or NONE_STATUS
-        if (STATUS, action_id, status_name) in name_index:
-            status_name = f"{status_name}~{triple.key}"
-        status_id = f"s:{triple.key}"
-        nodes[status_id] = TreeNode(status_id, STATUS, status_name, action_id, key=triple.key)
-        name_index[(STATUS, action_id, status_name)] = status_id
-        key_index[triple.key] = status_id
-
-    return TopicTree(nodes, key_index)
+    key_names: dict[str, tuple[str, str, str]] = {}
+    taken: set[tuple[str, str, str]] = set()
+    for t in triples:
+        if t.key in key_names:
+            raise DuplicateKeyError(t.key)
+        path = (t.entity, t.action, t.status or NONE_STATUS)
+        while path in taken:
+            path = (t.entity, t.action, f"{path[2]}~{t.key}")
+        taken.add(path)
+        key_names[t.key] = path
+    return TopicTree(key_names)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ class KnowledgeBase:
                     f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
                 )
             columns = self._columns[parent_key] = _SiblingColumns(siblings, embeddings)
-        return columns.top(query, max(m, 0))
+        return columns.top(query, m)
 
     # -- test side ----------------------------------------------------------
 

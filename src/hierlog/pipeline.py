@@ -195,7 +195,15 @@ def detect(
         f"{level} {hits} hits, {detector.verdict_misses[level]} misses" for level, hits in detector.verdict_hits.items()
     )
     log.info("sub-sequence verdicts: %s", per_level)
+    undecided = undecided_by_provider(reports)
+    if undecided:
+        log.warning("%d of %d reports hold a verdict left undecided by a provider error", undecided, len(reports))
     return sequences, reports, detector.llm_calls
+
+
+def undecided_by_provider(reports: list[SequenceReport]) -> int:
+    """The reports that met a provider error, so an LLM verdict in them is undecided (and abnormal)."""
+    return sum(1 for r in reports if r.counters.provider_errors)
 
 
 def score(sequences: list[LogSequence], verdicts: dict[str, bool]) -> dict:

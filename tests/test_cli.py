@@ -221,6 +221,7 @@ NOT_A_TRIPLE = "a triple needs non-empty strings 'entity' and 'action', and 'sta
     "extra, fault",
     [
         ({"detect": {"m": "abc"}}, "[detect] m = 'abc' is not an integer"),
+        ({"detect": {"m": "-4"}}, "[detect] m must be 0 or more, not -4"),
         ({"detect": {"early_exit": "maybe"}}, "[detect] early_exit = 'maybe' is not a flag; use on, off, true or false"),
         ({"train": {"llm": "yes"}}, "[train] llm = 'yes' is not a flag; use on, off, true or false"),
         ({"train": {"resume": "2"}}, "[train] resume = '2' is not a flag; use on, off, true or false"),
@@ -233,7 +234,7 @@ NOT_A_TRIPLE = "a triple needs non-empty strings 'entity' and 'action', and 'sta
         ({"hierarchy": {"fixture": ""}}, f"[hierarchy] {NO_FIXTURE}"),
         ({"hierarchy": {"extractor": "llm"}}, f"[hierarchy] {NO_EXTRACTOR_PROVIDER}"),
     ],
-    ids=["m-not-int", "early-exit-not-flag", "train-llm-not-flag", "train-resume-not-flag",
+    ids=["m-not-int", "m-negative", "early-exit-not-flag", "train-llm-not-flag", "train-resume-not-flag",
          "hierarchy-resume-not-flag", "detect-llm-not-flag", "unknown-detector", "unknown-levels",
          "attribution-not-flag", "unknown-extractor", "fixture-extractor-without-a-file",
          "llm-extractor-without-a-provider"],
@@ -529,16 +530,90 @@ def test_ini_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, 
 
 def test_train_names_the_tree_file_and_node_of_a_bad_tree(tmp_path, data, trained):
     tree = json.loads((trained / "tree.json").read_text())
-    action = next(node for node in tree["nodes"] if node["level"] == "action")
-    action["level"] = "status"
+    first, second = tree["keys"][:2]
+    second[1:] = first[1:]  # a row's path names one status node, so two keys cannot share it
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(tree))
     result = invoke("train", "--templates", data / "templates.csv", "--tree", path,
                     "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "kb")
     assert result.exit_code == 1
-    assert result.output.startswith(f"error: {path}: node {action['node_id']!r}: ")
+    assert result.output.startswith(f"error: {path}: row 1: key {second[0]!r} has the path ")
     assert "Traceback" not in result.output
     assert not (tmp_path / "kb").exists()
+
+
+def format_1(tree):
+    """A format-2 tree's JSON as format 1 wrote it: a node graph linked by id."""
+    nodes = {"root": {"node_id": "root", "level": "root", "name": "root", "parent_id": None, "key": None}}
+    for key, entity, action, status in tree["keys"]:
+        e, a = f"e:{entity}", f"a:{entity}/{action}"  # no name in these trees needs escaping
+        nodes[e] = {"node_id": e, "level": "entity", "name": entity, "parent_id": "root", "key": None}
+        nodes[a] = {"node_id": a, "level": "action", "name": action, "parent_id": e, "key": None}
+        nodes[f"s:{key}"] = {"node_id": f"s:{key}", "level": "status", "name": status, "parent_id": a, "key": key}
+    return {"format_version": 1, "nodes": sorted(nodes.values(), key=lambda n: n["node_id"])}
+
+
+def test_a_format_1_tree_must_be_rebuilt(tmp_path, data, trained):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(format_1(json.loads((trained / "tree.json").read_text()))))
+    fault = f"{path}: unsupported tree format version: 1; re-run hierlog hierarchy build"
+    result = invoke("train", "--templates", data / "templates.csv", "--tree", path,
+                    "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "kb")
+    assert (result.exit_code, result.output) == (1, f"error: {fault}\n")
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", path, "--kb-dir", trained / "kb",
+                    "--test", trained / "test.jsonl", "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (1, f"error: {fault}\n")
+    result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", {"hierarchy": {"resume": "on",
+                                                                                           "tree_out": str(path)}}))
+    assert (result.exit_code, result.output) == (1, f"error: [hierarchy] {fault}\n")
+    assert not (tmp_path / "kb").exists() and not (tmp_path / "report.jsonl").exists()
+
+
+def test_detect_counts_the_sequences_undecided_by_provider_errors(tmp_path, data, trained_llm, caplog):
+    fixture = tmp_path / "empty.jsonl"
+    fixture.write_text("")  # every LLM call fails: no request was recorded
+    kb_dir = train_only_kb(trained_llm, tmp_path / "kb")  # no cached LLM verdicts
+    report = tmp_path / "report.jsonl"
+    with caplog.at_level(logging.WARNING, logger="hierlog.pipeline"):
+        result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained_llm / "tree.json",
+                        "--kb-dir", kb_dir, "--test", trained_llm / "test.jsonl", "--llm", "on",
+                        "--provider-kind", "recorded", "--provider-fixture", fixture, "--report", report)
+    lines = [json.loads(line) for line in report.read_text().splitlines()[1:]]
+    flagged = sum(line["final_verdict"] for line in lines)
+    undecided = sum(line["counters"]["provider_errors"] > 0 for line in lines)
+    assert 0 < undecided <= flagged
+    assert (result.exit_code, result.output) == (
+        0, f"{flagged}/{len(lines)} sequences flagged abnormal, {undecided} undecided by provider errors; "
+           f"report at {report}\n")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING and r.name == "hierlog.pipeline"]
+    assert warnings == [f"{undecided} of {len(lines)} reports hold a verdict left undecided by a provider error"]
+
+
+def test_detect_without_provider_errors_prints_no_undecided_count(tmp_path, data, trained):
+    report = tmp_path / "report.jsonl"
+    result = ok("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                "--kb-dir", train_only_kb(trained, tmp_path / "kb"), "--test", trained / "test.jsonl",
+                "--report", report)
+    lines = [json.loads(line) for line in report.read_text().splitlines()[1:]]
+    flagged = sum(line["final_verdict"] for line in lines)
+    assert result.output == f"{flagged}/{len(lines)} sequences flagged abnormal; report at {report}\n"
+
+
+def test_hierarchy_build_prints_the_node_count(tmp_path, trained):
+    rows = [json.loads(line) for line in (trained / "triples.jsonl").read_text().splitlines()]
+    nodes = 1 + len({r["entity"] for r in rows}) + len({(r["entity"], r["action"]) for r in rows}) + len(rows)
+    path = tmp_path / "tree.json"
+    result = ok("hierarchy", "build", "--triples", trained / "triples.jsonl", "--out", path)
+    assert result.output == f"wrote tree with {nodes} nodes to {path}\n"
+    assert path.read_bytes() == (trained / "tree.json").read_bytes()
+
+
+def test_cli_negative_m_is_a_configuration_error(tmp_path, data, trained_llm):
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained_llm / "tree.json",
+                    "--kb-dir", trained_llm / "kb", "--test", trained_llm / "test.jsonl", "--llm", "on",
+                    "--provider-kind", "mock", "--m", -4, "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (2, "error: m must be 0 or more, not -4\n")
+    assert not (tmp_path / "report.jsonl").exists()
 
 
 def test_detect_logs_memo_hits_and_misses(tmp_path, data, caplog):

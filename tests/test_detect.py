@@ -577,6 +577,12 @@ def test_train_aborts_on_unknown_key(toy_cat, toy_tree):
         train(seqs, toy_tree, DetectConfig())
 
 
+def test_config_rejects_a_negative_m():
+    with pytest.raises(ValueError, match="^m must be 0 or more, not -1$"):
+        DetectConfig(m=-1)
+    assert DetectConfig(m=0).m == 0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectConfig(levels_enabled=(ACTION,))  # bottom-up needs status

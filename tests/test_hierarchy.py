@@ -4,6 +4,8 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hierlog.errors import DuplicateKeyError, ExtractionError, TreeError
 from hierlog.hierarchy import (
@@ -36,12 +38,7 @@ def toy_triples():
 # -- tree construction ----------------------------------------------------------
 
 def test_toy_tree_shape(toy_tree):
-    levels = {}
-    for node in toy_tree.nodes.values():
-        levels[node.level] = levels.get(node.level, 0) + 1
-    assert levels[ENTITY] == 3
-    assert levels[ACTION] == 5
-    assert levels[STATUS] == 6
+    assert toy_tree.node_counts == {ENTITY: 3, ACTION: 5, STATUS: 6}
     assert len(toy_tree) == 1 + 3 + 5 + 6
     # size bound: at most 1 + 3 * |T| nodes for |T| templates
     assert len(toy_tree) <= 1 + 3 * 6
@@ -56,9 +53,9 @@ def test_lookup_levels(toy_tree):
 
 
 def test_status_bound_to_one_key(toy_tree):
-    assert len(toy_tree.key_index) == 6
-    for key, node_id in toy_tree.key_index.items():
-        assert toy_tree.nodes[node_id].key == key
+    # one path per key, so each status node is bound to exactly one key
+    assert len(toy_tree.key_names) == 6
+    assert len(set(toy_tree.key_names.values())) == 6
 
 
 def test_path_names(toy_tree):
@@ -84,31 +81,48 @@ def test_status_name_collision_disambiguated():
         TopicTriple("p2", "Disk", "write", "ok"),
     ]
     tree = build_tree(triples)
-    names = sorted(tree.nodes[tree.key_index[k]].name for k in ("p1", "p2"))
-    assert names == ["ok", "ok~p2"]
-    assert len(tree.key_index) == 2
+    assert sorted(tree.key_names[k][2] for k in ("p1", "p2")) == ["ok", "ok~p2"]
+    assert tree.node_counts[STATUS] == 2
 
 
-@pytest.mark.parametrize(
-    "triples",
-    [
-        [TopicTriple("k1", "a/b", "c", "x"), TopicTriple("k2", "a", "b/c", "y")],
-        [TopicTriple("k1", "x\\", "y/z", "p"), TopicTriple("k2", "x/y", "z", "q")],
-    ],
-    ids=["slash", "backslash"],
-)
-def test_action_ids_are_one_to_one_when_names_hold_slashes(tmp_path, triples):
+def test_status_suffix_skips_a_name_that_is_taken(tmp_path):
+    # k2's first rename, "x~k2", is k9's own status, so it is suffixed again
+    triples = [TopicTriple("k9", "E", "A", "x~k2"), TopicTriple("k1", "E", "A", "x"), TopicTriple("k2", "E", "A", "x")]
     tree = build_tree(triples)
-    for t in triples:
-        assert tree.key_names[t.key] == (t.entity, t.action, t.status)
-    assert len([n for n in tree.nodes.values() if n.level == ACTION]) == 2
+    assert tree.key_names == {"k9": ("E", "A", "x~k2"), "k1": ("E", "A", "x"), "k2": ("E", "A", "x~k2~k2")}
     tree.save(tmp_path / "tree.json")
-    assert TopicTree.load(tmp_path / "tree.json").key_names == tree.key_names
+    assert TopicTree.load(tmp_path / "tree.json") == tree
 
 
-def test_action_ids_of_plain_names_are_unchanged(toy_tree):
-    assert {n.node_id for n in toy_tree.nodes.values() if n.level == ACTION} == {
-        f"a:{t.entity}/{t.action}" for t in toy_triples()
+# names drawn from a small alphabet, so entities, actions and statuses clash
+# often, holding the signature separators, the escape char, "/", "~" and
+# non-ASCII characters
+_names = st.text(alphabet="a~|>\\/\u00e9\u540d", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(_names, _names, _names, _names), max_size=12, unique_by=lambda row: row[0]))
+@example(rows=[("k1", "a/b", "c", "x"), ("k2", "a", "b/c", "y")])
+@example(rows=[("k1", "x\\", "y/z", "p"), ("k2", "x/y", "z", "q")])
+def test_tree_round_trip_keeps_one_key_per_path(tmp_path, rows):
+    triples = [TopicTriple(*row) for row in rows]
+    tree = build_tree(triples)
+    path = tmp_path / "tree.json"
+    tree.save(path)
+    loaded = TopicTree.load(path)
+    assert loaded == tree
+    for name in ("key_names", "key_paths", "key_prefixes", "escaped", "node_counts"):
+        assert getattr(loaded, name) == getattr(tree, name), name
+    assert len(loaded) == len(tree)
+    # each key keeps its entity and action, and its status up to "~" suffixes
+    for t in triples:
+        entity, action, status = tree.key_names[t.key]
+        assert (entity, action) == (t.entity, t.action) and status.startswith(t.status)
+    assert len(set(tree.key_names.values())) == len(triples)
+    assert tree.node_counts == {
+        ENTITY: len({t.entity for t in triples}),
+        ACTION: len({(t.entity, t.action) for t in triples}),
+        STATUS: len(triples),
     }
 
 
@@ -121,6 +135,18 @@ def test_tree_round_trip(tmp_path, toy_tree):
     path = tmp_path / "tree.json"
     toy_tree.save(path)
     assert TopicTree.load(path) == toy_tree
+    # one row per key and line, sorted by key
+    rows = [[t.key, t.entity, t.action, t.status] for t in toy_triples()]
+    assert json.loads(path.read_text()) == {"format_version": 2, "keys": rows}
+    assert path.read_text().splitlines()[1:-1] == [json.dumps(row) + "," for row in rows[:-1]] + [json.dumps(rows[-1])]
+
+
+def test_loaded_names_are_one_object_per_name(tmp_path, toy_tree):
+    # decompose marks runs by name identity, and JSON decoding makes a new string per row
+    toy_tree.save(tmp_path / "tree.json")
+    names = TopicTree.load(tmp_path / "tree.json").key_names
+    assert names["k1"][0] is names["k2"][0] and names["k1"][1] is names["k2"][1]
+    assert names["k3"][2] is names["k4"][2] is names["k5"][2]
 
 
 def test_tree_version_check(tmp_path, toy_tree):
@@ -128,62 +154,58 @@ def test_tree_version_check(tmp_path, toy_tree):
     data["format_version"] = 99
     with pytest.raises(TreeError):
         TopicTree.from_json(data)
+    with pytest.raises(TreeError, match="^unsupported tree format version: None"):
+        TopicTree.from_json([])
+    # a format-1 file (a node graph linked by id) must be rebuilt
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"format_version": 1, "nodes": [{"node_id": "root", "level": "root", "name": "root"}]}))
+    with pytest.raises(TreeError) as info:
+        TopicTree.load(path)
+    assert str(info.value) == f"{path}: unsupported tree format version: 1; re-run hierlog hierarchy build"
 
 
-def _set(node_id, **values):
-    return lambda nodes: nodes[node_id].update(values)
+def _set(row, index, value):
+    return lambda rows: rows[row].__setitem__(index, value)
+
+
+ROW_SHAPE = "a row is [key, entity, action, status], four non-empty strings"
 
 
 @pytest.mark.parametrize(
     "mutate, fault",
     [
-        (_set("s:k1", parent_id="e:Session"), "node 's:k1': its parent 'e:Session' is of level 'entity', not 'action'"),
-        (_set("a:Auth/start", level="entity"),
-         "node 'a:Auth/start': its parent 'e:Auth' is of level 'entity', not 'root'"),
-        (_set("e:Comm", level="topic"), "node 'e:Comm': level 'topic' is not one of root, entity, action, status"),
-        (_set("e:Comm", parent_id="e:Ghost"), "node 'e:Comm': parent 'e:Ghost' is not in the tree"),
-        (_set("root", parent_id="e:Comm"),
-         "node 'root': only the node 'root' is of level 'root', and it has no parent and no key"),
-        (_set("a:Auth/succd", name="start"), "node 'a:Auth/succd': name 'start' appears twice under 'e:Auth'"),
-        (_set("s:k2", name="started"), "node 's:k2': name 'started' appears twice under 'a:Session/open'"),
-        (_set("s:k2", key="k1"), "node 's:k2': key 'k1' maps to a second status node"),
-        (_set("s:k2", key=None), "node 's:k2': status nodes need a key, and other nodes must have none"),
-        (_set("a:Auth/start", key="k9"),
-         "node 'a:Auth/start': status nodes need a key, and other nodes must have none"),
-        (_set("e:Comm", name=""), "node 'e:Comm': level and name must be strings, name non-empty"),
-        (_set("e:Comm", parent_id=["root"]), "node 'e:Comm': level and name must be strings, name non-empty"),
-        (_set("e:Comm", level="root"), "node 'e:Comm': only the node 'root' is of level 'root'"),
-        (lambda nodes: nodes.pop("root"), "the tree has no node 'root'"),
+        (_set(1, 0, "k1"), "row 1: key 'k1' appears twice"),
+        (_set(1, 3, "started"), "row 1: key 'k2' has the path 'Session > open > started' of key 'k1'"),
+        (_set(2, 1, ""), f"row 2: {ROW_SHAPE}"),
+        (_set(2, 1, ["Auth"]), f"row 2: {ROW_SHAPE}"),
+        (lambda rows: rows[2].pop(), f"row 2: {ROW_SHAPE}"),
+        (lambda rows: rows[2].append("extra"), f"row 2: {ROW_SHAPE}"),
     ],
-    ids=["status-under-entity", "entity-under-entity", "unknown-level", "missing-parent", "root-with-parent",
-         "duplicate-action-name", "duplicate-status-name", "key-twice", "status-without-key", "key-on-action",
-         "empty-name", "list-parent", "second-root", "no-root"],
+    ids=["key-twice", "duplicate-status-name", "empty-name", "list-parent", "short-row", "long-row"],
 )
 def test_tree_load_rejects_a_malformed_tree(tmp_path, toy_tree, mutate, fault):
     data = toy_tree.to_json()
-    nodes = {row["node_id"]: row for row in data["nodes"]}
-    mutate(nodes)
-    data["nodes"] = list(nodes.values())
+    mutate(data["keys"])
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(data))
     with pytest.raises(TreeError) as info:
         TopicTree.load(path)
-    assert str(info.value).startswith(f"{path}: {fault}")
+    assert str(info.value) == f"{path}: {fault}"
 
 
 @pytest.mark.parametrize(
     "rows, fault",
     [
-        (None, "'nodes' must be a list of objects"),
-        ([["root"]], "'nodes' must be a list of objects"),
-        ([{"node_id": 7}], "node 0: 'node_id' must be a string"),
-        ([{"node_id": "root", "level": "root", "name": "root", "parent_id": None}] * 2, "node 'root' appears twice"),
+        (None, "'keys' must be a list of [key, entity, action, status] rows"),
+        ([{"key": "k1", "entity": "E", "action": "A", "status": "s"}], f"row 0: {ROW_SHAPE}"),
+        ([[7, "E", "A", "s"]], f"row 0: {ROW_SHAPE}"),
+        ([["k1", "E", "A", "s"]] * 2, "row 1: key 'k1' appears twice"),
     ],
-    ids=["no-list", "not-objects", "id-not-string", "duplicate-id"],
+    ids=["no-list", "not-lists", "id-not-string", "duplicate-id"],
 )
 def test_tree_from_json_rejects_malformed_node_rows(rows, fault):
-    with pytest.raises(TreeError, match=f"^{re.escape(fault)}"):
-        TopicTree.from_json({"format_version": 1, "nodes": rows})
+    with pytest.raises(TreeError, match=f"^{re.escape(fault)}$"):
+        TopicTree.from_json({"format_version": 2, "keys": rows})
 
 
 # -- extractors -----------------------------------------------------------------

@@ -273,7 +273,7 @@ def _oracle(kb, parent, query, m):
     siblings = [e for e in kb.entries.values() if e.parent_path == list(parent)]
     q = dense(query)
     ranked = sorted(siblings, key=lambda e: (-cosine(q, dense(e.embedding)), -e.occurrence_count, e.signature))
-    return ranked[: max(m, 0)]
+    return ranked[:m]
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,7 +296,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
         snapshot = json.dumps(kb.to_json(), sort_keys=True)  # a copy, not shared lists, with the embeddings
         for parent in _PARENTS + [("root", "Ghost")]:
             query = data.draw(_VECTORS, label="query")
-            m = data.draw(st.integers(-1, len(kb.entries) + 2), label="m")
+            m = data.draw(st.integers(0, len(kb.entries) + 2), label="m")
             assert kb.retrieve_similar(">".join(parent), query, m) == _oracle(kb, parent, query, m)
         assert json.dumps(kb.to_json(), sort_keys=True) == snapshot
 
@@ -342,7 +342,7 @@ def test_retrieve_ranks_negative_values_loaded_from_a_file_as_the_dense_cosine_d
     query = sparse_vector({0: 1.0, 1: -1.0, 3: 0.5})
     # cosines: B 0.67, C 0.11, F 0, D -0.33, and E and A -0.89, E first by its count
     assert _names(kb.retrieve_similar("root", query, 10)) == ["B", "C", "F", "D", "E", "A"]
-    for m in range(-1, 8):
+    for m in range(8):
         assert kb.retrieve_similar("root", query, m) == _oracle(kb, ("root",), query, m)
 
 
@@ -364,12 +364,11 @@ def test_retrieve_gives_a_norm_zero_sibling_and_a_zero_query_cosine_zero():
     assert _names(kb.retrieve_similar("root", sparse_vector({}), 2)) == ["O", "N"]
 
 
-def test_retrieve_returns_nothing_for_m_up_to_zero_and_for_an_unknown_parent():
+def test_retrieve_returns_nothing_for_m_zero_and_for_an_unknown_parent():
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     _sibling(kb, "P", sparse_vector({0: 1.0}))
     query = sparse_vector({0: 1.0})
     assert kb.retrieve_similar("root", query, 0) == []
-    assert kb.retrieve_similar("root", query, -1) == []
     assert kb.retrieve_similar("root>Ghost", query, 5) == []
     assert _names(kb.retrieve_similar("root", query, 5)) == ["P"]
 
