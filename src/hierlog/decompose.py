@@ -5,15 +5,26 @@ action-level sequences (one per entity chunk), and a list of status-level
 sequences (one per action chunk). Entity and action levels collapse
 consecutive duplicate nodes; the status level never collapses, so every
 status transition survives.
+
+`scan_runs` finds the runs of all three levels in one pass over the keys.
+A run is the start and end of its key chunk and its node names. The
+detector and training key each run by `pattern_keys` and build the `Seq`
+of a run (`run_seq`) only for a pattern they have not seen, and its
+children (`add_children`) only for an LLM summary; `top_down_decompose`
+builds every `Seq`, children linked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from bisect import bisect_left
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import DecompositionError
 from .hierarchy import ACTION, ENTITY, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, TopicTree
+
+Run = tuple[int, int, list[str]]  # the start and end of its key chunk, and its node names
 
 
 @dataclass(slots=True)
@@ -26,7 +37,7 @@ class Seq:
     chunk: list[str]  # flat log keys covered
     parent_key: str  # escaped parent path: the signature's prefix and the transition-index key
     escaped: dict[str, str] = field(repr=False, compare=False)  # the tree's name -> escaped name
-    children: Optional[list["Seq"]] = None  # absent at status level
+    children: Optional[list["Seq"]] = None  # absent at status level, and until `add_children` on a `run_seq` Seq
     # built on first read, so decomposing alone costs no more and early exit
     # leaves the unread higher-level signatures unbuilt
     _signature: Optional[str] = field(default=None, init=False, repr=False, compare=False)
@@ -50,79 +61,103 @@ class DecompositionResult:
     def all_seqs(self) -> list[Seq]:
         return self.s_seqs + self.a_seqs + [self.e_seq]
 
-    def by_level(self, level: str) -> list[Seq]:
-        if level == STATUS:
-            return self.s_seqs
-        if level == ACTION:
-            return self.a_seqs
-        return [self.e_seq]
 
+def scan_runs(keys: list[str], tree: TopicTree) -> dict[str, list[Run]]:
+    """The runs of each level over `keys`, in order; one pass, linear in len(keys).
 
-def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionResult:
-    """Decompose a key sequence into its entity/action/status sub-sequences.
-
-    The entity-level pass chunks the whole sequence; each entity chunk is
-    re-chunked at the action level, and each action chunk at the status
-    level. Parent paths, chunks, and child links are populated throughout.
-    Total runtime is linear in len(keys).
+    Action runs nest inside entity runs, and each action run holds one
+    status run, so a run's node names count its children one level down:
+    they are the next that many runs of that level. Name identity marks
+    run boundaries (names are interned, unique per parent).
     """
-    root_path = tree.root_path
-    root_prefix = tree.root_prefix
     key_names = tree.key_names
-    key_paths = tree.key_paths
-    key_prefixes = tree.key_prefixes
-    escaped = tree.escaped
-    keys_list = list(keys)
-    n = len(keys_list)
-
-    # Single fused pass: action boundaries nest inside entity boundaries and
-    # status chunks are per action chunk, so one scan resolves all levels.
-    # Runs are recorded as start indices; chunks come from list slices below.
-    # entity run: (entity name, start, action runs); action run: (action
-    # name, start, status names). Name identity marks run boundaries (names
-    # are shared string objects, unique per parent).
-    entity_runs: list[tuple[str, int, list]] = []
-    a_runs: list[tuple[str, int, list[str]]] = []
-    last_e: Optional[str] = None
-    last_a: Optional[str] = None
-    for i, key in enumerate(keys_list):
+    e_names, a_starts, a_names, s_starts, s_names = [], [], [], [], []
+    last_e = last_a = None
+    for i, key in enumerate(keys):
         names = key_names.get(key)
         if names is None:
             raise DecompositionError(f"position {i}: unknown log key {key!r} at level {ENTITY!r}")
         en, an, sn = names
         if en is not last_e:
-            a_runs = [(an, i, [sn])]
-            entity_runs.append((en, i, a_runs))
-            last_e = en
-            last_a = an
+            e_names.append(en)
+            a_starts.append(i)
+            a_names.append(actions := [an])
+            s_starts.append(i)
+            s_names.append(statuses := [sn])
+            last_e, last_a = en, an
         elif an is not last_a:
-            a_runs.append((an, i, [sn]))
+            actions.append(an)
+            s_starts.append(i)
+            s_names.append(statuses := [sn])
             last_a = an
         else:
-            a_runs[-1][2].append(sn)
+            statuses.append(sn)
+    n = len(keys)
+    a_starts.append(n)
+    s_starts.append(n)
+    return {
+        STATUS: list(zip(s_starts, islice(s_starts, 1, None), s_names)),
+        ACTION: list(zip(a_starts, islice(a_starts, 1, None), a_names)),
+        ENTITY: [(0, n, e_names)],
+    }
 
-    e_seq = Seq(ENTITY, root_path, [r[0] for r in entity_runs], keys_list, root_prefix, escaped, [])
-    result = DecompositionResult(e_seq=e_seq)
-    e_children = e_seq.children
-    all_a_seqs = result.a_seqs
-    all_s_seqs = result.s_seqs
 
-    for idx, (_, e_start, a_runs) in enumerate(entity_runs):
-        e_end = entity_runs[idx + 1][1] if idx + 1 < len(entity_runs) else n
-        e_chunk = keys_list[e_start:e_end]
-        first = keys_list[e_start]
-        a_nodes = [r[0] for r in a_runs]
-        a_seq = Seq(ACTION, key_paths[first][0], a_nodes, e_chunk, key_prefixes[first][0], escaped, [])
-        e_children.append(a_seq)
-        all_a_seqs.append(a_seq)
-        a_children = a_seq.children
+def pattern_keys(level: str, keys: list[str], runs: list[Run], tree: TopicTree) -> list[tuple[str, ...]]:
+    """Each run's pattern: a tuple injective over (parent path names, node names), as a signature is.
 
-        for jdx, (_, a_start, s_names) in enumerate(a_runs):
-            a_end = a_runs[jdx + 1][1] if jdx + 1 < len(a_runs) else e_end
-            a_chunk = keys_list[a_start:a_end]
-            first = keys_list[a_start]
-            s_seq = Seq(STATUS, key_paths[first][1], s_names, a_chunk, key_prefixes[first][1], escaped)
-            a_children.append(s_seq)
-            all_s_seqs.append(s_seq)
+    A status run's keys (one key per path), an action run's entity and
+    action names, the entity run's entity names.
+    """
+    if level == STATUS:
+        return chunk_keys(keys, runs)
+    if level == ACTION:
+        key_names = tree.key_names
+        return [(key_names[keys[start]][0], *names) for start, _, names in runs]
+    return [tuple(names) for _, _, names in runs]
 
-    return result
+
+def chunk_keys(keys: list[str], runs: list[Run]) -> list[tuple[str, ...]]:
+    """Each run's key chunk, as a tuple."""
+    return [tuple(keys[start:end]) for start, end, _ in runs]
+
+
+def run_seq(level: str, keys: list[str], run: Run, tree: TopicTree) -> Seq:
+    """The `Seq` of one run of `scan_runs(keys, tree)[level]`, without children."""
+    start, end, names = run
+    if level == ENTITY:
+        return Seq(ENTITY, tree.root_path, names, keys[start:end], tree.root_prefix, tree.escaped)
+    depth = 0 if level == ACTION else 1
+    first = keys[start]
+    path, prefix = tree.key_paths[first][depth], tree.key_prefixes[first][depth]
+    return Seq(level, path, names, keys[start:end], prefix, tree.escaped)
+
+
+def add_children(seq: Seq, keys: list[str], runs: dict[str, list[Run]], run: Run, tree: TopicTree) -> Seq:
+    """`seq`, the `Seq` of `run` in `runs[seq.level]`, given its children and theirs from `runs` without a rescan."""
+    if seq.level != STATUS:
+        child_level = ACTION if seq.level == ENTITY else STATUS
+        child_runs = runs[child_level]
+        first = bisect_left(child_runs, (run[0],))  # runs ascend by start, and a run's first child starts with it
+        seq.children = [
+            add_children(run_seq(child_level, keys, r, tree), keys, runs, r, tree)
+            for r in child_runs[first:first + len(run[2])]
+        ]
+    return seq
+
+
+def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionResult:
+    """Decompose a key sequence into its entity/action/status sub-sequences.
+
+    Every `Seq` of every level, with parent paths, chunks and child links.
+    Total runtime is linear in len(keys).
+    """
+    keys = list(keys)
+    runs = scan_runs(keys, tree)
+    s_seqs = [run_seq(STATUS, keys, run, tree) for run in runs[STATUS]]
+    a_seqs = [run_seq(ACTION, keys, run, tree) for run in runs[ACTION]]
+    e_seq = run_seq(ENTITY, keys, runs[ENTITY][0], tree)
+    s_iter = iter(s_seqs)
+    for a_seq in a_seqs:
+        a_seq.children = list(islice(s_iter, len(a_seq.nodes)))
+    e_seq.children = list(a_seqs)
+    return DecompositionResult(e_seq, a_seqs, s_seqs)

@@ -1,15 +1,16 @@
 """Hybrid per-sub-sequence detection with bottom-up execution.
 
-Each decomposed sub-sequence is checked by the configured symbolic
-detector (exact signature matching or a transition automaton). Only a
-pattern it rejects goes to the LLM, with retrieved sibling examples, and
-a decided LLM verdict is cached per chunk in the test KB of its level, so
-a repeated pattern costs one provider round. Within a `Detector`, every
-decided status and action verdict is also kept per chunk, so a chunk seen
-before skips its signature, its probe and the LLM routing; the verdict is
-a function of the chunk, so this never changes a report. Verdicts
-aggregate bottom-up per sequence with optional early exit. A report is a
-function of its key list and is memoised by it (`Detector.detect_sequence`).
+Each sub-sequence is checked by the configured symbolic detector (exact
+signature matching or a transition automaton). Only a pattern it rejects
+goes to the LLM, with retrieved sibling examples, and a decided LLM
+verdict is cached per chunk in the test KB of its level, so a repeated
+pattern costs one provider round. Within a `Detector`, every decided
+verdict is also kept per level in a dict, keyed by what it is a function
+of: the pattern with the LLM off, the chunk with it on. A run whose key is
+there skips its `Seq`, its signature, its probe and the LLM routing, so
+this never changes a report. Verdicts aggregate bottom-up per sequence
+with optional early exit. A report is a function of its key list and is
+memoised by it (`Detector.detect_sequence`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .decompose import Seq, top_down_decompose
+from .decompose import Seq, add_children, chunk_keys, pattern_keys, run_seq, scan_runs
+from .decompose import top_down_decompose  # noqa: F401; bench/layers.py wraps it under this name
 from .errors import DecompositionError, ProviderError
 from .hierarchy import ACTION, ENTITY, STATUS, TopicTree
 from .ingest import LogSequence
@@ -150,14 +152,16 @@ class Detector:
     report is a function of its key list. `llm_calls` (detection rounds)
     and `memo_hits`/`memo_misses` are run history, kept out of reports.
 
-    Below the memo, `_detect` keeps the decided verdict of each status and
-    action chunk in a plain dict per level (`VERDICT_CACHE_SIZE` entries,
-    emptied when full), so reports share `SeqVerdict` objects. A chunk
-    fixes its signature and, by the same argument as the memo's, its
-    verdict, symbolic or LLM; a verdict made under a provider error is not
-    kept. The entity level has no such dict: its chunk is the whole key
-    list, which the memo already keys. `verdict_hits`/`verdict_misses`
-    count lookups per level for the logs.
+    Below the memo, `_detect` scans the runs of every level and keeps the
+    decided verdict of each run in a plain dict per enabled level
+    (`VERDICT_CACHE_SIZE` entries, emptied when full), so reports share
+    `SeqVerdict` objects. With the LLM off a verdict is a function of the
+    pattern (`pattern_keys`): the parent path and node names that its
+    signature encodes. With the LLM on it is keyed by the chunk, which the
+    summaries, the retrieval query and the LLM cache read. Only a miss
+    builds the run's `Seq`, and only a run routed to the LLM its children.
+    A verdict made under a provider error is not kept.
+    `verdict_hits`/`verdict_misses` count lookups per level for the logs.
     """
 
     def __init__(
@@ -175,8 +179,8 @@ class Detector:
         self.config = config
         self.provider = provider
         self.templates = templates or {}
-        # chunk -> decided verdict, per level but the entity level (see above)
-        self._verdicts: dict[str, dict[tuple[str, ...], SeqVerdict]] = {STATUS: {}, ACTION: {}}
+        # pattern (chunk with the LLM on) -> decided verdict, per enabled level
+        self._verdicts: dict[str, dict[tuple[str, ...], SeqVerdict]] = {}
         # the enabled levels bottom-up with their checks and verdict dicts; set-up builds an automaton's index
         self._levels = []
         for level in LEVEL_ORDER:
@@ -184,14 +188,14 @@ class Detector:
                 kind = config.detector_per_level[level]
                 if kind == AUTOMATON:
                     kbs.train[level].transition_index()
-                self._levels.append((level, LOCAL_DETECTORS[kind], self._verdicts.get(level)))
+                self._levels.append((level, LOCAL_DETECTORS[kind], self._verdicts.setdefault(level, {})))
         self._summary_cache: dict[str, dict[tuple[str, ...], str]] = {level: {} for level in LEVEL_ORDER}
         self._memo: dict[tuple[str, ...], SequenceReport] = {}
         self.llm_calls = 0
         self.memo_hits = 0
         self.memo_misses = 0
-        self.verdict_hits = {STATUS: 0, ACTION: 0}
-        self.verdict_misses = {STATUS: 0, ACTION: 0}
+        self.verdict_hits = dict.fromkeys(LEVEL_ORDER, 0)
+        self.verdict_misses = dict.fromkeys(LEVEL_ORDER, 0)
 
     # -- single sub-sequence --------------------------------------------------
 
@@ -266,15 +270,16 @@ class Detector:
 
     def _detect(self, sequence: LogSequence) -> SequenceReport:
         """Evaluate all enabled levels bottom-up; any abnormal flags the sequence."""
-        keys = sequence.keys
+        keys = list(sequence.keys)
         report = SequenceReport(sequence_id=sequence.id, final_verdict=False, raw_length=len(keys))
 
         if not keys:
             log.warning("sequence %s is empty; treated as normal by vacuity", sequence.id)
             return report
 
+        tree = self.tree
         try:
-            result = top_down_decompose(keys, self.tree)
+            runs = scan_runs(keys, tree)
         except DecompositionError as exc:
             report.error = str(exc)
             report.final_verdict = True  # undecidable sequences surface, not vanish
@@ -286,22 +291,24 @@ class Detector:
         hits, misses = self.verdict_hits, self.verdict_misses
         for level, local, cache in self._levels:
             train_kb = self.kbs.train[level]
-            for seq in result.by_level(level):
-                verdict = None if cache is None else cache.get(key := tuple(seq.chunk))
+            level_runs = runs[level]
+            run_keys = chunk_keys(keys, level_runs) if llm_enabled else pattern_keys(level, keys, level_runs, tree)
+            for key, run in zip(run_keys, level_runs):
+                verdict = cache.get(key)
                 if verdict is None:
+                    misses[level] += 1
+                    seq = run_seq(level, keys, run, tree)
                     errors = counters.provider_errors
                     verdict = local(seq, train_kb)
-                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
-                        verdict = self._llm_verdict(seq, counters)
-                    if cache is not None:
-                        misses[level] += 1
-                        if counters.provider_errors == errors:  # undecided verdicts are asked again
-                            _bounded_put(cache, key, verdict, VERDICT_CACHE_SIZE)
+                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:  # summaries read the children
+                        verdict = self._llm_verdict(add_children(seq, keys, runs, run, tree), counters)
+                    if counters.provider_errors == errors:  # undecided verdicts are asked again
+                        _bounded_put(cache, key, verdict, VERDICT_CACHE_SIZE)
                 else:
                     hits[level] += 1
                 verdicts.append(verdict)
                 evals[level] += 1
-                level_keys[level] += len(seq.chunk)
+                level_keys[level] += run[1] - run[0]
                 if verdict.verdict == VERDICT_ABNORMAL:
                     report.final_verdict = True
                     if report.first_abnormal_level is None:
@@ -324,35 +331,49 @@ def train(
 ) -> KnowledgeBaseSet:
     """Build training KBs from normal-only sequences.
 
-    Every decomposed sub-sequence is inserted at its level. With the LLM
-    path enabled, summaries and embeddings are computed bottom-up for each
-    new unique pattern. Any decomposition failure aborts the run: training
-    KBs must be complete.
+    Every run of every level is inserted at its level: a pattern seen
+    before only counts one more occurrence, and a new one builds its `Seq`.
+    With the LLM path enabled, summaries and embeddings are computed
+    bottom-up for each new pattern, a parent's from its children's
+    entries. Any decomposition failure aborts the run: training KBs must be
+    complete.
     """
     if config.llm_enabled and provider is None:
         raise ValueError("llm_enabled training requires a provider for summaries")
     templates = templates or {}
     kbs = KnowledgeBaseSet(llm=config.llm_enabled)
+    entries_by_level = {level: {} for level in LEVEL_ORDER}  # pattern -> its entry, per level
     for sequence in sequences:
         if sequence.label is True:
             raise ValueError(f"training sequence {sequence.id} is labeled abnormal (one-class setting)")
         if not sequence.keys:
             continue
+        keys = list(sequence.keys)
         try:
-            result = top_down_decompose(sequence.keys, tree)
+            runs = scan_runs(keys, tree)
         except DecompositionError as exc:
             raise DecompositionError(f"training sequence {sequence.id}: {exc}") from exc
-        for seq in result.all_seqs():
-            entry = kbs.train[seq.level].insert_train(seq)
-            if config.llm_enabled and entry.summary is None:
-                if seq.level == STATUS:
-                    texts = [templates.get(k, k) for k in seq.chunk]
-                    entry.summary = summarize_status_seq(seq, texts, provider)
+        below, below_entries = [], {}  # the level below: its patterns in run order, and its entries
+        for level in LEVEL_ORDER:
+            entries, level_runs = entries_by_level[level], runs[level]
+            patterns = pattern_keys(level, keys, level_runs, tree)
+            first_child = 0
+            for pattern, run in zip(patterns, level_runs):
+                entry = entries.get(pattern)
+                if entry is not None:
+                    entry.occurrence_count += 1
                 else:
-                    child_summaries = [
-                        kbs.train[c.level].entries[c.signature].summary for c in seq.children
-                    ]
-                    entry.summary = summarize_parent_seq(seq, child_summaries, provider)
-            if config.llm_enabled and entry.embedding is None:
-                entry.embedding = embed_chunk(entry.example_chunk)
+                    seq = run_seq(level, keys, run, tree)
+                    entry = entries[pattern] = kbs.train[level].insert_train(seq)
+                    if config.llm_enabled:
+                        if level == STATUS:
+                            texts = [templates.get(k, k) for k in seq.chunk]
+                            entry.summary = summarize_status_seq(seq, texts, provider)
+                        else:
+                            children = below[first_child:first_child + len(seq.nodes)]
+                            child_summaries = [below_entries[p].summary for p in children]
+                            entry.summary = summarize_parent_seq(seq, child_summaries, provider)
+                        entry.embedding = embed_chunk(entry.example_chunk)
+                first_child += len(run[2])
+            below, below_entries = patterns, entries
     return kbs

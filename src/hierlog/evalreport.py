@@ -139,9 +139,12 @@ def save_reports(
     share verdict objects (the per-level verdict dicts and the memo hand out
     the same ones), so each distinct verdict is encoded once per call,
     keyed by `id`; the entry holds the verdict, so no other object can take
-    its id before the call ends, even when `reports` is a generator.
+    its id before the call ends, even when `reports` is a generator. A memo
+    hit copies its counter dicts, so counters are encoded once per distinct
+    content instead.
     """
     encoded: dict[int, tuple[SeqVerdict, str]] = {}
+    encoded_counters: dict[tuple, str] = {}
     with Path(path).open("w") as fh:
         fh.write(json.dumps({"meta": meta or {}}, sort_keys=True) + "\n")
         for report in reports:
@@ -158,13 +161,19 @@ def save_reports(
                         )
                     ))
                 verdicts.append(entry[1])
-            counters = report.counters
+            c = report.counters
+            key = (tuple(c.evals_per_level.items()), tuple(c.keys_per_level.items()), c.provider_errors)
+            counters = encoded_counters.get(key)
+            if counters is None:
+                counters = encoded_counters[key] = (
+                    '{"evals_per_level": {%s}, "keys_per_level": {%s}, "provider_errors": %d}' % (
+                        _counts(c.evals_per_level), _counts(c.keys_per_level), c.provider_errors,
+                    )
+                )
             fh.write(
-                '{"counters": {"evals_per_level": {%s}, "keys_per_level": {%s}, "provider_errors": %d}, '
-                '"error": %s, "final_verdict": %s, "first_abnormal_level": %s, "raw_length": %d, '
-                '"sequence_id": %s, "verdicts": [%s]}\n' % (
-                    _counts(counters.evals_per_level), _counts(counters.keys_per_level), counters.provider_errors,
-                    _text(report.error), "true" if report.final_verdict else "false",
+                '{"counters": %s, "error": %s, "final_verdict": %s, "first_abnormal_level": %s, '
+                '"raw_length": %d, "sequence_id": %s, "verdicts": [%s]}\n' % (
+                    counters, _text(report.error), "true" if report.final_verdict else "false",
                     _text(report.first_abnormal_level), report.raw_length,
                     encode_basestring_ascii(report.sequence_id), ", ".join(verdicts),
                 )

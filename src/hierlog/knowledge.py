@@ -7,8 +7,8 @@ the LLM path on, each entry also holds an example chunk, a summary and a
 sparse embedding. Test KBs cache decided LLM verdicts per chunk, so a
 repeated pattern that the symbolic detector rejects never re-queries the
 provider. Symbolic verdicts are not stored here: they are a function of
-the train KBs, so a `Detector` keeps them only in memory, per chunk, for
-its own life.
+the train KBs, so a `Detector` keeps them only in memory, per pattern
+(per chunk with the LLM on), for its own life.
 
 A train file persists only what cannot be derived. Its entries are grouped
 by parent path, ``"groups": [[parent_path, rows], ...]``, in the order of

@@ -637,26 +637,49 @@ def test_detect_logs_the_llm_calls_that_eval_json_counts(tmp_path, data, caplog)
     assert "llm_calls" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
 
 
-def test_detect_logs_sub_sequence_verdict_hits_and_misses(tmp_path, data, caplog):
+def logged_verdict_tallies(tmp_path, data, caplog, llm):
+    """The run's "sub-sequence verdicts" log lines, and the line that each way of keying a run predicts.
+
+    A tally counts the distinct keys each level checked over the first
+    sight of each key list (later sights are memo hits): one keys a run by
+    its pattern, its parent path and node names, the other by its chunk.
+    """
     with caplog.at_level(logging.INFO, logger="hierlog.pipeline"):
-        run_ini_pipeline(data, tmp_path, "off")
+        run_ini_pipeline(data, tmp_path, llm)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sub-sequence verdicts:")]
-    assert len(lines) == 1
-    # the chunks each level checked, over the first sight of each key list (later sights are memo hits)
     tree = TopicTree.load(tmp_path / "tree.json")
     reports = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()[1:]]
     seqs = [json.loads(line)["keys"] for line in (tmp_path / "test.jsonl").read_text().splitlines()]
-    checked = {"status": [], "action": []}
+    by_pattern = {"status": [], "action": [], "entity": []}
+    by_chunk = {"status": [], "action": [], "entity": []}
     for i in sorted({tuple(keys): i for i, keys in reversed(list(enumerate(seqs)))}.values()):
         result = top_down_decompose(seqs[i], tree)
-        for level, chunks in checked.items():
-            evals = reports[i]["counters"]["evals_per_level"][level]
-            chunks += [tuple(seq.chunk) for seq in result.by_level(level)[:evals]]
-    want = ", ".join(f"{level} {len(c) - len(set(c))} hits, {len(set(c))} misses" for level, c in checked.items())
-    assert lines == [f"sub-sequence verdicts: {want}"]
-    assert len(checked["status"]) > len(set(checked["status"]))  # the corpus repeats status chunks
+        by_level = {"status": result.s_seqs, "action": result.a_seqs, "entity": [result.e_seq]}
+        for level, checked in by_level.items():
+            checked = checked[: reports[i]["counters"]["evals_per_level"][level]]
+            by_pattern[level] += [(tuple(seq.parent_path), tuple(seq.nodes)) for seq in checked]
+            by_chunk[level] += [tuple(seq.chunk) for seq in checked]
     assert "hits" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
     assert "hits" not in (tmp_path / "eval.json").read_text()
+    assert len(by_chunk["status"]) > len(set(by_chunk["status"]))  # the corpus repeats status chunks
+
+    def line(tally):
+        per_level = (f"{level} {len(c) - len(set(c))} hits, {len(set(c))} misses" for level, c in tally.items())
+        return "sub-sequence verdicts: " + ", ".join(per_level)
+
+    return lines, line(by_pattern), line(by_chunk)
+
+
+def test_detect_logs_sub_sequence_verdict_hits_and_misses(tmp_path, data, caplog):
+    lines, by_pattern, by_chunk = logged_verdict_tallies(tmp_path, data, caplog, "off")
+    assert lines == [by_pattern]
+    assert by_pattern != by_chunk  # some distinct chunks share a pattern
+
+
+def test_detect_logs_sub_sequence_verdicts_by_chunk_with_the_llm_on(tmp_path, data, caplog):
+    lines, by_pattern, by_chunk = logged_verdict_tallies(tmp_path, data, caplog, "on")
+    assert lines == [by_chunk]
+    assert by_pattern != by_chunk
 
 
 def _second_group(kb):

@@ -206,6 +206,30 @@ def test_chunks_whose_keys_join_alike_get_their_own_llm_verdicts():
     assert len(kbs.test[STATUS].entries) == 2
 
 
+def test_action_chunks_of_one_pattern_get_their_own_llm_verdicts():
+    # the entity walk E and the action walk X of both test chunks are one
+    # pattern, unseen in training; their status walks, and so their
+    # summaries, differ. The provider judges the target summary alone.
+    tree = build_tree([TopicTriple("ok", "E", "X", "fine"), TopicTriple("bad", "E", "X", "broken"),
+                       TopicTriple("y", "E", "Y", "none")])
+    provider = MockProvider(
+        detect_rules=[("Target segment:\nA:X[S:broken]\n", "VERDICT: ABNORMAL\nbroken")],
+        default_detect="VERDICT: NORMAL\nbenign",
+    )
+    config = DetectConfig(llm_enabled=True)
+    kbs = train([LogSequence("t1", ["ok", "y"]), LogSequence("t2", ["bad", "y"])], tree, config, provider=provider)
+    detector = Detector(tree, kbs, config, provider=provider)
+    fine, broken = detector.run([LogSequence("s1", ["ok"]), LogSequence("s2", ["bad"])])
+    assert [(v.level, v.signature, v.source, v.verdict) for v in fine.verdicts] == [
+        (STATUS, "root>E>X|fine", "pattern_match", "normal"), (ACTION, "root>E|X", "llm", "normal"),
+        (ENTITY, "root|E", "pattern_match", "normal"),
+    ]
+    assert (broken.final_verdict, broken.first_abnormal_level) == (True, ACTION)
+    assert [(v.signature, v.source, v.verdict) for v in broken.verdicts[1:]] == [("root>E|X", "llm", "abnormal")]
+    assert detector.llm_calls == 2
+    assert detector.verdict_misses[ACTION] == 2
+
+
 def test_llm_cache_holds_only_llm_verdicts(toy_cat, toy_tree):
     provider, detector = hybrid_setup(toy_cat, toy_tree, [])
     detector.run(make_sequences(toy_cat, [TOY_KEYS, ["k2", "k1", "k3", "k4", "k5", "k6"]]))

@@ -171,6 +171,12 @@ _TWIN = SeqVerdict(_SHARED.signature, STATUS, "abnormal", "pattern_match")  # eq
     SequenceReport("s\x00\u2028", True, [_SHARED, _SHARED], STATUS, Counters(), 3),
     SequenceReport("\udfff", False, [_TWIN, _SHARED], None, Counters(), 1),
     SequenceReport("failed", False, [], None, Counters(provider_errors=2), 0, error='provider "timeout"\t\u00e9'),
+    # counters encoded once per content: equal contents in other dicts, and contents that share a part
+    SequenceReport("c1", False, [], None, Counters(0, {"status": 2}, {"status": 1}), 2),
+    SequenceReport("c2", False, [], None, Counters(0, {"status": 2}, {"status": 1}), 2),
+    SequenceReport("c3", False, [], None, Counters(0, {"status": 3}, {"status": 1}), 3),
+    SequenceReport("c4", False, [], None, Counters(0, {"status": 1}, {"status": 2}), 1),
+    SequenceReport("c5", False, [], None, Counters(1, {"status": 1}, {"status": 2}), 1),
 ])
 def test_save_reports_writes_the_lines_json_dumps_writes(tmp_path_factory, reports):
     path = tmp_path_factory.getbasetemp() / "parity.jsonl"
