@@ -8,16 +8,15 @@ status transition survives.
 
 `scan_runs` finds the runs of all three levels in one pass over the keys.
 A run is the start and end of its key chunk and its node names. The
-detector and training key each run by `pattern_keys` and build the `Seq`
-of a run (`run_seq`) only for a pattern they have not seen, and its
-children (`add_children`) only for an LLM summary; `top_down_decompose`
-builds every `Seq`, children linked.
+detector and training key each run by `pattern_keys` or `chunk_keys` and
+build the `Seq` of a run (`run_seq`) only for a key they have not seen;
+an LLM summary finds a run's children among the next level's runs.
+`top_down_decompose` builds every `Seq`, children linked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from bisect import bisect_left
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -37,7 +36,7 @@ class Seq:
     chunk: list[str]  # flat log keys covered
     parent_key: str  # escaped parent path: the signature's prefix and the transition-index key
     escaped: dict[str, str] = field(repr=False, compare=False)  # the tree's name -> escaped name
-    children: Optional[list["Seq"]] = None  # absent at status level, and until `add_children` on a `run_seq` Seq
+    children: Optional[list["Seq"]] = None  # linked by `top_down_decompose` above status level; None from `run_seq`
     # built on first read, so decomposing alone costs no more and early exit
     # leaves the unread higher-level signatures unbuilt
     _signature: Optional[str] = field(default=None, init=False, repr=False, compare=False)
@@ -130,19 +129,6 @@ def run_seq(level: str, keys: list[str], run: Run, tree: TopicTree) -> Seq:
     first = keys[start]
     path, prefix = tree.key_paths[first][depth], tree.key_prefixes[first][depth]
     return Seq(level, path, names, keys[start:end], prefix, tree.escaped)
-
-
-def add_children(seq: Seq, keys: list[str], runs: dict[str, list[Run]], run: Run, tree: TopicTree) -> Seq:
-    """`seq`, the `Seq` of `run` in `runs[seq.level]`, given its children and theirs from `runs` without a rescan."""
-    if seq.level != STATUS:
-        child_level = ACTION if seq.level == ENTITY else STATUS
-        child_runs = runs[child_level]
-        first = bisect_left(child_runs, (run[0],))  # runs ascend by start, and a run's first child starts with it
-        seq.children = [
-            add_children(run_seq(child_level, keys, r, tree), keys, runs, r, tree)
-            for r in child_runs[first:first + len(run[2])]
-        ]
-    return seq
 
 
 def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionResult:

@@ -16,10 +16,11 @@ memoised by it (`Detector.detect_sequence`).
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .decompose import Seq, add_children, chunk_keys, pattern_keys, run_seq, scan_runs
+from .decompose import Run, Seq, chunk_keys, pattern_keys, run_seq, scan_runs
 from .decompose import top_down_decompose  # noqa: F401; bench/layers.py wraps it under this name
 from .errors import DecompositionError, ProviderError
 from .hierarchy import ACTION, ENTITY, STATUS, TopicTree
@@ -159,8 +160,8 @@ class Detector:
     pattern (`pattern_keys`): the parent path and node names that its
     signature encodes. With the LLM on it is keyed by the chunk, which the
     summaries, the retrieval query and the LLM cache read. Only a miss
-    builds the run's `Seq`, and only a run routed to the LLM its children.
-    A verdict made under a provider error is not kept.
+    builds the run's `Seq`; past the LLM cache only a summary miss
+    builds a child's. A verdict made under a provider error is not kept.
     `verdict_hits`/`verdict_misses` count lookups per level for the logs.
     """
 
@@ -199,14 +200,19 @@ class Detector:
 
     # -- single sub-sequence --------------------------------------------------
 
-    def _llm_verdict(self, seq: Seq, counters: Counters) -> SeqVerdict:
-        """The cached or a fresh LLM verdict on a pattern that the local detector rejected."""
+    def _llm_verdict(self, seq: Seq, keys: list[str], runs: dict[str, list[Run]], run: Run,
+                     counters: Counters) -> SeqVerdict:
+        """The LLM verdict on `seq`, the rejected `Seq` of `run`: cached, or on a miss from summaries and examples."""
         cache = self.kbs.test[seq.level]
         ck = chunk_key(seq.chunk)
         entry = cache.lookup_test(ck)
         if entry is None:
             try:
-                prompt = self._build_prompt(seq)
+                summary = self._summary_for(seq.level, keys, runs, run, seq)
+                query = embed_chunk(seq.chunk)
+                examples = self.kbs.train[seq.level].retrieve_similar(seq.parent_key, query, self.config.m)
+                example_summaries = [e.summary for e in examples if e.summary]
+                prompt = DetectionPrompt(">".join(seq.nodes), summary, example_summaries, parent_context(seq))
                 self.llm_calls += 1
                 answer, explanation, low = llm_detect(prompt, self.provider)
             except ProviderError as exc:  # undecided, so never cached
@@ -218,33 +224,33 @@ class Detector:
             cache.store_test(entry)
         return SeqVerdict(seq.signature, seq.level, entry.verdict, "llm", entry.explanation, entry.confidence_flag)
 
-    def _build_prompt(self, seq: Seq) -> DetectionPrompt:
-        target_summary = self._summary_for(seq)
-        query = embed_chunk(seq.chunk)
-        examples = self.kbs.train[seq.level].retrieve_similar(seq.parent_key, query, self.config.m)
-        return DetectionPrompt(
-            target_nodes=">".join(seq.nodes),
-            target_summary=target_summary,
-            example_summaries=[e.summary for e in examples if e.summary],
-            parent_context=parent_context(seq),
-        )
+    def _summary_for(self, level: str, keys: list[str], runs: dict[str, list[Run]], run: Run,
+                     seq: Optional[Seq] = None) -> str:
+        """Bottom-up summary of `run` in `runs[level]`, kept per level and chunk, bounded like the verdict dicts.
 
-    def _summary_for(self, seq: Seq) -> str:
-        """Bottom-up summary, cached in memory per level and chunk, bounded like the verdict dicts."""
-        cache = self._summary_cache[seq.level]
-        key = tuple(seq.chunk)
+        Only a miss builds the run's `Seq` (unless given) and reads its children's, the next runs one level down.
+        """
+        start, end, names = run
+        cache = self._summary_cache[level]
+        key = tuple(keys[start:end])
         cached = cache.get(key)
         if cached is not None:
             return cached
+        if seq is None:
+            seq = run_seq(level, keys, run, self.tree)
         # reuse training summaries when the same pattern+chunk was summarized
-        train_entry = self.kbs.train[seq.level].entries.get(seq.signature)
+        train_entry = self.kbs.train[level].entries.get(seq.signature)
         if train_entry is not None and train_entry.summary and train_entry.example_chunk == seq.chunk:
             summary = train_entry.summary
-        elif seq.level == STATUS:
+        elif level == STATUS:
             texts = [self.templates.get(k, k) for k in seq.chunk]
             summary = summarize_status_seq(seq, texts, self.provider)
         else:
-            child_summaries = [self._summary_for(child) for child in seq.children]
+            child_level = ACTION if level == ENTITY else STATUS
+            child_runs = runs[child_level]
+            first = bisect_left(child_runs, (start,))  # runs ascend by start, and a run's first child starts with it
+            children = child_runs[first:first + len(names)]
+            child_summaries = [self._summary_for(child_level, keys, runs, child) for child in children]
             summary = summarize_parent_seq(seq, child_summaries, self.provider)
         _bounded_put(cache, key, summary, VERDICT_CACHE_SIZE)
         return summary
@@ -300,8 +306,8 @@ class Detector:
                     seq = run_seq(level, keys, run, tree)
                     errors = counters.provider_errors
                     verdict = local(seq, train_kb)
-                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:  # summaries read the children
-                        verdict = self._llm_verdict(add_children(seq, keys, runs, run, tree), counters)
+                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
+                        verdict = self._llm_verdict(seq, keys, runs, run, counters)
                     if counters.provider_errors == errors:  # undecided verdicts are asked again
                         _bounded_put(cache, key, verdict, VERDICT_CACHE_SIZE)
                 else:

@@ -143,9 +143,12 @@ def build(triples: list[TopicTriple], tree_out: str | Path) -> TopicTree:
     return tree
 
 
-def _require_provider(llm: bool, provider: Optional[Provider]) -> None:
+def _require_llm_setup(llm: bool, provider: Optional[Provider], kbs_llm: bool = True) -> None:
+    """With the LLM on, a provider, and train KBs that were trained with it on (they hold summaries and embeddings)."""
     if llm and provider is None:
         raise ConfigError("the LLM path is on but no provider is set; give --provider-kind or a [provider] section")
+    if llm and not kbs_llm:
+        raise ConfigError("the LLM path is on but the train KBs hold no summaries or embeddings; train with it on")
 
 
 def train(
@@ -153,7 +156,7 @@ def train(
     llm: bool, provider: Optional[Provider],
 ) -> KnowledgeBaseSet:
     """Build the training knowledge bases from normal sequences and save them."""
-    _require_provider(llm, provider)
+    _require_llm_setup(llm, provider)
     sequences = load_sequences(sequences_path, catalog)
     kbs = train_kbs(
         sequences, tree, DetectConfig(llm_enabled=llm), provider=provider, templates=_template_texts(catalog)
@@ -178,7 +181,7 @@ def detect(
 
     Returns the sequences, their reports and the LLM call count. Detection never changes a train KB.
     """
-    _require_provider(config.llm_enabled, provider)
+    _require_llm_setup(config.llm_enabled, provider, all(kb.llm for kb in kbs.train.values()))
     sequences = load_sequences(sequences_path, catalog)
     detector = Detector(tree, kbs, config, provider=provider, templates=_template_texts(catalog))
     reports = detector.run(sequences)
@@ -330,14 +333,14 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     with _stage("train"):
         sec = parser["train"]
         resume_kbs, train_llm = _flag(sec, "resume"), _flag(sec, "llm")
-        _require_provider(train_llm, provider)
+        _require_llm_setup(train_llm, provider)
     with _stage("detect"):
         sec = parser["detect"]
         config = detect_config(
             sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
             _flag(sec, "early_exit", default=True),
         )
-        _require_provider(config.llm_enabled, provider)
+        _require_llm_setup(config.llm_enabled, provider, train_llm)
     with _stage("eval"):
         attribution = parser.has_section("eval") and _flag(parser["eval"], "attribution")
 

@@ -310,7 +310,7 @@ def summarize_status_seq(seq: Seq, templates: Sequence[str], provider: Provider)
 
 def summarize_parent_seq(seq: Seq, child_summaries: Sequence[str], provider: Provider) -> str:
     """One provider call over the child summaries (never raw templates)."""
-    if seq.children is not None and len(child_summaries) != len(seq.nodes):
+    if len(child_summaries) != len(seq.nodes):
         raise ValueError(
             f"{seq.signature}: expected {len(seq.nodes)} child summaries, got {len(child_summaries)}"
         )

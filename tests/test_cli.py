@@ -528,6 +528,26 @@ def test_ini_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, 
     assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]  # no stage ran
 
 
+NO_LLM_KBS = "the LLM path is on but the train KBs hold no summaries or embeddings; train with it on"
+
+
+def test_cli_llm_on_over_kbs_trained_without_it_is_a_configuration_error(tmp_path, data, trained):
+    shutil.copytree(trained / "kb", tmp_path / "kb")
+    before = {path.name: path.read_bytes() for path in (tmp_path / "kb").iterdir()}
+    result = invoke("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--kb-dir", tmp_path / "kb", "--test", trained / "test.jsonl", "--llm", "on",
+                    "--provider-kind", "mock", "--report", tmp_path / "report.jsonl")
+    assert (result.exit_code, result.output) == (2, f"error: {NO_LLM_KBS}\n")
+    assert not (tmp_path / "report.jsonl").exists()
+    assert {path.name: path.read_bytes() for path in (tmp_path / "kb").iterdir()} == before
+
+
+def test_ini_llm_on_over_kbs_trained_without_it_is_a_configuration_error(tmp_path, data):
+    result = invoke("pipeline", "--config", write_ini(data, tmp_path, "on", {"train": {"llm": "off"}}))
+    assert (result.exit_code, result.output) == (2, f"error: [detect] {NO_LLM_KBS}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]  # no stage ran
+
+
 def test_train_names_the_tree_file_and_node_of_a_bad_tree(tmp_path, data, trained):
     tree = json.loads((trained / "tree.json").read_text())
     first, second = tree["keys"][:2]

@@ -19,7 +19,7 @@ from hierlog.detect import (
     detect_local_exact,
     train,
 )
-from hierlog.decompose import top_down_decompose
+from hierlog.decompose import run_seq, top_down_decompose
 from hierlog.errors import DecompositionError, ProviderError
 from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, TopicTriple, build_tree, extract_topics
 from hierlog.ingest import LogSequence
@@ -536,6 +536,48 @@ def test_llm_trained_kb_dir_loads_and_saves_back_byte_identical(tmp_path):
         assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
     # the loaded vectors retrieve the same examples, so the verdicts agree
     assert report_bodies(True, fresh_caches(loaded), corpus.test) == report_bodies(True, fresh_caches(kbs), corpus.test)
+
+
+# -- Seq builds on the LLM path -------------------------------------------------------
+
+def count_seq_builds(monkeypatch):
+    """Each (level, chunk) whose `Seq` is built from here on, wherever the detector builds it."""
+    built = []
+
+    def counted(level, keys, run, tree):
+        built.append((level, tuple(keys[run[0]:run[1]])))
+        return run_seq(level, keys, run, tree)
+
+    monkeypatch.setattr("hierlog.detect.run_seq", counted)
+    monkeypatch.setattr("hierlog.decompose.run_seq", counted)
+    return built
+
+
+def test_a_warm_llm_cache_builds_one_seq_per_verdict_miss(tmp_path, monkeypatch):
+    corpus, tree, templates, config, kbs = shuffle_setup(True)
+    Detector(tree, kbs, config, provider=MockProvider(), templates=templates).run(corpus.test)
+    kbs.save_dir(tmp_path)
+    built = count_seq_builds(monkeypatch)
+    provider = MockProvider()
+    detector = Detector(tree, KnowledgeBaseSet.load_dir(tmp_path), config, provider=provider, templates=templates)
+    reports = detector.run(corpus.test)
+    assert any(v.source == "llm" for r in reports for v in r.verdicts)
+    assert (provider.calls, detector.llm_calls) == (0, 0)
+    assert len(built) == sum(detector.verdict_misses.values())
+
+
+def test_a_parent_summary_builds_no_seq_for_a_child_whose_summary_is_cached(monkeypatch):
+    tree = build_tree([TopicTriple("a", "E", "A", "s"), TopicTriple("b", "E", "B", "s"),
+                       TopicTriple("c", "F", "C", "s")])
+    config = DetectConfig(llm_enabled=True, early_exit=False)
+    kbs = train([LogSequence("t", ["a"])], tree, config, provider=MockProvider())
+    detector = Detector(tree, kbs, config, provider=MockProvider())
+    detector.detect_sequence(LogSequence("s1", ["a", "b"]))  # summarises the status run b and the action run a b
+    built = count_seq_builds(monkeypatch)
+    report = detector.detect_sequence(LogSequence("s2", ["a", "b", "c"]))
+    assert [v.level for v in report.verdicts if v.source == "llm"] == [STATUS, STATUS, ACTION, ACTION, ENTITY]
+    # the entity summary reads the cached summaries of both action runs and builds neither
+    assert built == [(STATUS, ("c",)), (ACTION, ("c",)), (ENTITY, ("a", "b", "c"))]
 
 
 # -- early exit and levels ----------------------------------------------------------

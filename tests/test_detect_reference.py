@@ -2,7 +2,9 @@
 
 Each reference decomposes every sequence with `top_down_decompose` and
 works on the Seqs one by one, with no memo and no dict, as the detector
-and training did before they keyed their dicts by pattern.
+and training did before they keyed their dicts by pattern. With the LLM
+on, the reference keeps only what stands for the LLM cache and the
+summaries: two plain dicts keyed by (level, chunk).
 """
 
 import hashlib
@@ -18,7 +20,15 @@ from hierlog.errors import DecompositionError
 from hierlog.hierarchy import ACTION, ENTITY, STATUS, TopicTriple, build_tree
 from hierlog.ingest import LogSequence
 from hierlog.knowledge import KnowledgeBaseSet
-from hierlog.semantics import VERDICT_ABNORMAL, embed_chunk, summarize_parent_seq, summarize_status_seq
+from hierlog.semantics import (
+    VERDICT_ABNORMAL,
+    DetectionPrompt,
+    embed_chunk,
+    llm_detect,
+    parent_context,
+    summarize_parent_seq,
+    summarize_status_seq,
+)
 
 # names that hold the signature's separators and its escape character
 names = st.text(alphabet="ab|>\\", min_size=1, max_size=3)
@@ -44,8 +54,11 @@ def by_level(result):
     return {STATUS: result.s_seqs, ACTION: result.a_seqs, ENTITY: [result.e_seq]}
 
 
-def reference_report(keys, tree, kbs, config):
-    """What a report must say, from the Seqs of `top_down_decompose` checked one by one."""
+def reference_report(keys, tree, kbs, config, llm_verdict=None):
+    """What a report must say, from the Seqs of `top_down_decompose` checked one by one.
+
+    `llm_verdict(seq)` judges a Seq that the local detector rejects, when given.
+    """
     evals, n_keys, verdicts = dict.fromkeys(LEVEL_ORDER, 0), dict.fromkeys(LEVEL_ORDER, 0), []
     final, first = False, None
     if not keys:
@@ -59,26 +72,31 @@ def reference_report(keys, tree, kbs, config):
             continue
         for seq in by_level(result)[level]:
             v = LOCAL_DETECTORS[config.detector_per_level[level]](seq, kbs.train[level])
-            verdicts.append((v.level, v.signature, v.verdict, v.source))
+            verdict = as_tuple(v)
+            if llm_verdict is not None and v.verdict == VERDICT_ABNORMAL:
+                verdict = llm_verdict(seq)
+            verdicts.append(verdict)
             evals[level] += 1
             n_keys[level] += len(seq.chunk)
-            if v.verdict == VERDICT_ABNORMAL:
+            if verdict[2] == VERDICT_ABNORMAL:
                 final, first = True, first or level
                 if config.early_exit:
                     return final, first, None, verdicts, evals, n_keys
     return final, first, None, verdicts, evals, n_keys
 
 
+def as_tuple(v):
+    return (v.level, v.signature, v.verdict, v.source, v.explanation, v.confidence_flag)
+
+
 def as_reference(report):
     counters = report.counters
-    verdicts = [(v.level, v.signature, v.verdict, v.source) for v in report.verdicts]
-    return (report.final_verdict, report.first_abnormal_level, report.error, verdicts,
+    return (report.final_verdict, report.first_abnormal_level, report.error, list(map(as_tuple, report.verdicts)),
             counters.evals_per_level, counters.keys_per_level)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_detector_reports_equal_a_cache_free_reference(data):
+def draw_run(data, llm):
+    """A tree, training and test key lists, a detector config, an input order and the Detector's dict bounds."""
     tree, keys = data.draw(trees(), label="tree")
     train_seqs = [LogSequence(f"t{i}", ks) for i, ks in enumerate(data.draw(key_lists(keys, 1), label="train"))]
     test_keys = data.draw(key_lists(keys), label="test")
@@ -90,6 +108,8 @@ def test_detector_reports_equal_a_cache_free_reference(data):
         levels_enabled=LEVEL_PRESETS[data.draw(st.sampled_from(sorted(LEVEL_PRESETS)), label="levels")],
         detector_per_level={level: data.draw(st.sampled_from([EXACT, AUTOMATON]), label=level)
                             for level in LEVEL_ORDER},
+        llm_enabled=llm,
+        m=data.draw(st.integers(0, 3), label="m") if llm else 5,
         early_exit=data.draw(st.booleans(), label="early_exit"),
     )
     order = data.draw(st.permutations(range(len(test_keys))), label="order")
@@ -97,14 +117,28 @@ def test_detector_reports_equal_a_cache_free_reference(data):
         name: data.draw(st.sampled_from([1, 2, getattr(detect_module, name)]), label=name)
         for name in ("MEMO_SIZE", "VERDICT_CACHE_SIZE")
     }
-    kbs = train(train_seqs, tree, DetectConfig())
+    return tree, keys, train_seqs, test_keys, config, order, sizes
+
+
+def detect_in_order(tree, kbs, config, test_keys, order, sizes, **llm):
+    """The Detector's report on each test key list, asked in `order` under the drawn bounds."""
     with pytest.MonkeyPatch.context() as mp:
         for name, size in sizes.items():
             mp.setattr(detect_module, name, size)
-        detector = Detector(tree, kbs, config)
+        detector = Detector(tree, kbs, config, **llm)
         got = {i: detector.detect_sequence(LogSequence(f"s{i}", list(test_keys[i]))) for i in order}
     for i, ks in enumerate(test_keys):
         assert got[i].sequence_id == f"s{i}" and got[i].raw_length == len(ks)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_detector_reports_equal_a_cache_free_reference(data):
+    tree, _, train_seqs, test_keys, config, order, sizes = draw_run(data, llm=False)
+    kbs = train(train_seqs, tree, DetectConfig())
+    got = detect_in_order(tree, kbs, config, test_keys, order, sizes)
+    for i, ks in enumerate(test_keys):
         assert as_reference(got[i]) == reference_report(ks, tree, kbs, config), ks
 
 
@@ -117,6 +151,59 @@ class Digests:
     def complete(self, request):
         self.requests.append(request)
         return "summary " + hashlib.sha256(request.encode()).hexdigest()[:12]
+
+
+class Judge(Digests):
+    """`Digests`, but a detection answer is normal, abnormal or unparseable by the digest of the whole request."""
+
+    def complete(self, request):
+        digest = super().complete(request)
+        if not request.startswith("TASK: detect\n"):
+            return digest
+        return ("VERDICT: NORMAL\n", "VERDICT: ABNORMAL\n", "")[int(digest[-1], 16) % 3] + digest
+
+
+def reference_llm(kbs, config, provider, templates):
+    """An LLM verdict on a Seq, from plain dicts keyed by (level, chunk) for the LLM cache and the summaries."""
+    llm_cache, summaries = {}, {}
+
+    def summary(seq):
+        key = (seq.level, tuple(seq.chunk))
+        if key not in summaries:
+            entry = kbs.train[seq.level].entries.get(seq.signature)
+            if entry is not None and entry.summary and entry.example_chunk == seq.chunk:
+                summaries[key] = entry.summary
+            elif seq.level == STATUS:
+                summaries[key] = summarize_status_seq(seq, [templates.get(k, k) for k in seq.chunk], provider)
+            else:
+                summaries[key] = summarize_parent_seq(seq, [summary(child) for child in seq.children], provider)
+        return summaries[key]
+
+    def llm_verdict(seq):
+        key = (seq.level, tuple(seq.chunk))
+        if key not in llm_cache:
+            examples = kbs.train[seq.level].retrieve_similar(seq.parent_key, embed_chunk(seq.chunk), config.m)
+            prompt = DetectionPrompt(">".join(seq.nodes), summary(seq), [e.summary for e in examples if e.summary],
+                                     parent_context(seq))
+            llm_cache[key] = llm_detect(prompt, provider)
+        verdict, explanation, low = llm_cache[key]
+        return (seq.level, seq.signature, verdict, "llm", explanation, "low" if low else "normal")
+
+    return llm_verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_llm_detector_reports_equal_a_reference_with_two_dicts(data):
+    tree, keys, train_seqs, test_keys, config, order, sizes = draw_run(data, llm=True)
+    templates = {key: f"template of {key}" for key in keys}
+    kbs = train(train_seqs, tree, DetectConfig(llm_enabled=True), provider=Digests(), templates=templates)
+    got_provider, want_provider = Judge(), Judge()
+    got = detect_in_order(tree, kbs, config, test_keys, order, sizes, provider=got_provider, templates=templates)
+    llm_verdict = reference_llm(kbs, config, want_provider, templates)
+    for i, ks in enumerate(test_keys):
+        assert as_reference(got[i]) == reference_report(ks, tree, kbs, config, llm_verdict), ks
+    assert set(got_provider.requests) == set(want_provider.requests)
 
 
 def reference_train(sequences, tree, llm, provider, templates):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import top_down_decompose
+from hierlog.decompose import run_seq, scan_runs, top_down_decompose
 from hierlog.errors import ProviderError
+from hierlog.hierarchy import ENTITY
 from hierlog.semantics import (
     EMBED_DIM,
     DetectionPrompt,
@@ -205,3 +206,8 @@ def test_summarize_parent_validates_children(toy_tree):
         summarize_parent_seq(result.e_seq, ["only-one"], MockProvider())
     with pytest.raises(ValueError):
         summarize_parent_seq(result.e_seq, ["a", None, "c"], MockProvider())
+    # a Seq without linked children is checked alike
+    e_seq = run_seq(ENTITY, TOY_KEYS, scan_runs(TOY_KEYS, toy_tree)[ENTITY][0], toy_tree)
+    assert e_seq.children is None
+    with pytest.raises(ValueError):
+        summarize_parent_seq(e_seq, ["only-one"], MockProvider())
