@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DuplicateKeyError, LineParseError, PartitionError
 
@@ -35,12 +35,13 @@ class LogTemplate:
         return self.tokens.count(WILDCARD)
 
 
-@dataclass(slots=True)
-class RawLogRecord:
-    message: str
-    timestamp: Optional[float] = None
-    group_id: Optional[str] = None
-    label: Optional[bool] = None
+class RawColumns(NamedTuple):
+    """Raw records as four parallel columns, one row per non-blank line of the file."""
+
+    messages: list[str]
+    timestamps: list  # unchecked here; time windows need finite ints or floats
+    group_ids: list[Optional[str]]
+    labels: list[Optional[bool]]
 
 
 @dataclass
@@ -198,80 +199,105 @@ def match_message(catalog: TemplateCatalog, message: str) -> Optional[str]:
     return None if best is None else best[1]  # the template's own key string
 
 
+MATCH_CACHE_SIZE = 1 << 16  # distinct messages whose key `match_records` keeps; emptied when full
+_UNSEEN = object()
+
+
 @dataclass
 class MatchReport:
-    """Outcome of matching a batch of raw records against a catalog."""
+    """Outcome of matching a column of raw messages: the index of each matched message
+    (ascending) with its key, aligned, and (index, message) of each unmatched one.
+    `partition` reads the record columns at the kept indices."""
 
     keys: list[str] = field(default_factory=list)
-    records: list[RawLogRecord] = field(default_factory=list)  # matched records, aligned
-    skipped: list[tuple[int, str]] = field(default_factory=list)  # (index, message)
+    kept: list[int] = field(default_factory=list)
+    skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
-def match_records(catalog: TemplateCatalog, records: Sequence[RawLogRecord]) -> MatchReport:
-    """Match records in order; unmatched messages are reported, not fatal."""
+def match_records(catalog: TemplateCatalog, messages: Sequence[str]) -> MatchReport:
+    """Match messages in order; unmatched messages are reported, not fatal.
+
+    A message's key depends only on the catalog and the message, so each
+    distinct message is matched once, through a message -> key dict that is
+    emptied when it holds MATCH_CACHE_SIZE messages.
+    """
     report = MatchReport()
-    for i, rec in enumerate(records):
-        key = match_message(catalog, rec.message)
+    keys, kept, known = report.keys, report.kept, {}
+    for i, message in enumerate(messages):
+        key = known.get(message, _UNSEEN)
+        if key is _UNSEEN:
+            if len(known) >= MATCH_CACHE_SIZE:
+                known.clear()
+            key = known[message] = match_message(catalog, message)
         if key is None:
-            report.skipped.append((i, rec.message))
+            report.skipped.append((i, message))
         else:
-            report.keys.append(key)
-            report.records.append(rec)
+            keys.append(key)
+            kept.append(i)
     return report
 
 
 def partition(
-    records: Sequence[RawLogRecord],
+    columns: RawColumns,
+    kept: Sequence[int],
     keys: Sequence[str],
     spec: PartitionSpec,
 ) -> list[LogSequence]:
-    """Split parallel (record, key) lists into log sequences.
+    """Split the kept rows of raw-record columns, with their aligned keys, into log sequences.
 
     identifier mode groups by ``group_id`` preserving input order within a
     group; count_window emits fixed-size windows advancing by stride (final
     shorter remainder kept); time_window emits the non-empty windows
     [t0 + k * stride, t0 + k * stride + window), t0 the earliest timestamp.
-    Every mode keeps input order within a sequence.
+    Every mode keeps input order within a sequence. A row that its mode
+    cannot place raises `PartitionError` with its index in the columns.
     """
-    if len(records) != len(keys):
-        raise ValueError("records and keys must be the same length")
-    if not records:
+    if len(kept) != len(keys):
+        raise ValueError("kept indices and keys must be the same length")
+    if not kept:
         return []
     windows = {"identifier": _groups, "count_window": _count_windows, "time_window": _time_windows}
+    labels = columns.labels
     return [
-        LogSequence(seq_id, [keys[i] for i in idxs], _labels_or_none([records[i].label for i in idxs]))
-        for seq_id, idxs in windows[spec.mode](records, spec)
+        LogSequence(seq_id, [keys[j] for j in idxs], _labels_or_none([labels[kept[j]] for j in idxs]))
+        for seq_id, idxs in windows[spec.mode](columns, kept, spec)
     ]
 
 
-def _groups(records: Sequence[RawLogRecord], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+# Each mode yields (sequence id, positions in ``kept``).
+
+def _groups(columns: RawColumns, kept: Sequence[int], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+    group_ids = columns.group_ids
     groups: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        if rec.group_id is None:
+    for j, i in enumerate(kept):
+        group_id = group_ids[i]
+        if group_id is None:
             raise PartitionError(i, "identifier mode requires group_id")
-        groups.setdefault(rec.group_id, []).append(i)
+        groups.setdefault(group_id, []).append(j)
     yield from groups.items()
 
 
-def _count_windows(records: Sequence[RawLogRecord], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
-    size, stride, n = int(spec.window_size), int(spec.stride), len(records)
+def _count_windows(columns: RawColumns, kept: Sequence[int], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+    size, stride, n = int(spec.window_size), int(spec.stride), len(kept)
     for w, start in enumerate(range(0, n, stride)):
         yield f"w{w}", list(range(start, min(start + size, n)))
         if start + size >= n:
             break
 
 
-def _time_windows(records: Sequence[RawLogRecord], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
-    for i, rec in enumerate(records):
+def _time_windows(columns: RawColumns, kept: Sequence[int], spec: PartitionSpec) -> Iterator[tuple[str, list[int]]]:
+    timestamps = columns.timestamps
+    kept_stamps = [timestamps[i] for i in kept]
+    for j, stamp in enumerate(kept_stamps):
         # the window sweep does arithmetic on stamps, so an inf, a string or a bool has no window
-        if type(rec.timestamp) not in (int, float) or not math.isfinite(rec.timestamp):
-            raise PartitionError(i, "time_window mode requires a finite numeric timestamp")
-    # One sweep: indices sorted by timestamp (stable), and two monotone
+        if type(stamp) not in (int, float) or not math.isfinite(stamp):
+            raise PartitionError(kept[j], "time_window mode requires a finite numeric timestamp")
+    # One sweep: positions sorted by timestamp (stable), and two monotone
     # pointers bounding window k, [t0 + k * stride, t0 + k * stride + size).
     # Each start is computed afresh, never accumulated, so an empty stretch
     # can be jumped over to the first window that reaches the next stamp.
-    order = sorted(range(len(records)), key=lambda i: records[i].timestamp)
-    stamps = [records[i].timestamp for i in order]
+    order = sorted(range(len(kept_stamps)), key=kept_stamps.__getitem__)
+    stamps = [kept_stamps[j] for j in order]
     t0, size, stride, n = stamps[0], spec.window_size, spec.stride, len(stamps)
     emitted = k = lo = hi = 0
     while True:
@@ -332,32 +358,66 @@ def read_jsonl(path: str | Path, fields: Sequence[str] = ()) -> Iterator[tuple[i
             yield lineno, row
 
 
-def load_raw_records(path: str | Path) -> list[RawLogRecord]:
-    """Raw records, one JSON object per line: message, and optional timestamp, group_id, label."""
-    records = []
-    for lineno, row in read_jsonl(path, ("message",)):
-        if not isinstance(row["message"], str):
-            raise LineParseError(path, lineno, "field 'message' must be a string")
-        group_id, label = row.get("group_id"), row.get("label")
-        if group_id is not None and not isinstance(group_id, str):
-            raise LineParseError(path, lineno, "field 'group_id' must be a string or null")
-        if label is not None and type(label) is not bool:
-            raise LineParseError(path, lineno, _LABEL_RULE)
-        records.append(RawLogRecord(row["message"], row.get("timestamp"), group_id, label))
-    return records
+def load_raw_records(path: str | Path) -> RawColumns:
+    """Raw records as columns, from one JSON object per non-blank line: a string ``message``,
+    and optional ``timestamp``, ``group_id`` (a string or null) and ``label`` (true, false or null).
 
-
-def raw_record_line(path: str | Path, report: MatchReport, index: int) -> int:
-    """The line of ``path`` that the ``index``-th matched record of ``report`` came from.
-
-    ``report`` is what `match_records` made of `load_raw_records(path)`,
-    which keeps one record per line that `read_jsonl` yields. Only an error
-    needs the line, so the file is read again instead of every record
-    keeping its line.
+    Each line is decoded by one ``raw_decode`` that must end where the line ends, and each
+    column is then checked in one pass by the set of its types. Only a file that fails is
+    read again line by line, so `LineParseError` names its first faulty line.
     """
-    skipped = {i for i, _ in report.skipped}
-    matched = (lineno for i, (lineno, _) in enumerate(read_jsonl(path)) if i not in skipped)
-    return next(islice(matched, index, None))
+    try:
+        with Path(path).open() as fh:
+            columns = _raw_columns(fh)
+    except (ValueError, RecursionError):  # bad JSON or bad UTF-8
+        columns = None
+    if columns is None:  # the per-line rules, which the column checks apply at once
+        for lineno, row in read_jsonl(path, ("message",)):
+            if not isinstance(row["message"], str):
+                raise LineParseError(path, lineno, "field 'message' must be a string")
+            group_id, label = row.get("group_id"), row.get("label")
+            if group_id is not None and not isinstance(group_id, str):
+                raise LineParseError(path, lineno, "field 'group_id' must be a string or null")
+            if label is not None and type(label) is not bool:
+                raise LineParseError(path, lineno, _LABEL_RULE)
+        raise AssertionError(f"{path}: the column checks found a fault that the line checks did not")
+    return columns
+
+
+def _raw_columns(lines: Iterable[str]) -> Optional[RawColumns]:
+    """The columns of a raw-record file's lines, or None if a line breaks a rule of `load_raw_records`."""
+    decode = json.JSONDecoder().raw_decode
+    columns = RawColumns([], [], [], [])
+    messages, timestamps, group_ids, labels = columns
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        row, end = decode(line)
+        if end != len(line) or type(row) is not dict:  # trailing data, a second object, half of a split one
+            return None
+        get = row.get
+        messages.append(get("message"))  # a missing message is None, which is no str
+        timestamps.append(get("timestamp"))
+        group_ids.append(get("group_id"))
+        labels.append(get("label"))
+    if (
+        set(map(type, messages)) <= {str}
+        and set(map(type, group_ids)) <= {str, type(None)}
+        and set(map(type, labels)) <= {bool, type(None)}
+    ):
+        return columns
+    return None
+
+
+def raw_record_line(path: str | Path, index: int) -> int:
+    """The line of ``path`` that holds row ``index`` of `load_raw_records(path)`, as a `PartitionError` names it.
+
+    There is one row per non-blank line; only an error needs the line, so no row keeps one.
+    """
+    with Path(path).open() as fh:
+        lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(islice(lines, index, None))
 
 
 def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:

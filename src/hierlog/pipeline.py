@@ -113,11 +113,12 @@ def ingest(
     reports the skipped count, so no message is dropped silently.
     """
     spec = parse_partition_spec(partition)
-    report = match_records(catalog, load_raw_records(logs_path))
+    columns = load_raw_records(logs_path)
+    report = match_records(catalog, columns.messages)
     try:
-        sequences = partition_records(report.records, report.keys, spec)
-    except PartitionError as exc:  # its index counts matched records only
-        raise LineParseError(logs_path, raw_record_line(logs_path, report, exc.index), exc.reason) from exc
+        sequences = partition_records(columns, report.kept, report.keys, spec)
+    except PartitionError as exc:  # its index is the record's row in the columns
+        raise LineParseError(logs_path, raw_record_line(logs_path, exc.index), exc.reason) from exc
     save_sequences(sequences, out_path)
     return len(sequences), len(report.skipped)
 
@@ -332,15 +333,20 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
         check_extractor(sec.get("extractor", "lexicon"), sec.get("fixture"), provider)
     with _stage("train"):
         sec = parser["train"]
-        resume_kbs, train_llm = _flag(sec, "resume"), _flag(sec, "llm")
+        train_llm, kbs = _flag(sec, "llm"), None
         _require_llm_setup(train_llm, provider)
+        # KBs to resume are loaded here, so that their LLM flag is checked before any write
+        if _flag(sec, "resume") and (Path(sec["kb_dir"]) / "train_status.json").exists():
+            kbs = KnowledgeBaseSet.load_dir(sec["kb_dir"])
     with _stage("detect"):
         sec = parser["detect"]
         config = detect_config(
             sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
             _flag(sec, "early_exit", default=True),
         )
-        _require_llm_setup(config.llm_enabled, provider, train_llm)
+        _require_llm_setup(
+            config.llm_enabled, provider, train_llm and (kbs is None or all(kb.llm for kb in kbs.train.values()))
+        )
     with _stage("eval"):
         attribution = parser.has_section("eval") and _flag(parser["eval"], "attribution")
 
@@ -367,9 +373,7 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     with _stage("train"):
         sec = parser["train"]
         kb_dir = sec["kb_dir"]
-        if resume_kbs and (Path(kb_dir) / "train_status.json").exists():
-            kbs = KnowledgeBaseSet.load_dir(kb_dir)
-        else:
+        if kbs is None:
             kbs = train(catalog, tree, sec["sequences"], kb_dir, train_llm, provider)
 
     with _stage("detect"):

@@ -51,6 +51,9 @@ class ProviderConfig:
 
 
 class Provider(Protocol):
+    """What the pipeline asks of a provider. A class with ``replays = True`` gives one fixed
+    answer per request, so `llm_detect` sends it each request once."""
+
     calls: int
 
     def complete(self, request: str) -> str: ...
@@ -65,6 +68,8 @@ class MockProvider:
     to the default verdict. Extraction requests are served from an optional
     key -> triple map.
     """
+
+    replays = True
 
     def __init__(
         self,
@@ -113,6 +118,8 @@ class MockProvider:
 
 class RecordedProvider:
     """Replay provider backed by a (request-hash, response) JSON-lines file; an unseen request is an error."""
+
+    replays = True
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -364,13 +371,14 @@ def llm_detect(prompt: DetectionPrompt, provider: Provider) -> tuple[str, str, b
     """Query the provider for a verdict.
 
     Returns (verdict, explanation, low_confidence). An unparseable response
-    is retried up to RETRY_LIMIT times and then falls back to abnormal with
-    the low-confidence flag set (the pipeline is recall-first). Transport
+    is retried up to RETRY_LIMIT times, unless the provider replays (it would
+    give the same answer), and then falls back to abnormal with the
+    low-confidence flag set (the pipeline is recall-first). Transport
     failures propagate as ProviderError.
     """
     request = prompt.render()
     last_text = ""
-    for _ in range(RETRY_LIMIT + 1):
+    for _ in range(1 if getattr(provider, "replays", False) else RETRY_LIMIT + 1):
         last_text = provider.complete(request)
         parsed = parse_verdict(last_text)
         if parsed is not None:

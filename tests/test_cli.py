@@ -548,6 +548,18 @@ def test_ini_llm_on_over_kbs_trained_without_it_is_a_configuration_error(tmp_pat
     assert [path.name for path in tmp_path.iterdir()] == ["run.ini"]  # no stage ran
 
 
+def test_ini_resuming_kbs_trained_without_the_llm_is_a_configuration_error_before_any_write(tmp_path, data, trained):
+    # [train] llm = on agrees with [detect], but the KB directory to resume was trained with it off
+    kb_dir = tmp_path / "kb"
+    shutil.copytree(trained / "kb", kb_dir)
+    before = {path.name: path.read_bytes() for path in kb_dir.iterdir()}
+    config = write_ini(data, tmp_path, "on", {"train": {"resume": "on"}})
+    result = invoke("pipeline", "--config", config)
+    assert (result.exit_code, result.output) == (2, f"error: [detect] {NO_LLM_KBS}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["kb", "run.ini"]  # no tree.json, no test.jsonl
+    assert {path.name: path.read_bytes() for path in kb_dir.iterdir()} == before
+
+
 def test_train_names_the_tree_file_and_node_of_a_bad_tree(tmp_path, data, trained):
     tree = json.loads((trained / "tree.json").read_text())
     first, second = tree["keys"][:2]

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierlog import ingest
 from hierlog.errors import ConfigError, DuplicateKeyError, LineParseError, PartitionError
 from hierlog.ingest import (
     WILDCARD,
     LogSequence,
     LogTemplate,
     PartitionSpec,
-    RawLogRecord,
+    RawColumns,
     TemplateCatalog,
     _labels_or_none,
     load_raw_records,
@@ -22,6 +23,7 @@ from hierlog.ingest import (
     match_message,
     match_records,
     partition,
+    raw_record_line,
     read_jsonl,
     save_sequences,
 )
@@ -31,11 +33,21 @@ from hierlog.synthetic import make_corpus
 from conftest import toy_catalog
 
 
-def _records(n, group=None, t0=0.0, dt=1.0):
-    return [
-        RawLogRecord(message=f"m {i}", timestamp=t0 + i * dt, group_id=group)
+def _columns(rows):
+    """Raw-record columns of ``rows``, each a dict as a line of a raw-record file holds it."""
+    return RawColumns(*([row.get(name) for row in rows] for name in ("message", "timestamp", "group_id", "label")))
+
+
+def _records(n, group=None, t0=0.0, dt=1.0, labels=None):
+    return _columns([
+        {"message": f"m {i}", "timestamp": t0 + i * dt, "group_id": group, "label": labels and labels[i]}
         for i in range(n)
-    ]
+    ])
+
+
+def _partition(columns, keys, spec):
+    """`partition` with every row kept, as when every message matched."""
+    return partition(columns, range(len(keys)), keys, spec)
 
 
 # -- catalog ------------------------------------------------------------------
@@ -159,9 +171,9 @@ def test_sequence_keys_are_the_catalogs_own_strings(tmp_path, toy_cat):
     # one string object per key, whichever path built the sequence; the JSON
     # decoder makes a fresh string for each key it reads
     own = {k: k for k in toy_cat.keys()}
-    records = [RawLogRecord(message=m, group_id="g") for m in ["Open session started", "Authentication starts"] * 2]
-    report = match_records(toy_cat, records)
-    (matched,) = partition(report.records, report.keys, PartitionSpec("identifier"))
+    records = _columns([{"message": m, "group_id": "g"} for m in ["Open session started", "Authentication starts"] * 2])
+    report = match_records(toy_cat, records.messages)
+    (matched,) = partition(records, report.kept, report.keys, PartitionSpec("identifier"))
     path = tmp_path / "seqs.jsonl"
     path.write_text(json.dumps({"sequence_id": "s", "keys": ["k1", "k3", "k1"]}) + "\n")
     (loaded,) = load_sequences(path, toy_cat)
@@ -173,13 +185,9 @@ def test_sequence_keys_are_the_catalogs_own_strings(tmp_path, toy_cat):
 
 
 def test_match_records_reports_skipped(toy_cat):
-    records = [
-        RawLogRecord(message="Open session started"),
-        RawLogRecord(message="garbage"),
-        RawLogRecord(message="Authentication starts"),
-    ]
-    report = match_records(toy_cat, records)
+    report = match_records(toy_cat, ["Open session started", "garbage", "Authentication starts"])
     assert report.keys == ["k1", "k3"]
+    assert report.kept == [0, 2]
     assert report.skipped == [(1, "garbage")]
 
 
@@ -189,57 +197,54 @@ def test_count_window_spec_example(toy_cat):
     # 10 keys, window 4, stride 4 -> sizes [4, 4, 2]
     records = _records(10)
     keys = ["k1"] * 10
-    seqs = partition(records, keys, PartitionSpec("count_window", window_size=4))
+    seqs = _partition(records, keys, PartitionSpec("count_window", window_size=4))
     assert [len(s.keys) for s in seqs] == [4, 4, 2]
 
 
 def test_count_window_with_stride(toy_cat):
     records = _records(10)
     keys = [f"k{1 + i % 6}" for i in range(10)]
-    seqs = partition(records, keys, PartitionSpec("count_window", window_size=4, stride=2))
+    seqs = _partition(records, keys, PartitionSpec("count_window", window_size=4, stride=2))
     assert [len(s.keys) for s in seqs] == [4, 4, 4, 4]
     assert seqs[1].keys == keys[2:6]
 
 
 def test_identifier_grouping_preserves_order(toy_cat):
-    records = [
-        RawLogRecord(message="x", group_id=g)
-        for g in ["b1", "b2", "b1", "b1", "b2"]
-    ]
+    records = _columns([{"message": "x", "group_id": g} for g in ["b1", "b2", "b1", "b1", "b2"]])
     keys = ["k1", "k2", "k3", "k4", "k5"]
-    seqs = {s.id: s for s in partition(records, keys, PartitionSpec("identifier"))}
+    seqs = {s.id: s for s in _partition(records, keys, PartitionSpec("identifier"))}
     assert seqs["b1"].keys == ["k1", "k3", "k4"]
     assert seqs["b2"].keys == ["k2", "k5"]
 
 
 def test_identifier_requires_group_id(toy_cat):
     with pytest.raises(PartitionError):
-        partition(_records(2), ["k1", "k2"], PartitionSpec("identifier"))
+        _partition(_records(2), ["k1", "k2"], PartitionSpec("identifier"))
 
 
 def test_time_window(toy_cat):
     records = _records(6, t0=0.0, dt=10.0)  # timestamps 0..50
     keys = ["k1", "k2", "k3", "k4", "k5", "k6"]
-    seqs = partition(records, keys, PartitionSpec("time_window", window_size=25.0))
+    seqs = _partition(records, keys, PartitionSpec("time_window", window_size=25.0))
     assert [s.keys for s in seqs] == [["k1", "k2", "k3"], ["k4", "k5"], ["k6"]]
 
 
 def test_time_window_starts_at_earliest_timestamp(toy_cat):
-    records = [RawLogRecord(message="x", timestamp=t) for t in [5.0, 1.0, 2.0, 6.0]]
+    records = _columns([{"message": "x", "timestamp": t} for t in [5.0, 1.0, 2.0, 6.0]])
     keys = ["k1", "k2", "k3", "k4"]
     for size in (1.0, 2.0, 3.0, 10.0):
-        seqs = partition(records, keys, PartitionSpec("time_window", window_size=size))
+        seqs = _partition(records, keys, PartitionSpec("time_window", window_size=size))
         assert sorted(k for s in seqs for k in s.keys) == ["k1", "k2", "k3", "k4"]
-    seqs = partition(records, keys, PartitionSpec("time_window", window_size=2.0))
+    seqs = _partition(records, keys, PartitionSpec("time_window", window_size=2.0))
     assert [s.keys for s in seqs] == [["k2", "k3"], ["k1", "k4"]]
-    seqs = partition(records, keys, PartitionSpec("time_window", window_size=10.0))
+    seqs = _partition(records, keys, PartitionSpec("time_window", window_size=10.0))
     assert [s.keys for s in seqs] == [["k1", "k2", "k3", "k4"]]  # input order kept
 
 
 def test_time_window_requires_timestamps(toy_cat):
-    records = [RawLogRecord(message="x")]
+    records = _columns([{"message": "x"}])
     with pytest.raises(PartitionError):
-        partition(records, ["k1"], PartitionSpec("time_window", window_size=5))
+        _partition(records, ["k1"], PartitionSpec("time_window", window_size=5))
 
 
 def test_partition_spec_validation():
@@ -294,26 +299,22 @@ def test_label_rules(toy_cat):
     assert _labels_or_none([False, True, False]) is True
     assert _labels_or_none([False, None]) is False
     assert _labels_or_none([None, None]) is None
-    records = _records(4)
-    for r in records:
-        r.label = False
-    records[2].label = True
-    seqs = partition(records, ["k1"] * 4, PartitionSpec("count_window", window_size=2))
+    records = _records(4, labels=[False, False, True, False])
+    seqs = _partition(records, ["k1"] * 4, PartitionSpec("count_window", window_size=2))
     assert [s.label for s in seqs] == [False, True]
 
 
 def test_unlabeled_stays_none(toy_cat):
-    seqs = partition(_records(2), ["k1", "k2"], PartitionSpec("count_window", window_size=2))
+    seqs = _partition(_records(2), ["k1", "k2"], PartitionSpec("count_window", window_size=2))
     assert seqs[0].label is None
 
 
 # -- persistence --------------------------------------------------------------
 
 def test_sequence_round_trip(tmp_path, toy_cat):
-    records = _records(5)
-    records[0].label = True
-    seqs = partition(records, ["k1", "k2", "k3", "k4", "k5"],
-                     PartitionSpec("count_window", window_size=3))
+    records = _records(5, labels=[True, None, None, None, None])
+    seqs = _partition(records, ["k1", "k2", "k3", "k4", "k5"],
+                      PartitionSpec("count_window", window_size=3))
     path = tmp_path / "seqs.jsonl"
     save_sequences(seqs, path)
     loaded = load_sequences(path, toy_cat)
@@ -353,9 +354,9 @@ def test_load_raw_records(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"message": "a b", "timestamp": 1.5, "group_id": "g", "label": true}\n\n{"message": "c"}\n'
                     '{"message": "d", "group_id": null, "label": false}\n{"message": "e", "label": null}\n')
-    assert load_raw_records(path) == [
-        RawLogRecord("a b", 1.5, "g", True), RawLogRecord("c"), RawLogRecord("d", label=False), RawLogRecord("e"),
-    ]
+    assert load_raw_records(path) == RawColumns(
+        ["a b", "c", "d", "e"], [1.5, None, None, None], ["g", None, None, None], [True, None, False, None],
+    )
 
 
 @pytest.mark.parametrize(
@@ -382,6 +383,47 @@ def test_load_raw_records_errors_carry_line_and_reason(tmp_path, line, reason):
     assert info.value.line_number == 2
     assert reason in info.value.reason
     assert "line 2" in str(info.value) and "line 1" not in str(info.value)
+
+
+def test_a_partition_error_names_the_row_in_the_columns_and_its_line(tmp_path):
+    # rows 0 and 2 did not match, so row 3 is the second kept one; blank lines do not count
+    path = tmp_path / "raw.jsonl"
+    path.write_text('{"message": "a"}\n\n{"message": "b", "group_id": "g"}\n'
+                    '{"message": "c"}\n  \n{"message": "d"}\n')
+    records = load_raw_records(path)
+    with pytest.raises(PartitionError, match="record 3: identifier mode requires group_id"):
+        partition(records, [1, 3], ["k1", "k2"], PartitionSpec("identifier"))
+    assert [raw_record_line(path, i) for i in range(4)] == [1, 3, 4, 6]
+
+
+def test_identifier_groups_read_the_columns_at_the_kept_rows():
+    # the window modes take unmatched rows in their scan-oracle tests
+    records = _columns([{"message": "x", "group_id": f"g{i % 2}", "label": i == 2} for i in range(6)])
+    kept, keys = [1, 2, 4, 5], ["k1", "k2", "k3", "k4"]
+    assert [(s.id, s.keys, s.label) for s in partition(records, kept, keys, PartitionSpec("identifier"))] == [
+        ("g1", ["k1", "k4"], False), ("g0", ["k2", "k3"], True),
+    ]
+
+
+def test_match_records_matches_each_distinct_message_once(toy_cat, monkeypatch):
+    messages = ["Open session started", "garbage", "Authentication starts", "Open session started", "garbage",
+                "GET request sent to h1", "Open session started", "GET request sent to h2", "garbage"]
+    calls = []
+
+    def counted(catalog, message):
+        calls.append(message)
+        return match_message(catalog, message)
+
+    monkeypatch.setattr(ingest, "match_message", counted)
+    want = match_records(toy_cat, messages)
+    assert sorted(calls) == sorted(set(messages))
+    assert want.keys == ["k1", "k3", "k1", "k5", "k1", "k5"] and want.kept == [0, 2, 3, 5, 6, 7]
+    assert want.skipped == [(1, "garbage"), (4, "garbage"), (8, "garbage")]
+    for bound in (1, 2):  # the dict is emptied when full, and matching goes on from scratch
+        monkeypatch.setattr(ingest, "MATCH_CACHE_SIZE", bound)
+        calls.clear()
+        assert match_records(toy_cat, messages) == want
+        assert len(calls) > len(set(messages))
 
 
 # Each reason is the one `json.loads` gives for the whole line. Without the
@@ -434,7 +476,7 @@ def test_read_jsonl_decodes_each_line_as_json_loads_does(tmp_path_factory, rows)
 def test_count_window_covers_input_exactly(n, size):
     cat = toy_catalog()
     keys = [f"k{1 + i % 6}" for i in range(n)]
-    seqs = partition(_records(n), keys, PartitionSpec("count_window", window_size=size))
+    seqs = _partition(_records(n), keys, PartitionSpec("count_window", window_size=size))
     assert [k for s in seqs for k in s.keys] == keys
     assert all(len(s.keys) <= size for s in seqs)
 
@@ -504,20 +546,20 @@ def test_trie_matches_linear_oracle_with_every_wildcard_position():
 
 def _oracle_sequences(records, keys, windows, prefix):
     return [
-        LogSequence(f"{prefix}{n}", [keys[i] for i in w], _labels_or_none([records[i].label for i in w]))
+        LogSequence(f"{prefix}{n}", [keys[i] for i in w], _labels_or_none([records.labels[i] for i in w]))
         for n, w in enumerate(windows)
     ]
 
 
 def _windows_oracle(records, keys, spec):
     """Reference time_window partition: window k starts at t0 + k * stride; one full scan per window."""
-    t0 = min(r.timestamp for r in records)
-    t_last = max(r.timestamp for r in records)
+    t0 = min(records.timestamps)
+    t_last = max(records.timestamps)
     windows = []
     k = 0
     while t0 + k * spec.stride <= t_last:
         start = t0 + k * spec.stride
-        window = [i for i, r in enumerate(records) if start <= r.timestamp < start + spec.window_size]
+        window = [i for i, t in enumerate(records.timestamps) if start <= t < start + spec.window_size]
         if window:
             windows.append(window)
         k += 1
@@ -526,7 +568,7 @@ def _windows_oracle(records, keys, spec):
 
 def _count_windows_oracle(records, keys, spec):
     """Reference count_window partition: every stride start until a window reaches the last record."""
-    size, stride, n = int(spec.window_size), int(spec.stride), len(records)
+    size, stride, n = int(spec.window_size), int(spec.stride), len(keys)
     starts = [s for s in range(0, n, stride) if s == 0 or s - stride + size < n]
     return _oracle_sequences(records, keys, [list(range(s, min(s + size, n))) for s in starts], "w")
 
@@ -537,32 +579,34 @@ def _count_windows_oracle(records, keys, spec):
     size=st.integers(min_value=1, max_value=40),
     stride_frac=st.floats(min_value=0.0, max_value=1.0),
     labels=st.lists(st.one_of(st.none(), st.booleans()), min_size=30, max_size=30),
+    matched=st.lists(st.booleans(), min_size=30, max_size=30),
 )
-def test_count_windows_match_scan_oracle(n, size, stride_frac, labels):
+def test_count_windows_match_scan_oracle(n, size, stride_frac, labels, matched):
     # sizes above n cover the case of one short window holding every record
     stride = max(1, round(size * stride_frac))
-    records = [RawLogRecord(message="x", label=l) for l in labels[:n]]
+    rows = [{"message": "x", "label": l} for l in labels[:n]]
+    kept = [i for i in range(n) if matched[i]] or [0]  # the rows whose message matched a template
     keys = [f"k{1 + i % 6}" for i in range(n)]
     spec = PartitionSpec("count_window", window_size=size, stride=stride)
-    got = partition(records, keys, spec)
-    want = _count_windows_oracle(records, keys, spec)
+    got = partition(_columns(rows), kept, [keys[i] for i in kept], spec)
+    want = _count_windows_oracle(_columns([rows[i] for i in kept]), [keys[i] for i in kept], spec)
     assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]
 
 
 def test_time_windows_jump_over_an_empty_stretch():
     # a millisecond-epoch stamp among second stamps: 1.7e12 one-second windows
     # lie between them, and only the two that hold a record are visited
-    records = [RawLogRecord(message="x", timestamp=t) for t in (0.0, 1.7e12)]
-    seqs = partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
+    records = _columns([{"message": "x", "timestamp": t} for t in (0.0, 1.7e12)])
+    seqs = _partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
     assert [(s.id, s.keys) for s in seqs] == [("t0", ["k1"]), ("t1", ["k2"])]
 
 
 @pytest.mark.parametrize("stamp", [math.inf, -math.inf, "5", True])
 def test_time_window_rejects_a_stamp_without_a_window(stamp):
     # inf made the sweep spin forever, and a string failed inside sorted()
-    records = [RawLogRecord(message="x", timestamp=0.0), RawLogRecord(message="x", timestamp=stamp)]
+    records = _columns([{"message": "x", "timestamp": 0.0}, {"message": "x", "timestamp": stamp}])
     with pytest.raises(PartitionError, match="record 1"):
-        partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
+        _partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,12 +622,119 @@ def test_time_window_rejects_a_stamp_without_a_window(stamp):
     labels=st.lists(st.one_of(st.none(), st.booleans()), min_size=40, max_size=40),
     size=st.sampled_from([0.5, 1.0, 2.5, 7.0, 30.0]),
     stride_frac=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+    matched=st.lists(st.booleans(), min_size=40, max_size=40),
 )
-def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac):
-    cat = toy_catalog()
-    records = [RawLogRecord(message="x", timestamp=t, label=l) for t, l in zip(stamps, labels)]
-    keys = [f"k{1 + i % 6}" for i in range(len(records))]
+def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac, matched):
+    rows = [{"message": "x", "timestamp": t, "label": l} for t, l in zip(stamps, labels)]
+    kept = [i for i in range(len(rows)) if matched[i]] or [0]  # the rows whose message matched a template
+    keys = [f"k{1 + i % 6}" for i in range(len(rows))]
     spec = PartitionSpec("time_window", window_size=size, stride=size * stride_frac)
-    got = partition(records, keys, spec)
-    want = _windows_oracle(records, keys, spec)
+    got = partition(_columns(rows), kept, [keys[i] for i in kept], spec)
+    want = _windows_oracle(_columns([rows[i] for i in kept]), [keys[i] for i in kept], spec)
     assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]
+
+
+# -- the column reader against the line reader it replaced ----------------------
+
+def _reference_raw_records(path):
+    """The raw-record loader that read line by line: (line, (message, timestamp, group_id, label)) per record.
+
+    A copy of the JSON-lines reader and raw-record checks that built one
+    record object per line, kept as the reference for the column reader.
+    """
+    decode = json.JSONDecoder().raw_decode
+    rows = []
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row, end = decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise LineParseError(path, lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+            if not isinstance(row, dict):
+                raise LineParseError(path, lineno, "expected a JSON object")
+            if "message" not in row:
+                raise LineParseError(path, lineno, "missing field 'message'")
+            if not isinstance(row["message"], str):
+                raise LineParseError(path, lineno, "field 'message' must be a string")
+            group_id, label = row.get("group_id"), row.get("label")
+            if group_id is not None and not isinstance(group_id, str):
+                raise LineParseError(path, lineno, "field 'group_id' must be a string or null")
+            if label is not None and type(label) is not bool:
+                raise LineParseError(path, lineno, "field 'label' must be true, false or null")
+            rows.append((lineno, (row["message"], row.get("timestamp"), group_id, label)))
+    return rows
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)  # non-ASCII, "\u2028" and "\x85" too
+_GOOD = st.fixed_dictionaries(
+    {"message": _TEXT},
+    optional={
+        "timestamp": st.none() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+        "group_id": st.none() | _TEXT,
+        "label": st.none() | st.booleans(),
+        "extra": st.lists(st.integers(), max_size=2),
+    },
+)
+_BAD_FIELD = st.sampled_from([
+    ("message", 3), ("message", None), ("message", ["a"]), ("group_id", 5), ("group_id", ["a"]),
+    ("group_id", True), ("label", "false"), ("label", 1), ("label", 0), ("label", [True]),
+])
+
+
+@st.composite
+def _raw_file(draw):
+    """Lines of a raw-record file: mostly good records, now and then a fault or a trap for a block decoder."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        row = draw(_GOOD)
+        good = json.dumps(row, ensure_ascii=draw(st.booleans()))
+        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "bom", "trailing", "split", "joined", "bad-field",
+                                                    "missing-message", "not-object", "bad-json"]))
+        if kind == "good":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000"])) + good + draw(st.sampled_from(["", " \t"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "bom":
+            lines.append("\ufeff" + good)
+        elif kind == "trailing":
+            lines.append(good + draw(st.sampled_from([" y", "{}", "  1", ","])))
+        elif kind == "split":  # '{"a": ' and '1}' on two lines
+            cut = draw(st.integers(min_value=1, max_value=len(good) - 1))
+            lines += [good[:cut], good[cut:]]
+        elif kind == "joined":  # '{},{}' on one line
+            lines.append(good + draw(st.sampled_from([",", ", ", ""])) + json.dumps(draw(_GOOD)))
+        elif kind == "bad-field":
+            name, value = draw(_BAD_FIELD)
+            lines.append(json.dumps({**row, name: value}))
+        elif kind == "missing-message":
+            lines.append(json.dumps({k: v for k, v in row.items() if k != "message"}))
+        elif kind == "not-object":
+            lines.append(draw(st.sampled_from(["[1]", "3", '"s"', "null", "[]"])))
+        else:
+            lines.append(draw(st.sampled_from(['{"message": "x"', "nul", "{'message': 'x'}", '{"message": "x",}'])))
+    return "".join(line + "\n" for line in lines) + draw(st.sampled_from(["", "\n", '{"message": "last"}']))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_raw_file())
+def test_column_reader_gives_the_rows_or_the_fault_of_the_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "raw.jsonl"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = _reference_raw_records(path)
+    except LineParseError as exc:
+        with pytest.raises(LineParseError) as info:
+            load_raw_records(path)
+        assert (info.value.line_number, info.value.reason, str(info.value)) == (exc.line_number, exc.reason, str(exc))
+        return
+    got = load_raw_records(path)
+    assert list(zip(*got)) == [row for _, row in want]
+    assert [raw_record_line(path, i) for i in range(len(want))] == [lineno for lineno, _ in want]

@@ -1,6 +1,7 @@
 """Providers, embeddings, summarization, and verdict parsing."""
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -169,6 +170,19 @@ def test_llm_detect_fallback_after_retries():
     verdict, explanation, low = llm_detect(prompt, provider)
     assert verdict == "abnormal" and low is True
     assert RETRY_LIMIT == 2 and provider.calls == 3  # initial try plus two retries
+
+
+def test_llm_detect_asks_a_replaying_provider_once(tmp_path):
+    # a replay gives the same unparseable answer every time, so a retry would only repeat it
+    prompt = DetectionPrompt(target_nodes="x", target_summary="s")
+    fixture = tmp_path / "fixture.jsonl"
+    fixture.write_text(json.dumps({
+        "request_hash": RecordedProvider.request_hash(prompt.render()), "response": "I am not sure what to say",
+    }) + "\n")
+    mock = MockProvider(default_detect="no verdict line")
+    for provider, reply in ((RecordedProvider(fixture), "I am not sure what to say"), (mock, "no verdict line")):
+        assert llm_detect(prompt, provider) == ("abnormal", reply, True)
+        assert provider.calls == 1
 
 
 def test_llm_detect_transport_error_propagates():
