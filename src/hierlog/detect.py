@@ -100,14 +100,14 @@ class SeqVerdict:
     confidence_flag: str = "normal"  # normal | low
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     provider_errors: int = 0
     keys_per_level: dict[str, int] = field(default_factory=lambda: {l: 0 for l in LEVEL_ORDER})
     evals_per_level: dict[str, int] = field(default_factory=lambda: {l: 0 for l in LEVEL_ORDER})
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceReport:
     sequence_id: str
     final_verdict: bool
@@ -144,14 +144,17 @@ def _bounded_put(cache: dict, key, value, bound: int) -> None:
 class Detector:
     """Executes hybrid detection over decomposed sequences, sharing KBs.
 
-    `detect_sequence` memoises every report that met no provider error in
-    a dict keyed by the tuple of the sequence's keys, emptied when it holds
-    `MEMO_SIZE` reports; a hit returns a copy under the caller's sequence
-    id. This is sound because the train KBs do not change during a
-    Detector's life and `store_test` writes an LLM cache entry only on a
-    miss, so a fresh LLM verdict equals the cached one of a later sight: a
-    report is a function of its key list. `llm_calls` (detection rounds)
-    and `memo_hits`/`memo_misses` are run history, kept out of reports.
+    A report is a read-only value: nothing may change it once it is
+    returned. `detect_sequence` memoises every report that met no provider
+    error in a dict keyed by the tuple of the sequence's keys, emptied when
+    it holds `MEMO_SIZE` reports; a hit is a new report under the caller's
+    sequence id that shares its `verdicts` list and `Counters` with the
+    first report of its key list. This is sound because the train KBs do
+    not change during a Detector's life and `store_test` writes an LLM
+    cache entry only on a miss, so a fresh LLM verdict equals the cached
+    one of a later sight: a report is a function of its key list.
+    `llm_calls` (detection rounds) and `memo_hits`/`memo_misses` are run
+    history, kept out of reports.
 
     Below the memo, `_detect` scans the runs of every level and keeps the
     decided verdict of each run in a plain dict per enabled level
@@ -264,8 +267,7 @@ class Detector:
         if memo is not None:
             self.memo_hits += 1
             return SequenceReport(
-                sequence.id, memo.final_verdict, list(memo.verdicts), memo.first_abnormal_level,
-                Counters(0, dict(memo.counters.keys_per_level), dict(memo.counters.evals_per_level)),
+                sequence.id, memo.final_verdict, memo.verdicts, memo.first_abnormal_level, memo.counters,
                 memo.raw_length, memo.error,
             )
         self.memo_misses += 1

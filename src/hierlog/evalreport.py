@@ -139,9 +139,10 @@ def save_reports(
     share verdict objects (the per-level verdict dicts and the memo hand out
     the same ones), so each distinct verdict is encoded once per call,
     keyed by `id`; the entry holds the verdict, so no other object can take
-    its id before the call ends, even when `reports` is a generator. A memo
-    hit copies its counter dicts, so counters are encoded once per distinct
-    content instead.
+    its id before the call ends, even when `reports` is a generator.
+    Counters are encoded once per distinct content instead: a memo hit
+    shares its first report's `Counters`, but separate misses can hold
+    equal counts.
     """
     encoded: dict[int, tuple[SeqVerdict, str]] = {}
     encoded_counters: dict[tuple, str] = {}

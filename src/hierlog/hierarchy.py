@@ -134,8 +134,8 @@ class TopicTree:
     @classmethod
     def load(cls, path: str | Path) -> "TopicTree":
         try:
-            data = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, OSError) as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
             raise TreeError(f"cannot load tree from {path}: {exc}") from exc
         try:
             return cls.from_json(data)

@@ -153,16 +153,15 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
                     raise LineParseError(path, lineno, f"field {name!r} must be a string")
             templates.append(LogTemplate(row["key"], row["template"]))
     else:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            for n, row in enumerate(reader):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if n == 0 and [c.strip().lower() for c in row[:2]] == ["key", "template"]:
-                    continue
-                if len(row) < 2:  # line_num counts lines, and a quoted field may span several
-                    raise LineParseError(path, reader.line_num, "expected columns (key, template)")
-                templates.append(LogTemplate(row[0].strip(), row[1].strip()))
+        reader = csv.reader(line for _, line in _text_lines(path, newline=""))
+        for n, row in enumerate(reader):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if n == 0 and [c.strip().lower() for c in row[:2]] == ["key", "template"]:
+                continue
+            if len(row) < 2:  # line_num counts lines, and a quoted field may span several
+                raise LineParseError(path, reader.line_num, "expected columns (key, template)")
+            templates.append(LogTemplate(row[0].strip(), row[1].strip()))
     return TemplateCatalog(templates)
 
 
@@ -289,8 +288,13 @@ def _time_windows(columns: RawColumns, kept: Sequence[int], spec: PartitionSpec)
     timestamps = columns.timestamps
     kept_stamps = [timestamps[i] for i in kept]
     for j, stamp in enumerate(kept_stamps):
-        # the window sweep does arithmetic on stamps, so an inf, a string or a bool has no window
-        if type(stamp) not in (int, float) or not math.isfinite(stamp):
+        # the window sweep does arithmetic on stamps, so an inf, a string, a bool or an int
+        # beyond float range (where isfinite raises) has no window
+        try:
+            finite = type(stamp) in (int, float) and math.isfinite(stamp)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise PartitionError(kept[j], "time_window mode requires a finite numeric timestamp")
     # One sweep: positions sorted by timestamp (stable), and two monotone
     # pointers bounding window k, [t0 + k * stride, t0 + k * stride + size).
@@ -327,35 +331,61 @@ def _labels_or_none(labels: list[Optional[bool]]) -> Optional[bool]:
 _LABEL_RULE = "field 'label' must be true, false or null"
 
 
+def _text_lines(path: str | Path, newline: Optional[str] = None) -> Iterator[tuple[int, str]]:
+    """(line number, line) per line of a UTF-8 text file, opened with ``newline``.
+
+    A line that is not UTF-8 raises `LineParseError`. The file is read as
+    text; only where that fails is it read again, with each undecodable byte
+    escaped, from the first line not yet given, so the lines before the
+    fault are given in order and the error names its line.
+    """
+    given = 0
+    try:
+        with Path(path).open(encoding="utf-8", newline=newline) as fh:
+            for given, line in enumerate(fh, start=1):
+                yield given, line
+        return
+    except UnicodeDecodeError:  # raised for a whole block of the file, not for its line
+        pass
+    with Path(path).open(encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for lineno, line in enumerate(islice(fh, given, None), start=given + 1):
+            try:
+                line.encode("utf-8")  # an escaped byte is a lone surrogate, which UTF-8 cannot encode
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                reason = f"not valid UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
+                raise LineParseError(path, lineno, reason) from None
+            yield lineno, line
+
+
 def read_jsonl(path: str | Path, fields: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
     """(line number, object) per non-blank line of a JSON-lines file.
 
-    A line that is not a JSON object, or that lacks one of ``fields``,
-    raises `LineParseError`.
+    A line that is not UTF-8, not a JSON object, or that lacks one of
+    ``fields``, raises `LineParseError`.
     """
     decode = json.JSONDecoder().raw_decode
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # One raw_decode call parses a stripped line; where it fails or stops
-            # short (trailing data, a BOM), json.loads gives the reason.
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        # One raw_decode call parses a stripped line; where it fails or stops
+        # short (trailing data, a BOM), json.loads gives the reason.
+        try:
+            row, end = decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
             try:
-                row, end = decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LineParseError(path, lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
-            if not isinstance(row, dict):
-                raise LineParseError(path, lineno, "expected a JSON object")
-            for name in fields:
-                if name not in row:
-                    raise LineParseError(path, lineno, f"missing field {name!r}")
-            yield lineno, row
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LineParseError(path, lineno, f"invalid JSON: {exc.msg} at column {exc.colno}") from exc
+        if not isinstance(row, dict):
+            raise LineParseError(path, lineno, "expected a JSON object")
+        for name in fields:
+            if name not in row:
+                raise LineParseError(path, lineno, f"missing field {name!r}")
+        yield lineno, row
 
 
 def load_raw_records(path: str | Path) -> RawColumns:
@@ -367,7 +397,7 @@ def load_raw_records(path: str | Path) -> RawColumns:
     read again line by line, so `LineParseError` names its first faulty line.
     """
     try:
-        with Path(path).open() as fh:
+        with Path(path).open(encoding="utf-8") as fh:
             columns = _raw_columns(fh)
     except (ValueError, RecursionError):  # bad JSON or bad UTF-8
         columns = None
@@ -415,7 +445,7 @@ def raw_record_line(path: str | Path, index: int) -> int:
 
     There is one row per non-blank line; only an error needs the line, so no row keeps one.
     """
-    with Path(path).open() as fh:
+    with Path(path).open(encoding="utf-8") as fh:
         lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
         return next(islice(lines, index, None))
 

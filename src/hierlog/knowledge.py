@@ -220,8 +220,8 @@ class KnowledgeBase:
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
         try:
-            data = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, OSError) as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
             raise FormatError(f"cannot load KB from {path}: {exc}") from exc
         try:
             return cls.from_json(data)

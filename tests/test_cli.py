@@ -494,10 +494,13 @@ def test_detect_names_the_file_and_entry_of_a_missing_field(tmp_path, data, trai
     assert not (tmp_path / "report.jsonl").exists()
 
 
-@pytest.mark.parametrize("text", ["", '{"nodes": ['], ids=["empty", "not-json"])
+@pytest.mark.parametrize(
+    "text", [b"", b'{"nodes": [', b'{"format_version": 2, "keys": ["caf\xe9"]}'],
+    ids=["empty", "not-json", "not-utf-8"],
+)
 def test_train_names_a_tree_file_it_cannot_load(tmp_path, data, text):
     path = tmp_path / "tree.json"
-    path.write_text(text)
+    path.write_bytes(text)
     result = invoke("train", "--templates", data / "templates.csv", "--tree", path,
                     "--sequences", data / "train.jsonl", "--kb-dir", tmp_path / "kb")
     assert result.exit_code == 1
@@ -790,8 +793,8 @@ def _repeated_id(lines):
 UNMATCHED = json.dumps({"message": "no template matches this line"}) + "\n"
 NOT_A_LABEL = "field 'label' must be true, false or null"
 
-# case -> (command, the option naming the input, the input's file name, its text made from the lines of the
-# trained run's or the corpus's file of that name, the fault reported after "<path>: ")
+# case -> (command, the option naming the input, the input's file name, its text (or bytes) made from the lines
+# of the trained run's or the corpus's file of that name, the fault reported after "<path>: ")
 JSONL_FAULTS = {
     "catalog-row-with-one-column": (
         "ingest", "--templates", "templates.csv", lambda lines: lines[0] + "justonecolumn\n",
@@ -836,6 +839,12 @@ JSONL_FAULTS = {
         "ingest-by-time", "--logs", "raw.jsonl",
         lambda lines: UNMATCHED + "\n" + _with(lines[0], timestamp=0) + lines[1],
         "line 4: time_window mode requires a finite numeric timestamp",
+    ),
+    # a finite JSON integer, but too large for a float: the window sweep could not add to it
+    "raw-timestamp-beyond-float-range": (
+        "ingest-by-time", "--logs", "raw.jsonl",
+        lambda lines: _with(lines[0], timestamp=0) + _with(lines[1], timestamp=10 ** 400),
+        "line 2: time_window mode requires a finite numeric timestamp",
     ),
     "sequence-id-a-list": (
         "detect", "--test", "test.jsonl", lambda lines: "".join(lines[:2]) + _with(lines[2], sequence_id=["a"]),
@@ -887,6 +896,25 @@ JSONL_FAULTS = {
         "train", "--provider-fixture", "fixture.jsonl", lambda lines: '{"response": "VERDICT: NORMAL"}\n',
         "line 1: missing field 'request_hash'",
     ),
+    # bytes: an "é" written in Latin-1 is the byte 0xe9, which is not UTF-8
+    "raw-record-not-utf-8": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: (UNMATCHED + '{"message": "café au lait"}\n').encode("latin-1"),
+        "line 2: not valid UTF-8: byte 0xe9 at column 17",
+    ),
+    "sequence-file-not-utf-8": (
+        "detect", "--test", "test.jsonl",
+        lambda lines: (lines[0] + '{"sequence_id": "café", "keys": []}\n').encode("latin-1"),
+        "line 2: not valid UTF-8: byte 0xe9 at column 21",
+    ),
+    "jsonl-catalog-not-utf-8": (
+        "ingest", "--templates", "templates.jsonl",
+        lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2", "template": "café <*>"}\n'.encode("latin-1"),
+        "line 2: not valid UTF-8: byte 0xe9 at column 31",
+    ),
+    "csv-catalog-not-utf-8": (
+        "ingest", "--templates", "templates.csv", lambda lines: (lines[0] + "k99,café <*>\n").encode("latin-1"),
+        "line 2: not valid UTF-8: byte 0xe9 at column 8",
+    ),
 }
 
 
@@ -912,7 +940,8 @@ def test_bad_jsonl_input_names_the_file_line_and_field(tmp_path, data, trained, 
     command, option, name, make, fault = JSONL_FAULTS[case]
     source = next((d / name for d in (trained, data) if (d / name).exists()), None)
     path = tmp_path / name
-    path.write_text(make(source.read_text().splitlines(keepends=True) if source else []))
+    text = make(source.read_text().splitlines(keepends=True) if source else [])
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     words, options = _command(command, data, trained, tmp_path / "out")
     result = invoke(*words, *(arg for pair in {**options, option: path}.items() for arg in pair))
     assert result.exit_code == 1, result.output

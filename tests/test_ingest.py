@@ -350,6 +350,31 @@ def test_load_sequences_errors_carry_line_and_reason(tmp_path, toy_cat, line, re
     assert "line 2" in str(info.value) and "line 1" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "before, fault",
+    [
+        # the text reader fails for a whole block: the line at fault lies past the lines it gave
+        (b'{"message": "x"}\n' * 3000, "line 3001: not valid UTF-8: byte 0xe9 at column 17"),
+        # a fault before the undecodable line, in the same block, is named first
+        (b'{"message": "x"}\n{"message": \n', "line 2: invalid JSON"),
+        # lines are counted as the text reader counts them, a bare CR ending one
+        (b'{"message": "x"}\r\n\r{"message": "y"}\n', "line 4: not valid UTF-8: byte 0xe9 at column 17"),
+    ],
+    ids=["past-the-first-block", "after-another-fault", "bare-carriage-return"],
+)
+def test_a_line_that_is_not_utf8_is_named_by_every_line_reader(tmp_path, before, fault):
+    path = tmp_path / "raw.jsonl"
+    path.write_bytes(before + b'{"message": "caf\xe9 au lait"}\n{"message": "x"}\n')
+    with pytest.raises(LineParseError) as info:
+        load_raw_records(path)
+    assert str(info.value).startswith(f"{path}: {fault}")
+    given = []  # what read_jsonl gives before it raises: each line before the fault, once and in order
+    with pytest.raises(LineParseError) as info:
+        given.extend(lineno for lineno, _ in ingest.read_jsonl(path))
+    assert str(info.value).startswith(f"{path}: {fault}")
+    assert given == [n for n in range(1, info.value.line_number) if before.splitlines()[n - 1].strip()]
+
+
 def test_load_raw_records(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"message": "a b", "timestamp": 1.5, "group_id": "g", "label": true}\n\n{"message": "c"}\n'

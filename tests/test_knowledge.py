@@ -470,6 +470,14 @@ def test_truncated_file_raises(tmp_path):
         KnowledgeBase.load(path)
 
 
+def test_a_file_that_is_not_utf8_raises_naming_it(tmp_path):
+    path = tmp_path / "kb.json"
+    path.write_bytes(b'{"format_version": 4, "role": "caf\xe9"}')
+    with pytest.raises(FormatError) as info:
+        KnowledgeBase.load(path)
+    assert str(info.value).startswith(f"cannot load KB from {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_version_mismatch_raises(tmp_path):
     path = tmp_path / "kb.json"
     path.write_text(json.dumps({"format_version": 42, "role": "train", "level": ENTITY, "entries": []}))
