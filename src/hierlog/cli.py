@@ -57,10 +57,10 @@ def main():
 def ingest(templates_path, logs_path, partition_spec, out_path):
     """Match raw messages to templates and partition into sequences."""
     catalog = stages.load_template_catalog(templates_path)
-    written, skipped = stages.ingest(catalog, logs_path, partition_spec, out_path)
+    sequences, skipped = stages.ingest(catalog, logs_path, partition_spec, out_path)
     if skipped:
         click.echo(f"skipped {skipped} unmatched messages", err=True)
-    click.echo(f"wrote {written} sequences to {out_path}")
+    click.echo(f"wrote {len(sequences)} sequences to {out_path}")
 
 
 @main.group()
@@ -104,10 +104,11 @@ def build(triples_path, out_path):
 @_provider_options
 def train(templates_path, tree_path, sequences_path, kb_dir, llm, **provider_opts):
     """Build training knowledge bases from normal sequences."""
-    kbs = stages.train(
-        stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path), sequences_path,
-        kb_dir, llm == "on", _provider(provider_opts),
-    )
+    catalog, tree = stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path)
+    provider = _provider(provider_opts)
+    stages.require_llm_setup(llm == "on", provider)
+    sequences = stages.load_sequences(sequences_path, catalog)
+    kbs = stages.train(catalog, tree, sequences, kb_dir, llm == "on", provider)
     sizes = {level: len(kbs.train[level].entries) for level in kbs.train}
     click.echo(f"trained KBs: {sizes}")
 
@@ -129,11 +130,11 @@ def detect(templates_path, tree_path, kb_dir, test_path, levels, detector_spec, 
            m, early_exit, report_path, **provider_opts):
     """Run hybrid detection over test sequences."""
     config = stages.detect_config(levels, detector_spec, llm == "on", m, early_exit == "on")
-    _, reports, _ = stages.detect(
-        stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path),
-        stages.KnowledgeBaseSet.load_dir(kb_dir), kb_dir, test_path, report_path, config,
-        _provider(provider_opts),
-    )
+    catalog, tree = stages.load_template_catalog(templates_path), stages.TopicTree.load(tree_path)
+    kbs, provider = stages.KnowledgeBaseSet.load_dir(kb_dir), _provider(provider_opts)
+    stages.require_llm_setup(config.llm_enabled, provider, all(kb.llm for kb in kbs.train.values()))
+    sequences = stages.load_sequences(test_path, catalog)
+    reports, _ = stages.detect(catalog, tree, kbs, kb_dir, sequences, report_path, config, provider)
     flagged = sum(1 for r in reports if r.final_verdict)
     undecided = stages.undecided_by_provider(reports)
     note = f", {undecided} undecided by provider errors" if undecided else ""

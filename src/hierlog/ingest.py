@@ -247,7 +247,9 @@ def partition(
     identifier mode groups by ``group_id`` preserving input order within a
     group; count_window emits fixed-size windows advancing by stride (final
     shorter remainder kept); time_window emits the non-empty windows
-    [t0 + k * stride, t0 + k * stride + window), t0 the earliest timestamp.
+    [t0 + k * stride, t0 + k * stride + window), t0 the earliest timestamp,
+    exactly for integer timestamps with a whole window and stride, else in
+    floats.
     Every mode keeps input order within a sequence. A row that its mode
     cannot place raises `PartitionError` with its index in the columns.
     """
@@ -303,16 +305,32 @@ def _time_windows(columns: RawColumns, kept: Sequence[int], spec: PartitionSpec)
     order = sorted(range(len(kept_stamps)), key=kept_stamps.__getitem__)
     stamps = [kept_stamps[j] for j in order]
     t0, size, stride, n = stamps[0], spec.window_size, spec.stride, len(stamps)
+    if float(size).is_integer() and float(stride).is_integer() and all(type(t) is int for t in stamps):
+        size, stride = int(size), int(stride)  # integer stamps get exact windows, however large
+    else:
+        # A float window bound is within a few ulps of its exact value. Where
+        # an ulp is small against the stride, bounds rise with k, every window
+        # has width and the jump below lands in a step or two; elsewhere (an
+        # integer nanosecond stamp beside a fractional size, or a span beyond
+        # float range) the windows have no float form.
+        reach = 2.0 * max(abs(t0), abs(stamps[-1])) + size + stride
+        if not math.ulp(reach) * 16 <= stride:  # also false for an inf reach
+            far = order[0] if abs(t0) >= abs(stamps[-1]) else order[-1]
+            raise PartitionError(kept[far], f"time_window mode cannot represent windows of {size:g} "
+                                            f"every {stride:g} at this timestamp in floating point")
     emitted = k = lo = hi = 0
     while True:
         start = t0 + k * stride
         while lo < n and stamps[lo] < start:
             lo += 1
+        if lo > hi:  # every stamp before hi is in a window, so stamps[hi] fell between two float bounds
+            raise PartitionError(kept[order[hi]], "time_window mode cannot place this timestamp: "
+                                                  "it falls between two windows' rounded bounds")
         if lo == n:
             return
         end = start + size
         if stamps[lo] >= end:  # window k is empty, and so is every one that ends by stamps[lo]
-            k = max(k + 1, math.floor((stamps[lo] - size - t0) / stride) - 1)
+            k = max(k + 1, int((stamps[lo] - size - t0) // stride) - 1)
             while t0 + k * stride + size <= stamps[lo]:
                 k += 1
             continue
@@ -450,14 +468,33 @@ def raw_record_line(path: str | Path, index: int) -> int:
         return next(islice(lines, index, None))
 
 
+_encode = json.encoder.encode_basestring_ascii  # a str's literal, as `json.dumps` writes it
+
+
+class _Encoded(dict):
+    """str -> its JSON string literal, encoded on first use."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = _encode(text)
+        return literal
+
+
+_LABEL_FIELD = {None: "", True: ', "label": true', False: ', "label": false'}
+
+
 def save_sequences(sequences: Iterable[LogSequence], path: str | Path) -> None:
-    """One JSON record per line: (sequence_id, ordered key list, optional label)."""
-    with Path(path).open("w") as fh:
-        for seq in sequences:
-            row = {"sequence_id": seq.id, "keys": seq.keys}
-            if seq.label is not None:
-                row["label"] = seq.label
-            fh.write(json.dumps(row) + "\n")
+    """One JSON record per line: (sequence_id, ordered key list, optional label).
+
+    A line holds the bytes `json.dumps` writes for the record's dict; each
+    distinct key is encoded once per call.
+    """
+    literal = _Encoded()
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(
+            '{"sequence_id": %s, "keys": [%s]%s}\n'
+            % (_encode(seq.id), ", ".join(map(literal.__getitem__, seq.keys)), _LABEL_FIELD[seq.label])
+            for seq in sequences
+        )
 
 
 def load_sequences(path: str | Path, catalog: TemplateCatalog) -> list[LogSequence]:

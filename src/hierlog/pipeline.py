@@ -1,11 +1,13 @@
 """The stage layer: ingest, extract/build, train, detect, score, and the INI pipeline.
 
 Each stage is one function, called by both the CLI commands and
-`run_pipeline`. Stages communicate through persisted artifacts
-(sequences, tree, KB files, reports), so each stage can be re-run
-independently. A pipeline config has sections [hierarchy], [train],
-[detect], and optional [ingest], [eval] and [provider]; `run_pipeline`
-maps each section onto its stage.
+`run_pipeline`. Every stage writes its artifacts (sequences, tree, KB
+files, reports), so each stage can be re-run independently. A pipeline
+config has sections [hierarchy], [train], [detect], and optional
+[ingest], [eval] and [provider]; `run_pipeline` maps each section onto
+its stage. Within one run, a stage that reads a file an earlier stage
+wrote takes that stage's output in memory instead: [train] and [detect]
+take [ingest]'s sequences, and [hierarchy] takes its template catalog.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ def _save_json(payload: dict, path: str | Path) -> None:
 
 def ingest(
     catalog: TemplateCatalog, logs_path: str | Path, partition: str, out_path: str | Path
-) -> tuple[int, int]:
+) -> tuple[list[LogSequence], int]:
     """Match raw records to templates, partition them, and save the sequences.
 
-    Returns (sequences written, unmatched messages skipped); the caller
+    Returns (the sequences written, unmatched messages skipped); the caller
     reports the skipped count, so no message is dropped silently.
     """
     spec = parse_partition_spec(partition)
@@ -120,7 +122,7 @@ def ingest(
     except PartitionError as exc:  # its index is the record's row in the columns
         raise LineParseError(logs_path, raw_record_line(logs_path, exc.index), exc.reason) from exc
     save_sequences(sequences, out_path)
-    return len(sequences), len(report.skipped)
+    return sequences, len(report.skipped)
 
 
 def extract(
@@ -144,8 +146,11 @@ def build(triples: list[TopicTriple], tree_out: str | Path) -> TopicTree:
     return tree
 
 
-def _require_llm_setup(llm: bool, provider: Optional[Provider], kbs_llm: bool = True) -> None:
-    """With the LLM on, a provider, and train KBs that were trained with it on (they hold summaries and embeddings)."""
+def require_llm_setup(llm: bool, provider: Optional[Provider], kbs_llm: bool = True) -> None:
+    """With the LLM on, a provider, and train KBs that were trained with it on (they hold summaries and embeddings).
+
+    Callers of `train` and `detect` check this before they read a sequence file.
+    """
     if llm and provider is None:
         raise ConfigError("the LLM path is on but no provider is set; give --provider-kind or a [provider] section")
     if llm and not kbs_llm:
@@ -153,12 +158,10 @@ def _require_llm_setup(llm: bool, provider: Optional[Provider], kbs_llm: bool = 
 
 
 def train(
-    catalog: TemplateCatalog, tree: TopicTree, sequences_path: str | Path, kb_dir: str | Path,
+    catalog: TemplateCatalog, tree: TopicTree, sequences: list[LogSequence], kb_dir: str | Path,
     llm: bool, provider: Optional[Provider],
 ) -> KnowledgeBaseSet:
     """Build the training knowledge bases from normal sequences and save them."""
-    _require_llm_setup(llm, provider)
-    sequences = load_sequences(sequences_path, catalog)
     kbs = train_kbs(
         sequences, tree, DetectConfig(llm_enabled=llm), provider=provider, templates=_template_texts(catalog)
     )
@@ -176,14 +179,12 @@ def detect_config(levels: str, detector: str, llm: bool, m: int, early_exit: boo
 
 def detect(
     catalog: TemplateCatalog, tree: TopicTree, kbs: KnowledgeBaseSet, kb_dir: str | Path,
-    sequences_path: str | Path, report_path: str | Path, config: DetectConfig, provider: Optional[Provider],
-) -> tuple[list[LogSequence], list[SequenceReport], int]:
+    sequences: list[LogSequence], report_path: str | Path, config: DetectConfig, provider: Optional[Provider],
+) -> tuple[list[SequenceReport], int]:
     """Detect over the test sequences, save the report, and save the LLM verdict caches to kb_dir.
 
-    Returns the sequences, their reports and the LLM call count. Detection never changes a train KB.
+    Returns the reports and the LLM call count. Detection never changes a train KB.
     """
-    _require_llm_setup(config.llm_enabled, provider, all(kb.llm for kb in kbs.train.values()))
-    sequences = load_sequences(sequences_path, catalog)
     detector = Detector(tree, kbs, config, provider=provider, templates=_template_texts(catalog))
     reports = detector.run(sequences)
     meta = {
@@ -202,7 +203,7 @@ def detect(
     undecided = undecided_by_provider(reports)
     if undecided:
         log.warning("%d of %d reports hold a verdict left undecided by a provider error", undecided, len(reports))
-    return sequences, reports, detector.llm_calls
+    return reports, detector.llm_calls
 
 
 def undecided_by_provider(reports: list[SequenceReport]) -> int:
@@ -296,6 +297,14 @@ _INI_KEYS = {
 }
 
 
+def _read_sequences(
+    path: str, catalog: TemplateCatalog, written: dict[Path, list[LogSequence]]
+) -> list[LogSequence]:
+    """The sequences that this run wrote to ``path``, or else the file's, read under the catalog."""
+    sequences = written.get(Path(path).resolve())
+    return load_sequences(path, catalog) if sequences is None else sequences
+
+
 @dataclass
 class PipelineResult:
     tree: TopicTree
@@ -334,7 +343,7 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
     with _stage("train"):
         sec = parser["train"]
         train_llm, kbs = _flag(sec, "llm"), None
-        _require_llm_setup(train_llm, provider)
+        require_llm_setup(train_llm, provider)
         # KBs to resume are loaded here, so that their LLM flag is checked before any write
         if _flag(sec, "resume") and (Path(sec["kb_dir"]) / "train_status.json").exists():
             kbs = KnowledgeBaseSet.load_dir(sec["kb_dir"])
@@ -344,23 +353,30 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
             sec.get("levels", "SAE"), sec.get("detector", "exact"), _flag(sec, "llm"), _int(sec, "m", 5),
             _flag(sec, "early_exit", default=True),
         )
-        _require_llm_setup(
+        require_llm_setup(
             config.llm_enabled, provider, train_llm and (kbs is None or all(kb.llm for kb in kbs.train.values()))
         )
     with _stage("eval"):
         attribution = parser.has_section("eval") and _flag(parser["eval"], "attribution")
 
+    # Sequences this run wrote, by resolved path, for a later stage that names the file;
+    # their keys were checked against `catalog`, so only a stage under it takes them.
+    written: dict[Path, list[LogSequence]] = {}
+    catalog = templates = None
     if parser.has_section("ingest"):
         with _stage("ingest"):
             sec = parser["ingest"]
+            templates = Path(sec["templates"]).resolve()
             catalog = load_template_catalog(sec["templates"])
-            _, skipped = ingest(catalog, sec["logs"], sec.get("partition", "identifier"), sec["out"])
+            sequences, skipped = ingest(catalog, sec["logs"], sec.get("partition", "identifier"), sec["out"])
+            written[Path(sec["out"]).resolve()] = sequences
         if skipped:
             log.warning("[ingest] skipped %d unmatched messages", skipped)
 
     with _stage("hierarchy"):
         sec = parser["hierarchy"]
-        catalog = load_template_catalog(sec["templates"])
+        if Path(sec["templates"]).resolve() != templates:
+            catalog, written = load_template_catalog(sec["templates"]), {}
         if resume_tree and Path(sec["tree_out"]).exists():
             tree = TopicTree.load(sec["tree_out"])
         else:
@@ -374,13 +390,13 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
         sec = parser["train"]
         kb_dir = sec["kb_dir"]
         if kbs is None:
-            kbs = train(catalog, tree, sec["sequences"], kb_dir, train_llm, provider)
+            sequences = _read_sequences(sec["sequences"], catalog, written)
+            kbs = train(catalog, tree, sequences, kb_dir, train_llm, provider)
 
     with _stage("detect"):
         sec = parser["detect"]
-        sequences, reports, llm_calls = detect(
-            catalog, tree, kbs, kb_dir, sec["sequences"], sec["report"], config, provider
-        )
+        sequences = _read_sequences(sec["sequences"], catalog, written)
+        reports, llm_calls = detect(catalog, tree, kbs, kb_dir, sequences, sec["report"], config, provider)
 
     metrics = None
     if parser.has_section("eval"):

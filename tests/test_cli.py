@@ -18,9 +18,11 @@ import pytest
 from click.testing import CliRunner
 
 import hierlog
+from hierlog import pipeline
 from hierlog.cli import main
 from hierlog.decompose import top_down_decompose
 from hierlog.hierarchy import TopicTree
+from hierlog.ingest import load_sequences, load_template_catalog
 from hierlog.knowledge import END_MARK, KB_FORMAT_VERSION, START_MARK
 
 from conftest import make_signature
@@ -153,6 +155,79 @@ def test_pipeline_warns_of_unmatched_messages(tmp_path, data, caplog):
         run_ini_pipeline(data, tmp_path, "off")
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == ["[ingest] skipped 1 unmatched messages"]
+
+
+@pytest.mark.parametrize("partition", ["identifier", "count:7:3", "time:4:3"])
+def test_ingest_returns_the_sequences_it_writes(tmp_path, data, partition):
+    lines = (data / "raw.jsonl").read_text().splitlines(keepends=True)
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(_with(line, timestamp=i // 3 + 0.5 * (i % 2)) for i, line in enumerate(lines)))
+    catalog = load_template_catalog(data / "templates.csv")
+    sequences, skipped = pipeline.ingest(catalog, raw, partition, tmp_path / "test.jsonl")
+    assert skipped == 1 and len(sequences) > 10
+    loaded = load_sequences(tmp_path / "test.jsonl", catalog)
+    assert [(s.id, s.keys, s.label) for s in sequences] == [(s.id, s.keys, s.label) for s in loaded]
+
+
+def test_ingest_by_time_keeps_integer_nanosecond_stamps_exact(tmp_path, data):
+    # as floats the two stamps are equal, and a window of 10 at them has no width: both events were dropped
+    lines = (data / "raw.jsonl").read_text().splitlines(keepends=True)
+    raw, out = tmp_path / "raw.jsonl", tmp_path / "test.jsonl"
+    stamp = 1_700_000_000_000_000_000
+    raw.write_text(_with(lines[0], timestamp=stamp) + _with(lines[1], timestamp=stamp + 5))
+    result = ok("ingest", "--templates", data / "templates.csv", "--logs", raw, "--partition", "time:10",
+                "--out", out)
+    assert result.output == f"wrote 1 sequences to {out}\n"
+    assert [len(json.loads(line)["keys"]) for line in out.read_text().splitlines()] == [2]
+
+
+def _count_calls(monkeypatch, *names):
+    """name -> the paths each call of `pipeline.<name>` was given, for every name."""
+    calls = {}
+    for name in names:
+        real, paths = getattr(pipeline, name), calls.setdefault(name, [])
+
+        def counted(path, *rest, _real=real, _paths=paths):
+            _paths.append(Path(path).resolve())
+            return _real(path, *rest)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("hierarchy_templates", ["same", "copy"])
+def test_a_pipeline_run_reads_each_file_it_wrote_once(tmp_path, data, monkeypatch, hierarchy_templates):
+    # the same files spelled other ways: a stage compares the resolved paths
+    templates = data / ".." / data.name / "templates.csv"
+    if hierarchy_templates == "copy":
+        templates = tmp_path / "templates.csv"
+        shutil.copy(data / "templates.csv", templates)
+    config = write_ini(data, tmp_path, "off", {
+        "hierarchy": {"templates": str(templates)},
+        "detect": {"sequences": str(tmp_path / ".." / tmp_path.name / "test.jsonl")},
+    })
+    calls = _count_calls(monkeypatch, "load_sequences", "load_template_catalog")
+    ok("pipeline", "--config", config)
+    if hierarchy_templates == "same":  # [train] and [detect] take [ingest]'s catalog, [detect] its sequences
+        assert calls == {"load_sequences": [data / "train.jsonl"], "load_template_catalog": [data / "templates.csv"]}
+    else:  # [ingest]'s sequences were checked against its catalog only, so [detect] reads them under the other
+        assert calls == {
+            "load_sequences": [data / "train.jsonl", tmp_path / "test.jsonl"],
+            "load_template_catalog": [data / "templates.csv", templates],
+        }
+    assert len((tmp_path / "report.jsonl").read_text().splitlines()) == 1 + 80
+
+
+def test_a_pipeline_detect_section_naming_another_file_scores_that_file(tmp_path, data):
+    lines = (data / "test.jsonl").read_text().splitlines(keepends=True)[:5]
+    other = tmp_path / "other.jsonl"
+    other.write_text("".join(lines))
+    ok("pipeline", "--config", write_ini(data, tmp_path, "off", {"detect": {"sequences": str(other)}}))
+    report = (tmp_path / "report.jsonl").read_text().splitlines()[1:]
+    assert [json.loads(line)["sequence_id"] for line in report] == [json.loads(line)["sequence_id"] for line in lines]
+    metrics = json.loads((tmp_path / "eval.json").read_text())["metrics"]
+    assert sum(metrics[name] for name in ("tp", "fp", "tn", "fn")) == 5
+    assert len((tmp_path / "test.jsonl").read_text().splitlines()) == 80  # [ingest] still wrote its file
 
 
 @pytest.fixture(scope="module")
@@ -524,6 +599,21 @@ def test_cli_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, 
     assert not (tmp_path / "report.jsonl").exists()
 
 
+def test_cli_llm_setup_is_checked_before_the_sequence_file_is_read(tmp_path, data, trained):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    result = invoke("train", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+                    "--sequences", bad, "--kb-dir", tmp_path / "kb", "--llm", "on")
+    assert (result.exit_code, result.output) == (2, f"error: {NO_PROVIDER}\n")
+    detect = ("detect", "--templates", data / "templates.csv", "--tree", trained / "tree.json",
+              "--kb-dir", trained / "kb", "--test", bad, "--llm", "on", "--report", tmp_path / "report.jsonl")
+    result = invoke(*detect)
+    assert (result.exit_code, result.output) == (2, f"error: {NO_PROVIDER}\n")
+    result = invoke(*detect, "--provider-kind", "mock")
+    assert (result.exit_code, result.output) == (2, f"error: {NO_LLM_KBS}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.jsonl"]
+
+
 @pytest.mark.parametrize("stage", ["train", "detect"])
 def test_ini_llm_on_without_a_provider_is_a_configuration_error(tmp_path, data, stage):
     result = invoke("pipeline", "--config", write_ini(data, tmp_path, "off", {stage: {"llm": "on"}}))
@@ -845,6 +935,12 @@ JSONL_FAULTS = {
         "ingest-by-time", "--logs", "raw.jsonl",
         lambda lines: _with(lines[0], timestamp=0) + _with(lines[1], timestamp=10 ** 400),
         "line 2: time_window mode requires a finite numeric timestamp",
+    ),
+    # as floats, the windows of 10 from -1.7e308 to 1.7e308 have no width, and the sweep never ended
+    "raw-timestamps-without-float-windows": (
+        "ingest-by-time", "--logs", "raw.jsonl",
+        lambda lines: _with(lines[0], timestamp=-1.7e308) + _with(lines[1], timestamp=1.7e308),
+        "line 1: time_window mode cannot represent windows of 10 every 10 at this timestamp in floating point",
     ),
     "sequence-id-a-list": (
         "detect", "--test", "test.jsonl", lambda lines: "".join(lines[:2]) + _with(lines[2], sequence_id=["a"]),

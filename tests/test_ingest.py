@@ -323,6 +323,33 @@ def test_sequence_round_trip(tmp_path, toy_cat):
     assert set(first) == {"sequence_id", "keys", "label"}
 
 
+# text a JSON encoder must escape: quotes, backslashes, control and non-ASCII characters, U+2028
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é€😀'), st.characters()), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(_JSON_TEXT, min_size=1, max_size=6, unique=True),
+    rows=st.lists(
+        st.tuples(_JSON_TEXT, st.lists(st.integers(min_value=0, max_value=5), max_size=8),
+                  st.sampled_from([None, True, False])),
+        max_size=6,
+    ),
+)
+def test_save_sequences_writes_what_json_dumps_writes(tmp_path_factory, keys, rows):
+    # key positions index into `keys`, so keys repeat within and across sequences
+    sequences = [LogSequence(sid, [keys[i % len(keys)] for i in picks], label) for sid, picks, label in rows]
+    path = tmp_path_factory.mktemp("sequences") / "s.jsonl"
+    save_sequences(sequences, path)
+    want = ""
+    for seq in sequences:
+        row = {"sequence_id": seq.id, "keys": seq.keys}
+        if seq.label is not None:
+            row["label"] = seq.label
+        want += json.dumps(row) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize(
     "line, reason",
     [
@@ -576,15 +603,18 @@ def _oracle_sequences(records, keys, windows, prefix):
     ]
 
 
-def _windows_oracle(records, keys, spec):
-    """Reference time_window partition: window k starts at t0 + k * stride; one full scan per window."""
+def _windows_oracle(records, keys, size, stride):
+    """Reference time_window partition: window k starts at t0 + k * stride; one full scan per window.
+
+    The arithmetic is the stamps' own: float for float stamps, exact for integer stamps and sizes.
+    """
     t0 = min(records.timestamps)
     t_last = max(records.timestamps)
     windows = []
     k = 0
-    while t0 + k * spec.stride <= t_last:
-        start = t0 + k * spec.stride
-        window = [i for i, t in enumerate(records.timestamps) if start <= t < start + spec.window_size]
+    while t0 + k * stride <= t_last:
+        start = t0 + k * stride
+        window = [i for i, t in enumerate(records.timestamps) if start <= t < start + size]
         if window:
             windows.append(window)
         k += 1
@@ -634,15 +664,22 @@ def test_time_window_rejects_a_stamp_without_a_window(stamp):
         _partition(records, ["k1", "k2"], PartitionSpec("time_window", window_size=1))
 
 
-@settings(max_examples=200, deadline=None)
+NS_EPOCH = 1_700_000_000_000_000_000  # a nanosecond-epoch stamp: 256 apart from its float neighbours
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    stamps=st.lists(
-        st.one_of(
-            st.integers(min_value=0, max_value=20).map(float),  # many duplicates
-            st.floats(min_value=-50.0, max_value=400.0, allow_nan=False),  # long gaps
+    stamps=st.one_of(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=20).map(float),  # many duplicates
+                st.floats(min_value=-50.0, max_value=400.0, allow_nan=False),  # long gaps
+            ),
+            min_size=1,
+            max_size=40,
         ),
-        min_size=1,
-        max_size=40,
+        # integer stamps that a float cannot tell apart, checked against exact integer windows
+        st.lists(st.integers(min_value=-20, max_value=400).map(NS_EPOCH.__add__), min_size=1, max_size=40),
     ),
     labels=st.lists(st.one_of(st.none(), st.booleans()), min_size=40, max_size=40),
     size=st.sampled_from([0.5, 1.0, 2.5, 7.0, 30.0]),
@@ -653,10 +690,43 @@ def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac
     rows = [{"message": "x", "timestamp": t, "label": l} for t, l in zip(stamps, labels)]
     kept = [i for i in range(len(rows)) if matched[i]] or [0]  # the rows whose message matched a template
     keys = [f"k{1 + i % 6}" for i in range(len(rows))]
-    spec = PartitionSpec("time_window", window_size=size, stride=size * stride_frac)
+    stride = size * stride_frac
+    if type(stamps[0]) is int:  # whole sizes for integer stamps, held as floats as `parse_partition_spec` gives them
+        size, stride = math.ceil(size), max(1, round(size * stride_frac))
+    spec = PartitionSpec("time_window", window_size=float(size), stride=float(stride))
     got = partition(_columns(rows), kept, [keys[i] for i in kept], spec)
-    want = _windows_oracle(_columns([rows[i] for i in kept]), [keys[i] for i in kept], spec)
+    want = _windows_oracle(_columns([rows[i] for i in kept]), [keys[i] for i in kept], size, stride)
     assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]
+
+
+def test_integer_stamps_with_a_whole_window_get_exact_windows():
+    # as floats both stamps are 1.7e18, where a 10-wide window has no width: both events were dropped
+    records = _columns([{"message": "x", "timestamp": t} for t in (NS_EPOCH, NS_EPOCH + 5, NS_EPOCH + 12)])
+    seqs = _partition(records, ["k1", "k2", "k3"], parse_partition_spec("time:10"))
+    assert [(s.id, s.keys) for s in seqs] == [("t0", ["k1", "k2"]), ("t1", ["k3"])]
+    seqs = _partition(records, ["k1", "k2", "k3"], parse_partition_spec("time:10:5"))
+    assert [(s.id, s.keys) for s in seqs] == [("t0", ["k1", "k2"]), ("t1", ["k2", "k3"]), ("t2", ["k3"])]
+
+
+@pytest.mark.parametrize(
+    "stamps, spec, record",
+    [
+        # the span is beyond float range: the sweep never ended
+        ((-1.7e308, 1.7e308), "time:10", 0),
+        # a window of 1 has no width at 1e17, where floats are 16 apart
+        ((0.0, 1e17), "time:1", 1),
+        # an integer stamp with a fractional size takes float windows, 256 apart at 1.7e18
+        ((NS_EPOCH, NS_EPOCH + 5), "time:0.5", 1),
+        # 0.1 + 2 * 0.2 + 0.2 rounds to 0.7 and 0.1 + 3 * 0.2 to 0.7000000000000001:
+        # 0.7 lies between windows 2 and 3 and was dropped
+        ((0.1, 0.3, 0.7), "time:0.2", 2),
+    ],
+    ids=["span-beyond-float-range", "window-without-width", "integer-stamp-fractional-size", "between-two-windows"],
+)
+def test_time_window_raises_where_a_float_window_cannot_hold_a_stamp(stamps, spec, record):
+    records = _columns([{"message": "x", "timestamp": t} for t in stamps])
+    with pytest.raises(PartitionError, match=f"^record {record}: time_window mode cannot"):
+        _partition(records, [f"k{i + 1}" for i in range(len(stamps))], parse_partition_spec(spec))
 
 
 # -- the column reader against the line reader it replaced ----------------------
