@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, DuplicateKeyError, ExtractionError, LineParseError, ProviderError, TreeError
-from .ingest import WILDCARD, TemplateCatalog, read_jsonl
+from .ingest import WILDCARD, TemplateCatalog, _text_lines, read_jsonl
 from . import prompts as prompt_assets
 
 NONE_STATUS = "none"
@@ -255,7 +255,7 @@ class LexiconExtractor:
 
     def _extract_one(self, key: str, text: str) -> TopicTriple:
         tokens = [t for t in text.split() if t != WILDCARD]
-        words = [t.strip(".,:;!?()[]").lower() for t in tokens]
+        words = [w for w in (t.strip(".,:;!?()[]").lower() for t in tokens) if w]  # "..." strips to no word
 
         entity = None
         for w in words:
@@ -319,8 +319,8 @@ class LlmExtractor:
 
 
 def _read_json(path: str | Path):
-    try:
-        return json.loads(Path(path).read_text())
+    try:  # read as UTF-8 whatever the locale; a bad byte names its line
+        return json.loads("".join(line for _, line in _text_lines(path)))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
 
@@ -400,9 +400,10 @@ def load_triples(path: str | Path) -> list[TopicTriple]:
     """The triples of a file that `save_triples` wrote; a null or absent status is "none"."""
     triples = []
     for lineno, row in read_jsonl(path, ("key", "entity", "action")):
-        names = {"entity": row["entity"], "action": row["action"], "status": row.get("status") or NONE_STATUS}
-        for level, name in names.items():
+        names = {"key": row["key"], "entity": row["entity"], "action": row["action"],
+                 "status": row.get("status") or NONE_STATUS}
+        for field, name in names.items():
             if not isinstance(name, str) or not name:
-                raise LineParseError(path, lineno, f"field {level!r} must be a non-empty string")
-        triples.append(TopicTriple(str(row["key"]), **names))
+                raise LineParseError(path, lineno, f"field {field!r} must be a non-empty string")
+        triples.append(TopicTriple(**names))
     return triples

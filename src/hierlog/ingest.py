@@ -39,7 +39,7 @@ class RawColumns(NamedTuple):
     """Raw records as four parallel columns, one row per non-blank line of the file."""
 
     messages: list[str]
-    timestamps: list  # unchecked here; time windows need finite ints or floats
+    timestamps: list  # unchecked here; time windows need ints or finite floats
     group_ids: list[Optional[str]]
     labels: list[Optional[bool]]
 
@@ -86,6 +86,8 @@ class TemplateCatalog:
         for t in templates:
             if t.key in self._by_key:
                 raise DuplicateKeyError(t.key)
+            if not t.key:
+                raise ValueError(f"template {t.text!r} has an empty key")
             if not t.text.strip():
                 raise ValueError(f"template {t.key!r} has empty text")
             self._by_key[t.key] = t
@@ -248,8 +250,7 @@ def partition(
     group; count_window emits fixed-size windows advancing by stride (final
     shorter remainder kept); time_window emits the non-empty windows
     [t0 + k * stride, t0 + k * stride + window), t0 the earliest timestamp,
-    exactly for integer timestamps with a whole window and stride, else in
-    floats.
+    with exact bounds for every int or finite float timestamp.
     Every mode keeps input order within a sequence. A row that its mode
     cannot place raises `PartitionError` with its index in the columns.
     """
@@ -290,49 +291,34 @@ def _time_windows(columns: RawColumns, kept: Sequence[int], spec: PartitionSpec)
     timestamps = columns.timestamps
     kept_stamps = [timestamps[i] for i in kept]
     for j, stamp in enumerate(kept_stamps):
-        # the window sweep does arithmetic on stamps, so an inf, a string, a bool or an int
-        # beyond float range (where isfinite raises) has no window
-        try:
-            finite = type(stamp) in (int, float) and math.isfinite(stamp)
-        except OverflowError:
-            finite = False
-        if not finite:
+        # the window sweep does arithmetic on stamps, so an inf, a NaN, a string or a bool has no window
+        if not (type(stamp) is int or type(stamp) is float and math.isfinite(stamp)):
             raise PartitionError(kept[j], "time_window mode requires a finite numeric timestamp")
     # One sweep: positions sorted by timestamp (stable), and two monotone
     # pointers bounding window k, [t0 + k * stride, t0 + k * stride + size).
-    # Each start is computed afresh, never accumulated, so an empty stretch
-    # can be jumped over to the first window that reaches the next stamp.
+    # Every float is an integer over a power of two, so scaling the size, the
+    # stride and each stamp by the largest such denominator turns them into
+    # ints with the same order: every bound below is exact, however far apart
+    # the stamps lie. An empty stretch is jumped over to the first window that
+    # reaches the next stamp.
     order = sorted(range(len(kept_stamps)), key=kept_stamps.__getitem__)
-    stamps = [kept_stamps[j] for j in order]
-    t0, size, stride, n = stamps[0], spec.window_size, spec.stride, len(stamps)
-    if float(size).is_integer() and float(stride).is_integer() and all(type(t) is int for t in stamps):
-        size, stride = int(size), int(stride)  # integer stamps get exact windows, however large
-    else:
-        # A float window bound is within a few ulps of its exact value. Where
-        # an ulp is small against the stride, bounds rise with k, every window
-        # has width and the jump below lands in a step or two; elsewhere (an
-        # integer nanosecond stamp beside a fractional size, or a span beyond
-        # float range) the windows have no float form.
-        reach = 2.0 * max(abs(t0), abs(stamps[-1])) + size + stride
-        if not math.ulp(reach) * 16 <= stride:  # also false for an inf reach
-            far = order[0] if abs(t0) >= abs(stamps[-1]) else order[-1]
-            raise PartitionError(kept[far], f"time_window mode cannot represent windows of {size:g} "
-                                            f"every {stride:g} at this timestamp in floating point")
+    ratios = [kept_stamps[j].as_integer_ratio() for j in order]
+    size, stride = spec.window_size.as_integer_ratio(), spec.stride.as_integer_ratio()
+    scale = max(den for _, den in (size, stride, *ratios))
+    stamps = [num * (scale // den) for num, den in ratios]
+    size, stride = (num * (scale // den) for num, den in (size, stride))
+    t0, n = stamps[0], len(stamps)
     emitted = k = lo = hi = 0
     while True:
         start = t0 + k * stride
         while lo < n and stamps[lo] < start:
             lo += 1
-        if lo > hi:  # every stamp before hi is in a window, so stamps[hi] fell between two float bounds
-            raise PartitionError(kept[order[hi]], "time_window mode cannot place this timestamp: "
-                                                  "it falls between two windows' rounded bounds")
         if lo == n:
             return
         end = start + size
-        if stamps[lo] >= end:  # window k is empty, and so is every one that ends by stamps[lo]
-            k = max(k + 1, int((stamps[lo] - size - t0) // stride) - 1)
-            while t0 + k * stride + size <= stamps[lo]:
-                k += 1
+        if stamps[lo] >= end:  # window k is empty, and so is every one that ends by stamps[lo];
+            # the first that ends after it starts by it, since stride <= size
+            k = (stamps[lo] - size - t0) // stride + 1
             continue
         while hi < n and stamps[hi] < end:
             hi += 1

@@ -98,16 +98,12 @@ class KnowledgeBase:
     # -- training side ------------------------------------------------------
 
     def insert_train(self, seq: Seq) -> TrainEntry:
-        """Record a normal sub-sequence; repeats bump the occurrence count."""
+        """Create the entry of a new normal sub-sequence, count 1; the caller counts repeats, as `train` does."""
         self._require(role="train", level=seq.level)
-        entry = self.entries.get(seq.signature)
-        if entry is None:
-            chunk = list(seq.chunk) if self.llm else None
-            entry = self.entries[seq.signature] = TrainEntry(
-                seq.signature, list(seq.parent_path), seq.parent_key, list(seq.nodes), chunk
-            )
-        else:
-            entry.occurrence_count += 1
+        chunk = list(seq.chunk) if self.llm else None
+        entry = self.entries[seq.signature] = TrainEntry(
+            seq.signature, list(seq.parent_path), seq.parent_key, list(seq.nodes), chunk
+        )
         self._groups = self._transitions = None
         return entry
 

@@ -181,6 +181,24 @@ def test_ingest_by_time_keeps_integer_nanosecond_stamps_exact(tmp_path, data):
     assert [len(json.loads(line)["keys"]) for line in out.read_text().splitlines()] == [2]
 
 
+@pytest.mark.parametrize(
+    "stamps",
+    [(0, 10 ** 400), (-1.7e308, 1.7e308)],
+    ids=["int-beyond-float-range", "span-beyond-float-range"],
+)
+def test_ingest_by_time_places_stamps_beyond_float_range(tmp_path, data, stamps):
+    # the first was an error, as a finite number too large to add to; over the
+    # second, float windows of 10 had no width and the sweep never ended
+    lines = (data / "raw.jsonl").read_text().splitlines(keepends=True)
+    raw, out = tmp_path / "raw.jsonl", tmp_path / "test.jsonl"
+    raw.write_text("".join(_with(line, timestamp=t) for line, t in zip(lines, stamps)))
+    result = ok("ingest", "--templates", data / "templates.csv", "--logs", raw, "--partition", "time:10",
+                "--out", out)
+    assert result.output == f"wrote 2 sequences to {out}\n"
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(row["sequence_id"], len(row["keys"])) for row in rows] == [("t0", 1), ("t1", 1)]
+
+
 def _count_calls(monkeypatch, *names):
     """name -> the paths each call of `pipeline.<name>` was given, for every name."""
     calls = {}
@@ -331,6 +349,44 @@ def test_cli_extractor_settings_are_configuration_errors(tmp_path, data, args, f
                     "--out", tmp_path / "triples.jsonl")
     assert (result.exit_code, result.output) == (2, f"error: {fault}\n")
     assert not (tmp_path / "triples.jsonl").exists()
+
+
+def test_a_catalog_row_without_a_key_is_an_error(tmp_path, data):
+    # the extracted triple would pass `hierarchy build`, and its tree then fail `hierlog train`
+    catalog = tmp_path / "templates.csv"
+    catalog.write_text((data / "templates.csv").read_text() + ",Disk write ok\n")
+    result = invoke("hierarchy", "extract", "--templates", catalog, "--out", tmp_path / "triples.jsonl")
+    assert (result.exit_code, result.output) == (1, "error: template 'Disk write ok' has an empty key\n")
+    assert not (tmp_path / "triples.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, fault",
+    [
+        ("fixture", '{"k1": {"entity": "D\u00efsk", "action": "write", "status": "ok"}}', None),
+        ("lexicon", '{"entity_terms": {"disk": "D\u00efsk"}}', None),
+        ("fixture", b'{"k1": {"entity": "D\xefsk", "action": "write"}}', "line 1: not valid UTF-8: byte 0xef at column 21"),
+    ],
+    ids=["fixture", "lexicon", "fixture-not-utf-8"],
+)
+def test_extractor_files_are_read_as_utf_8_under_an_ascii_locale(tmp_path, kind, text, fault):
+    path, out = tmp_path / f"{kind}.json", tmp_path / "triples.jsonl"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    (tmp_path / "templates.csv").write_text("k1,Disk write ok\n")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(hierlog.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hierlog.cli", "hierarchy", "extract", "--templates", "templates.csv",
+         "--extractor", kind, f"--{kind}", path.name, "--out", out.name],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    if fault:
+        assert (result.returncode, result.stderr) == (1, f"error: {path.name}: {fault}\n")
+        assert not out.exists()
+    else:
+        assert result.returncode == 0, result.stderr
+        assert [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()] == [
+            {"key": "k1", "entity": "D\u00efsk", "action": "write", "status": "ok"}
+        ]
 
 
 @pytest.mark.parametrize(
@@ -930,18 +986,6 @@ JSONL_FAULTS = {
         lambda lines: UNMATCHED + "\n" + _with(lines[0], timestamp=0) + lines[1],
         "line 4: time_window mode requires a finite numeric timestamp",
     ),
-    # a finite JSON integer, but too large for a float: the window sweep could not add to it
-    "raw-timestamp-beyond-float-range": (
-        "ingest-by-time", "--logs", "raw.jsonl",
-        lambda lines: _with(lines[0], timestamp=0) + _with(lines[1], timestamp=10 ** 400),
-        "line 2: time_window mode requires a finite numeric timestamp",
-    ),
-    # as floats, the windows of 10 from -1.7e308 to 1.7e308 have no width, and the sweep never ended
-    "raw-timestamps-without-float-windows": (
-        "ingest-by-time", "--logs", "raw.jsonl",
-        lambda lines: _with(lines[0], timestamp=-1.7e308) + _with(lines[1], timestamp=1.7e308),
-        "line 1: time_window mode cannot represent windows of 10 every 10 at this timestamp in floating point",
-    ),
     "sequence-id-a-list": (
         "detect", "--test", "test.jsonl", lambda lines: "".join(lines[:2]) + _with(lines[2], sequence_id=["a"]),
         "line 3: field 'sequence_id' must be a string",
@@ -968,6 +1012,11 @@ JSONL_FAULTS = {
     "triple-not-json": (
         "build", "--triples", "triples.jsonl", lambda lines: lines[0] + "not json\n",
         "line 2: invalid JSON: Expecting value at column 1",
+    ),
+    # a tree row needs a non-empty key, so the tree written would fail `hierlog train`
+    "triple-key-empty": (
+        "build", "--triples", "triples.jsonl", lambda lines: lines[0] + _with(lines[1], key=""),
+        "line 2: field 'key' must be a non-empty string",
     ),
     "empty-report": (
         "evaluate", "--report", "report.jsonl", lambda lines: "",

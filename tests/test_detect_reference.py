@@ -207,21 +207,27 @@ def test_llm_detector_reports_equal_a_reference_with_two_dicts(data):
 
 
 def reference_train(sequences, tree, llm, provider, templates):
-    """`insert_train` over every Seq of `top_down_decompose`, summaries and embeddings bottom-up."""
-    kbs = KnowledgeBaseSet(llm=llm)
+    """`insert_train` over every new Seq of `top_down_decompose`, summaries and embeddings bottom-up.
+
+    A repeat is counted on its entry, found through the reference's own (level, signature) dict.
+    """
+    kbs, entries = KnowledgeBaseSet(llm=llm), {}
     for sequence in sequences:
         if not sequence.keys:
             continue
         for seq in top_down_decompose(sequence.keys, tree).all_seqs():
-            entry = kbs.train[seq.level].insert_train(seq)
-            if llm and entry.summary is None:
+            entry = entries.get((seq.level, seq.signature))
+            if entry is not None:
+                entry.occurrence_count += 1
+                continue
+            entry = entries[seq.level, seq.signature] = kbs.train[seq.level].insert_train(seq)
+            if llm:
                 if seq.level == STATUS:
                     texts = [templates.get(k, k) for k in seq.chunk]
                     entry.summary = summarize_status_seq(seq, texts, provider)
                 else:
-                    children = [kbs.train[c.level].entries[c.signature].summary for c in seq.children]
+                    children = [entries[c.level, c.signature].summary for c in seq.children]
                     entry.summary = summarize_parent_seq(seq, children, provider)
-            if llm and entry.embedding is None:
                 entry.embedding = embed_chunk(entry.example_chunk)
     return kbs
 

@@ -258,6 +258,14 @@ def test_lexicon_extractor():
     assert triples["k2"].status == "failed"
 
 
+def test_lexicon_extractor_ignores_punctuation_only_tokens():
+    # "..." stripped to an empty word, which became an empty entity, or hid a trailing status
+    cat = TemplateCatalog([LogTemplate("k1", "... connect started"), LogTemplate("k2", "Disk write ok .")])
+    triples = LexiconExtractor().extract(cat)
+    assert [(t.entity, t.action, t.status) for t in triples] == [("System", "connect", "started"),
+                                                                  ("Disk", "write", "ok")]
+
+
 def test_llm_extractor(toy_cat):
     provider = MockProvider(extract_map=TOY_FIXTURE)
     # mock routes on the KEY header of the extract prompt

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -604,20 +605,21 @@ def _oracle_sequences(records, keys, windows, prefix):
 
 
 def _windows_oracle(records, keys, size, stride):
-    """Reference time_window partition: window k starts at t0 + k * stride; one full scan per window.
+    """Reference time_window partition in exact rationals: window k is [t0 + k * stride, t0 + k * stride + size).
 
-    The arithmetic is the stamps' own: float for float stamps, exact for integer stamps and sizes.
+    Each window that can hold a stamp t gets one full scan: t's last window is
+    floor((t - t0) / stride), and a window more than ceil(size / stride) before
+    it ends before t. So a span beyond float range costs no more than a short one.
     """
-    t0 = min(records.timestamps)
-    t_last = max(records.timestamps)
+    stamps = [Fraction(t) for t in records.timestamps]
+    size, stride = Fraction(size), Fraction(stride)
+    t0, reach = min(stamps), math.ceil(size / stride)
     windows = []
-    k = 0
-    while t0 + k * stride <= t_last:
+    for k in sorted({k for t in stamps for k in range((t - t0) // stride - reach, (t - t0) // stride + 1) if k >= 0}):
         start = t0 + k * stride
-        window = [i for i, t in enumerate(records.timestamps) if start <= t < start + size]
+        window = [i for i, t in enumerate(stamps) if start <= t < start + size]
         if window:
             windows.append(window)
-        k += 1
     return _oracle_sequences(records, keys, windows, "t")
 
 
@@ -678,11 +680,13 @@ NS_EPOCH = 1_700_000_000_000_000_000  # a nanosecond-epoch stamp: 256 apart from
             min_size=1,
             max_size=40,
         ),
-        # integer stamps that a float cannot tell apart, checked against exact integer windows
+        # decimal stamps at 0.1 steps, where a float bound t0 + k * stride rounds across a stamp
+        st.lists(st.integers(min_value=-20, max_value=200).map(lambda i: i / 10), min_size=1, max_size=40),
+        # integer stamps that a float cannot tell apart
         st.lists(st.integers(min_value=-20, max_value=400).map(NS_EPOCH.__add__), min_size=1, max_size=40),
     ),
     labels=st.lists(st.one_of(st.none(), st.booleans()), min_size=40, max_size=40),
-    size=st.sampled_from([0.5, 1.0, 2.5, 7.0, 30.0]),
+    size=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0, 2.5, 7.0, 30.0]),
     stride_frac=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
     matched=st.lists(st.booleans(), min_size=40, max_size=40),
 )
@@ -690,12 +694,9 @@ def test_time_window_sweep_matches_scan_oracle(stamps, labels, size, stride_frac
     rows = [{"message": "x", "timestamp": t, "label": l} for t, l in zip(stamps, labels)]
     kept = [i for i in range(len(rows)) if matched[i]] or [0]  # the rows whose message matched a template
     keys = [f"k{1 + i % 6}" for i in range(len(rows))]
-    stride = size * stride_frac
-    if type(stamps[0]) is int:  # whole sizes for integer stamps, held as floats as `parse_partition_spec` gives them
-        size, stride = math.ceil(size), max(1, round(size * stride_frac))
-    spec = PartitionSpec("time_window", window_size=float(size), stride=float(stride))
+    spec = PartitionSpec("time_window", window_size=size, stride=size * stride_frac)
     got = partition(_columns(rows), kept, [keys[i] for i in kept], spec)
-    want = _windows_oracle(_columns([rows[i] for i in kept]), [keys[i] for i in kept], size, stride)
+    want = _windows_oracle(_columns([rows[i] for i in kept]), [keys[i] for i in kept], spec.window_size, spec.stride)
     assert [(s.id, s.keys, s.label) for s in got] == [(s.id, s.keys, s.label) for s in want]
 
 
@@ -709,24 +710,27 @@ def test_integer_stamps_with_a_whole_window_get_exact_windows():
 
 
 @pytest.mark.parametrize(
-    "stamps, spec, record",
+    "stamps, spec, want",
     [
-        # the span is beyond float range: the sweep never ended
-        ((-1.7e308, 1.7e308), "time:10", 0),
-        # a window of 1 has no width at 1e17, where floats are 16 apart
-        ((0.0, 1e17), "time:1", 1),
-        # an integer stamp with a fractional size takes float windows, 256 apart at 1.7e18
-        ((NS_EPOCH, NS_EPOCH + 5), "time:0.5", 1),
-        # 0.1 + 2 * 0.2 + 0.2 rounds to 0.7 and 0.1 + 3 * 0.2 to 0.7000000000000001:
-        # 0.7 lies between windows 2 and 3 and was dropped
-        ((0.1, 0.3, 0.7), "time:0.2", 2),
+        # the span is beyond float range: the float sweep never ended
+        ((-1.7e308, 1.7e308), "time:10", [["k1"], ["k2"]]),
+        # a window of 1 has no float width at 1e17, where floats are 16 apart
+        ((0.0, 1e17), "time:1", [["k1"], ["k2"]]),
+        # an integer stamp with a fractional size: floats are 256 apart at 1.7e18
+        ((NS_EPOCH, NS_EPOCH + 5), "time:0.5", [["k1"], ["k2"]]),
+        # 0.1 + 2 * 0.2 + 0.2 rounds to 0.7 and 0.1 + 3 * 0.2 to 0.7000000000000001, so in floats
+        # 0.7 lay between windows 2 and 3; exactly, window 2 ends just above it
+        ((0.1, 0.3, 0.7), "time:0.2", [["k1", "k2"], ["k3"]]),
     ],
     ids=["span-beyond-float-range", "window-without-width", "integer-stamp-fractional-size", "between-two-windows"],
 )
-def test_time_window_raises_where_a_float_window_cannot_hold_a_stamp(stamps, spec, record):
+def test_time_window_places_stamps_float_bounds_lost(stamps, spec, want):
     records = _columns([{"message": "x", "timestamp": t} for t in stamps])
-    with pytest.raises(PartitionError, match=f"^record {record}: time_window mode cannot"):
-        _partition(records, [f"k{i + 1}" for i in range(len(stamps))], parse_partition_spec(spec))
+    keys, spec = [f"k{i + 1}" for i in range(len(stamps))], parse_partition_spec(spec)
+    seqs = _partition(records, keys, spec)
+    assert [s.keys for s in seqs] == want
+    oracle = _windows_oracle(records, keys, spec.window_size, spec.stride)
+    assert [(s.id, s.keys) for s in seqs] == [(s.id, s.keys) for s in oracle]
 
 
 # -- the column reader against the line reader it replaced ----------------------

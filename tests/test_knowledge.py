@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -46,10 +47,10 @@ def entity_seq(toy_tree, keys):
 def test_insert_counts_occurrences(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    kb.insert_train(seq)
-    kb.insert_train(seq)
-    entry = kb.entries[seq.signature]
-    assert entry.occurrence_count == 2
+    entry = kb.insert_train(seq)
+    assert entry.occurrence_count == 1
+    entry.occurrence_count += 1  # a repeat is counted on the entry, as `train` counts it
+    assert kb.entries[seq.signature].occurrence_count == 2
     assert entry.example_chunk == TOY_KEYS
     assert kb.contains(seq.signature)
     assert not kb.contains("root|Nothing")
@@ -231,9 +232,8 @@ def test_retrieve_tie_break_by_count_then_signature(toy_tree):
     a = entity_seq(toy_tree, ["k1", "k3"])  # Session > Auth
     b = entity_seq(toy_tree, ["k3", "k1"])  # Auth > Session, distinct signature
     kb.insert_train(a).embedding = sparse_vector({0: 1.0})
-    kb.insert_train(b)
-    kb.insert_train(b)
-    kb.entries[b.signature].embedding = sparse_vector({0: 1.0})
+    entry = kb.insert_train(b)
+    entry.occurrence_count, entry.embedding = 2, sparse_vector({0: 1.0})
     # identical cosine: higher occurrence count (b has 2) wins
     got = kb.retrieve_similar("root", sparse_vector({0: 1.0}), 2)
     assert got[0].occurrence_count == 2
@@ -279,12 +279,13 @@ def _oracle(kb, parent, query, m):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_retrieve_similar_matches_brute_force_oracle(data):
-    kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
+    kb, counts = KnowledgeBase(level=ENTITY, role="train", llm=True), Counter()
 
     def insert(parent, nodes):
         seq = Seq(ENTITY, parent, nodes, nodes, ">".join(parent), {n: n for n in nodes})
-        for _ in range(data.draw(st.integers(1, 3), label="count")):
-            entry = kb.insert_train(seq)
+        counts[seq.signature] += data.draw(st.integers(1, 3), label="count")
+        entry = kb.insert_train(seq)
+        entry.occurrence_count = counts[seq.signature]
         return entry
 
     node_lists = st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3)
@@ -316,9 +317,8 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
 
 def _sibling(kb, name, embedding, count=1, parent=("root",)):
     seq = Seq(ENTITY, parent, [name], [name], ">".join(parent), {name: name})
-    for _ in range(count):
-        entry = kb.insert_train(seq)
-    entry.embedding = embedding
+    entry = kb.insert_train(seq)
+    entry.occurrence_count, entry.embedding = count, embedding
     return entry
 
 
@@ -387,7 +387,7 @@ def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
     assert ranked() == ["P", "N"]
     _sibling(kb, "Q", sparse_vector({0: 1.0}))  # a new sibling ties with P
     assert ranked() == ["P", "Q", "N"]
-    _sibling(kb, "Q", sparse_vector({0: 1.0}))  # a repeat moves Q ahead in the tie order
+    _sibling(kb, "Q", sparse_vector({0: 1.0}), count=2)  # inserted again with a higher count, Q moves ahead
     assert ranked() == ["Q", "P", "N"]
     p.embedding = sparse_vector({0: -2.0})  # replaced in place, with no insert
     assert ranked() == ["Q", "N", "P"]
