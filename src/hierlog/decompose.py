@@ -8,10 +8,10 @@ status transition survives.
 
 `scan_runs` finds the runs of all three levels in one pass over the keys.
 A run is the start and end of its key chunk and its node names. The
-detector and training key each run by `pattern_keys` or `chunk_keys` and
-build the `Seq` of a run (`run_seq`) only for a key they have not seen;
-an LLM summary finds a run's children among the next level's runs.
-`top_down_decompose` builds every `Seq`, children linked.
+detector and training key each run by its pattern (`pattern_keys`), as the
+train KBs are keyed, and build its `Seq` (`run_seq`) only for the LLM path
+or a new train entry; an LLM summary finds a run's children among the next
+level's runs. `top_down_decompose` builds every `Seq`, children linked.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import DecompositionError
-from .hierarchy import ACTION, ENTITY, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, TopicTree
+from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, ROOT, STATUS, TopicTree, signature
 
 Run = tuple[int, int, list[str]]  # the start and end of its key chunk, and its node names
 
@@ -34,21 +34,16 @@ class Seq:
     parent_path: tuple[str, ...]  # node names, root first
     nodes: list[str]  # node names at `level`
     chunk: list[str]  # flat log keys covered
-    parent_key: str  # escaped parent path: the signature's prefix and the transition-index key
-    escaped: dict[str, str] = field(repr=False, compare=False)  # the tree's name -> escaped name
     children: Optional[list["Seq"]] = None  # linked by `top_down_decompose` above status level; None from `run_seq`
-    # built on first read, so decomposing alone costs no more and early exit
-    # leaves the unread higher-level signatures unbuilt
-    _signature: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def pattern(self) -> tuple[str, ...]:
+        """The train KBs' key: the parent path's names below the root, then the node names."""
+        return (*self.parent_path[1:], *self.nodes)
 
     @property
     def signature(self) -> str:
-        """Canonical KB key, injective over (parent path names, node names), built once."""
-        sig = self._signature
-        if sig is None:
-            nodes = SIG_NODE_SEP.join(map(self.escaped.__getitem__, self.nodes))
-            sig = self._signature = self.parent_key + SIG_PARENT_SEP + nodes
-        return sig
+        return signature(self.parent_path, self.nodes)
 
 
 @dataclass
@@ -102,33 +97,20 @@ def scan_runs(keys: list[str], tree: TopicTree) -> dict[str, list[Run]]:
 
 
 def pattern_keys(level: str, keys: list[str], runs: list[Run], tree: TopicTree) -> list[tuple[str, ...]]:
-    """Each run's pattern: a tuple injective over (parent path names, node names), as a signature is.
-
-    A status run's keys (one key per path), an action run's entity and
-    action names, the entity run's entity names.
-    """
-    if level == STATUS:
-        return chunk_keys(keys, runs)
+    """Each run's pattern, as `Seq.pattern` gives it: the names of its first key's parent path, then its own."""
+    if level == ENTITY:
+        return [tuple(names) for _, _, names in runs]
+    parents = tree.key_parents  # each key's (entity, action)
     if level == ACTION:
-        key_names = tree.key_names
-        return [(key_names[keys[start]][0], *names) for start, _, names in runs]
-    return [tuple(names) for _, _, names in runs]
-
-
-def chunk_keys(keys: list[str], runs: list[Run]) -> list[tuple[str, ...]]:
-    """Each run's key chunk, as a tuple."""
-    return [tuple(keys[start:end]) for start, end, _ in runs]
+        return [(parents[keys[start]][0], *names) for start, _, names in runs]
+    return [parents[keys[start]] + tuple(names) for start, _, names in runs]
 
 
 def run_seq(level: str, keys: list[str], run: Run, tree: TopicTree) -> Seq:
     """The `Seq` of one run of `scan_runs(keys, tree)[level]`, without children."""
     start, end, names = run
-    if level == ENTITY:
-        return Seq(ENTITY, tree.root_path, names, keys[start:end], tree.root_prefix, tree.escaped)
-    depth = 0 if level == ACTION else 1
-    first = keys[start]
-    path, prefix = tree.key_paths[first][depth], tree.key_prefixes[first][depth]
-    return Seq(level, path, names, keys[start:end], prefix, tree.escaped)
+    path = (ROOT,) if level == ENTITY else tree.key_paths[keys[start]][PARENT_DEPTH[level] - 1]
+    return Seq(level, path, names, keys[start:end])
 
 
 def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionResult:

@@ -1,16 +1,14 @@
 """Hybrid per-sub-sequence detection with bottom-up execution.
 
 Each sub-sequence is checked by the configured symbolic detector (exact
-signature matching or a transition automaton). Only a pattern it rejects
-goes to the LLM, with retrieved sibling examples, and a decided LLM
-verdict is cached per chunk in the test KB of its level, so a repeated
-pattern costs one provider round. Within a `Detector`, every decided
-verdict is also kept per level in a dict, keyed by what it is a function
-of: the pattern with the LLM off, the chunk with it on. A run whose key is
-there skips its `Seq`, its signature, its probe and the LLM routing, so
-this never changes a report. Verdicts aggregate bottom-up per sequence
-with optional early exit. A report is a function of its key list and is
-memoised by it (`Detector.detect_sequence`).
+pattern matching or a transition automaton): one probe of its level's
+train KB with the run's pattern, the key of the KB. Only a pattern it
+rejects goes to the LLM, with retrieved sibling examples, and a decided
+LLM verdict is cached per chunk in the test KB of its level, so a repeated
+chunk costs one provider round. A verdict holds its level and pattern; its
+signature is built only where it is written. Verdicts aggregate bottom-up
+per sequence with optional early exit. A report is a function of its key
+list and is memoised by it (`Detector.detect_sequence`).
 """
 
 from __future__ import annotations
@@ -20,10 +18,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .decompose import Run, Seq, chunk_keys, pattern_keys, run_seq, scan_runs
+from .decompose import Run, Seq, pattern_keys, run_seq, scan_runs
 from .decompose import top_down_decompose  # noqa: F401; bench/layers.py wraps it under this name
 from .errors import DecompositionError, ProviderError
-from .hierarchy import ACTION, ENTITY, STATUS, TopicTree
+from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, ROOT, STATUS, TopicTree, signature
 from .ingest import LogSequence
 from .knowledge import KnowledgeBase, KnowledgeBaseSet, TestEntry, chunk_key
 from .semantics import (
@@ -92,12 +90,17 @@ class DetectConfig:
 
 @dataclass(slots=True)
 class SeqVerdict:
-    signature: str
     level: str
+    pattern: tuple[str, ...]  # as `Seq.pattern` gives it
     verdict: str  # normal | abnormal
     source: str  # pattern_match | automaton | llm
     explanation: Optional[str] = None
     confidence_flag: str = "normal"  # normal | low
+
+    @property
+    def signature(self) -> str:
+        depth = PARENT_DEPTH[self.level]
+        return signature((ROOT, *self.pattern[:depth]), self.pattern[depth:])
 
 
 @dataclass(slots=True)
@@ -118,20 +121,17 @@ class SequenceReport:
     error: Optional[str] = None
 
 
-def detect_local_exact(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
-    """Normal iff the signature was observed in training."""
-    signature = seq.signature
-    verdict = VERDICT_NORMAL if train_kb.contains(signature) else VERDICT_ABNORMAL
-    return SeqVerdict(signature, seq.level, verdict, "pattern_match")
+def local_verdict(kind: str, train_kb: KnowledgeBase, pattern: tuple[str, ...], nodes: Sequence[str]) -> SeqVerdict:
+    """Normal iff the train KB holds the pattern (exact) or each adjacent pair of its last names `nodes` (automaton)."""
+    if kind == EXACT:
+        normal, source = train_kb.contains(pattern), "pattern_match"
+    else:
+        normal, source = train_kb.accepts_transitions(pattern[:len(pattern) - len(nodes)], nodes), "automaton"
+    return SeqVerdict(train_kb.level, pattern, VERDICT_NORMAL if normal else VERDICT_ABNORMAL, source)
 
 
-def detect_local_automaton(seq: Seq, train_kb: KnowledgeBase) -> SeqVerdict:
-    """Normal iff every adjacent node pair (with start/end marks) was trained."""
-    verdict = VERDICT_NORMAL if train_kb.accepts_transitions(seq.parent_key, seq.nodes) else VERDICT_ABNORMAL
-    return SeqVerdict(seq.signature, seq.level, verdict, "automaton")
-
-
-LOCAL_DETECTORS = {EXACT: detect_local_exact, AUTOMATON: detect_local_automaton}
+# the check of one `Seq`, as the detector makes it of a run's pattern
+LOCAL_DETECTORS = {k: lambda seq, kb, k=k: local_verdict(k, kb, seq.pattern, seq.nodes) for k in (EXACT, AUTOMATON)}
 
 
 def _bounded_put(cache: dict, key, value, bound: int) -> None:
@@ -156,16 +156,16 @@ class Detector:
     `llm_calls` (detection rounds) and `memo_hits`/`memo_misses` are run
     history, kept out of reports.
 
-    Below the memo, `_detect` scans the runs of every level and keeps the
-    decided verdict of each run in a plain dict per enabled level
-    (`VERDICT_CACHE_SIZE` entries, emptied when full), so reports share
-    `SeqVerdict` objects. With the LLM off a verdict is a function of the
-    pattern (`pattern_keys`): the parent path and node names that its
-    signature encodes. With the LLM on it is keyed by the chunk, which the
-    summaries, the retrieval query and the LLM cache read. Only a miss
-    builds the run's `Seq`; past the LLM cache only a summary miss
-    builds a child's. A verdict made under a provider error is not kept.
-    `verdict_hits`/`verdict_misses` count lookups per level for the logs.
+    Below the memo, `_detect` keeps per enabled level the symbolic verdict
+    of each pattern (`pattern_keys`): a miss makes one probe from the run's
+    names and builds no `Seq`. With the LLM on, a run that check rejects is
+    judged by its chunk, which the summaries, the retrieval query and the
+    LLM cache read, and its decided verdict is kept per level and chunk;
+    only a miss there builds the run's `Seq`, and past the LLM cache only a
+    summary miss builds a child's. A verdict made under a provider error is
+    not kept. Each dict is emptied at `VERDICT_CACHE_SIZE` entries, and
+    reports share `SeqVerdict` objects. `verdict_hits` counts per level the
+    runs whose verdict the dicts held, `verdict_misses` the rest.
     """
 
     def __init__(
@@ -183,16 +183,16 @@ class Detector:
         self.config = config
         self.provider = provider
         self.templates = templates or {}
-        # pattern (chunk with the LLM on) -> decided verdict, per enabled level
-        self._verdicts: dict[str, dict[tuple[str, ...], SeqVerdict]] = {}
-        # the enabled levels bottom-up with their checks and verdict dicts; set-up builds an automaton's index
-        self._levels = []
+        # the enabled levels bottom-up, their checks and pattern -> symbolic verdict dicts; builds automaton indexes
+        self._levels: list[tuple[str, str, dict[tuple[str, ...], SeqVerdict]]] = []
         for level in LEVEL_ORDER:
             if level in config.levels_enabled:
                 kind = config.detector_per_level[level]
                 if kind == AUTOMATON:
                     kbs.train[level].transition_index()
-                self._levels.append((level, LOCAL_DETECTORS[kind], self._verdicts.setdefault(level, {})))
+                self._levels.append((level, kind, {}))
+        # chunk -> decided LLM verdict, and chunk -> summary, per level
+        self._llm_verdicts: dict[str, dict[tuple[str, ...], SeqVerdict]] = {level: {} for level in LEVEL_ORDER}
         self._summary_cache: dict[str, dict[tuple[str, ...], str]] = {level: {} for level in LEVEL_ORDER}
         self._memo: dict[tuple[str, ...], SequenceReport] = {}
         self.llm_calls = 0
@@ -203,17 +203,22 @@ class Detector:
 
     # -- single sub-sequence --------------------------------------------------
 
-    def _llm_verdict(self, seq: Seq, keys: list[str], runs: dict[str, list[Run]], run: Run,
-                     counters: Counters) -> SeqVerdict:
-        """The LLM verdict on `seq`, the rejected `Seq` of `run`: cached, or on a miss from summaries and examples."""
-        cache = self.kbs.test[seq.level]
+    def _llm_verdict(self, level: str, pattern: tuple[str, ...], keys: list[str], runs: dict[str, list[Run]],
+                     run: Run, counters: Counters) -> tuple[SeqVerdict, bool]:
+        """The LLM verdict on rejected `run`, and whether it was kept: kept by chunk, cached, or from summaries."""
+        chunk = tuple(keys[run[0]:run[1]])
+        verdict = self._llm_verdicts[level].get(chunk)
+        if verdict is not None:
+            return verdict, True
+        seq = run_seq(level, keys, run, self.tree)
+        cache = self.kbs.test[level]
         ck = chunk_key(seq.chunk)
         entry = cache.lookup_test(ck)
         if entry is None:
             try:
-                summary = self._summary_for(seq.level, keys, runs, run, seq)
+                summary = self._summary_for(level, keys, runs, run, seq)
                 query = embed_chunk(seq.chunk)
-                examples = self.kbs.train[seq.level].retrieve_similar(seq.parent_key, query, self.config.m)
+                examples = self.kbs.train[level].retrieve_similar(seq.parent_path[1:], query, self.config.m)
                 example_summaries = [e.summary for e in examples if e.summary]
                 prompt = DetectionPrompt(">".join(seq.nodes), summary, example_summaries, parent_context(seq))
                 self.llm_calls += 1
@@ -222,10 +227,12 @@ class Detector:
                 counters.provider_errors += 1
                 log.warning("provider error for %s: %s", seq.signature, exc)
                 explanation = f"undecided: provider error ({exc})"
-                return SeqVerdict(seq.signature, seq.level, VERDICT_ABNORMAL, "llm", explanation, "low")
+                return SeqVerdict(level, pattern, VERDICT_ABNORMAL, "llm", explanation, "low"), False
             entry = TestEntry(ck, answer, explanation, "low" if low else "normal")
             cache.store_test(entry)
-        return SeqVerdict(seq.signature, seq.level, entry.verdict, "llm", entry.explanation, entry.confidence_flag)
+        verdict = SeqVerdict(level, pattern, entry.verdict, "llm", entry.explanation, entry.confidence_flag)
+        _bounded_put(self._llm_verdicts[level], chunk, verdict, VERDICT_CACHE_SIZE)
+        return verdict, False
 
     def _summary_for(self, level: str, keys: list[str], runs: dict[str, list[Run]], run: Run,
                      seq: Optional[Seq] = None) -> str:
@@ -242,7 +249,7 @@ class Detector:
         if seq is None:
             seq = run_seq(level, keys, run, self.tree)
         # reuse training summaries when the same pattern+chunk was summarized
-        train_entry = self.kbs.train[level].entries.get(seq.signature)
+        train_entry = self.kbs.train[level].entries.get(seq.pattern)
         if train_entry is not None and train_entry.summary and train_entry.example_chunk == seq.chunk:
             summary = train_entry.summary
         elif level == STATUS:
@@ -297,21 +304,20 @@ class Detector:
         evals, level_keys = counters.evals_per_level, counters.keys_per_level
         llm_enabled, early_exit = self.config.llm_enabled, self.config.early_exit
         hits, misses = self.verdict_hits, self.verdict_misses
-        for level, local, cache in self._levels:
+        for level, kind, cache in self._levels:
             train_kb = self.kbs.train[level]
             level_runs = runs[level]
-            run_keys = chunk_keys(keys, level_runs) if llm_enabled else pattern_keys(level, keys, level_runs, tree)
-            for key, run in zip(run_keys, level_runs):
-                verdict = cache.get(key)
+            for pattern, run in zip(pattern_keys(level, keys, level_runs, tree), level_runs):
+                verdict = cache.get(pattern)
                 if verdict is None:
                     misses[level] += 1
-                    seq = run_seq(level, keys, run, tree)
-                    errors = counters.provider_errors
-                    verdict = local(seq, train_kb)
-                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
-                        verdict = self._llm_verdict(seq, keys, runs, run, counters)
-                    if counters.provider_errors == errors:  # undecided verdicts are asked again
-                        _bounded_put(cache, key, verdict, VERDICT_CACHE_SIZE)
+                    verdict = local_verdict(kind, train_kb, pattern, run[2])
+                    _bounded_put(cache, pattern, verdict, VERDICT_CACHE_SIZE)
+                    if llm_enabled and verdict.verdict == VERDICT_ABNORMAL:  # judged by its chunk
+                        verdict = self._llm_verdict(level, pattern, keys, runs, run, counters)[0]
+                elif llm_enabled and verdict.verdict == VERDICT_ABNORMAL:
+                    verdict, kept = self._llm_verdict(level, pattern, keys, runs, run, counters)
+                    (hits if kept else misses)[level] += 1
                 else:
                     hits[level] += 1
                 verdicts.append(verdict)
@@ -350,7 +356,6 @@ def train(
         raise ValueError("llm_enabled training requires a provider for summaries")
     templates = templates or {}
     kbs = KnowledgeBaseSet(llm=config.llm_enabled)
-    entries_by_level = {level: {} for level in LEVEL_ORDER}  # pattern -> its entry, per level
     for sequence in sequences:
         if sequence.label is True:
             raise ValueError(f"training sequence {sequence.id} is labeled abnormal (one-class setting)")
@@ -363,8 +368,8 @@ def train(
             raise DecompositionError(f"training sequence {sequence.id}: {exc}") from exc
         below, below_entries = [], {}  # the level below: its patterns in run order, and its entries
         for level in LEVEL_ORDER:
-            entries, level_runs = entries_by_level[level], runs[level]
-            patterns = pattern_keys(level, keys, level_runs, tree)
+            kb, level_runs = kbs.train[level], runs[level]
+            entries, patterns = kb.entries, pattern_keys(level, keys, level_runs, tree)
             first_child = 0
             for pattern, run in zip(patterns, level_runs):
                 entry = entries.get(pattern)
@@ -372,7 +377,7 @@ def train(
                     entry.occurrence_count += 1
                 else:
                     seq = run_seq(level, keys, run, tree)
-                    entry = entries[pattern] = kbs.train[level].insert_train(seq)
+                    entry = kb.insert_train(seq)
                     if config.llm_enabled:
                         if level == STATUS:
                             texts = [templates.get(k, k) for k in seq.chunk]

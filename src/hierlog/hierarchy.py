@@ -8,13 +8,13 @@ to exactly one template key.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ConfigError, DuplicateKeyError, ExtractionError, LineParseError, ProviderError, TreeError
 from .ingest import WILDCARD, TemplateCatalog, _text_lines, read_jsonl
@@ -28,15 +28,24 @@ ACTION = "action"
 STATUS = "status"
 LEVELS = (ENTITY, ACTION, STATUS)
 
+# a pattern is a run's parent path names below the root, this many per level, then its node names
+PARENT_DEPTH = {ENTITY: 0, ACTION: 1, STATUS: 2}
+
 # Signature encoding: escaped parent path names joined by ">", then "|",
 # then the escaped node names joined by ">".
 SIG_PARENT_SEP = "|"
 SIG_NODE_SEP = ">"
 
 
+@functools.lru_cache(maxsize=1 << 16)  # a report writes the few names of its tree thousands of times
 def escape_name(name: str) -> str:
     """A node name with the signature separators and the escape char escaped."""
     return name.replace("\\", "\\\\").replace("|", "\\|").replace(">", "\\>")
+
+
+def signature(path: Sequence[str], nodes: Sequence[str]) -> str:
+    """A pattern's text in reports and logs, injective over (parent path names, node names)."""
+    return SIG_NODE_SEP.join(map(escape_name, path)) + SIG_PARENT_SEP + SIG_NODE_SEP.join(map(escape_name, nodes))
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,6 @@ class TopicTree:
         self.key_names = {key: tuple(map(sys.intern, names)) for key, names in key_names.items()}
         # precomputed parent paths per key: (root, entity) / (root, entity, action)
         self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        self.root_path: tuple[str, ...] = (ROOT,)
-        self.root_prefix = escape_name(ROOT)
         e_paths: dict[str, tuple[str, ...]] = {}
         a_paths: dict[tuple[str, str], tuple[str, ...]] = {}
         for key, (entity, action, _) in self.key_names.items():
@@ -79,13 +86,7 @@ class TopicTree:
             a_path = a_paths.setdefault((entity, action), e_path + (action,))
             self.key_paths[key] = (e_path, a_path)
         self.node_counts = {ENTITY: len(e_paths), ACTION: len(a_paths), STATUS: len(self.key_names)}
-        # the signature encoding, built once: node name -> escaped name, and the
-        # parent paths as escaped names joined by SIG_NODE_SEP (Seq.parent_key)
-        self.escaped = {name: escape_name(name) for name in set(chain.from_iterable(self.key_names.values()))}
-        prefix = {path: SIG_NODE_SEP.join(map(escape_name, path)) for path in chain(e_paths.values(), a_paths.values())}
-        self.key_prefixes: dict[str, tuple[str, ...]] = {
-            key: (prefix[e_path], prefix[a_path]) for key, (e_path, a_path) in self.key_paths.items()
-        }
+        self.key_parents = {key: names[:2] for key, names in self.key_names.items()}  # a status pattern's first names
 
     def __len__(self) -> int:
         """The node count, the root included."""

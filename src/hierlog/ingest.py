@@ -16,7 +16,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DuplicateKeyError, LineParseError, PartitionError
+from .errors import LineParseError, PartitionError
 
 WILDCARD = "<*>"
 
@@ -82,15 +82,7 @@ class TemplateCatalog:
     """Immutable key -> template mapping with position-wise matching."""
 
     def __init__(self, templates: Iterable[LogTemplate]):
-        self._by_key: dict[str, LogTemplate] = {}
-        for t in templates:
-            if t.key in self._by_key:
-                raise DuplicateKeyError(t.key)
-            if not t.key:
-                raise ValueError(f"template {t.text!r} has an empty key")
-            if not t.text.strip():
-                raise ValueError(f"template {t.key!r} has empty text")
-            self._by_key[t.key] = t
+        self._by_key = {t.key: t for t in templates}  # `load_template_catalog` checks each key and text
         self._tries: Optional[dict[int, list]] = None  # built on the first match
 
     def __len__(self) -> int:
@@ -144,16 +136,29 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
     """Load a catalog from a delimited file with columns (key, template).
 
     Accepts CSV (with or without a header row) and JSON lines with
-    ``key``/``template`` fields. Duplicate keys are rejected.
+    ``key``/``template`` fields. An empty key, empty text or a repeated key
+    raises `LineParseError` naming its line.
     """
     path = Path(path)
     templates: list[LogTemplate] = []
+    first_line: dict[str, int] = {}  # key -> the line that gave it
+
+    def add(lineno: int, key: str, text: str) -> None:
+        if not key:
+            raise LineParseError(path, lineno, f"template {text!r} has an empty key")
+        if not text.strip():
+            raise LineParseError(path, lineno, f"template {key!r} has empty text")
+        if key in first_line:
+            raise LineParseError(path, lineno, f"duplicate template key {key!r}, first at line {first_line[key]}")
+        first_line[key] = lineno
+        templates.append(LogTemplate(key, text))
+
     if path.suffix in (".jsonl", ".ndjson"):
         for lineno, row in read_jsonl(path, ("key", "template")):
             for name in ("key", "template"):
                 if not isinstance(row[name], str):
                     raise LineParseError(path, lineno, f"field {name!r} must be a string")
-            templates.append(LogTemplate(row["key"], row["template"]))
+            add(lineno, row["key"], row["template"])
     else:
         reader = csv.reader(line for _, line in _text_lines(path, newline=""))
         for n, row in enumerate(reader):
@@ -163,7 +168,7 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
                 continue
             if len(row) < 2:  # line_num counts lines, and a quoted field may span several
                 raise LineParseError(path, reader.line_num, "expected columns (key, template)")
-            templates.append(LogTemplate(row[0].strip(), row[1].strip()))
+            add(reader.line_num, row[0].strip(), row[1].strip())
     return TemplateCatalog(templates)
 
 

@@ -1,24 +1,24 @@
 """Per-level knowledge bases for training patterns and the LLM verdict cache.
 
-Training KBs store deduplicated normal sub-sequences, keyed by signature,
-with occurrence counts; their grouping by parent, the automaton's
-transition index and the retrieval columns are derived on first use. With
-the LLM path on, each entry also holds an example chunk, a summary and a
-sparse embedding. Test KBs cache decided LLM verdicts per chunk, so a
-repeated pattern that the symbolic detector rejects never re-queries the
-provider. Symbolic verdicts are not stored here: they are a function of
-the train KBs, so a `Detector` keeps them only in memory, per pattern
-(per chunk with the LLM on), for its own life.
+Training KBs store deduplicated normal sub-sequences with occurrence
+counts, keyed by pattern (`Seq.pattern`: the parent path's names below the
+root, then the node names). Their grouping by parent, which a load fills,
+the automaton's transition index and the retrieval columns are derived on
+first use. With the LLM path on, each entry also holds an example chunk, a
+summary and a sparse embedding. Test KBs cache decided LLM verdicts per
+chunk, so a repeated chunk that the symbolic detector rejects never
+re-queries the provider. Symbolic verdicts are a function of the train
+KBs, so a `Detector` keeps them only in memory.
 
 A train file persists only what cannot be derived. Its entries are grouped
-by parent path, ``"groups": [[parent_path, rows], ...]``, in the order of
-the escaped parent path and, within a group, of the signature. A row is
+by parent path, ``"groups": [[parent_path, rows], ...]``, in signature
+order, each distinct name escaped once per save. A row is
 ``[nodes, occurrence_count]``; in a KB trained with the LLM on, which the
 header's ``"llm"`` flag records, it is ``[nodes, occurrence_count,
 example_chunk, summary, embedding]``, the embedding as its ``[[index,
-value], ...]`` non-zeros. Loading rebuilds each signature from the rows,
-interning every name on the way, and checks every field of every row and
-every name; a fault raises `FormatError` naming the group and the row.
+value], ...]`` non-zeros. Loading checks every field of every row and
+every name and interns every name; a fault raises `FormatError` naming
+the group and the row.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from operator import add, attrgetter, itemgetter, lt, mul, truediv
+from operator import add, itemgetter, lt, mul, truediv
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .decompose import Seq
 from .errors import FormatError, KnowledgeBaseError
-from .hierarchy import ACTION, ENTITY, LEVELS, SIG_NODE_SEP, SIG_PARENT_SEP, STATUS, escape_name
+from .hierarchy import LEVELS, PARENT_DEPTH, ROOT, SIG_NODE_SEP, escape_name, signature
 from .semantics import EMBED_DIM, SparseVector, sparse_vector
 
 KB_FORMAT_VERSION = 4
@@ -57,14 +57,17 @@ def chunk_key(chunk: Sequence[str]) -> str:
 
 @dataclass(slots=True)
 class TrainEntry:
-    signature: str
+    pattern: tuple[str, ...]  # its key in the KB's entries
     parent_path: list[str]
-    parent_key: str  # escaped parent path (Seq.parent_key), the signature's prefix
     nodes: list[str]
     example_chunk: Optional[list[str]]  # None when loaded from a KB trained with the LLM off
     occurrence_count: int = 1
     summary: Optional[str] = None
     embedding: Optional[SparseVector] = None
+
+    @property
+    def signature(self) -> str:
+        return signature(self.parent_path, self.nodes)
 
 
 @dataclass
@@ -87,61 +90,53 @@ class KnowledgeBase:
     llm: bool = False
 
     def __post_init__(self):
-        # Derived from the entries on first use, never persisted and dropped by
-        # every insert: per escaped parent path (Seq.parent_key), the entries in
-        # insertion order, the pairs of the transition index, and the columns
-        # that rank the entries, built at the parent's first retrieval query.
-        self._groups: Optional[dict[str, list[TrainEntry]]] = None
-        self._transitions: Optional[dict[str, set[tuple[str, str]]]] = None
-        self._columns: dict[str, _SiblingColumns] = {}
+        # Never persisted: per parent (a pattern's first PARENT_DEPTH names), the entries, kept by every
+        # insert and load; the pairs of the transition index; and the columns that rank a parent's entries,
+        # built at its first retrieval query. An insert drops the index and its parent's columns.
+        self._groups: dict[tuple[str, ...], list[TrainEntry]] = {}
+        self._transitions: Optional[dict[tuple[str, ...], set[tuple[str, str]]]] = None
+        self._columns: dict[tuple[str, ...], Optional[_SiblingColumns]] = {}
 
     # -- training side ------------------------------------------------------
 
     def insert_train(self, seq: Seq) -> TrainEntry:
         """Create the entry of a new normal sub-sequence, count 1; the caller counts repeats, as `train` does."""
         self._require(role="train", level=seq.level)
-        chunk = list(seq.chunk) if self.llm else None
-        entry = self.entries[seq.signature] = TrainEntry(
-            seq.signature, list(seq.parent_path), seq.parent_key, list(seq.nodes), chunk
-        )
-        self._groups = self._transitions = None
+        pattern, parent, chunk = seq.pattern, seq.parent_path[1:], list(seq.chunk) if self.llm else None
+        group = self._groups.setdefault(parent, [])
+        if pattern in self.entries:  # a re-insert replaces the entry
+            group.remove(self.entries[pattern])
+        entry = self.entries[pattern] = TrainEntry(pattern, list(seq.parent_path), list(seq.nodes), chunk)
+        group.append(entry)
+        self._transitions = self._columns[parent] = None
         return entry
 
-    def contains(self, signature: str) -> bool:
-        return signature in self.entries
+    def contains(self, pattern: tuple[str, ...]) -> bool:
+        return pattern in self.entries
 
-    def _by_parent(self) -> dict[str, list[TrainEntry]]:
-        """The entries grouped by escaped parent path, each group in insertion order."""
-        if self._groups is None:
-            self._require(role="train")
-            self._groups, self._columns = {}, {}
-            for entry in self.entries.values():
-                self._groups.setdefault(entry.parent_key, []).append(entry)
-        return self._groups
-
-    def transition_index(self) -> dict[str, set[tuple[str, str]]]:
-        """Escaped parent path -> the adjacent node-name pairs of its entries, start and end marks included."""
+    def transition_index(self) -> dict[tuple[str, ...], set[tuple[str, str]]]:
+        """Parent names -> the adjacent node-name pairs of its entries, start and end marks included."""
         if self._transitions is None:
             self._transitions = {
-                parent_key: set(chain.from_iterable(zip([START_MARK, *e.nodes], [*e.nodes, END_MARK]) for e in group))
-                for parent_key, group in self._by_parent().items()
+                parent: set(chain.from_iterable(zip([START_MARK, *e.nodes], [*e.nodes, END_MARK]) for e in group))
+                for parent, group in self._groups.items()
             }
         return self._transitions
 
-    def accepts_transitions(self, parent_key: str, nodes: Sequence[str]) -> bool:
-        """True iff every adjacent pair (with start/end marks) was seen in training."""
+    def accepts_transitions(self, parent: tuple[str, ...], nodes: Sequence[str]) -> bool:
+        """True iff every adjacent pair (with start/end marks) was seen in training under the parent's names."""
         index = self._transitions or self.transition_index()  # an empty index is returned as it is
-        return index.get(parent_key, _NO_TRANSITIONS).issuperset(zip([START_MARK, *nodes], [*nodes, END_MARK]))
+        return index.get(parent, _NO_TRANSITIONS).issuperset(zip([START_MARK, *nodes], [*nodes, END_MARK]))
 
-    def retrieve_similar(self, parent_key: str, query: SparseVector, m: int) -> list[TrainEntry]:
-        """Top-m entries by cosine similarity among the siblings under `parent_key` (Seq.parent_key).
+    def retrieve_similar(self, parent: tuple[str, ...], query: SparseVector, m: int) -> list[TrainEntry]:
+        """Top-m entries by cosine similarity among the siblings under the parent's names.
 
         Ties break by higher occurrence count, then smaller signature.
         Raises when siblings exist but lack embeddings.
         """
-        siblings = self._by_parent().get(parent_key, [])
+        siblings = self._groups.get(parent, [])
         embeddings = [e.embedding for e in siblings]
-        columns = self._columns.get(parent_key)
+        columns = self._columns.get(parent)
         # an embedding may be set or replaced after a query, so the columns
         # stand only while they were built from these very vectors
         if columns is None or columns.embeddings != embeddings:
@@ -150,7 +145,7 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(
                     f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
                 )
-            columns = self._columns[parent_key] = _SiblingColumns(siblings, embeddings)
+            columns = self._columns[parent] = _SiblingColumns(siblings, embeddings)
         return columns.top(query, m)
 
     # -- test side ----------------------------------------------------------
@@ -171,11 +166,12 @@ class KnowledgeBase:
             rows = sorted(self.entries.items())
             data["entries"] = [{name: getattr(e, name) for name in _TEST_FIELDS} for _, e in rows]
             return data
-        row = _llm_row if self.llm else _row
+        row, groups = _llm_row if self.llm else _row, self._groups.values()
+        text = _joined_escaped(chain(*(g[0].parent_path for g in groups), *(e.nodes for e in self.entries.values())))
         data["llm"] = self.llm
         data["groups"] = [
-            [group[0].parent_path, [row(e) for e in sorted(group, key=attrgetter("signature"))]]
-            for _, group in sorted(self._by_parent().items(), key=itemgetter(0))
+            [group[0].parent_path, [row(e) for e in sorted(group, key=lambda e: text(e.nodes))]]
+            for group in sorted(groups, key=lambda group: text(group[0].parent_path))
         ]
         return data
 
@@ -260,7 +256,9 @@ class _SiblingColumns:
 
     def __init__(self, siblings: list[TrainEntry], embeddings: list[SparseVector]):
         self.embeddings = embeddings  # in insertion order, as the caller compares them
-        tied = sorted(zip(siblings, embeddings), key=lambda pair: (-pair[0].occurrence_count, pair[0].signature))
+        # siblings share their parent, so their node names order their signatures
+        text = _joined_escaped(chain.from_iterable(e.nodes for e in siblings))
+        tied = sorted(zip(siblings, embeddings), key=lambda pair: (-pair[0].occurrence_count, text(pair[0].nodes)))
         self.by_rank = [entry for entry, _ in tied]
         self.zeros = [0.0] * len(tied)
         self.columns: dict[int, list[float]] = {}  # bucket -> each sibling's value there, or 0.0
@@ -285,6 +283,12 @@ class _SiblingColumns:
 
 
 # -- the train file's rows -----------------------------------------------------
+
+
+def _joined_escaped(names):
+    """A function that joins a list of these `names`, escaped, as a signature does; each name is escaped once."""
+    escaped = {name: text for name in set(names) if (text := escape_name(name)) != name}
+    return (lambda names: SIG_NODE_SEP.join([escaped.get(n, n) for n in names])) if escaped else SIG_NODE_SEP.join
 
 
 def _row(entry: TrainEntry) -> list:
@@ -372,7 +376,6 @@ _TEST_FIELDS = {
     "confidence_flag": _among("normal", "low"),
 }
 _OPTIONAL = {"explanation"}  # absent means null
-_PATH_LENGTH = {ENTITY: 1, ACTION: 2, STATUS: 3}  # names in a parent path: root, entity, action
 
 
 def _fault(column: list, check, name: str) -> tuple[int, str]:
@@ -404,7 +407,7 @@ def _load_groups(kb: KnowledgeBase, groups: list) -> None:
         raise FormatError(f"group {g} is not a [parent_path, rows] pair")
     parents, row_lists = [g[0] for g in groups], [g[1] for g in groups]
     for name, column, check in (
-        ("parent_path", parents, _name_lists(_PATH_LENGTH[kb.level])), ("rows", row_lists, _of_type(list))
+        ("parent_path", parents, _name_lists(PARENT_DEPTH[kb.level] + 1)), ("rows", row_lists, _of_type(list))
     ):
         if not check(column):
             g, fault = _fault(column, check, name)
@@ -436,19 +439,22 @@ def _load_groups(kb: KnowledgeBase, groups: list) -> None:
 
     # Every name is interned once, here, so the pairs that a probe builds
     # from the tree's names match the derived transition pairs by identity.
-    intern = sys.intern
-    escape = {name: escape_name(name) for name in set(chain(*parents, *columns[0]))}.__getitem__
-    entries = kb.entries
+    intern, entries = sys.intern, kb.entries
     for g, (parent, rows) in enumerate(zip(parents, row_lists)):
+        if parent[0] != ROOT:
+            raise FormatError(f"group {g}: a parent path starts at {ROOT!r}, not {parent[0]!r}")
+        if not rows:  # an empty group holds nothing to keep
+            continue
         parent = list(map(intern, parent))  # shared by the group's entries
-        parent_key = SIG_NODE_SEP.join(map(escape, parent))
-        prefix = parent_key + SIG_PARENT_SEP
+        names = tuple(parent[1:])
+        group = kb._groups.setdefault(names, [])
         for r, row in enumerate(rows):
             nodes = list(map(intern, row[0]))
-            signature = prefix + SIG_NODE_SEP.join(map(escape, nodes))
-            if signature in entries:
+            pattern = (*names, *nodes)
+            if pattern in entries:
                 raise FormatError(f"group {g}, row {r}: repeats the parent path and nodes of an earlier row")
-            entries[signature] = TrainEntry(signature, parent, parent_key, nodes, None, row[1])
+            entry = entries[pattern] = TrainEntry(pattern, parent, nodes, None, row[1])
+            group.append(entry)
     if kb.llm:
         for entry, (_, _, chunk, summary, pairs) in zip(entries.values(), all_rows):
             entry.example_chunk, entry.summary = chunk, summary

@@ -354,9 +354,11 @@ def test_cli_extractor_settings_are_configuration_errors(tmp_path, data, args, f
 def test_a_catalog_row_without_a_key_is_an_error(tmp_path, data):
     # the extracted triple would pass `hierarchy build`, and its tree then fail `hierlog train`
     catalog = tmp_path / "templates.csv"
-    catalog.write_text((data / "templates.csv").read_text() + ",Disk write ok\n")
+    lines = (data / "templates.csv").read_text().splitlines(keepends=True)
+    catalog.write_text("".join(lines) + ",Disk write ok\n")
     result = invoke("hierarchy", "extract", "--templates", catalog, "--out", tmp_path / "triples.jsonl")
-    assert (result.exit_code, result.output) == (1, "error: template 'Disk write ok' has an empty key\n")
+    fault = f"error: {catalog}: line {len(lines) + 1}: template 'Disk write ok' has an empty key\n"
+    assert (result.exit_code, result.output) == (1, fault)
     assert not (tmp_path / "triples.jsonl").exists()
 
 
@@ -823,7 +825,9 @@ def logged_verdict_tallies(tmp_path, data, caplog, llm):
 
     A tally counts the distinct keys each level checked over the first
     sight of each key list (later sights are memo hits): one keys a run by
-    its pattern, its parent path and node names, the other by its chunk.
+    its pattern, its parent path and node names, another by its chunk, and
+    the third by its chunk where the LLM gave its verdict and by its pattern
+    elsewhere.
     """
     with caplog.at_level(logging.INFO, logger="hierlog.pipeline"):
         run_ini_pipeline(data, tmp_path, llm)
@@ -833,13 +837,19 @@ def logged_verdict_tallies(tmp_path, data, caplog, llm):
     seqs = [json.loads(line)["keys"] for line in (tmp_path / "test.jsonl").read_text().splitlines()]
     by_pattern = {"status": [], "action": [], "entity": []}
     by_chunk = {"status": [], "action": [], "entity": []}
+    by_source = {"status": [], "action": [], "entity": []}
     for i in sorted({tuple(keys): i for i, keys in reversed(list(enumerate(seqs)))}.values()):
         result = top_down_decompose(seqs[i], tree)
         by_level = {"status": result.s_seqs, "action": result.a_seqs, "entity": [result.e_seq]}
+        verdicts = iter(reports[i]["verdicts"])  # in the order the levels were checked
         for level, checked in by_level.items():
             checked = checked[: reports[i]["counters"]["evals_per_level"][level]]
             by_pattern[level] += [(tuple(seq.parent_path), tuple(seq.nodes)) for seq in checked]
             by_chunk[level] += [tuple(seq.chunk) for seq in checked]
+            by_source[level] += [
+                tuple(seq.chunk) if next(verdicts)["source"] == "llm" else (tuple(seq.parent_path), tuple(seq.nodes))
+                for seq in checked
+            ]
     assert "hits" not in (tmp_path / "report.jsonl").read_text().split("\n", 1)[1]
     assert "hits" not in (tmp_path / "eval.json").read_text()
     assert len(by_chunk["status"]) > len(set(by_chunk["status"]))  # the corpus repeats status chunks
@@ -848,19 +858,20 @@ def logged_verdict_tallies(tmp_path, data, caplog, llm):
         per_level = (f"{level} {len(c) - len(set(c))} hits, {len(set(c))} misses" for level, c in tally.items())
         return "sub-sequence verdicts: " + ", ".join(per_level)
 
-    return lines, line(by_pattern), line(by_chunk)
+    return lines, line(by_pattern), line(by_chunk), line(by_source)
 
 
 def test_detect_logs_sub_sequence_verdict_hits_and_misses(tmp_path, data, caplog):
-    lines, by_pattern, by_chunk = logged_verdict_tallies(tmp_path, data, caplog, "off")
-    assert lines == [by_pattern]
+    lines, by_pattern, by_chunk, by_source = logged_verdict_tallies(tmp_path, data, caplog, "off")
+    assert lines == [by_pattern] == [by_source]
     assert by_pattern != by_chunk  # some distinct chunks share a pattern
 
 
 def test_detect_logs_sub_sequence_verdicts_by_chunk_with_the_llm_on(tmp_path, data, caplog):
-    lines, by_pattern, by_chunk = logged_verdict_tallies(tmp_path, data, caplog, "on")
-    assert lines == [by_chunk]
-    assert by_pattern != by_chunk
+    # a run that the symbolic check passes is kept by its pattern, one the LLM judges by its chunk
+    lines, by_pattern, by_chunk, by_source = logged_verdict_tallies(tmp_path, data, caplog, "on")
+    assert lines == [by_source]
+    assert by_pattern != by_source != by_chunk
 
 
 def _second_group(kb):
@@ -958,6 +969,32 @@ JSONL_FAULTS = {
         "ingest", "--templates", "templates.jsonl",
         lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2", "template": ["a", "b"]}\n',
         "line 2: field 'template' must be a string",
+    ),
+    "csv-catalog-key-empty": (
+        "ingest", "--templates", "templates.csv", lambda lines: lines[0] + ",Disk write ok\n",
+        "line 2: template 'Disk write ok' has an empty key",
+    ),
+    "csv-catalog-text-empty": (
+        "ingest", "--templates", "templates.csv", lambda lines: lines[0] + "k99, \n",
+        "line 2: template 'k99' has empty text",
+    ),
+    "csv-catalog-key-repeated": (
+        "ingest", "--templates", "templates.csv", lambda lines: lines[0] + "k99,Disk <*> ok\n\nk99,Disk write ok\n",
+        "line 4: duplicate template key 'k99', first at line 2",
+    ),
+    "jsonl-catalog-key-empty": (
+        "ingest", "--templates", "templates.jsonl", lambda lines: '{"key": "", "template": "Disk write ok"}\n',
+        "line 1: template 'Disk write ok' has an empty key",
+    ),
+    "jsonl-catalog-text-empty": (
+        "ingest", "--templates", "templates.jsonl",
+        lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2", "template": " "}\n',
+        "line 2: template 'k2' has empty text",
+    ),
+    "jsonl-catalog-key-repeated": (
+        "ingest", "--templates", "templates.jsonl",
+        lambda lines: '{"key": "k1", "template": "x"}\n\n{"key": "k1", "template": "y <*>"}\n',
+        "line 3: duplicate template key 'k1', first at line 1",
     ),
     "raw-record-without-message": (
         "ingest", "--logs", "raw.jsonl", lambda lines: lines[0] + '{"timestamp": 1}\n',

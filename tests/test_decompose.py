@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import top_down_decompose
+from hierlog.decompose import pattern_keys, run_seq, scan_runs, top_down_decompose
 from hierlog.errors import DecompositionError
-from hierlog.hierarchy import ACTION, ENTITY, STATUS, TopicTriple, build_tree
+from hierlog.hierarchy import ACTION, ENTITY, PARENT_DEPTH, STATUS, TopicTriple, build_tree
 
 from conftest import TOY_KEYS, make_signature
 
@@ -108,7 +108,24 @@ def test_signature_field_equals_make_signature(data):
     keys = data.draw(st.lists(st.sampled_from([t.key for t in triples]), min_size=1, max_size=20))
     for seq in top_down_decompose(keys, tree).all_seqs():
         assert seq.signature == make_signature(seq.parent_path, seq.nodes)
-        assert seq.parent_key + "|" == make_signature(seq.parent_path, [])
+        assert seq.pattern == (*seq.parent_path[1:], *seq.nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pattern_keys_give_each_runs_seq_pattern(data):
+    # the detector and training key a run by `pattern_keys` without building its Seq
+    triples = [
+        TopicTriple(f"t{i}", data.draw(_names_st), data.draw(_names_st), data.draw(_names_st))
+        for i in range(data.draw(st.integers(1, 6), label="keys"))
+    ]
+    tree = build_tree(triples)
+    keys = data.draw(st.lists(st.sampled_from([t.key for t in triples]), min_size=1, max_size=20))
+    runs = scan_runs(keys, tree)
+    for level, level_runs in runs.items():
+        patterns = pattern_keys(level, keys, level_runs, tree)
+        assert patterns == [run_seq(level, keys, run, tree).pattern for run in level_runs]
+        assert all(len(pattern) > PARENT_DEPTH[level] for pattern in patterns)  # a node after the parent's names
 
 
 # -- properties -------------------------------------------------------------------

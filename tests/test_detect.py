@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,18 @@ from hypothesis import strategies as st
 from hierlog import detect as detect_module
 from hierlog.detect import (
     AUTOMATON,
+    EXACT,
+    LOCAL_DETECTORS,
     DetectConfig,
     Detector,
     LEVEL_PRESETS,
-    detect_local_automaton,
-    detect_local_exact,
     train,
 )
 from hierlog.decompose import run_seq, top_down_decompose
 from hierlog.errors import DecompositionError, ProviderError
 from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, TopicTriple, build_tree, extract_topics
 from hierlog.ingest import LogSequence
-from hierlog.knowledge import KnowledgeBaseSet
+from hierlog.knowledge import KnowledgeBase, KnowledgeBaseSet
 from hierlog.semantics import MockProvider
 from hierlog.synthetic import make_corpus
 
@@ -76,10 +77,10 @@ def test_train_computes_summaries_and_embeddings(toy_cat, toy_tree):
         make_sequences(toy_cat, [TOY_KEYS]), toy_tree, config,
         provider=provider, templates=TOY_TEMPLATES_MAP,
     )
-    s_entry = kbs.train[STATUS].entries["root>Session>open|started>succf"]
+    s_entry = kbs.train[STATUS].entries["Session", "open", "started", "succf"]
     assert s_entry.summary == "S:started>succf"
     assert s_entry.embedding is not None
-    e_entry = kbs.train[ENTITY].entries["root|Session>Auth>Comm"]
+    e_entry = kbs.train[ENTITY].entries["Session", "Auth", "Comm"]
     assert e_entry.summary.startswith("E:Session>Auth>Comm[")
     # one call per unique pattern: 5 status + 3 action + 1 entity
     assert provider.calls == 9
@@ -97,8 +98,8 @@ def test_exact_vs_automaton(toy_cat, toy_tree):
     # is new as a whole pattern but every transition was seen
     kbs = train(make_sequences(toy_cat, [["k1", "k3"], ["k3", "k5"]]), toy_tree, DetectConfig())
     e_seq = top_down_decompose(["k1", "k3", "k5"], toy_tree).e_seq
-    assert detect_local_exact(e_seq, kbs.train[ENTITY]).verdict == "abnormal"
-    assert detect_local_automaton(e_seq, kbs.train[ENTITY]).verdict == "normal"
+    assert LOCAL_DETECTORS[EXACT](e_seq, kbs.train[ENTITY]).verdict == "abnormal"
+    assert LOCAL_DETECTORS[AUTOMATON](e_seq, kbs.train[ENTITY]).verdict == "normal"
 
 
 def test_detector_per_level_override(toy_cat, toy_tree):
@@ -130,7 +131,7 @@ def test_only_an_automaton_level_builds_its_transition_index_at_construction(toy
     mixed = DetectConfig(detector_per_level={ENTITY: AUTOMATON}, llm_enabled=True, early_exit=False)
     detector = Detector(toy_tree, kbs, mixed, provider=provider)
     index = kbs.train[ENTITY]._transitions
-    assert index is not None and ("Session", "Auth") in index["root"]
+    assert index is not None and ("Session", "Auth") in index[()]
     assert kbs.train[STATUS]._transitions is None and kbs.train[ACTION]._transitions is None
     reports = detector.run(sequences)
     assert kbs.train[ENTITY]._transitions is index  # built once, at construction
@@ -433,7 +434,8 @@ def test_verdict_and_summary_dicts_stay_within_their_bound(monkeypatch):
     small = Detector(tree, fresh_caches(kbs), config, provider=MockProvider(), templates=templates)
     for s, body in zip(seqs, want):
         assert report_to_json(small.detect_sequence(s)) == body
-        assert all(len(d) <= 2 for d in [*small._verdicts.values(), *small._summary_cache.values()])
+        dicts = [*(d for _, _, d in small._levels), *small._llm_verdicts.values(), *small._summary_cache.values()]
+        assert all(len(d) <= 2 for d in dicts)
     assert small.verdict_hits[STATUS] > 0
 
 
@@ -561,7 +563,9 @@ def test_a_warm_llm_cache_builds_one_seq_per_verdict_miss(tmp_path, monkeypatch)
     reports = detector.run(corpus.test)
     assert any(v.source == "llm" for r in reports for v in r.verdicts)
     assert (provider.calls, detector.llm_calls) == (0, 0)
-    assert len(built) == sum(detector.verdict_misses.values())
+    # only a rejected run whose chunk has no kept LLM verdict builds its Seq, once per chunk
+    assert len(built) == len(set(built)) == sum(map(len, detector._llm_verdicts.values()))
+    assert len(built) < sum(detector.verdict_misses.values())
 
 
 def test_a_parent_summary_builds_no_seq_for_a_child_whose_summary_is_cached(monkeypatch):
@@ -576,6 +580,60 @@ def test_a_parent_summary_builds_no_seq_for_a_child_whose_summary_is_cached(monk
     assert [v.level for v in report.verdicts if v.source == "llm"] == [STATUS, STATUS, ACTION, ACTION, ENTITY]
     # the entity summary reads the cached summaries of both action runs and builds neither
     assert built == [(STATUS, ("c",)), (ACTION, ("c",)), (ENTITY, ("a", "b", "c"))]
+
+
+def test_action_chunks_of_one_trained_pattern_share_one_verdict_with_the_llm_on(monkeypatch):
+    # both action chunks walk X then Y under E, a trained pattern; their status walks differ
+    tree = build_tree([TopicTriple("a", "E", "X", "s1"), TopicTriple("b", "E", "X", "s2"),
+                       TopicTriple("y", "E", "Y", "none")])
+    provider = MockProvider()
+    config = DetectConfig(llm_enabled=True, early_exit=False)
+    kbs = train([LogSequence("t1", ["a", "y"]), LogSequence("t2", ["b", "y"])], tree, config, provider=provider)
+    detector = Detector(tree, kbs, config, provider=provider)
+    built = count_seq_builds(monkeypatch)
+    first = detector.detect_sequence(LogSequence("s1", ["a", "y"]))
+    calls = provider.calls
+    second = detector.detect_sequence(LogSequence("s2", ["b", "y"]))
+    assert not first.final_verdict and not second.final_verdict
+    assert (detector.verdict_hits[ACTION], detector.verdict_misses[ACTION]) == (1, 1)
+    assert second.verdicts[2] is first.verdicts[2] and second.verdicts[2].signature == "root>E|X>Y"
+    assert (provider.calls, detector.llm_calls, built) == (calls, 0, [])
+
+
+# -- the LLM-off path ------------------------------------------------------------------
+
+@pytest.mark.parametrize("early_exit", [True, False], ids=["early-exit", "all-levels"])
+@pytest.mark.parametrize("kind", [EXACT, AUTOMATON])
+def test_an_llm_off_pass_builds_no_seq(monkeypatch, kind, early_exit):
+    corpus, tree, _, _, kbs = shuffle_setup(False)
+    config = DetectConfig(detector_per_level=dict.fromkeys((STATUS, ACTION, ENTITY), kind), early_exit=early_exit)
+    seqs = spliced_sequences(corpus)
+    want = bodies(Detector(tree, kbs, config).run(seqs))
+
+    def no_seq(*args):
+        raise AssertionError("an LLM-off pass built a Seq")
+
+    monkeypatch.setattr("hierlog.detect.run_seq", no_seq)
+    detector = Detector(tree, kbs, config)
+    assert bodies(detector.run(seqs)) == want
+    assert any(body["final_verdict"] for body in want) and sum(detector.verdict_misses.values()) > 0
+
+
+def test_each_verdict_miss_of_an_llm_off_pass_makes_one_probe(monkeypatch):
+    corpus, tree, _, _, kbs = shuffle_setup(False)
+    kinds = {STATUS: EXACT, ACTION: AUTOMATON, ENTITY: EXACT}
+    probes = Counter()
+    for name in ("contains", "accepts_transitions"):
+        def counted(kb, *args, _name=name, _method=getattr(KnowledgeBase, name)):
+            probes[_name, kb.level] += 1
+            return _method(kb, *args)
+
+        monkeypatch.setattr(KnowledgeBase, name, counted)
+    detector = Detector(tree, kbs, DetectConfig(detector_per_level=kinds, early_exit=False))
+    detector.run(spliced_sequences(corpus))
+    probe = {EXACT: "contains", AUTOMATON: "accepts_transitions"}
+    assert probes == Counter({(probe[kind], level): detector.verdict_misses[level] for level, kind in kinds.items()})
+    assert all(detector.verdict_hits[level] > 0 and detector.verdict_misses[level] > 0 for level in kinds)
 
 
 # -- early exit and levels ----------------------------------------------------------

@@ -170,7 +170,7 @@ def reference_llm(kbs, config, provider, templates):
     def summary(seq):
         key = (seq.level, tuple(seq.chunk))
         if key not in summaries:
-            entry = kbs.train[seq.level].entries.get(seq.signature)
+            entry = kbs.train[seq.level].entries.get(seq.pattern)
             if entry is not None and entry.summary and entry.example_chunk == seq.chunk:
                 summaries[key] = entry.summary
             elif seq.level == STATUS:
@@ -182,7 +182,7 @@ def reference_llm(kbs, config, provider, templates):
     def llm_verdict(seq):
         key = (seq.level, tuple(seq.chunk))
         if key not in llm_cache:
-            examples = kbs.train[seq.level].retrieve_similar(seq.parent_key, embed_chunk(seq.chunk), config.m)
+            examples = kbs.train[seq.level].retrieve_similar(seq.parent_path[1:], embed_chunk(seq.chunk), config.m)
             prompt = DetectionPrompt(">".join(seq.nodes), summary(seq), [e.summary for e in examples if e.summary],
                                      parent_context(seq))
             llm_cache[key] = llm_detect(prompt, provider)

@@ -73,7 +73,7 @@ def test_structure_report_tallies(toy_tree):
 
 def _report(levels_abnormal, sequence_id="s"):
     verdicts = [
-        SeqVerdict(signature=f"sig-{level}", level=level, verdict="abnormal", source="pattern_match")
+        SeqVerdict(level=level, pattern=("E", "A", f"sig-{level}"), verdict="abnormal", source="pattern_match")
         for level in levels_abnormal
     ]
     return SequenceReport(
@@ -118,13 +118,16 @@ def test_save_reports_takes_reports_from_a_generator(tmp_path):
     # each report and its verdict die once written, so a later verdict may get a freed id
     def reports():
         for i in range(200):
-            yield SequenceReport(f"s{i}", False, [SeqVerdict(f"sig{i}", STATUS, "normal", "pattern_match")], raw_length=1)
+            verdict = SeqVerdict(STATUS, ("E", "A", f"sig{i}"), "normal", "pattern_match")
+            yield SequenceReport(f"s{i}", False, [verdict], raw_length=1)
 
     save_reports(reports(), tmp_path / "streamed.jsonl")
     save_reports(list(reports()), tmp_path / "listed.jsonl")
     lines = (tmp_path / "streamed.jsonl").read_text().splitlines()
     assert lines == (tmp_path / "listed.jsonl").read_text().splitlines()
-    assert [json.loads(line)["verdicts"][0]["signature"] for line in lines[1:]] == [f"sig{i}" for i in range(200)]
+    assert [json.loads(line)["verdicts"][0]["signature"] for line in lines[1:]] == [
+        f"root>E>A|sig{i}" for i in range(200)
+    ]
 
 
 # quotes, backslashes, control characters, non-ASCII, lone surrogates and an astral character
@@ -133,8 +136,9 @@ _texts = st.text(st.characters() | st.sampled_from(_AWKWARD), max_size=8)
 _counts = st.fixed_dictionaries({level: st.integers(0, 2**63) for level in LEVEL_ORDER})
 _verdicts = st.builds(
     SeqVerdict,
-    signature=st.sampled_from(["s1", "s2"]) | _texts,  # distinct verdicts may share a signature
     level=st.sampled_from(LEVEL_ORDER),
+    # distinct verdicts may share a pattern; three names or more make a pattern of any level
+    pattern=st.sampled_from([("e", "a", "s1"), ("e", "a", "s2")]) | st.lists(_texts, min_size=3, max_size=5).map(tuple),
     verdict=st.sampled_from(["normal", "abnormal"]),
     source=st.sampled_from(["pattern_match", "automaton", "llm"]),
     explanation=st.none() | _texts,
@@ -161,8 +165,9 @@ def _report_lists(draw):
     return reports
 
 
-_SHARED = SeqVerdict('sig "a\\b"\u00e9', STATUS, "abnormal", "llm", explanation="\ud800\n", confidence_flag="low")
-_TWIN = SeqVerdict(_SHARED.signature, STATUS, "abnormal", "pattern_match")  # equal signature, another object
+_SHARED = SeqVerdict(STATUS, ('sig "a', 'b"\u00e9', "\\|>"), "abnormal", "llm", explanation="\ud800\n",
+                     confidence_flag="low")
+_TWIN = SeqVerdict(STATUS, _SHARED.pattern, "abnormal", "pattern_match")  # equal pattern, another object
 
 
 @settings(max_examples=200, deadline=None)

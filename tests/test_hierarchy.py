@@ -128,7 +128,7 @@ def test_tree_round_trip_keeps_one_key_per_path(tmp_path, rows):
     tree.save(path)
     loaded = TopicTree.load(path)
     assert loaded == tree
-    for name in ("key_names", "key_paths", "key_prefixes", "escaped", "node_counts"):
+    for name in ("key_names", "key_paths", "key_parents", "node_counts"):
         assert getattr(loaded, name) == getattr(tree, name), name
     assert len(loaded) == len(tree)
     # each key keeps its entity and action, and its status up to "~" suffixes

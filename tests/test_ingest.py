@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlog import ingest
-from hierlog.errors import ConfigError, DuplicateKeyError, LineParseError, PartitionError
+from hierlog.errors import ConfigError, LineParseError, PartitionError
 from hierlog.ingest import (
     WILDCARD,
     LogSequence,
@@ -78,8 +78,9 @@ def test_load_jsonl(tmp_path):
 def test_duplicate_key_rejected(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("k1,alpha\nk1,beta\n")
-    with pytest.raises(DuplicateKeyError):
+    with pytest.raises(LineParseError) as info:
         load_template_catalog(p)
+    assert (info.value.line_number, info.value.reason) == (2, "duplicate template key 'k1', first at line 1")
 
 
 def test_malformed_row(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,13 @@ from hierlog.decompose import Seq, top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
 from hierlog.detect import DetectConfig, Detector, train as train_kbs
 from hierlog.hierarchy import (
+    ACTION,
     ENTITY,
     STATUS,
     FixtureExtractor,
     TopicTree,
     TopicTriple,
     build_tree,
-    escape_name,
     extract_topics,
 )
 from hierlog.knowledge import (
@@ -50,10 +51,10 @@ def test_insert_counts_occurrences(toy_tree):
     entry = kb.insert_train(seq)
     assert entry.occurrence_count == 1
     entry.occurrence_count += 1  # a repeat is counted on the entry, as `train` counts it
-    assert kb.entries[seq.signature].occurrence_count == 2
+    assert kb.entries[seq.pattern].occurrence_count == 2
     assert entry.example_chunk == TOY_KEYS
-    assert kb.contains(seq.signature)
-    assert not kb.contains("root|Nothing")
+    assert kb.contains(("Session", "Auth", "Comm"))
+    assert not kb.contains(("Nothing",))
     # only the LLM path reads an example chunk, so an LLM-off KB keeps none
     assert KnowledgeBase(level=ENTITY, role="train").insert_train(seq).example_chunk is None
 
@@ -61,7 +62,7 @@ def test_insert_counts_occurrences(toy_tree):
 def test_transition_enumeration_oracle(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
-    assert kb.transition_index()["root"] == {
+    assert kb.transition_index()[()] == {
         (START_MARK, "Session"),
         ("Session", "Auth"),
         ("Auth", "Comm"),
@@ -73,57 +74,56 @@ def test_automaton_accepts_stitched_sequences(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, ["k1", "k3"]))  # Session > Auth
     kb.insert_train(entity_seq(toy_tree, ["k3", "k5"]))  # Auth > Comm
-    assert kb.accepts_transitions("root", ["Session", "Auth", "Comm"])
-    assert not kb.accepts_transitions("root", ["Comm", "Session"])
-    assert not kb.accepts_transitions("root", ["Session"])  # Session><end> unseen
+    assert kb.accepts_transitions((), ["Session", "Auth", "Comm"])
+    assert not kb.accepts_transitions((), ["Comm", "Session"])
+    assert not kb.accepts_transitions((), ["Session"])  # Session><end> unseen
     # unknown parent has no transitions at all
-    assert not kb.accepts_transitions("root>Ghost", ["Session"])
+    assert not kb.accepts_transitions(("Ghost",), ["Session"])
 
 
-def test_transition_index_keyed_by_escaped_parent_path():
+def test_transition_index_keyed_by_parent_names():
     kb = KnowledgeBase(level=STATUS, role="train")
-    seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"], "root>A\\>B>x", {"s": "s"})
+    seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"])
     kb.insert_train(seq)
-    assert list(kb.transition_index()) == [seq.parent_key]
+    assert list(kb.transition_index()) == [("A>B", "x")]
     assert seq.signature == "root>A\\>B>x|s"
-    assert kb.accepts_transitions(seq.parent_key, ["s"])
-    # the unescaped join names another parent path, ("root", "A", "B", "x")
-    assert not kb.accepts_transitions("root>A>B>x", ["s"])
+    assert kb.accepts_transitions(("A>B", "x"), ["s"])
+    # names whose unescaped join is the same text are another parent
+    assert not kb.accepts_transitions(("A", "B>x"), ["s"])
 
 
-def per_pair_check(kb, parent_key, nodes):
+def per_pair_check(kb, parent, nodes):
     """Every adjacent pair of the walk looked up in turn: the oracle for `accepts_transitions`."""
-    transitions = kb.transition_index().get(parent_key, set())
+    transitions = kb.transition_index().get(parent, set())
     walk = [START_MARK] + list(nodes) + [END_MARK]
     return all(pair in transitions for pair in zip(walk, walk[1:]))
 
 
 _NAMES = st.sampled_from(["a", "bc", "a|b", "b>c", "c\\", "\\|>", "x\\>y|"])
 _PARENT_PATHS = [("root", "A", "x"), ("root", "A>B", "x"), ("root", "A", "B>x")]
-_PARENT_KEYS = [">".join(map(escape_name, path)) for path in _PARENT_PATHS]  # three keys: escaping is injective
+_PARENT_NAMES = [path[1:] for path in _PARENT_PATHS]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     trained=st.lists(st.tuples(st.sampled_from(_PARENT_PATHS), st.lists(_NAMES, min_size=1, max_size=5)), max_size=8),
     probes=st.lists(
-        st.tuples(st.sampled_from(_PARENT_KEYS + ["root>Ghost>x"]), st.lists(_NAMES, max_size=5)),
+        st.tuples(st.sampled_from(_PARENT_NAMES + [("Ghost", "x")]), st.lists(_NAMES, max_size=5)),
         min_size=1, max_size=10,
     ),
 )
 def test_accepts_transitions_matches_the_per_pair_check(trained, probes):
     kb = KnowledgeBase(level=STATUS, role="train")
     for path, nodes in trained:
-        escaped = {n: escape_name(n) for n in nodes}
-        kb.insert_train(Seq(STATUS, path, nodes, ["k"] * len(nodes), ">".join(map(escape_name, path)), escaped))
+        kb.insert_train(Seq(STATUS, path, nodes, ["k"] * len(nodes)))
     loaded = KnowledgeBase.from_json(json.loads(json.dumps(kb.to_json())))
-    for parent_key, nodes in probes:
+    for parent, nodes in probes:
         copies = [(name + "!")[:-1] for name in nodes]  # equal strings that are other objects
-        expected = per_pair_check(kb, parent_key, nodes)
+        expected = per_pair_check(kb, parent, nodes)
         for probed in (kb, loaded):
-            assert probed.accepts_transitions(parent_key, nodes) == expected
-            assert probed.accepts_transitions(parent_key, copies) == expected
-        assert kb.accepts_transitions(parent_key, []) == per_pair_check(kb, parent_key, [])
+            assert probed.accepts_transitions(parent, nodes) == expected
+            assert probed.accepts_transitions(parent, copies) == expected
+        assert kb.accepts_transitions(parent, []) == per_pair_check(kb, parent, [])
 
 
 def test_a_resumed_kb_accepts_the_transitions_of_an_insert_after_a_probe(tmp_path, toy_tree):
@@ -133,10 +133,10 @@ def test_a_resumed_kb_accepts_the_transitions_of_an_insert_after_a_probe(tmp_pat
     kbs.save_dir(tmp_path)
     kb = KnowledgeBaseSet.load_dir(tmp_path).train[ENTITY]
     walks = [["Session", "Auth", "Comm"], ["Comm", "Session"], ["Comm", "Session", "Auth", "Comm"], ["Auth", "Comm"]]
-    assert [kb.accepts_transitions("root", walk) for walk in walks] == [True, False, False, False]
+    assert [kb.accepts_transitions((), walk) for walk in walks] == [True, False, False, False]
     kb.insert_train(entity_seq(toy_tree, ["k5", "k1"]))  # Comm > Session, a new pattern
-    assert [kb.accepts_transitions("root", walk) for walk in walks] == [True, True, True, False]
-    assert [per_pair_check(kb, "root", walk) for walk in walks] == [True, True, True, False]
+    assert [kb.accepts_transitions((), walk) for walk in walks] == [True, True, True, False]
+    assert [per_pair_check(kb, (), walk) for walk in walks] == [True, True, True, False]
 
 
 def test_loaded_transition_names_are_the_trees_own_objects(tmp_path, corpus):
@@ -183,16 +183,53 @@ def test_train_save_load_round_trip_keeps_entries_and_transitions(data, names, l
         loaded = KnowledgeBaseSet.load_dir(directory)
 
     def fields(entry):
-        own = (entry.signature, entry.parent_path, entry.parent_key, entry.nodes, entry.occurrence_count)
+        own = (entry.pattern, entry.signature, entry.parent_path, entry.nodes, entry.occurrence_count)
         return own + ((entry.example_chunk, entry.summary, entry.embedding) if llm else ())
 
     for level, kb in built.train.items():
         got = loaded.train[level]
         assert got.llm is llm
-        assert {s: fields(e) for s, e in got.entries.items()} == {s: fields(e) for s, e in kb.entries.items()}
-        assert all(sig == e.signature for sig, e in got.entries.items())
+        assert {p: fields(e) for p, e in got.entries.items()} == {p: fields(e) for p, e in kb.entries.items()}
+        assert all(pattern == e.pattern for pattern, e in got.entries.items())
         assert got.transition_index() == kb.transition_index()
         assert got == kb
+
+
+# names that hold the signature's separators, its escape char, "/", "~" and non-ASCII characters
+_FILE_NAMES = st.text(alphabet="a|>\\/~\u00e9\u540d", min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), llm=st.booleans())
+def test_loaded_entries_are_keyed_by_pattern_and_save_back_to_the_same_bytes(data, llm):
+    rows = data.draw(st.lists(st.tuples(_FILE_NAMES, _FILE_NAMES, _FILE_NAMES), min_size=1, max_size=8), label="paths")
+    tree = build_tree([TopicTriple(f"k{i}", *row) for i, row in enumerate(rows)])
+    keys = st.lists(st.sampled_from(sorted(tree.key_names)), min_size=1, max_size=8)
+    sequences = [LogSequence(f"s{i}", ks) for i, ks in enumerate(data.draw(st.lists(keys, min_size=1, max_size=6)))]
+    built = train_kbs(sequences, tree, DetectConfig(llm_enabled=llm), provider=MockProvider() if llm else None)
+    with tempfile.TemporaryDirectory() as directory:
+        built.save_dir(directory)
+        saved = {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+        loaded = KnowledgeBaseSet.load_dir(directory)
+        loaded.save_dir(directory)
+        assert {path.name: path.read_bytes() for path in Path(directory).iterdir()} == saved
+    for level, kb in loaded.train.items():
+        assert kb.entries.keys() == built.train[level].entries.keys()
+        for pattern, entry in kb.entries.items():
+            assert pattern == entry.pattern == (*entry.parent_path[1:], *entry.nodes)
+            assert entry.signature == make_signature(entry.parent_path, entry.nodes)
+        # the file holds its groups in the order of their escaped parent paths and its rows in signature order
+        groups = json.loads(saved[f"train_{level}.json"])["groups"]
+        parents = [make_signature(parent, [])[:-1] for parent, _ in groups]
+        assert parents == sorted(parents)
+        for parent, group_rows in groups:
+            order = [make_signature(parent, row[0]) for row in group_rows]
+            assert order == sorted(order)
+        # a row that repeats one of its group is named by its group and row
+        g = data.draw(st.integers(0, len(groups) - 1), label="group")
+        groups[g][1].append(groups[g][1][0])
+        with pytest.raises(FormatError, match=rf"^group {g}, row {len(groups[g][1]) - 1}: repeats the parent path"):
+            KnowledgeBase.from_json({**json.loads(saved[f"train_{level}.json"]), "groups": groups})
 
 
 def test_role_guards(toy_tree):
@@ -218,13 +255,13 @@ def test_retrieve_similar_matches_brute_force(toy_tree):
         entry.embedding = embed_chunk(seq.chunk)
     query = embed_chunk(["k1", "k3", "k5", "k5"])
 
-    got = [e.signature for e in kb.retrieve_similar("root", query, 3)]
+    got = [e.signature for e in kb.retrieve_similar((), query, 3)]
     ranked = sorted(
         kb.entries.values(),
         key=lambda e: (-cosine(dense(query), dense(e.embedding)), -e.occurrence_count, e.signature),
     )
     assert got == [e.signature for e in ranked[:3]]
-    assert len(kb.retrieve_similar("root", query, 100)) == len(kb.entries)
+    assert len(kb.retrieve_similar((), query, 100)) == len(kb.entries)
 
 
 def test_retrieve_tie_break_by_count_then_signature(toy_tree):
@@ -235,7 +272,7 @@ def test_retrieve_tie_break_by_count_then_signature(toy_tree):
     entry = kb.insert_train(b)
     entry.occurrence_count, entry.embedding = 2, sparse_vector({0: 1.0})
     # identical cosine: higher occurrence count (b has 2) wins
-    got = kb.retrieve_similar("root", sparse_vector({0: 1.0}), 2)
+    got = kb.retrieve_similar((), sparse_vector({0: 1.0}), 2)
     assert got[0].occurrence_count == 2
 
 
@@ -244,7 +281,7 @@ def test_retrieve_filters_siblings(toy_tree):
     result = top_down_decompose(TOY_KEYS, toy_tree)
     for a_seq in result.a_seqs:
         kb.insert_train(a_seq).embedding = embed_chunk(a_seq.chunk)
-    got = kb.retrieve_similar("root>Auth", embed_chunk(["k3"]), 10)
+    got = kb.retrieve_similar(("Auth",), embed_chunk(["k3"]), 10)
     assert [e.parent_path for e in got] == [["root", "Auth"]]
 
 
@@ -252,10 +289,10 @@ def test_retrieve_requires_embeddings(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
     with pytest.raises(KnowledgeBaseError):
-        kb.retrieve_similar("root", sparse_vector({0: 1.0}), 1)
+        kb.retrieve_similar((), sparse_vector({0: 1.0}), 1)
 
 
-_PARENTS = [("root",), ("root", "Auth"), ("root", "Comm")]
+_PARENTS = [("root", "Session"), ("root", "Auth"), ("root", "Comm")]  # of action runs
 # The vectors a KB accepts: finite non-zero values, a finite norm. Few indices
 # and small repeated values give shared indices, exact cosine ties and, with
 # no values, the zero vector; the general float branch adds subnormals (a norm
@@ -279,10 +316,10 @@ def _oracle(kb, parent, query, m):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_retrieve_similar_matches_brute_force_oracle(data):
-    kb, counts = KnowledgeBase(level=ENTITY, role="train", llm=True), Counter()
+    kb, counts = KnowledgeBase(level=ACTION, role="train", llm=True), Counter()
 
     def insert(parent, nodes):
-        seq = Seq(ENTITY, parent, nodes, nodes, ">".join(parent), {n: n for n in nodes})
+        seq = Seq(ACTION, parent, nodes, nodes)
         counts[seq.signature] += data.draw(st.integers(1, 3), label="count")
         entry = kb.insert_train(seq)
         entry.occurrence_count = counts[seq.signature]
@@ -298,7 +335,7 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
         for parent in _PARENTS + [("root", "Ghost")]:
             query = data.draw(_VECTORS, label="query")
             m = data.draw(st.integers(0, len(kb.entries) + 2), label="m")
-            assert kb.retrieve_similar(">".join(parent), query, m) == _oracle(kb, parent, query, m)
+            assert kb.retrieve_similar(parent[1:], query, m) == _oracle(kb, parent, query, m)
         assert json.dumps(kb.to_json(), sort_keys=True) == snapshot
 
     check()
@@ -310,13 +347,13 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     parent = data.draw(st.sampled_from(_PARENTS), label="late parent")
     late = insert(parent, data.draw(st.lists(st.sampled_from("EF"), min_size=1, max_size=2)))
     with pytest.raises(KnowledgeBaseError):
-        kb.retrieve_similar(">".join(parent), sparse_vector({0: 1.0}), 1)
+        kb.retrieve_similar(parent[1:], sparse_vector({0: 1.0}), 1)
     late.embedding = data.draw(_VECTORS, label="late embedding")
     check()
 
 
 def _sibling(kb, name, embedding, count=1, parent=("root",)):
-    seq = Seq(ENTITY, parent, [name], [name], ">".join(parent), {name: name})
+    seq = Seq(ENTITY, parent, [name], [name])
     entry = kb.insert_train(seq)
     entry.occurrence_count, entry.embedding = count, embedding
     return entry
@@ -341,9 +378,9 @@ def test_retrieve_ranks_negative_values_loaded_from_a_file_as_the_dense_cosine_d
     })
     query = sparse_vector({0: 1.0, 1: -1.0, 3: 0.5})
     # cosines: B 0.67, C 0.11, F 0, D -0.33, and E and A -0.89, E first by its count
-    assert _names(kb.retrieve_similar("root", query, 10)) == ["B", "C", "F", "D", "E", "A"]
+    assert _names(kb.retrieve_similar((), query, 10)) == ["B", "C", "F", "D", "E", "A"]
     for m in range(8):
-        assert kb.retrieve_similar("root", query, m) == _oracle(kb, ("root",), query, m)
+        assert kb.retrieve_similar((), query, m) == _oracle(kb, ("root",), query, m)
 
 
 def test_retrieve_gives_a_norm_zero_sibling_and_a_zero_query_cosine_zero():
@@ -355,22 +392,22 @@ def test_retrieve_gives_a_norm_zero_sibling_and_a_zero_query_cosine_zero():
     _sibling(kb, "O", sparse_vector({1: 1.0}), count=2)
     query = sparse_vector({0: 1.0})
     # T ties with O at 0, not above it, and O comes first by its count
-    assert _names(kb.retrieve_similar("root", query, 4)) == ["P", "O", "T", "N"]
-    assert kb.retrieve_similar("root", query, 4) == _oracle(kb, ("root",), query, 4)
+    assert _names(kb.retrieve_similar((), query, 4)) == ["P", "O", "T", "N"]
+    assert kb.retrieve_similar((), query, 4) == _oracle(kb, ("root",), query, 4)
     # every cosine 0: the tie order alone, by count, then by signature
     for query in (sparse_vector({}), sparse_vector({7: 1.0})):
-        assert _names(kb.retrieve_similar("root", query, 4)) == ["O", "N", "P", "T"]
-        assert kb.retrieve_similar("root", query, 4) == _oracle(kb, ("root",), query, 4)
-    assert _names(kb.retrieve_similar("root", sparse_vector({}), 2)) == ["O", "N"]
+        assert _names(kb.retrieve_similar((), query, 4)) == ["O", "N", "P", "T"]
+        assert kb.retrieve_similar((), query, 4) == _oracle(kb, ("root",), query, 4)
+    assert _names(kb.retrieve_similar((), sparse_vector({}), 2)) == ["O", "N"]
 
 
 def test_retrieve_returns_nothing_for_m_zero_and_for_an_unknown_parent():
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     _sibling(kb, "P", sparse_vector({0: 1.0}))
     query = sparse_vector({0: 1.0})
-    assert kb.retrieve_similar("root", query, 0) == []
-    assert kb.retrieve_similar("root>Ghost", query, 5) == []
-    assert _names(kb.retrieve_similar("root", query, 5)) == ["P"]
+    assert kb.retrieve_similar((), query, 0) == []
+    assert kb.retrieve_similar(("Ghost",), query, 5) == []
+    assert _names(kb.retrieve_similar((), query, 5)) == ["P"]
 
 
 def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
@@ -380,7 +417,7 @@ def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
     query = sparse_vector({0: 1.0})
 
     def ranked():
-        got = kb.retrieve_similar("root", query, 5)
+        got = kb.retrieve_similar((), query, 5)
         assert got == _oracle(kb, ("root",), query, 5)
         return _names(got)
 
@@ -397,13 +434,13 @@ def test_retrieve_raises_for_a_missing_embedding_until_it_is_set():
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     _sibling(kb, "P", sparse_vector({0: 1.0}))
     query = sparse_vector({0: 1.0})
-    assert _names(kb.retrieve_similar("root", query, 5)) == ["P"]
+    assert _names(kb.retrieve_similar((), query, 5)) == ["P"]
     late = _sibling(kb, "L", None)
     for _ in range(2):  # the failure is not remembered as a result, nor the result as a success
         with pytest.raises(KnowledgeBaseError, match=r"root\|L"):
-            kb.retrieve_similar("root", query, 5)
+            kb.retrieve_similar((), query, 5)
     late.embedding = sparse_vector({0: 2.0})
-    assert _names(kb.retrieve_similar("root", query, 5)) == ["L", "P"]
+    assert _names(kb.retrieve_similar((), query, 5)) == ["L", "P"]
 
 
 def test_retrieval_on_detection_traffic_ranks_as_the_dense_oracle(monkeypatch):
@@ -416,13 +453,12 @@ def test_retrieval_on_detection_traffic_ranks_as_the_dense_oracle(monkeypatch):
     kbs = train_kbs(corpus.train, tree, config, provider=MockProvider(), templates=templates)
     retrieve, ranked = KnowledgeBase.retrieve_similar, []
 
-    def checked(kb, parent_key, query, m):
-        # the oracle filters by parent path, which it finds through the signature oracle's encoding
-        paths = {make_signature(e.parent_path, [])[:-1]: e.parent_path for e in kb.entries.values()}
-        parent_path = paths.get(parent_key, ["no such parent"])
-        got = retrieve(kb, parent_key, query, m)
+    def checked(kb, parent, query, m):
+        # the oracle filters by parent path: the root, then the parent's names
+        parent_path = ["root", *parent]
+        got = retrieve(kb, parent, query, m)
         assert got == _oracle(kb, parent_path, query, m)
-        everything = retrieve(kb, parent_key, query, len(kb.entries))
+        everything = retrieve(kb, parent, query, len(kb.entries))
         assert everything == _oracle(kb, parent_path, query, len(kb.entries))
         ranked.append(len(everything))
         return got
@@ -457,7 +493,7 @@ def test_save_load_round_trip(tmp_path, toy_tree):
     seq = entity_seq(toy_tree, TOY_KEYS)
     kb.insert_train(seq)
     kb.insert_train(entity_seq(toy_tree, ["k3", "k1"]))
-    kb.entries[seq.signature].embedding = embed_chunk(seq.chunk)
+    kb.entries[seq.pattern].embedding = embed_chunk(seq.chunk)
     path = tmp_path / "kb.json"
     kb.save(path)
     assert KnowledgeBase.load(path) == kb
@@ -583,7 +619,7 @@ def test_load_accepts_the_edges_of_a_valid_embedding(tmp_path, toy_tree):
     data["groups"][0][1][0][4] = pairs
     path.write_text(json.dumps(data))
     kb = KnowledgeBase.load(path)
-    assert kb.entries["root|Session>Auth>Comm"].embedding == sparse_vector(dict(pairs))
+    assert kb.entries["Session", "Auth", "Comm"].embedding == sparse_vector(dict(pairs))
     assert kb.to_json()["groups"][0][1][0][4] == pairs
 
 
@@ -660,6 +696,9 @@ TRAIN_FAULTS = {
         False, lambda d: d["groups"].append(json.loads(json.dumps(d["groups"][0]))), "group 1, row 0: repeats"
     ),
     "group-not-a-pair": (False, lambda d: d["groups"].append([["root"]]), "group 1 is not a [parent_path, rows] pair"),
+    "parent-path-not-at-the-root": (
+        False, lambda d: d["groups"].append([["Root"], [[["Auth"], 1]]]), "group 1: a parent path starts at 'root', not"
+    ),
     "rows-not-a-list": (False, lambda d: d["groups"][0].__setitem__(1, "rows"), "group 0: field 'rows' has a bad"),
     "llm-flag-not-a-bool": (False, lambda d: d.__setitem__("llm", "false"), "a train KB needs an llm flag"),
     "no-groups": (False, lambda d: d.pop("groups"), "a train KB needs an llm flag (true or false) and a list of"),
@@ -676,6 +715,16 @@ def test_load_rejects_a_bad_train_file(tmp_path, toy_tree, case):
         KnowledgeBase.load(path)
     assert f"{path}: {fault}" in str(info.value)
     assert "re-run `hierlog train`" in str(info.value)
+
+
+def test_an_empty_group_loads_and_saves_as_no_group(tmp_path, toy_tree):
+    path, data = _saved_train_kb(tmp_path, toy_tree, llm=False)
+    saved = KnowledgeBase.load(path).to_json()
+    data["groups"].append([["root"], []])
+    kb = KnowledgeBase.from_json(data)
+    assert kb.to_json() == saved
+    assert kb.transition_index() == {(): {(START_MARK, "Session"), ("Session", "Auth"), ("Auth", "Comm"),
+                                          ("Comm", END_MARK)}}
 
 
 def test_load_checks_the_kb_and_test_entries(tmp_path):
