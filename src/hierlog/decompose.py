@@ -8,10 +8,11 @@ status transition survives.
 
 `scan_runs` finds the runs of all three levels in one pass over the keys.
 A run is the start and end of its key chunk and its node names. The
-detector and training key each run by its pattern (`pattern_keys`), as the
-train KBs are keyed, and build its `Seq` (`run_seq`) only for the LLM path
-or a new train entry; an LLM summary finds a run's children among the next
-level's runs. `top_down_decompose` builds every `Seq`, children linked.
+detector and training work on a run as its level, its pattern
+(`pattern_keys`, the train KBs' key) and its keys, and build no `Seq`; an
+LLM summary finds a run's children among the next level's runs. `Seq`,
+`run_seq` and `top_down_decompose` (every `Seq`, children linked) serve
+only criteria 1-4, the reference tests and the bench's wrapper.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Seq:
 
     @property
     def signature(self) -> str:
-        return signature(self.parent_path, self.nodes)
+        return signature(self.level, self.pattern)
 
 
 @dataclass
@@ -109,8 +110,7 @@ def pattern_keys(level: str, keys: list[str], runs: list[Run], tree: TopicTree) 
 def run_seq(level: str, keys: list[str], run: Run, tree: TopicTree) -> Seq:
     """The `Seq` of one run of `scan_runs(keys, tree)[level]`, without children."""
     start, end, names = run
-    path = (ROOT,) if level == ENTITY else tree.key_paths[keys[start]][PARENT_DEPTH[level] - 1]
-    return Seq(level, path, names, keys[start:end])
+    return Seq(level, (ROOT,) + tree.key_parents[keys[start]][:PARENT_DEPTH[level]], names, keys[start:end])
 
 
 def top_down_decompose(keys: Sequence[str], tree: TopicTree) -> DecompositionResult:

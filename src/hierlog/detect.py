@@ -5,10 +5,12 @@ pattern matching or a transition automaton): one probe of its level's
 train KB with the run's pattern, the key of the KB. Only a pattern it
 rejects goes to the LLM, with retrieved sibling examples, and a decided
 LLM verdict is cached per chunk in the test KB of its level, so a repeated
-chunk costs one provider round. A verdict holds its level and pattern; its
-signature is built only where it is written. Verdicts aggregate bottom-up
-per sequence with optional early exit. A report is a function of its key
-list and is memoised by it (`Detector.detect_sequence`).
+chunk costs one provider round. Detection and training alike work on a
+sub-sequence as its level, its pattern and its run's slice of the keys,
+and build no `Seq`. A verdict's signature is built only where it is
+written. Verdicts aggregate bottom-up per sequence with optional early
+exit. A report is a function of its key list and is memoised by it
+(`Detector.detect_sequence`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .decompose import Run, Seq, pattern_keys, run_seq, scan_runs
+from .decompose import Run, pattern_keys, scan_runs
 from .decompose import top_down_decompose  # noqa: F401; bench/layers.py wraps it under this name
 from .errors import DecompositionError, ProviderError
-from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, ROOT, STATUS, TopicTree, signature
+from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, STATUS, TopicTree, signature
 from .ingest import LogSequence
 from .knowledge import KnowledgeBase, KnowledgeBaseSet, TestEntry, chunk_key
 from .semantics import (
@@ -91,7 +93,7 @@ class DetectConfig:
 @dataclass(slots=True)
 class SeqVerdict:
     level: str
-    pattern: tuple[str, ...]  # as `Seq.pattern` gives it
+    pattern: tuple[str, ...]  # as `pattern_keys` gives it
     verdict: str  # normal | abnormal
     source: str  # pattern_match | automaton | llm
     explanation: Optional[str] = None
@@ -99,8 +101,7 @@ class SeqVerdict:
 
     @property
     def signature(self) -> str:
-        depth = PARENT_DEPTH[self.level]
-        return signature((ROOT, *self.pattern[:depth]), self.pattern[depth:])
+        return signature(self.level, self.pattern)
 
 
 @dataclass(slots=True)
@@ -130,10 +131,6 @@ def local_verdict(kind: str, train_kb: KnowledgeBase, pattern: tuple[str, ...], 
     return SeqVerdict(train_kb.level, pattern, VERDICT_NORMAL if normal else VERDICT_ABNORMAL, source)
 
 
-# the check of one `Seq`, as the detector makes it of a run's pattern
-LOCAL_DETECTORS = {k: lambda seq, kb, k=k: local_verdict(k, kb, seq.pattern, seq.nodes) for k in (EXACT, AUTOMATON)}
-
-
 def _bounded_put(cache: dict, key, value, bound: int) -> None:
     """Store into a Detector cache, emptying it first when it holds `bound` entries."""
     if len(cache) >= bound:
@@ -158,14 +155,15 @@ class Detector:
 
     Below the memo, `_detect` keeps per enabled level the symbolic verdict
     of each pattern (`pattern_keys`): a miss makes one probe from the run's
-    names and builds no `Seq`. With the LLM on, a run that check rejects is
-    judged by its chunk, which the summaries, the retrieval query and the
-    LLM cache read, and its decided verdict is kept per level and chunk;
-    only a miss there builds the run's `Seq`, and past the LLM cache only a
-    summary miss builds a child's. A verdict made under a provider error is
-    not kept. Each dict is emptied at `VERDICT_CACHE_SIZE` entries, and
-    reports share `SeqVerdict` objects. `verdict_hits` counts per level the
-    runs whose verdict the dicts held, `verdict_misses` the rest.
+    names. With the LLM on, a run that check rejects is judged by its
+    chunk, which the summaries, the retrieval query and the LLM cache read,
+    and its decided verdict is kept per level and chunk; the prompts read
+    the run's pattern, node names and chunk, and a summary miss reads its
+    children's among the next level's runs. A verdict made under a
+    provider error is not kept. Each dict is emptied at
+    `VERDICT_CACHE_SIZE` entries, and reports share `SeqVerdict` objects.
+    `verdict_hits` counts per level the runs whose verdict the dicts held,
+    `verdict_misses` the rest.
     """
 
     def __init__(
@@ -210,22 +208,21 @@ class Detector:
         verdict = self._llm_verdicts[level].get(chunk)
         if verdict is not None:
             return verdict, True
-        seq = run_seq(level, keys, run, self.tree)
         cache = self.kbs.test[level]
-        ck = chunk_key(seq.chunk)
+        ck = chunk_key(chunk)
         entry = cache.lookup_test(ck)
         if entry is None:
             try:
-                summary = self._summary_for(level, keys, runs, run, seq)
-                query = embed_chunk(seq.chunk)
-                examples = self.kbs.train[level].retrieve_similar(seq.parent_path[1:], query, self.config.m)
+                summary = self._summary_for(level, pattern, keys, runs, run)
+                query = embed_chunk(chunk)
+                examples = self.kbs.train[level].retrieve_similar(pattern[:PARENT_DEPTH[level]], query, self.config.m)
                 example_summaries = [e.summary for e in examples if e.summary]
-                prompt = DetectionPrompt(">".join(seq.nodes), summary, example_summaries, parent_context(seq))
+                prompt = DetectionPrompt(">".join(run[2]), summary, example_summaries, parent_context(level, pattern))
                 self.llm_calls += 1
                 answer, explanation, low = llm_detect(prompt, self.provider)
             except ProviderError as exc:  # undecided, so never cached
                 counters.provider_errors += 1
-                log.warning("provider error for %s: %s", seq.signature, exc)
+                log.warning("provider error for %s: %s", signature(level, pattern), exc)
                 explanation = f"undecided: provider error ({exc})"
                 return SeqVerdict(level, pattern, VERDICT_ABNORMAL, "llm", explanation, "low"), False
             entry = TestEntry(ck, answer, explanation, "low" if low else "normal")
@@ -234,34 +231,34 @@ class Detector:
         _bounded_put(self._llm_verdicts[level], chunk, verdict, VERDICT_CACHE_SIZE)
         return verdict, False
 
-    def _summary_for(self, level: str, keys: list[str], runs: dict[str, list[Run]], run: Run,
-                     seq: Optional[Seq] = None) -> str:
+    def _summary_for(self, level: str, pattern: tuple[str, ...], keys: list[str], runs: dict[str, list[Run]],
+                     run: Run) -> str:
         """Bottom-up summary of `run` in `runs[level]`, kept per level and chunk, bounded like the verdict dicts.
 
-        Only a miss builds the run's `Seq` (unless given) and reads its children's, the next runs one level down.
+        Only a miss reads its children, the next runs one level down, and their patterns.
         """
         start, end, names = run
         cache = self._summary_cache[level]
-        key = tuple(keys[start:end])
+        chunk = keys[start:end]
+        key = tuple(chunk)
         cached = cache.get(key)
         if cached is not None:
             return cached
-        if seq is None:
-            seq = run_seq(level, keys, run, self.tree)
         # reuse training summaries when the same pattern+chunk was summarized
-        train_entry = self.kbs.train[level].entries.get(seq.pattern)
-        if train_entry is not None and train_entry.summary and train_entry.example_chunk == seq.chunk:
+        train_entry = self.kbs.train[level].entries.get(pattern)
+        if train_entry is not None and train_entry.summary and train_entry.example_chunk == chunk:
             summary = train_entry.summary
         elif level == STATUS:
-            texts = [self.templates.get(k, k) for k in seq.chunk]
-            summary = summarize_status_seq(seq, texts, self.provider)
+            texts = [self.templates.get(k, k) for k in chunk]
+            summary = summarize_status_seq(pattern, texts, self.provider)
         else:
             child_level = ACTION if level == ENTITY else STATUS
             child_runs = runs[child_level]
             first = bisect_left(child_runs, (start,))  # runs ascend by start, and a run's first child starts with it
             children = child_runs[first:first + len(names)]
-            child_summaries = [self._summary_for(child_level, keys, runs, child) for child in children]
-            summary = summarize_parent_seq(seq, child_summaries, self.provider)
+            patterns = zip(pattern_keys(child_level, keys, children, self.tree), children)
+            child_summaries = [self._summary_for(child_level, p, keys, runs, child) for p, child in patterns]
+            summary = summarize_parent_seq(level, pattern, child_summaries, self.provider)
         _bounded_put(cache, key, summary, VERDICT_CACHE_SIZE)
         return summary
 
@@ -346,8 +343,9 @@ def train(
     """Build training KBs from normal-only sequences.
 
     Every run of every level is inserted at its level: a pattern seen
-    before only counts one more occurrence, and a new one builds its `Seq`.
-    With the LLM path enabled, summaries and embeddings are computed
+    before only counts one more occurrence, and a new one is inserted with
+    its run's slice of the keys; no `Seq` is built. With the LLM path
+    enabled, summaries and embeddings are computed
     bottom-up for each new pattern, a parent's from its children's
     entries. Any decomposition failure aborts the run: training KBs must be
     complete.
@@ -376,16 +374,15 @@ def train(
                 if entry is not None:
                     entry.occurrence_count += 1
                 else:
-                    seq = run_seq(level, keys, run, tree)
-                    entry = kb.insert_train(seq)
+                    entry = kb.insert_train(pattern, keys[run[0]:run[1]])
                     if config.llm_enabled:
                         if level == STATUS:
-                            texts = [templates.get(k, k) for k in seq.chunk]
-                            entry.summary = summarize_status_seq(seq, texts, provider)
+                            texts = [templates.get(k, k) for k in entry.example_chunk]
+                            entry.summary = summarize_status_seq(pattern, texts, provider)
                         else:
-                            children = below[first_child:first_child + len(seq.nodes)]
+                            children = below[first_child:first_child + len(run[2])]
                             child_summaries = [below_entries[p].summary for p in children]
-                            entry.summary = summarize_parent_seq(seq, child_summaries, provider)
+                            entry.summary = summarize_parent_seq(level, pattern, child_summaries, provider)
                         entry.embedding = embed_chunk(entry.example_chunk)
                 first_child += len(run[2])
             below, below_entries = patterns, entries

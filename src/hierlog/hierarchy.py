@@ -43,9 +43,11 @@ def escape_name(name: str) -> str:
     return name.replace("\\", "\\\\").replace("|", "\\|").replace(">", "\\>")
 
 
-def signature(path: Sequence[str], nodes: Sequence[str]) -> str:
-    """A pattern's text in reports and logs, injective over (parent path names, node names)."""
-    return SIG_NODE_SEP.join(map(escape_name, path)) + SIG_PARENT_SEP + SIG_NODE_SEP.join(map(escape_name, nodes))
+def signature(level: str, pattern: Sequence[str]) -> str:
+    """A pattern's text in reports and logs, injective over (parent path names, node names) of a level."""
+    depth = PARENT_DEPTH[level]
+    path = SIG_NODE_SEP.join(map(escape_name, (ROOT, *pattern[:depth])))
+    return path + SIG_PARENT_SEP + SIG_NODE_SEP.join(map(escape_name, pattern[depth:]))
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,10 @@ class TopicTree:
         # of these interned strings is valid for run detection, and a transition
         # pair derived from a loaded KB holds the very same objects
         self.key_names = {key: tuple(map(sys.intern, names)) for key, names in key_names.items()}
-        # precomputed parent paths per key: (root, entity) / (root, entity, action)
-        self.key_paths: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        e_paths: dict[str, tuple[str, ...]] = {}
-        a_paths: dict[tuple[str, str], tuple[str, ...]] = {}
-        for key, (entity, action, _) in self.key_names.items():
-            e_path = e_paths.setdefault(entity, (ROOT, entity))
-            a_path = a_paths.setdefault((entity, action), e_path + (action,))
-            self.key_paths[key] = (e_path, a_path)
-        self.node_counts = {ENTITY: len(e_paths), ACTION: len(a_paths), STATUS: len(self.key_names)}
-        self.key_parents = {key: names[:2] for key, names in self.key_names.items()}  # a status pattern's first names
+        # key -> (entity, action): a status pattern's first names, whose first PARENT_DEPTH[level] are a run's parent
+        self.key_parents = {key: names[:2] for key, names in self.key_names.items()}
+        actions = set(self.key_parents.values())
+        self.node_counts = {ENTITY: len({e for e, _ in actions}), ACTION: len(actions), STATUS: len(self.key_names)}
 
     def __len__(self) -> int:
         """The node count, the root included."""
@@ -136,7 +132,7 @@ class TopicTree:
     def load(cls, path: str | Path) -> "TopicTree":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError, OSError) as exc:
             raise TreeError(f"cannot load tree from {path}: {exc}") from exc
         try:
             return cls.from_json(data)
@@ -324,6 +320,8 @@ def _read_json(path: str | Path):
         return json.loads("".join(line for _, line in _text_lines(path)))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 EXTRACTOR_KINDS = ("fixture", "lexicon", "llm")

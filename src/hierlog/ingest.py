@@ -384,6 +384,8 @@ def read_jsonl(path: str | Path, fields: Sequence[str] = ()) -> Iterator[tuple[i
             row, end = decode(line)
         except json.JSONDecodeError:
             end = -1
+        except RecursionError as exc:  # nested deeper than the decoder goes
+            raise LineParseError(path, lineno, f"invalid JSON: {exc}") from None
         if end != len(line):
             try:
                 row = json.loads(line)

@@ -1,14 +1,15 @@
 """Per-level knowledge bases for training patterns and the LLM verdict cache.
 
 Training KBs store deduplicated normal sub-sequences with occurrence
-counts, keyed by pattern (`Seq.pattern`: the parent path's names below the
-root, then the node names). Their grouping by parent, which a load fills,
-the automaton's transition index and the retrieval columns are derived on
-first use. With the LLM path on, each entry also holds an example chunk, a
-summary and a sparse embedding. Test KBs cache decided LLM verdicts per
-chunk, so a repeated chunk that the symbolic detector rejects never
-re-queries the provider. Symbolic verdicts are a function of the train
-KBs, so a `Detector` keeps them only in memory.
+counts. An entry holds its pattern alone, the parent path's names below the
+root, then the node names, which the level's `PARENT_DEPTH` splits where
+they are needed apart; no `Seq` is built. The grouping by parent, which a
+load fills, the automaton's transition index and the retrieval columns are
+derived on first use. With the LLM path on, each entry also holds an
+example chunk, a summary and a sparse embedding. Test KBs cache decided
+LLM verdicts per chunk, so a repeated chunk that the symbolic detector
+rejects never re-queries the provider. Symbolic verdicts are a function of
+the train KBs, so a `Detector` keeps them only in memory.
 
 A train file persists only what cannot be derived. Its entries are grouped
 by parent path, ``"groups": [[parent_path, rows], ...]``, in signature
@@ -34,7 +35,6 @@ from operator import add, itemgetter, lt, mul, truediv
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .decompose import Seq
 from .errors import FormatError, KnowledgeBaseError
 from .hierarchy import LEVELS, PARENT_DEPTH, ROOT, SIG_NODE_SEP, escape_name, signature
 from .semantics import EMBED_DIM, SparseVector, sparse_vector
@@ -57,17 +57,11 @@ def chunk_key(chunk: Sequence[str]) -> str:
 
 @dataclass(slots=True)
 class TrainEntry:
-    pattern: tuple[str, ...]  # its key in the KB's entries
-    parent_path: list[str]
-    nodes: list[str]
+    pattern: tuple[str, ...]  # its key in the KB's entries: the parent's names, then the node names
     example_chunk: Optional[list[str]]  # None when loaded from a KB trained with the LLM off
     occurrence_count: int = 1
     summary: Optional[str] = None
     embedding: Optional[SparseVector] = None
-
-    @property
-    def signature(self) -> str:
-        return signature(self.parent_path, self.nodes)
 
 
 @dataclass
@@ -99,14 +93,14 @@ class KnowledgeBase:
 
     # -- training side ------------------------------------------------------
 
-    def insert_train(self, seq: Seq) -> TrainEntry:
-        """Create the entry of a new normal sub-sequence, count 1; the caller counts repeats, as `train` does."""
-        self._require(role="train", level=seq.level)
-        pattern, parent, chunk = seq.pattern, seq.parent_path[1:], list(seq.chunk) if self.llm else None
+    def insert_train(self, pattern: tuple[str, ...], chunk: Sequence[str]) -> TrainEntry:
+        """Create a new normal pattern's entry, count 1, with its chunk; the caller counts repeats, as `train` does."""
+        self._require(role="train")
+        parent = pattern[:PARENT_DEPTH[self.level]]
         group = self._groups.setdefault(parent, [])
         if pattern in self.entries:  # a re-insert replaces the entry
             group.remove(self.entries[pattern])
-        entry = self.entries[pattern] = TrainEntry(pattern, list(seq.parent_path), list(seq.nodes), chunk)
+        entry = self.entries[pattern] = TrainEntry(pattern, list(chunk) if self.llm else None)
         group.append(entry)
         self._transitions = self._columns[parent] = None
         return entry
@@ -117,8 +111,11 @@ class KnowledgeBase:
     def transition_index(self) -> dict[tuple[str, ...], set[tuple[str, str]]]:
         """Parent names -> the adjacent node-name pairs of its entries, start and end marks included."""
         if self._transitions is None:
+            depth = PARENT_DEPTH[self.level]
             self._transitions = {
-                parent: set(chain.from_iterable(zip([START_MARK, *e.nodes], [*e.nodes, END_MARK]) for e in group))
+                parent: set(chain.from_iterable(
+                    zip((START_MARK, *e.pattern[depth:]), (*e.pattern[depth:], END_MARK)) for e in group
+                ))
                 for parent, group in self._groups.items()
             }
         return self._transitions
@@ -140,7 +137,7 @@ class KnowledgeBase:
         # an embedding may be set or replaced after a query, so the columns
         # stand only while they were built from these very vectors
         if columns is None or columns.embeddings != embeddings:
-            missing = [e.signature for e in siblings if e.embedding is None]
+            missing = [signature(self.level, e.pattern) for e in siblings if e.embedding is None]
             if missing:
                 raise KnowledgeBaseError(
                     f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
@@ -166,12 +163,14 @@ class KnowledgeBase:
             rows = sorted(self.entries.items())
             data["entries"] = [{name: getattr(e, name) for name in _TEST_FIELDS} for _, e in rows]
             return data
-        row, groups = _llm_row if self.llm else _row, self._groups.values()
-        text = _joined_escaped(chain(*(g[0].parent_path for g in groups), *(e.nodes for e in self.entries.values())))
+        row, depth = _llm_row if self.llm else _row, PARENT_DEPTH[self.level]
+        # groups in the order of their parent paths' text, and a group's entries in the order of their patterns'
+        # text, which is their node names' since they share their parent
+        text = _joined_escaped(chain.from_iterable(self.entries))
         data["llm"] = self.llm
         data["groups"] = [
-            [group[0].parent_path, [row(e) for e in sorted(group, key=lambda e: text(e.nodes))]]
-            for group in sorted(groups, key=lambda group: text(group[0].parent_path))
+            [[ROOT, *parent], [row(e, depth) for e in sorted(group, key=lambda e: text(e.pattern))]]
+            for parent, group in sorted(self._groups.items(), key=lambda item: text(item[0]))
         ]
         return data
 
@@ -189,6 +188,10 @@ class KnowledgeBase:
                 raise FormatError("a test KB needs a list of entries")
             columns = _columns(rows, _TEST_FIELDS)
             kb.entries = dict(zip(columns[0], map(TestEntry, *columns)))  # by chunk key
+            if len(kb.entries) < len(rows):  # else row order would pick the verdict of a repeated chunk key
+                first: dict[str, int] = {}
+                n = next(n for n, ck in enumerate(columns[0]) if first.setdefault(ck, n) != n)
+                raise FormatError(f"entry {n}: repeats the chunk key of entry {first[columns[0][n]]}")
         else:
             kb.llm, groups = data.get("llm"), data.get("groups")
             if type(kb.llm) is not bool or type(groups) is not list:
@@ -213,7 +216,7 @@ class KnowledgeBase:
     def load(cls, path: str | Path) -> "KnowledgeBase":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError, OSError) as exc:
             raise FormatError(f"cannot load KB from {path}: {exc}") from exc
         try:
             return cls.from_json(data)
@@ -223,11 +226,9 @@ class KnowledgeBase:
     def __eq__(self, other) -> bool:
         return isinstance(other, KnowledgeBase) and self.to_json() == other.to_json()
 
-    def _require(self, role: Optional[str] = None, level: Optional[str] = None) -> None:
-        if role is not None and self.role != role:
+    def _require(self, role: str) -> None:
+        if self.role != role:
             raise KnowledgeBaseError(f"operation requires a {role} KB, got {self.role}")
-        if level is not None and self.level != level:
-            raise KnowledgeBaseError(f"level mismatch: KB is {self.level}, got {level}")
 
 
 class _SiblingColumns:
@@ -256,9 +257,9 @@ class _SiblingColumns:
 
     def __init__(self, siblings: list[TrainEntry], embeddings: list[SparseVector]):
         self.embeddings = embeddings  # in insertion order, as the caller compares them
-        # siblings share their parent, so their node names order their signatures
-        text = _joined_escaped(chain.from_iterable(e.nodes for e in siblings))
-        tied = sorted(zip(siblings, embeddings), key=lambda pair: (-pair[0].occurrence_count, text(pair[0].nodes)))
+        # siblings share their parent, so their patterns' text orders them as their signatures
+        text = _joined_escaped(chain.from_iterable(e.pattern for e in siblings))
+        tied = sorted(zip(siblings, embeddings), key=lambda pair: (-pair[0].occurrence_count, text(pair[0].pattern)))
         self.by_rank = [entry for entry, _ in tied]
         self.zeros = [0.0] * len(tied)
         self.columns: dict[int, list[float]] = {}  # bucket -> each sibling's value there, or 0.0
@@ -291,14 +292,14 @@ def _joined_escaped(names):
     return (lambda names: SIG_NODE_SEP.join([escaped.get(n, n) for n in names])) if escaped else SIG_NODE_SEP.join
 
 
-def _row(entry: TrainEntry) -> list:
-    return [entry.nodes, entry.occurrence_count]
+def _row(entry: TrainEntry, depth: int) -> list:
+    return [list(entry.pattern[depth:]), entry.occurrence_count]
 
 
-def _llm_row(entry: TrainEntry) -> list:
+def _llm_row(entry: TrainEntry, depth: int) -> list:
     embedding = entry.embedding
     pairs = None if embedding is None else [[i, x] for i, x in embedding.nonzeros.items()]
-    return [entry.nodes, entry.occurrence_count, entry.example_chunk, entry.summary, pairs]
+    return [list(entry.pattern[depth:]), entry.occurrence_count, entry.example_chunk, entry.summary, pairs]
 
 
 # -- validation on load ---------------------------------------------------------
@@ -445,15 +446,13 @@ def _load_groups(kb: KnowledgeBase, groups: list) -> None:
             raise FormatError(f"group {g}: a parent path starts at {ROOT!r}, not {parent[0]!r}")
         if not rows:  # an empty group holds nothing to keep
             continue
-        parent = list(map(intern, parent))  # shared by the group's entries
-        names = tuple(parent[1:])
+        names = tuple(map(intern, parent[1:]))
         group = kb._groups.setdefault(names, [])
         for r, row in enumerate(rows):
-            nodes = list(map(intern, row[0]))
-            pattern = (*names, *nodes)
+            pattern = (*names, *map(intern, row[0]))
             if pattern in entries:
                 raise FormatError(f"group {g}, row {r}: repeats the parent path and nodes of an earlier row")
-            entry = entries[pattern] = TrainEntry(pattern, parent, nodes, None, row[1])
+            entry = entries[pattern] = TrainEntry(pattern, None, row[1])
             group.append(entry)
     if kb.llm:
         for entry, (_, _, chunk, summary, pairs) in zip(entries.values(), all_rows):

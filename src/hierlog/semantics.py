@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from . import prompts as prompt_assets
-from .decompose import Seq
 from .errors import LineParseError, ProviderError
+from .hierarchy import PARENT_DEPTH, ROOT, STATUS, signature
 from .ingest import read_jsonl
 
 VERDICT_NORMAL = "normal"
@@ -224,7 +224,7 @@ def _chat_content(body: bytes) -> str:
     """The reply text of a chat-completion response body; any other body is a ProviderError."""
     try:
         content = json.loads(body)["choices"][0]["message"]["content"]
-    except (ValueError, LookupError, TypeError):  # not JSON, or no choices[0].message.content
+    except (ValueError, RecursionError, LookupError, TypeError):  # not JSON, or no choices[0].message.content
         raise ProviderError(f"chat endpoint response has no choices[0].message.content: {body[:200]!r}") from None
     if not isinstance(content, str):
         raise ProviderError(f"chat endpoint response content is {type(content).__name__}, not a string")
@@ -301,33 +301,35 @@ def embed_chunk(chunk: Sequence[str]) -> SparseVector:
 # Summarization
 # ---------------------------------------------------------------------------
 
-def parent_context(seq: Seq) -> str:
-    return " > ".join(seq.parent_path)
+def parent_context(level: str, pattern: Sequence[str]) -> str:
+    """The parent path of a pattern of `level` in a prompt: the root, then the pattern's parent names."""
+    return " > ".join((ROOT, *pattern[:PARENT_DEPTH[level]]))
 
 
-def summarize_status_seq(seq: Seq, templates: Sequence[str], provider: Provider) -> str:
-    """One provider call over the concatenated templates of the chunk."""
+def summarize_status_seq(pattern: Sequence[str], templates: Sequence[str], provider: Provider) -> str:
+    """One provider call over the concatenated templates of a status pattern's chunk."""
     request = prompt_assets.load("summarize_status").format(
-        parent_context=parent_context(seq),
-        nodes=">".join(seq.nodes),
+        parent_context=parent_context(STATUS, pattern),
+        nodes=">".join(pattern[PARENT_DEPTH[STATUS]:]),
         templates="\n".join(templates),
     )
     return provider.complete(request)
 
 
-def summarize_parent_seq(seq: Seq, child_summaries: Sequence[str], provider: Provider) -> str:
-    """One provider call over the child summaries (never raw templates)."""
-    if len(child_summaries) != len(seq.nodes):
+def summarize_parent_seq(level: str, pattern: Sequence[str], child_summaries: Sequence[str], provider: Provider) -> str:
+    """One provider call over the child summaries (never raw templates), one per node of the pattern."""
+    nodes = pattern[PARENT_DEPTH[level]:]
+    if len(child_summaries) != len(nodes):
         raise ValueError(
-            f"{seq.signature}: expected {len(seq.nodes)} child summaries, got {len(child_summaries)}"
+            f"{signature(level, pattern)}: expected {len(nodes)} child summaries, got {len(child_summaries)}"
         )
     for i, s in enumerate(child_summaries):
         if s is None:
-            raise ValueError(f"{seq.signature}: child {i} has no summary")
+            raise ValueError(f"{signature(level, pattern)}: child {i} has no summary")
     request = prompt_assets.load("summarize_parent").format(
-        level=seq.level,
-        parent_context=parent_context(seq),
-        nodes=">".join(seq.nodes),
+        level=level,
+        parent_context=parent_context(level, pattern),
+        nodes=">".join(nodes),
         child_summaries="\n".join(child_summaries),
     )
     return provider.complete(request)

@@ -30,6 +30,20 @@ def make_signature(parent_path, nodes) -> str:
     )
 
 
+DEEP_JSON = "[" * 200_000  # nested deeper than the JSON decoder goes
+
+
+def _deep_json_fault() -> str:
+    try:
+        json.loads(DEEP_JSON)
+    except RecursionError as exc:
+        return str(exc)
+    raise AssertionError("the JSON decoder took DEEP_JSON")
+
+
+DEEP_JSON_FAULT = _deep_json_fault()  # the reason the decoder gives for DEEP_JSON
+
+
 def report_to_json(report) -> dict:
     """A report's fields as a JSON object: `json.dumps(..., sort_keys=True)` of it is the
     oracle for each body line that `save_reports` writes."""

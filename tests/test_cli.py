@@ -25,7 +25,7 @@ from hierlog.hierarchy import TopicTree
 from hierlog.ingest import load_sequences, load_template_catalog
 from hierlog.knowledge import END_MARK, KB_FORMAT_VERSION, START_MARK
 
-from conftest import make_signature
+from conftest import DEEP_JSON, DEEP_JSON_FAULT, make_signature
 
 KB_FILES = [f"{role}_{level}.json" for role in ("train", "test") for level in ("entity", "action", "status")]
 
@@ -399,13 +399,15 @@ def test_extractor_files_are_read_as_utf_8_under_an_ascii_locale(tmp_path, kind,
         ("fixture", '{"k1": {"entity": "Session", "action": 3}}', f"key 'k1': {NOT_A_TRIPLE}"),
         ("fixture", '{"k1": {"entity": "", "action": "open"}}', f"key 'k1': {NOT_A_TRIPLE}"),
         ("fixture", "{", "invalid JSON: Expecting property name enclosed in double quotes at line 1 column 2"),
+        ("fixture", DEEP_JSON, f"invalid JSON: {DEEP_JSON_FAULT}"),
         ("lexicon", '{"action_verbs": 5}', "field 'action_verbs' must be a list of strings"),
         ("lexicon", '{"status_words": ["ok", null]}', "field 'status_words' must be a list of strings"),
         ("lexicon", '{"entity_terms": {"disk": 1}}', "field 'entity_terms' must be an object of strings"),
         ("lexicon", "[]", "a lexicon is a JSON object"),
     ],
     ids=["fixture-list", "fixture-triple-a-string", "fixture-action-an-int", "fixture-entity-empty", "fixture-not-json",
-         "lexicon-verbs-an-int", "lexicon-word-null", "lexicon-term-an-int", "lexicon-list"],
+         "fixture-nested-too-deeply", "lexicon-verbs-an-int", "lexicon-word-null", "lexicon-term-an-int",
+         "lexicon-list"],
 )
 def test_extractor_files_of_the_wrong_shape_name_the_file(tmp_path, data, kind, text, fault):
     path = tmp_path / f"{kind}.json"
@@ -995,6 +997,11 @@ JSONL_FAULTS = {
         "ingest", "--templates", "templates.jsonl",
         lambda lines: '{"key": "k1", "template": "x"}\n\n{"key": "k1", "template": "y <*>"}\n',
         "line 3: duplicate template key 'k1', first at line 1",
+    ),
+    # a decode error naming its line, not a RecursionError
+    "raw-record-nested-too-deeply": (
+        "ingest", "--logs", "raw.jsonl", lambda lines: lines[0] + DEEP_JSON + "\n",
+        f"line 2: invalid JSON: {DEEP_JSON_FAULT}",
     ),
     "raw-record-without-message": (
         "ingest", "--logs", "raw.jsonl", lambda lines: lines[0] + '{"timestamp": 1}\n',

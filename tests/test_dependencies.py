@@ -39,6 +39,29 @@ def test_every_absolute_import_is_the_standard_library_or_declared():
     assert not outside
 
 
+def test_seq_and_run_seq_are_named_only_in_decompose():
+    """The product works on (level, pattern) and builds no `Seq`: only decompose.py, which keeps `Seq`,
+    `run_seq` and `top_down_decompose` for the decomposition criteria and the reference tests, names them."""
+    named = []
+    for path in sorted(Path(hierlog.__file__).parent.glob("*.py")):
+        if path.name == "decompose.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            else:
+                continue
+            if name in ("Seq", "run_seq"):
+                named.append(f"{path.name}:{node.lineno}: {name}")
+    assert not named
+
+
 def test_importing_the_package_loads_no_http_client():
     """The chat provider imports `urllib.request` when it first sends, so a run without it never pays for it."""
     code = "import sys, hierlog.cli, hierlog.pipeline; print(sorted({'http.client', 'urllib.request'} & sys.modules.keys()))"

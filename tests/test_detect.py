@@ -14,13 +14,13 @@ from hierlog import detect as detect_module
 from hierlog.detect import (
     AUTOMATON,
     EXACT,
-    LOCAL_DETECTORS,
     DetectConfig,
     Detector,
     LEVEL_PRESETS,
+    local_verdict,
     train,
 )
-from hierlog.decompose import run_seq, top_down_decompose
+from hierlog.decompose import top_down_decompose
 from hierlog.errors import DecompositionError, ProviderError
 from hierlog.hierarchy import ACTION, ENTITY, STATUS, FixtureExtractor, TopicTriple, build_tree, extract_topics
 from hierlog.ingest import LogSequence
@@ -98,8 +98,8 @@ def test_exact_vs_automaton(toy_cat, toy_tree):
     # is new as a whole pattern but every transition was seen
     kbs = train(make_sequences(toy_cat, [["k1", "k3"], ["k3", "k5"]]), toy_tree, DetectConfig())
     e_seq = top_down_decompose(["k1", "k3", "k5"], toy_tree).e_seq
-    assert LOCAL_DETECTORS[EXACT](e_seq, kbs.train[ENTITY]).verdict == "abnormal"
-    assert LOCAL_DETECTORS[AUTOMATON](e_seq, kbs.train[ENTITY]).verdict == "normal"
+    assert local_verdict(EXACT, kbs.train[ENTITY], e_seq.pattern, e_seq.nodes).verdict == "abnormal"
+    assert local_verdict(AUTOMATON, kbs.train[ENTITY], e_seq.pattern, e_seq.nodes).verdict == "normal"
 
 
 def test_detector_per_level_override(toy_cat, toy_tree):
@@ -538,48 +538,78 @@ def test_llm_trained_kb_dir_loads_and_saves_back_byte_identical(tmp_path):
     assert report_bodies(True, fresh_caches(loaded), corpus.test) == report_bodies(True, fresh_caches(kbs), corpus.test)
 
 
-# -- Seq builds on the LLM path -------------------------------------------------------
+# -- the LLM path's work per chunk -------------------------------------------------------
 
-def count_seq_builds(monkeypatch):
-    """Each (level, chunk) whose `Seq` is built from here on, wherever the detector builds it."""
-    built = []
+def forbid_seqs(monkeypatch):
+    """From here on, building a `Seq` anywhere fails: the detector and training work on (level, pattern)."""
 
-    def counted(level, keys, run, tree):
-        built.append((level, tuple(keys[run[0]:run[1]])))
-        return run_seq(level, keys, run, tree)
+    def no_seq(*args):
+        raise AssertionError("a Seq was built")
 
-    monkeypatch.setattr("hierlog.detect.run_seq", counted)
-    monkeypatch.setattr("hierlog.decompose.run_seq", counted)
-    return built
+    monkeypatch.setattr("hierlog.decompose.Seq", no_seq)
 
 
-def test_a_warm_llm_cache_builds_one_seq_per_verdict_miss(tmp_path, monkeypatch):
+def count_cache_lookups(monkeypatch):
+    """Each (level, chunk key) looked up in an LLM cache from here on."""
+    looked, lookup = [], KnowledgeBase.lookup_test
+
+    def counted(kb, ck):
+        looked.append((kb.level, ck))
+        return lookup(kb, ck)
+
+    monkeypatch.setattr(KnowledgeBase, "lookup_test", counted)
+    return looked
+
+
+def test_a_warm_llm_cache_is_asked_once_per_verdict_miss(tmp_path, monkeypatch):
     corpus, tree, templates, config, kbs = shuffle_setup(True)
     Detector(tree, kbs, config, provider=MockProvider(), templates=templates).run(corpus.test)
     kbs.save_dir(tmp_path)
-    built = count_seq_builds(monkeypatch)
+    forbid_seqs(monkeypatch)
+    looked = count_cache_lookups(monkeypatch)
     provider = MockProvider()
     detector = Detector(tree, KnowledgeBaseSet.load_dir(tmp_path), config, provider=provider, templates=templates)
     reports = detector.run(corpus.test)
     assert any(v.source == "llm" for r in reports for v in r.verdicts)
     assert (provider.calls, detector.llm_calls) == (0, 0)
-    # only a rejected run whose chunk has no kept LLM verdict builds its Seq, once per chunk
-    assert len(built) == len(set(built)) == sum(map(len, detector._llm_verdicts.values()))
-    assert len(built) < sum(detector.verdict_misses.values())
+    # only a rejected run whose chunk has no kept LLM verdict asks the cache, once per chunk
+    assert len(looked) == len(set(looked)) == sum(map(len, detector._llm_verdicts.values()))
+    assert len(looked) < sum(detector.verdict_misses.values())
 
 
-def test_a_parent_summary_builds_no_seq_for_a_child_whose_summary_is_cached(monkeypatch):
+class SummaryRequests(MockProvider):
+    """The mock provider, keeping the task, parent and nodes of each summary request."""
+
+    def __init__(self):
+        super().__init__()
+        self.summaries = []
+
+    def complete(self, request):
+        task, parent, nodes = (line.partition(": ")[2] for line in request.splitlines()[:3])
+        if task.startswith("summarize-"):
+            self.summaries.append((task, parent, nodes))
+        return super().complete(request)
+
+
+def test_a_parent_summary_asks_nothing_for_a_child_whose_summary_is_cached(monkeypatch):
     tree = build_tree([TopicTriple("a", "E", "A", "s"), TopicTriple("b", "E", "B", "s"),
                        TopicTriple("c", "F", "C", "s")])
     config = DetectConfig(llm_enabled=True, early_exit=False)
     kbs = train([LogSequence("t", ["a"])], tree, config, provider=MockProvider())
-    detector = Detector(tree, kbs, config, provider=MockProvider())
+    provider = SummaryRequests()
+    detector = Detector(tree, kbs, config, provider=provider)
     detector.detect_sequence(LogSequence("s1", ["a", "b"]))  # summarises the status run b and the action run a b
-    built = count_seq_builds(monkeypatch)
+    assert provider.summaries == [("summarize-status", "root > E > B", "s"), ("summarize-action", "root > E", "A>B")]
+    forbid_seqs(monkeypatch)
+    provider.summaries.clear()
     report = detector.detect_sequence(LogSequence("s2", ["a", "b", "c"]))
     assert [v.level for v in report.verdicts if v.source == "llm"] == [STATUS, STATUS, ACTION, ACTION, ENTITY]
-    # the entity summary reads the cached summaries of both action runs and builds neither
-    assert built == [(STATUS, ("c",)), (ACTION, ("c",)), (ENTITY, ("a", "b", "c"))]
+    # the entity summary reads the cached summaries of both action runs and asks for neither
+    assert provider.summaries == [
+        ("summarize-status", "root > F > C", "s"),
+        ("summarize-action", "root > F", "C"),
+        ("summarize-entity", "root", "E>F"),
+    ]
 
 
 def test_action_chunks_of_one_trained_pattern_share_one_verdict_with_the_llm_on(monkeypatch):
@@ -590,14 +620,14 @@ def test_action_chunks_of_one_trained_pattern_share_one_verdict_with_the_llm_on(
     config = DetectConfig(llm_enabled=True, early_exit=False)
     kbs = train([LogSequence("t1", ["a", "y"]), LogSequence("t2", ["b", "y"])], tree, config, provider=provider)
     detector = Detector(tree, kbs, config, provider=provider)
-    built = count_seq_builds(monkeypatch)
+    forbid_seqs(monkeypatch)
     first = detector.detect_sequence(LogSequence("s1", ["a", "y"]))
     calls = provider.calls
     second = detector.detect_sequence(LogSequence("s2", ["b", "y"]))
     assert not first.final_verdict and not second.final_verdict
     assert (detector.verdict_hits[ACTION], detector.verdict_misses[ACTION]) == (1, 1)
     assert second.verdicts[2] is first.verdicts[2] and second.verdicts[2].signature == "root>E|X>Y"
-    assert (provider.calls, detector.llm_calls, built) == (calls, 0, [])
+    assert (provider.calls, detector.llm_calls) == (calls, 0)
 
 
 # -- the LLM-off path ------------------------------------------------------------------
@@ -610,10 +640,7 @@ def test_an_llm_off_pass_builds_no_seq(monkeypatch, kind, early_exit):
     seqs = spliced_sequences(corpus)
     want = bodies(Detector(tree, kbs, config).run(seqs))
 
-    def no_seq(*args):
-        raise AssertionError("an LLM-off pass built a Seq")
-
-    monkeypatch.setattr("hierlog.detect.run_seq", no_seq)
+    forbid_seqs(monkeypatch)
     detector = Detector(tree, kbs, config)
     assert bodies(detector.run(seqs)) == want
     assert any(body["final_verdict"] for body in want) and sum(detector.verdict_misses.values()) > 0

@@ -4,7 +4,10 @@ Each reference decomposes every sequence with `top_down_decompose` and
 works on the Seqs one by one, with no memo and no dict, as the detector
 and training did before they keyed their dicts by pattern. With the LLM
 on, the reference keeps only what stands for the LLM cache and the
-summaries: two plain dicts keyed by (level, chunk).
+summaries: two plain dicts keyed by (level, chunk), and it builds each
+prompt's parent context from the Seq's own parent path. The prompts that
+the summary functions build from a pattern are checked against prompts
+formatted here from each Seq's parent path and node names.
 """
 
 import hashlib
@@ -14,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlog import detect as detect_module
+from hierlog import prompts as prompt_assets
 from hierlog.decompose import top_down_decompose
-from hierlog.detect import AUTOMATON, EXACT, LEVEL_ORDER, LEVEL_PRESETS, LOCAL_DETECTORS, DetectConfig, Detector, train
+from hierlog.detect import AUTOMATON, EXACT, LEVEL_ORDER, LEVEL_PRESETS, DetectConfig, Detector, local_verdict, train
 from hierlog.errors import DecompositionError
-from hierlog.hierarchy import ACTION, ENTITY, STATUS, TopicTriple, build_tree
+from hierlog.hierarchy import ACTION, ENTITY, STATUS, TopicTriple, build_tree, signature
 from hierlog.ingest import LogSequence
 from hierlog.knowledge import KnowledgeBaseSet
 from hierlog.semantics import (
@@ -25,10 +29,11 @@ from hierlog.semantics import (
     DetectionPrompt,
     embed_chunk,
     llm_detect,
-    parent_context,
     summarize_parent_seq,
     summarize_status_seq,
 )
+
+from conftest import make_signature
 
 # names that hold the signature's separators and its escape character
 names = st.text(alphabet="ab|>\\", min_size=1, max_size=3)
@@ -71,7 +76,7 @@ def reference_report(keys, tree, kbs, config, llm_verdict=None):
         if level not in config.levels_enabled:
             continue
         for seq in by_level(result)[level]:
-            v = LOCAL_DETECTORS[config.detector_per_level[level]](seq, kbs.train[level])
+            v = local_verdict(config.detector_per_level[level], kbs.train[level], seq.pattern, seq.nodes)
             verdict = as_tuple(v)
             if llm_verdict is not None and v.verdict == VERDICT_ABNORMAL:
                 verdict = llm_verdict(seq)
@@ -174,9 +179,10 @@ def reference_llm(kbs, config, provider, templates):
             if entry is not None and entry.summary and entry.example_chunk == seq.chunk:
                 summaries[key] = entry.summary
             elif seq.level == STATUS:
-                summaries[key] = summarize_status_seq(seq, [templates.get(k, k) for k in seq.chunk], provider)
+                summaries[key] = summarize_status_seq(seq.pattern, [templates.get(k, k) for k in seq.chunk], provider)
             else:
-                summaries[key] = summarize_parent_seq(seq, [summary(child) for child in seq.children], provider)
+                children = [summary(child) for child in seq.children]
+                summaries[key] = summarize_parent_seq(seq.level, seq.pattern, children, provider)
         return summaries[key]
 
     def llm_verdict(seq):
@@ -184,7 +190,7 @@ def reference_llm(kbs, config, provider, templates):
         if key not in llm_cache:
             examples = kbs.train[seq.level].retrieve_similar(seq.parent_path[1:], embed_chunk(seq.chunk), config.m)
             prompt = DetectionPrompt(">".join(seq.nodes), summary(seq), [e.summary for e in examples if e.summary],
-                                     parent_context(seq))
+                                     " > ".join(seq.parent_path))
             llm_cache[key] = llm_detect(prompt, provider)
         verdict, explanation, low = llm_cache[key]
         return (seq.level, seq.signature, verdict, "llm", explanation, "low" if low else "normal")
@@ -220,14 +226,14 @@ def reference_train(sequences, tree, llm, provider, templates):
             if entry is not None:
                 entry.occurrence_count += 1
                 continue
-            entry = entries[seq.level, seq.signature] = kbs.train[seq.level].insert_train(seq)
+            entry = entries[seq.level, seq.signature] = kbs.train[seq.level].insert_train(seq.pattern, seq.chunk)
             if llm:
                 if seq.level == STATUS:
                     texts = [templates.get(k, k) for k in seq.chunk]
-                    entry.summary = summarize_status_seq(seq, texts, provider)
+                    entry.summary = summarize_status_seq(seq.pattern, texts, provider)
                 else:
                     children = [entries[c.level, c.signature].summary for c in seq.children]
-                    entry.summary = summarize_parent_seq(seq, children, provider)
+                    entry.summary = summarize_parent_seq(seq.level, seq.pattern, children, provider)
                 entry.embedding = embed_chunk(entry.example_chunk)
     return kbs
 
@@ -245,3 +251,25 @@ def test_train_equals_inserting_every_decomposed_seq(llm, data):
     for level in LEVEL_ORDER:
         assert got.train[level].to_json() == want.train[level].to_json()
     assert got_provider.requests == want_provider.requests
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prompts_and_signatures_from_a_pattern_equal_those_of_its_seq(data):
+    tree, keys = data.draw(trees(), label="tree")
+    sequence = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=12), label="keys")
+    texts = {key: f"template of {key}" for key in keys}
+    for seq in top_down_decompose(sequence, tree).all_seqs():
+        assert signature(seq.level, seq.pattern) == make_signature(seq.parent_path, seq.nodes)
+        got, fields = Digests(), {"parent_context": " > ".join(seq.parent_path), "nodes": ">".join(seq.nodes)}
+        if seq.level == STATUS:
+            templates = [texts[k] for k in seq.chunk]
+            summarize_status_seq(seq.pattern, templates, got)
+            want = prompt_assets.load("summarize_status").format(**fields, templates="\n".join(templates))
+        else:
+            children = [f"summary of {child.signature}" for child in seq.children]
+            summarize_parent_seq(seq.level, seq.pattern, children, got)
+            want = prompt_assets.load("summarize_parent").format(
+                **fields, level=seq.level, child_summaries="\n".join(children)
+            )
+        assert got.requests == [want]

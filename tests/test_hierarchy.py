@@ -27,6 +27,8 @@ from hierlog.ingest import LogTemplate, TemplateCatalog
 from hierlog.semantics import MockProvider
 from hierlog.synthetic import TOY_FIXTURE
 
+from conftest import DEEP_JSON, DEEP_JSON_FAULT
+
 
 def toy_triples():
     return [
@@ -59,9 +61,9 @@ def test_status_bound_to_one_key(toy_tree):
 
 
 def test_path_names(toy_tree):
-    # parent paths of the action and status sequences a key falls in, root first
-    assert toy_tree.key_paths["k1"] == (("root", "Session"), ("root", "Session", "open"))
-    assert toy_tree.key_paths["k1"][1] + (toy_tree.key_names["k1"][2],) == ("root", "Session", "open", "started")
+    # the parent names of the status sequence a key falls in; the action sequence's are the first of them
+    assert toy_tree.key_parents["k1"] == ("Session", "open")
+    assert toy_tree.key_parents["k1"] + (toy_tree.key_names["k1"][2],) == ("Session", "open", "started")
 
 
 def test_rebuild_is_idempotent(toy_tree):
@@ -108,7 +110,7 @@ def test_action_ids_are_one_to_one_when_names_hold_slashes(tmp_path, triples):
     for t in triples:
         assert tree.key_names[t.key] == (t.entity, t.action, t.status)
     assert tree.node_counts[ACTION] == 2
-    assert len(set(tree.key_paths[t.key][1] for t in triples)) == 2
+    assert len(set(tree.key_parents[t.key] for t in triples)) == 2
     tree.save(tmp_path / "tree.json")
     assert TopicTree.load(tmp_path / "tree.json").key_names == tree.key_names
 
@@ -128,7 +130,7 @@ def test_tree_round_trip_keeps_one_key_per_path(tmp_path, rows):
     tree.save(path)
     loaded = TopicTree.load(path)
     assert loaded == tree
-    for name in ("key_names", "key_paths", "key_parents", "node_counts"):
+    for name in ("key_names", "key_parents", "node_counts"):
         assert getattr(loaded, name) == getattr(tree, name), name
     assert len(loaded) == len(tree)
     # each key keeps its entity and action, and its status up to "~" suffixes
@@ -179,6 +181,10 @@ def test_tree_version_check(tmp_path, toy_tree):
     with pytest.raises(TreeError) as info:
         TopicTree.load(path)
     assert str(info.value) == f"{path}: unsupported tree format version: 1; re-run hierlog hierarchy build"
+    path.write_text(DEEP_JSON)  # a decode error, not a RecursionError
+    with pytest.raises(TreeError) as info:
+        TopicTree.load(path)
+    assert str(info.value) == f"cannot load tree from {path}: {DEEP_JSON_FAULT}"
 
 
 def _set(row, index, value):

@@ -9,7 +9,7 @@ from hierlog.errors import ConfigError, ProviderError
 from hierlog.pipeline import load_provider
 from hierlog.semantics import HTTP_RETRIES, HttpChatProvider, ProviderConfig
 
-from conftest import DROP, ChatServer, chat_body
+from conftest import DEEP_JSON, DROP, ChatServer, chat_body
 
 TOKEN = "tok-3f9a1c"
 
@@ -66,10 +66,12 @@ def test_a_fault_that_a_retry_can_fix_is_tried_three_times(chat_server, backoffs
         ((200, b"<html>busy</html>"), r"no choices\[0\].message.content"),
         ((200, b'{"id": "c-1"}'), r"no choices\[0\].message.content"),
         ((200, b'{"choices": []}'), r"no choices\[0\].message.content"),
+        ((200, DEEP_JSON.encode()), r"no choices\[0\].message.content"),
         ((200, chat_body(None)), "content is NoneType, not a string"),
         ((200, chat_body(["VERDICT: NORMAL"])), "content is list, not a string"),
     ],
-    ids=["400", "401", "404", "not-json", "no-choices", "empty-choices", "content-null", "content-a-list"],
+    ids=["400", "401", "404", "not-json", "no-choices", "empty-choices", "nested-too-deeply", "content-null",
+         "content-a-list"],
 )
 def test_any_other_fault_is_a_provider_error_after_one_call(chat_server, backoffs, reply, fault):
     chat_server.script = [reply, (200, chat_body("a retry would get this"))]

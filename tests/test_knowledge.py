@@ -10,18 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import Seq, top_down_decompose
+from hierlog.decompose import top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
 from hierlog.detect import DetectConfig, Detector, train as train_kbs
 from hierlog.hierarchy import (
     ACTION,
     ENTITY,
+    PARENT_DEPTH,
     STATUS,
     FixtureExtractor,
     TopicTree,
     TopicTriple,
     build_tree,
     extract_topics,
+    signature,
 )
 from hierlog.knowledge import (
     END_MARK,
@@ -36,11 +38,22 @@ from hierlog.ingest import LogSequence
 from hierlog.semantics import EMBED_DIM, MockProvider, embed_chunk, sparse_vector
 from hierlog.synthetic import make_corpus
 
-from conftest import TOY_KEYS, cosine, dense, make_signature
+from conftest import DEEP_JSON, DEEP_JSON_FAULT, TOY_KEYS, cosine, dense, make_signature
 
 
 def entity_seq(toy_tree, keys):
     return top_down_decompose(keys, toy_tree).e_seq
+
+
+def insert(kb, seq):
+    """Insert a `Seq` as `train` inserts its run: by its pattern, with its chunk."""
+    return kb.insert_train(seq.pattern, seq.chunk)
+
+
+def split(kb, entry):
+    """An entry's parent path from the root and its node names, from its pattern and its KB's level."""
+    depth = PARENT_DEPTH[kb.level]
+    return ["root", *entry.pattern[:depth]], list(entry.pattern[depth:])
 
 
 # -- training entries ---------------------------------------------------------
@@ -48,7 +61,7 @@ def entity_seq(toy_tree, keys):
 def test_insert_counts_occurrences(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    entry = kb.insert_train(seq)
+    entry = insert(kb, seq)
     assert entry.occurrence_count == 1
     entry.occurrence_count += 1  # a repeat is counted on the entry, as `train` counts it
     assert kb.entries[seq.pattern].occurrence_count == 2
@@ -56,12 +69,12 @@ def test_insert_counts_occurrences(toy_tree):
     assert kb.contains(("Session", "Auth", "Comm"))
     assert not kb.contains(("Nothing",))
     # only the LLM path reads an example chunk, so an LLM-off KB keeps none
-    assert KnowledgeBase(level=ENTITY, role="train").insert_train(seq).example_chunk is None
+    assert insert(KnowledgeBase(level=ENTITY, role="train"), seq).example_chunk is None
 
 
 def test_transition_enumeration_oracle(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
-    kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
+    insert(kb, entity_seq(toy_tree, TOY_KEYS))
     assert kb.transition_index()[()] == {
         (START_MARK, "Session"),
         ("Session", "Auth"),
@@ -72,8 +85,8 @@ def test_transition_enumeration_oracle(toy_tree):
 
 def test_automaton_accepts_stitched_sequences(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
-    kb.insert_train(entity_seq(toy_tree, ["k1", "k3"]))  # Session > Auth
-    kb.insert_train(entity_seq(toy_tree, ["k3", "k5"]))  # Auth > Comm
+    insert(kb, entity_seq(toy_tree, ["k1", "k3"]))  # Session > Auth
+    insert(kb, entity_seq(toy_tree, ["k3", "k5"]))  # Auth > Comm
     assert kb.accepts_transitions((), ["Session", "Auth", "Comm"])
     assert not kb.accepts_transitions((), ["Comm", "Session"])
     assert not kb.accepts_transitions((), ["Session"])  # Session><end> unseen
@@ -83,10 +96,9 @@ def test_automaton_accepts_stitched_sequences(toy_tree):
 
 def test_transition_index_keyed_by_parent_names():
     kb = KnowledgeBase(level=STATUS, role="train")
-    seq = Seq(STATUS, ("root", "A>B", "x"), ["s"], ["k"])
-    kb.insert_train(seq)
+    kb.insert_train(("A>B", "x", "s"), ["k"])
     assert list(kb.transition_index()) == [("A>B", "x")]
-    assert seq.signature == "root>A\\>B>x|s"
+    assert signature(STATUS, ("A>B", "x", "s")) == "root>A\\>B>x|s"
     assert kb.accepts_transitions(("A>B", "x"), ["s"])
     # names whose unescaped join is the same text are another parent
     assert not kb.accepts_transitions(("A", "B>x"), ["s"])
@@ -115,7 +127,7 @@ _PARENT_NAMES = [path[1:] for path in _PARENT_PATHS]
 def test_accepts_transitions_matches_the_per_pair_check(trained, probes):
     kb = KnowledgeBase(level=STATUS, role="train")
     for path, nodes in trained:
-        kb.insert_train(Seq(STATUS, path, nodes, ["k"] * len(nodes)))
+        kb.insert_train((*path[1:], *nodes), ["k"] * len(nodes))
     loaded = KnowledgeBase.from_json(json.loads(json.dumps(kb.to_json())))
     for parent, nodes in probes:
         copies = [(name + "!")[:-1] for name in nodes]  # equal strings that are other objects
@@ -129,12 +141,12 @@ def test_accepts_transitions_matches_the_per_pair_check(trained, probes):
 def test_a_resumed_kb_accepts_the_transitions_of_an_insert_after_a_probe(tmp_path, toy_tree):
     kbs = KnowledgeBaseSet()
     for seq in top_down_decompose(TOY_KEYS, toy_tree).all_seqs():
-        kbs.train[seq.level].insert_train(seq)
+        insert(kbs.train[seq.level], seq)
     kbs.save_dir(tmp_path)
     kb = KnowledgeBaseSet.load_dir(tmp_path).train[ENTITY]
     walks = [["Session", "Auth", "Comm"], ["Comm", "Session"], ["Comm", "Session", "Auth", "Comm"], ["Auth", "Comm"]]
     assert [kb.accepts_transitions((), walk) for walk in walks] == [True, False, False, False]
-    kb.insert_train(entity_seq(toy_tree, ["k5", "k1"]))  # Comm > Session, a new pattern
+    insert(kb, entity_seq(toy_tree, ["k5", "k1"]))  # Comm > Session, a new pattern
     assert [kb.accepts_transitions((), walk) for walk in walks] == [True, True, True, False]
     assert [per_pair_check(kb, (), walk) for walk in walks] == [True, True, True, False]
 
@@ -152,8 +164,7 @@ def test_loaded_transition_names_are_the_trees_own_objects(tmp_path, corpus):
              for name in pair]
     assert len(names) > 100
     assert all(own[name] is name for name in names)
-    entry_names = [name for kb in loaded.train.values() for e in kb.entries.values()
-                   for name in e.parent_path[1:] + e.nodes]
+    entry_names = [name for kb in loaded.train.values() for e in kb.entries.values() for name in e.pattern]
     assert len(entry_names) > 100
     assert all(own[name] is name for name in entry_names)
 
@@ -183,7 +194,7 @@ def test_train_save_load_round_trip_keeps_entries_and_transitions(data, names, l
         loaded = KnowledgeBaseSet.load_dir(directory)
 
     def fields(entry):
-        own = (entry.pattern, entry.signature, entry.parent_path, entry.nodes, entry.occurrence_count)
+        own = (entry.pattern, entry.occurrence_count)
         return own + ((entry.example_chunk, entry.summary, entry.embedding) if llm else ())
 
     for level, kb in built.train.items():
@@ -216,8 +227,8 @@ def test_loaded_entries_are_keyed_by_pattern_and_save_back_to_the_same_bytes(dat
     for level, kb in loaded.train.items():
         assert kb.entries.keys() == built.train[level].entries.keys()
         for pattern, entry in kb.entries.items():
-            assert pattern == entry.pattern == (*entry.parent_path[1:], *entry.nodes)
-            assert entry.signature == make_signature(entry.parent_path, entry.nodes)
+            assert pattern == entry.pattern
+            assert signature(level, entry.pattern) == make_signature(*split(kb, entry))
         # the file holds its groups in the order of their escaped parent paths and its rows in signature order
         groups = json.loads(saved[f"train_{level}.json"])["groups"]
         parents = [make_signature(parent, [])[:-1] for parent, _ in groups]
@@ -237,11 +248,9 @@ def test_role_guards(toy_tree):
     test = KnowledgeBase(level=ENTITY, role="test")
     seq = entity_seq(toy_tree, TOY_KEYS)
     with pytest.raises(KnowledgeBaseError):
-        test.insert_train(seq)
+        insert(test, seq)
     with pytest.raises(KnowledgeBaseError):
         train.lookup_test("x")
-    with pytest.raises(KnowledgeBaseError):
-        KnowledgeBase(level=STATUS, role="train").insert_train(seq)  # level mismatch
 
 
 # -- retrieval ----------------------------------------------------------------
@@ -251,16 +260,16 @@ def test_retrieve_similar_matches_brute_force(toy_tree):
     corpora = [["k1", "k3"], ["k3", "k5"], ["k1", "k3", "k5"], ["k5", "k1"], ["k1", "k2", "k3"]]
     for keys in corpora:
         seq = entity_seq(toy_tree, keys)
-        entry = kb.insert_train(seq)
+        entry = insert(kb, seq)
         entry.embedding = embed_chunk(seq.chunk)
     query = embed_chunk(["k1", "k3", "k5", "k5"])
 
-    got = [e.signature for e in kb.retrieve_similar((), query, 3)]
+    got = [e.pattern for e in kb.retrieve_similar((), query, 3)]
     ranked = sorted(
         kb.entries.values(),
-        key=lambda e: (-cosine(dense(query), dense(e.embedding)), -e.occurrence_count, e.signature),
+        key=lambda e: (-cosine(dense(query), dense(e.embedding)), -e.occurrence_count, make_signature(*split(kb, e))),
     )
-    assert got == [e.signature for e in ranked[:3]]
+    assert got == [e.pattern for e in ranked[:3]]
     assert len(kb.retrieve_similar((), query, 100)) == len(kb.entries)
 
 
@@ -268,8 +277,8 @@ def test_retrieve_tie_break_by_count_then_signature(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     a = entity_seq(toy_tree, ["k1", "k3"])  # Session > Auth
     b = entity_seq(toy_tree, ["k3", "k1"])  # Auth > Session, distinct signature
-    kb.insert_train(a).embedding = sparse_vector({0: 1.0})
-    entry = kb.insert_train(b)
+    insert(kb, a).embedding = sparse_vector({0: 1.0})
+    entry = insert(kb, b)
     entry.occurrence_count, entry.embedding = 2, sparse_vector({0: 1.0})
     # identical cosine: higher occurrence count (b has 2) wins
     got = kb.retrieve_similar((), sparse_vector({0: 1.0}), 2)
@@ -280,14 +289,14 @@ def test_retrieve_filters_siblings(toy_tree):
     kb = KnowledgeBase(level="action", role="train")
     result = top_down_decompose(TOY_KEYS, toy_tree)
     for a_seq in result.a_seqs:
-        kb.insert_train(a_seq).embedding = embed_chunk(a_seq.chunk)
+        insert(kb, a_seq).embedding = embed_chunk(a_seq.chunk)
     got = kb.retrieve_similar(("Auth",), embed_chunk(["k3"]), 10)
-    assert [e.parent_path for e in got] == [["root", "Auth"]]
+    assert [split(kb, e)[0] for e in got] == [["root", "Auth"]]
 
 
 def test_retrieve_requires_embeddings(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
-    kb.insert_train(entity_seq(toy_tree, TOY_KEYS))
+    insert(kb, entity_seq(toy_tree, TOY_KEYS))
     with pytest.raises(KnowledgeBaseError):
         kb.retrieve_similar((), sparse_vector({0: 1.0}), 1)
 
@@ -307,9 +316,11 @@ _VECTORS = (
 
 
 def _oracle(kb, parent, query, m):
-    siblings = [e for e in kb.entries.values() if e.parent_path == list(parent)]
+    siblings = [e for e in kb.entries.values() if split(kb, e)[0] == list(parent)]
     q = dense(query)
-    ranked = sorted(siblings, key=lambda e: (-cosine(q, dense(e.embedding)), -e.occurrence_count, e.signature))
+    ranked = sorted(
+        siblings, key=lambda e: (-cosine(q, dense(e.embedding)), -e.occurrence_count, make_signature(*split(kb, e)))
+    )
     return ranked[:m]
 
 
@@ -319,10 +330,10 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
     kb, counts = KnowledgeBase(level=ACTION, role="train", llm=True), Counter()
 
     def insert(parent, nodes):
-        seq = Seq(ACTION, parent, nodes, nodes)
-        counts[seq.signature] += data.draw(st.integers(1, 3), label="count")
-        entry = kb.insert_train(seq)
-        entry.occurrence_count = counts[seq.signature]
+        pattern = (*parent[1:], *nodes)
+        counts[pattern] += data.draw(st.integers(1, 3), label="count")
+        entry = kb.insert_train(pattern, nodes)
+        entry.occurrence_count = counts[pattern]
         return entry
 
     node_lists = st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3)
@@ -353,14 +364,13 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
 
 
 def _sibling(kb, name, embedding, count=1, parent=("root",)):
-    seq = Seq(ENTITY, parent, [name], [name])
-    entry = kb.insert_train(seq)
+    entry = kb.insert_train((*parent[1:], name), [name])
     entry.occurrence_count, entry.embedding = count, embedding
     return entry
 
 
 def _names(entries):
-    return [e.nodes[0] for e in entries]
+    return [e.pattern[-1] for e in entries]
 
 
 def test_retrieve_ranks_negative_values_loaded_from_a_file_as_the_dense_cosine_does():
@@ -491,8 +501,8 @@ def test_test_cache_round_trip(tmp_path):
 def test_save_load_round_trip(tmp_path, toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    kb.insert_train(seq)
-    kb.insert_train(entity_seq(toy_tree, ["k3", "k1"]))
+    insert(kb, seq)
+    insert(kb, entity_seq(toy_tree, ["k3", "k1"]))
     kb.entries[seq.pattern].embedding = embed_chunk(seq.chunk)
     path = tmp_path / "kb.json"
     kb.save(path)
@@ -504,6 +514,10 @@ def test_truncated_file_raises(tmp_path):
     path.write_text('{"format_version": 1, "role": "tr')
     with pytest.raises(FormatError):
         KnowledgeBase.load(path)
+    path.write_text(DEEP_JSON)  # a decode error, not a RecursionError
+    with pytest.raises(FormatError) as info:
+        KnowledgeBase.load(path)
+    assert str(info.value) == f"cannot load KB from {path}: {DEEP_JSON_FAULT}"
 
 
 def test_a_file_that_is_not_utf8_raises_naming_it(tmp_path):
@@ -525,7 +539,7 @@ def test_kb_set_round_trip(tmp_path, toy_tree):
     kbs = KnowledgeBaseSet()
     result = top_down_decompose(TOY_KEYS, toy_tree)
     for seq in result.all_seqs():
-        kbs.train[seq.level].insert_train(seq)
+        insert(kbs.train[seq.level], seq)
     kbs.test[STATUS].store_test(KBTestEntry(chunk_key=chunk_key(["k1"]), verdict="abnormal"))
     kbs.save_dir(tmp_path / "kb")
     loaded = KnowledgeBaseSet.load_dir(tmp_path / "kb")
@@ -537,7 +551,7 @@ def test_kb_set_round_trip(tmp_path, toy_tree):
 def test_load_dir_rejects_swapped_files(tmp_path, toy_tree):
     kbs = KnowledgeBaseSet()
     for seq in top_down_decompose(TOY_KEYS, toy_tree).all_seqs():
-        kbs.train[seq.level].insert_train(seq)
+        insert(kbs.train[seq.level], seq)
     kbs.save_dir(tmp_path)
     status, action = tmp_path / "train_status.json", tmp_path / "train_action.json"
     status_bytes = status.read_bytes()
@@ -574,7 +588,7 @@ def _saved_train_kb(tmp_path, toy_tree, llm=True):
     """A saved entity train KB whose one entry has, with the LLM on, an embedding, and its JSON."""
     kb = KnowledgeBase(level=ENTITY, role="train", llm=llm)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    entry = kb.insert_train(seq)
+    entry = insert(kb, seq)
     if llm:
         entry.summary, entry.embedding = "E:Session>Auth>Comm", embed_chunk(seq.chunk)
     path = tmp_path / "train_entity.json"
@@ -741,6 +755,12 @@ def test_load_checks_the_kb_and_test_entries(tmp_path):
         (
             {**base, "entries": [{"chunk_key": "k1", "verdict": "maybe", "confidence_flag": "low"}]},
             "entry 0: field 'verdict' has a bad value 'maybe'",
+        ),
+        # a repeated chunk key would let row order pick the cached verdict
+        (
+            {**base, "entries": [{"chunk_key": "a", "verdict": "normal", "confidence_flag": "normal"},
+                                 {"chunk_key": "a", "verdict": "abnormal", "confidence_flag": "normal"}]},
+            "entry 1: repeats the chunk key of entry 0",
         ),
     ]
     for data, fault in cases:

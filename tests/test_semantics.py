@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import run_seq, scan_runs, top_down_decompose
+from hierlog.decompose import top_down_decompose
 from hierlog.errors import ProviderError
-from hierlog.hierarchy import ENTITY
+from hierlog.hierarchy import ACTION, ENTITY
 from hierlog.semantics import (
     EMBED_DIM,
     DetectionPrompt,
@@ -82,11 +82,11 @@ def test_embedding_bit_identical_to_inline_hash(chunk):
 def test_mock_summarize_digests(toy_tree):
     provider = MockProvider()
     result = top_down_decompose(TOY_KEYS, toy_tree)
-    s = summarize_status_seq(result.s_seqs[0], ["Open session started", "Open session successful"], provider)
+    s = summarize_status_seq(result.s_seqs[0].pattern, ["Open session started", "Open session successful"], provider)
     assert s == "S:started>succf"
-    a = summarize_parent_seq(result.a_seqs[0], [s], provider)
+    a = summarize_parent_seq(ACTION, result.a_seqs[0].pattern, [s], provider)
     assert a == "A:open[S:started>succf]"
-    e = summarize_parent_seq(result.e_seq, [a, "A:x", "A:y"], provider)
+    e = summarize_parent_seq(ENTITY, result.e_seq.pattern, [a, "A:x", "A:y"], provider)
     assert e.startswith("E:Session>Auth>Comm[")
     assert provider.calls == 3
 
@@ -215,13 +215,11 @@ def test_detection_prompt_render():
 
 
 def test_summarize_parent_validates_children(toy_tree):
-    result = top_down_decompose(TOY_KEYS, toy_tree)
-    with pytest.raises(ValueError):
-        summarize_parent_seq(result.e_seq, ["only-one"], MockProvider())
-    with pytest.raises(ValueError):
-        summarize_parent_seq(result.e_seq, ["a", None, "c"], MockProvider())
-    # a Seq without linked children is checked alike
-    e_seq = run_seq(ENTITY, TOY_KEYS, scan_runs(TOY_KEYS, toy_tree)[ENTITY][0], toy_tree)
-    assert e_seq.children is None
-    with pytest.raises(ValueError):
-        summarize_parent_seq(e_seq, ["only-one"], MockProvider())
+    # one child summary per node of the pattern, each given; the error names the pattern by its signature
+    pattern = top_down_decompose(TOY_KEYS, toy_tree).e_seq.pattern
+    with pytest.raises(ValueError, match=r"^root\|Session>Auth>Comm: expected 3 child summaries, got 1$"):
+        summarize_parent_seq(ENTITY, pattern, ["only-one"], MockProvider())
+    with pytest.raises(ValueError, match=r"^root\|Session>Auth>Comm: child 1 has no summary$"):
+        summarize_parent_seq(ENTITY, pattern, ["a", None, "c"], MockProvider())
+    with pytest.raises(ValueError, match=r"^root>Session\|open: expected 1 child summaries, got 2$"):
+        summarize_parent_seq(ACTION, ("Session", "open"), ["a", "b"], MockProvider())
