@@ -177,7 +177,9 @@ def dense(vector) -> list[float]:
 
 def cosine(a, b) -> float:
     """Cosine of two dense vectors, term by term: the oracle for the sparse cosine."""
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = 0.0  # left to right in index order, not by `sum`, which compensates from Python 3.12 on
+    for x, y in zip(a, b):
+        dot += x * y
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(x * x for x in b))
     if na == 0.0 or nb == 0.0:

@@ -23,7 +23,7 @@ from hierlog.cli import main
 from hierlog.decompose import top_down_decompose
 from hierlog.hierarchy import TopicTree
 from hierlog.ingest import load_sequences, load_template_catalog
-from hierlog.knowledge import END_MARK, KB_FORMAT_VERSION, START_MARK
+from hierlog.knowledge import KB_FORMAT_VERSION
 
 from conftest import DEEP_JSON, DEEP_JSON_FAULT, make_signature
 
@@ -576,7 +576,7 @@ def format_3(kb):
             entries.append({"signature": make_signature(parent, nodes), "parent_path": parent, "nodes": nodes,
                             "example_chunk": chunk, "occurrence_count": count, "summary": summary,
                             "embedding": embedding})
-            pairs.update(zip([START_MARK, *nodes], [*nodes, END_MARK]))
+            pairs.update(zip(["<start>", *nodes], [*nodes, "<end>"]))  # format 3's marks
     return {"format_version": 3, "role": kb["role"], "level": kb["level"],
             "entries": sorted(entries, key=lambda e: e["signature"]),
             "transition_index": {parent: sorted(map(list, pairs)) for parent, pairs in sorted(index.items())}}

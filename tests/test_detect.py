@@ -117,6 +117,18 @@ def test_detector_per_level_override(toy_cat, toy_tree):
     assert mixed.detect_sequence(test_seq).final_verdict is False
 
 
+@pytest.mark.parametrize("name, trained", [
+    ("<start>", ["k0", "k1"]), ("s0", ["k0", "k1"]), ("<end>", ["k1", "k0"]), ("s0", ["k1", "k0"]),
+], ids=["start", "start-control", "end", "end-control"])
+def test_a_status_named_like_a_mark_is_no_mark(name, trained):
+    # training saw x only after (or before) the status `name`, so x alone is an unseen walk whatever that name is
+    tree = build_tree([TopicTriple("k0", "E", "A", name), TopicTriple("k1", "E", "A", "x")])
+    kbs = train([LogSequence("t", trained)], tree, DetectConfig())
+    detector = Detector(tree, kbs, DetectConfig(detector_per_level={STATUS: AUTOMATON}))
+    report = detector.detect_sequence(LogSequence("s", ["k1"]))
+    assert (report.final_verdict, report.first_abnormal_level) == (True, STATUS)
+
+
 def test_only_an_automaton_level_builds_its_transition_index_at_construction(toy_cat, toy_tree):
     provider = MockProvider()
     config = DetectConfig(llm_enabled=True, early_exit=False)

@@ -94,6 +94,15 @@ def test_automaton_accepts_stitched_sequences(toy_tree):
     assert not kb.accepts_transitions(("Ghost",), ["Session"])
 
 
+@pytest.mark.parametrize("trained", [("<start>", "x"), ("x", "<end>")], ids=["start", "end"])
+def test_a_node_named_like_a_mark_is_no_mark(trained):
+    kb = KnowledgeBase(level=STATUS, role="train")
+    kb.insert_train(("E", "A", *trained), ["k0", "k1"])
+    assert kb.accepts_transitions(("E", "A"), list(trained))
+    # x next to a node of the mark's name is not x at the start or the end of a walk
+    assert not kb.accepts_transitions(("E", "A"), ["x"])
+
+
 def test_transition_index_keyed_by_parent_names():
     kb = KnowledgeBase(level=STATUS, role="train")
     kb.insert_train(("A>B", "x", "s"), ["k"])
@@ -371,6 +380,37 @@ def _sibling(kb, name, embedding, count=1, parent=("root",)):
 
 def _names(entries):
     return [e.pattern[-1] for e in entries]
+
+
+def _one_key_per_bucket() -> list[str]:
+    """Log keys that `embed_chunk` hashes to bucket 0, 1, ..., EMBED_DIM - 1, in that order."""
+    keys, n = {}, 0
+    while len(keys) < EMBED_DIM:
+        keys.setdefault(next(iter(embed_chunk([f"key{n}"]).nonzeros)), f"key{n}")
+        n += 1
+    return [keys[i] for i in range(EMBED_DIM)]
+
+
+_VOCABULARY = _one_key_per_bucket()
+_CHUNKS = st.lists(st.sampled_from(_VOCABULARY), max_size=12)  # [] embeds as the zero vector
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_retrieve_matches_the_brute_force_oracle_at_detection_scale(data):
+    # as many siblings under one parent as llm-hybrid's queries rank, their
+    # chunks spread over every bucket
+    kb, chunks = KnowledgeBase(level=ACTION, role="train", llm=True), []
+    for n in range(data.draw(st.integers(48, 72), label="siblings")):
+        # a repeated chunk, in any order, ties on cosine with the sibling it repeats
+        repeat = st.sampled_from(chunks).flatmap(st.permutations) if chunks else _CHUNKS
+        chunks.append(data.draw(_CHUNKS | repeat, label="chunk"))
+        _sibling(kb, f"n{n}", embed_chunk(chunks[-1]), data.draw(st.integers(1, 3), label="count"), ("root", "P"))
+    _sibling(kb, "other", embed_chunk(_VOCABULARY), parent=("root", "Q"))
+    for query in data.draw(st.lists(_CHUNKS | st.sampled_from(chunks), min_size=1, max_size=4), label="queries"):
+        query = embed_chunk(query)
+        for m in (0, 1, 5, len(chunks)):
+            assert kb.retrieve_similar(("P",), query, m) == _oracle(kb, ("root", "P"), query, m)
 
 
 def test_retrieve_ranks_negative_values_loaded_from_a_file_as_the_dense_cosine_does():
