@@ -73,15 +73,12 @@ def hierarchy():
 @click.option("--extractor", "kind", default="lexicon", type=click.Choice(EXTRACTOR_KINDS))
 @click.option("--fixture", default=None, type=click.Path(), help="Key->triple map for the fixture extractor.")
 @click.option("--lexicon", default=None, type=click.Path(), help="Lexicon config for the rule extractor.")
-@click.option("--no-refine", is_flag=True, default=False)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_provider_options
-def extract(templates_path, kind, fixture, lexicon, no_refine, out_path, **provider_opts):
+def extract(templates_path, kind, fixture, lexicon, out_path, **provider_opts):
     """Extract (entity, action, status) triples per template."""
-    triples = stages.extract(
-        stages.load_template_catalog(templates_path), kind, fixture, lexicon, _provider(provider_opts),
-        refine=not no_refine, triples_out=out_path,
-    )
+    catalog = stages.load_template_catalog(templates_path)
+    triples = stages.extract(catalog, kind, fixture, lexicon, _provider(provider_opts), out_path)
     click.echo(f"wrote {len(triples)} triples to {out_path}")
 
 

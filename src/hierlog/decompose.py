@@ -9,14 +9,16 @@ status transition survives.
 `scan_runs` finds the runs of all three levels in one pass over the keys.
 A run is the start and end of its key chunk and its node names. The
 detector and training work on a run as its level, its pattern
-(`pattern_keys`, the train KBs' key) and its keys, and build no `Seq`; an
-LLM summary finds a run's children among the next level's runs. `Seq`,
-`run_seq` and `top_down_decompose` (every `Seq`, children linked) serve
-only criteria 1-4, the reference tests and the bench's wrapper.
+(`pattern_keys`, the train KBs' key) and its keys, and build no `Seq`; a
+summary finds a run's children among the next level's runs by
+`child_runs`. `Seq`, `run_seq` and `top_down_decompose` (every `Seq`,
+children linked) serve only criteria 1-4, the reference tests and the
+bench's wrapper.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Sequence
@@ -25,6 +27,8 @@ from .errors import DecompositionError
 from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, ROOT, STATUS, TopicTree, signature
 
 Run = tuple[int, int, list[str]]  # the start and end of its key chunk, and its node names
+
+CHILD_LEVEL = {ENTITY: ACTION, ACTION: STATUS}
 
 
 @dataclass(slots=True)
@@ -105,6 +109,13 @@ def pattern_keys(level: str, keys: list[str], runs: list[Run], tree: TopicTree) 
     if level == ACTION:
         return [(parents[keys[start]][0], *names) for start, _, names in runs]
     return [parents[keys[start]] + tuple(names) for start, _, names in runs]
+
+
+def child_runs(runs: dict[str, list[Run]], level: str, run: Run) -> list[Run]:
+    """The children of `run` in `runs[level]`, above the status level: the next len(names) runs one level down."""
+    below = runs[CHILD_LEVEL[level]]
+    first = bisect_left(below, (run[0],))  # runs ascend by start, and a run's first child starts with it
+    return below[first:first + len(run[2])]
 
 
 def run_seq(level: str, keys: list[str], run: Run, tree: TopicTree) -> Seq:

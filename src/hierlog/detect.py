@@ -16,11 +16,10 @@ exit. A report is a function of its key list and is memoised by it
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .decompose import Run, pattern_keys, scan_runs
+from .decompose import CHILD_LEVEL, Run, child_runs, pattern_keys, scan_runs
 from .decompose import top_down_decompose  # noqa: F401; bench/layers.py wraps it under this name
 from .errors import DecompositionError, ProviderError
 from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, STATUS, TopicTree, signature
@@ -235,11 +234,10 @@ class Detector:
                      run: Run) -> str:
         """Bottom-up summary of `run` in `runs[level]`, kept per level and chunk, bounded like the verdict dicts.
 
-        Only a miss reads its children, the next runs one level down, and their patterns.
+        Only a miss reads its children (`child_runs`) and their patterns.
         """
-        start, end, names = run
         cache = self._summary_cache[level]
-        chunk = keys[start:end]
+        chunk = keys[run[0]:run[1]]
         key = tuple(chunk)
         cached = cache.get(key)
         if cached is not None:
@@ -252,10 +250,7 @@ class Detector:
             texts = [self.templates.get(k, k) for k in chunk]
             summary = summarize_status_seq(pattern, texts, self.provider)
         else:
-            child_level = ACTION if level == ENTITY else STATUS
-            child_runs = runs[child_level]
-            first = bisect_left(child_runs, (start,))  # runs ascend by start, and a run's first child starts with it
-            children = child_runs[first:first + len(names)]
+            child_level, children = CHILD_LEVEL[level], child_runs(runs, level, run)
             patterns = zip(pattern_keys(child_level, keys, children, self.tree), children)
             child_summaries = [self._summary_for(child_level, p, keys, runs, child) for p, child in patterns]
             summary = summarize_parent_seq(level, pattern, child_summaries, self.provider)
@@ -345,10 +340,10 @@ def train(
     Every run of every level is inserted at its level: a pattern seen
     before only counts one more occurrence, and a new one is inserted with
     its run's slice of the keys; no `Seq` is built. With the LLM path
-    enabled, summaries and embeddings are computed
-    bottom-up for each new pattern, a parent's from its children's
-    entries. Any decomposition failure aborts the run: training KBs must be
-    complete.
+    enabled, a new pattern's summary and embedding are computed before its
+    insert, bottom-up, a parent's summary from its children's entries
+    (`child_runs`), so each entry is whole when inserted. Any decomposition
+    failure aborts the run: training KBs must be complete.
     """
     if config.llm_enabled and provider is None:
         raise ValueError("llm_enabled training requires a provider for summaries")
@@ -364,26 +359,22 @@ def train(
             runs = scan_runs(keys, tree)
         except DecompositionError as exc:
             raise DecompositionError(f"training sequence {sequence.id}: {exc}") from exc
-        below, below_entries = [], {}  # the level below: its patterns in run order, and its entries
         for level in LEVEL_ORDER:
             kb, level_runs = kbs.train[level], runs[level]
-            entries, patterns = kb.entries, pattern_keys(level, keys, level_runs, tree)
-            first_child = 0
-            for pattern, run in zip(patterns, level_runs):
-                entry = entries.get(pattern)
+            for pattern, run in zip(pattern_keys(level, keys, level_runs, tree), level_runs):
+                entry = kb.entries.get(pattern)
                 if entry is not None:
                     entry.occurrence_count += 1
+                elif not config.llm_enabled:
+                    kb.insert_train(pattern, keys[run[0]:run[1]])
                 else:
-                    entry = kb.insert_train(pattern, keys[run[0]:run[1]])
-                    if config.llm_enabled:
-                        if level == STATUS:
-                            texts = [templates.get(k, k) for k in entry.example_chunk]
-                            entry.summary = summarize_status_seq(pattern, texts, provider)
-                        else:
-                            children = below[first_child:first_child + len(run[2])]
-                            child_summaries = [below_entries[p].summary for p in children]
-                            entry.summary = summarize_parent_seq(level, pattern, child_summaries, provider)
-                        entry.embedding = embed_chunk(entry.example_chunk)
-                first_child += len(run[2])
-            below, below_entries = patterns, entries
+                    chunk = keys[run[0]:run[1]]
+                    if level == STATUS:
+                        summary = summarize_status_seq(pattern, [templates.get(k, k) for k in chunk], provider)
+                    else:
+                        child_level = CHILD_LEVEL[level]
+                        below = kbs.train[child_level].entries
+                        children = pattern_keys(child_level, keys, child_runs(runs, level, run), tree)
+                        summary = summarize_parent_seq(level, pattern, [below[p].summary for p in children], provider)
+                    kb.insert_train(pattern, chunk, summary, embed_chunk(chunk))
     return kbs

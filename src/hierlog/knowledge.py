@@ -10,10 +10,12 @@ example chunk, a summary and a sparse embedding, and retrieval ranks a
 parent's entries by cosine from one posting list per embedding bucket,
 holding only the entries that are non-zero there; it multiplies only the
 non-zero products, yet ranks as the dense cosine does, bit for bit
-(`_SiblingColumns` gives the argument). Test KBs cache decided
-LLM verdicts per chunk, so a repeated chunk that the symbolic detector
-rejects never re-queries the provider. Symbolic verdicts are a function of
-the train KBs, so a `Detector` keeps them only in memory.
+(`_SiblingColumns` gives the argument). An entry is whole when inserted
+or loaded; later only `train` counts its repeats, before any query runs,
+so only an insert drops the transition index and its parent's lists. Test
+KBs cache decided LLM verdicts per chunk, so a repeated chunk that the
+symbolic detector rejects never re-queries the provider. Symbolic verdicts
+are a function of the train KBs, so a `Detector` keeps them only in memory.
 
 A train file persists only what cannot be derived. Its entries are grouped
 by parent path, ``"groups": [[parent_path, rows], ...]``, in signature
@@ -31,8 +33,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import add, itemgetter, lt, mul, truediv
@@ -62,7 +64,7 @@ def chunk_key(chunk: Sequence[str]) -> str:
 @dataclass(slots=True)
 class TrainEntry:
     pattern: tuple[str, ...]  # its key in the KB's entries: the parent's names, then the node names
-    example_chunk: Optional[list[str]]  # None when loaded from a KB trained with the LLM off
+    example_chunk: Optional[list[str]]  # None in a KB trained with the LLM off
     occurrence_count: int = 1
     summary: Optional[str] = None
     embedding: Optional[SparseVector] = None
@@ -90,21 +92,23 @@ class KnowledgeBase:
     def __post_init__(self):
         # Never persisted: per parent (a pattern's first PARENT_DEPTH names), the entries, kept by every
         # insert and load; the pairs of the transition index; and the posting lists that rank a parent's
-        # entries, built at its first retrieval query. An insert drops the index and its parent's lists.
+        # entries, built at its first retrieval query. An insert drops the index and its parent's lists, and
+        # only an insert does: an entry is whole when inserted.
         self._groups: dict[tuple[str, ...], list[TrainEntry]] = {}
         self._transitions: Optional[dict[tuple[str, ...], set[tuple[str, str]]]] = None
         self._columns: dict[tuple[str, ...], Optional[_SiblingColumns]] = {}
 
     # -- training side ------------------------------------------------------
 
-    def insert_train(self, pattern: tuple[str, ...], chunk: Sequence[str]) -> TrainEntry:
-        """Create a new normal pattern's entry, count 1, with its chunk; the caller counts repeats, as `train` does."""
+    def insert_train(self, pattern: tuple[str, ...], chunk: Sequence[str], summary: Optional[str] = None,
+                     embedding: Optional[SparseVector] = None) -> TrainEntry:
+        """Create a new normal pattern's whole entry, count 1; the caller counts repeats, as `train` does."""
         self._require(role="train")
         parent = pattern[:PARENT_DEPTH[self.level]]
         group = self._groups.setdefault(parent, [])
         if pattern in self.entries:  # a re-insert replaces the entry
             group.remove(self.entries[pattern])
-        entry = self.entries[pattern] = TrainEntry(pattern, list(chunk) if self.llm else None)
+        entry = self.entries[pattern] = TrainEntry(pattern, list(chunk) if self.llm else None, 1, summary, embedding)
         group.append(entry)
         self._transitions = self._columns[parent] = None
         return entry
@@ -135,18 +139,13 @@ class KnowledgeBase:
         Ties break by higher occurrence count, then smaller signature.
         Raises when siblings exist but lack embeddings.
         """
-        siblings = self._groups.get(parent, [])
-        embeddings = [e.embedding for e in siblings]
         columns = self._columns.get(parent)
-        # an embedding may be set or replaced after a query, so the posting
-        # lists stand only while they were built from these very vectors
-        if columns is None or columns.embeddings != embeddings:
+        if columns is None:  # never built, or dropped by an insert under the parent
+            siblings = self._groups.get(parent, [])
             missing = [signature(self.level, e.pattern) for e in siblings if e.embedding is None]
             if missing:
-                raise KnowledgeBaseError(
-                    f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}"
-                )
-            columns = self._columns[parent] = _SiblingColumns(siblings, embeddings)
+                raise KnowledgeBaseError(f"entries lack embeddings (re-embed needed): {', '.join(sorted(missing)[:5])}")
+            columns = self._columns[parent] = _SiblingColumns(siblings)
         return columns.top(query, m)
 
     # -- test side ----------------------------------------------------------
@@ -206,14 +205,14 @@ class KnowledgeBase:
     def save(self, path: str | Path) -> None:
         path = Path(path)
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        fh = open(tmp, "x")  # a new file, so the umask sets its mode, as for any other artifact
         try:
-            with os.fdopen(fd, "w") as fh:
+            with fh:
                 fh.write(payload)
             os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            tmp.unlink(missing_ok=True)
             raise
 
     @classmethod
@@ -266,18 +265,16 @@ class _SiblingColumns:
     values on average, where dense columns would multiply 416.
     """
 
-    __slots__ = ("embeddings", "by_rank", "zeros", "postings", "norms")
+    __slots__ = ("by_rank", "zeros", "postings", "norms")
 
-    def __init__(self, siblings: list[TrainEntry], embeddings: list[SparseVector]):
-        self.embeddings = embeddings  # in insertion order, as the caller compares them
+    def __init__(self, siblings: list[TrainEntry]):
         # siblings share their parent, so their patterns' text orders them as their signatures
         text = _joined_escaped(chain.from_iterable(e.pattern for e in siblings))
-        tied = sorted(zip(siblings, embeddings), key=lambda pair: (-pair[0].occurrence_count, text(pair[0].pattern)))
-        self.by_rank = [entry for entry, _ in tied]
-        self.zeros = [0.0] * len(tied)
+        self.by_rank = sorted(siblings, key=lambda e: (-e.occurrence_count, text(e.pattern)))
+        self.zeros = [0.0] * len(siblings)
         self.postings: dict[int, list[tuple[int, float]]] = {}  # bucket -> (tie rank, value) of its non-zeros
         self.norms = []
-        for j, (_, vector) in enumerate(tied):
+        for j, vector in enumerate(e.embedding for e in self.by_rank):
             self.norms.append(vector.norm or 1.0)
             if vector.norm:
                 for i, x in vector.nonzeros.items():
@@ -454,7 +451,7 @@ def _load_groups(kb: KnowledgeBase, groups: list) -> None:
 
     # Every name is interned once, here, so the pairs that a probe builds
     # from the tree's names match the derived transition pairs by identity.
-    intern, entries = sys.intern, kb.entries
+    intern, entries, llm = sys.intern, kb.entries, kb.llm
     for g, (parent, rows) in enumerate(zip(parents, row_lists)):
         if parent[0] != ROOT:
             raise FormatError(f"group {g}: a parent path starts at {ROOT!r}, not {parent[0]!r}")
@@ -466,13 +463,14 @@ def _load_groups(kb: KnowledgeBase, groups: list) -> None:
             pattern = (*names, *map(intern, row[0]))
             if pattern in entries:
                 raise FormatError(f"group {g}, row {r}: repeats the parent path and nodes of an earlier row")
-            entry = entries[pattern] = TrainEntry(pattern, None, row[1])
+            if llm:
+                _, count, chunk, summary, pairs = row
+                embedding = None if pairs is None else sparse_vector(dict(pairs))
+                entry = TrainEntry(pattern, chunk, count, summary, embedding)
+            else:
+                entry = TrainEntry(pattern, None, row[1])
+            entries[pattern] = entry
             group.append(entry)
-    if kb.llm:
-        for entry, (_, _, chunk, summary, pairs) in zip(entries.values(), all_rows):
-            entry.example_chunk, entry.summary = chunk, summary
-            if pairs is not None:
-                entry.embedding = sparse_vector(dict(pairs))
 
 
 class KnowledgeBaseSet:

@@ -127,12 +127,10 @@ def ingest(
 
 def extract(
     catalog: TemplateCatalog, kind: str, fixture: Optional[str], lexicon: Optional[str],
-    provider: Optional[Provider], refine: bool = True, triples_out: Optional[str | Path] = None,
+    provider: Optional[Provider], triples_out: Optional[str | Path] = None,
 ) -> list[TopicTriple]:
-    """One (entity, action, status) triple per template, saved when given a path."""
-    triples = extract_topics(catalog, make_extractor(kind, fixture, lexicon, provider))
-    if refine:
-        triples = refine_topics(triples)
+    """One refined (entity, action, status) triple per template, saved when given a path."""
+    triples = refine_topics(extract_topics(catalog, make_extractor(kind, fixture, lexicon, provider)))
     if triples_out:
         save_triples(triples, triples_out)
     return triples
@@ -380,10 +378,8 @@ def run_pipeline(config_path: str | Path) -> PipelineResult:
         if resume_tree and Path(sec["tree_out"]).exists():
             tree = TopicTree.load(sec["tree_out"])
         else:
-            triples = extract(
-                catalog, sec.get("extractor", "lexicon"), sec.get("fixture"), sec.get("lexicon"), provider,
-                triples_out=sec.get("triples_out"),
-            )
+            triples = extract(catalog, sec.get("extractor", "lexicon"), sec.get("fixture"), sec.get("lexicon"),
+                              provider, sec.get("triples_out"))
             tree = build(triples, sec["tree_out"])
 
     with _stage("train"):

@@ -125,11 +125,16 @@ class RecordedProvider:
         self.path = Path(path)
         self.calls = 0
         self._cache: dict[str, str] = {}
+        first_line: dict[str, int] = {}  # else the later of two lines with one hash would silently win
         for lineno, row in read_jsonl(self.path, ("request_hash", "response")):
             for name in ("request_hash", "response"):
                 if not isinstance(row[name], str):
                     raise LineParseError(self.path, lineno, f"field {name!r} must be a string")
-            self._cache[row["request_hash"]] = row["response"]
+            h = row["request_hash"]
+            first = first_line.setdefault(h, lineno)
+            if first != lineno:
+                raise LineParseError(self.path, lineno, f"repeated request_hash {h!r}, first at line {first}")
+            self._cache[h] = row["response"]
 
     @staticmethod
     def request_hash(request: str) -> str:

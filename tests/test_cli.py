@@ -1085,6 +1085,12 @@ JSONL_FAULTS = {
         "train", "--provider-fixture", "fixture.jsonl", lambda lines: '{"response": "VERDICT: NORMAL"}\n',
         "line 1: missing field 'request_hash'",
     ),
+    # else the later of the two lines would silently answer that request
+    "fixture-with-a-repeated-hash": (
+        "train", "--provider-fixture", "fixture.jsonl",
+        lambda lines: '{"request_hash": "ab", "response": "x"}\n\n{"request_hash": "ab", "response": "y"}\n',
+        "line 3: repeated request_hash 'ab', first at line 1",
+    ),
     # bytes: an "é" written in Latin-1 is the byte 0xe9, which is not UTF-8
     "raw-record-not-utf-8": (
         "ingest", "--logs", "raw.jsonl", lambda lines: (UNMATCHED + '{"message": "café au lait"}\n').encode("latin-1"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlog.decompose import pattern_keys, run_seq, scan_runs, top_down_decompose
+from hierlog.decompose import CHILD_LEVEL, child_runs, pattern_keys, run_seq, scan_runs, top_down_decompose
 from hierlog.errors import DecompositionError
 from hierlog.hierarchy import ACTION, ENTITY, PARENT_DEPTH, STATUS, TopicTriple, build_tree
 
@@ -126,6 +126,26 @@ def test_pattern_keys_give_each_runs_seq_pattern(data):
         patterns = pattern_keys(level, keys, level_runs, tree)
         assert patterns == [run_seq(level, keys, run, tree).pattern for run in level_runs]
         assert all(len(pattern) > PARENT_DEPTH[level] for pattern in patterns)  # a node after the parent's names
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_child_runs_give_the_children_that_top_down_decompose_links(data):
+    # training and the LLM path find a run's children by `child_runs`, not by the Seq links
+    triples = [
+        TopicTriple(f"t{i}", data.draw(_names_st), data.draw(_names_st), data.draw(_names_st))
+        for i in range(data.draw(st.integers(1, 6), label="keys"))
+    ]
+    tree = build_tree(triples)
+    keys = data.draw(st.lists(st.sampled_from([t.key for t in triples]), min_size=1, max_size=30))
+    runs, result = scan_runs(keys, tree), top_down_decompose(keys, tree)
+    for level, seqs in ((ENTITY, [result.e_seq]), (ACTION, result.a_seqs)):
+        assert len(runs[level]) == len(seqs)
+        for run, seq in zip(runs[level], seqs):
+            children = [run_seq(CHILD_LEVEL[level], keys, child, tree) for child in child_runs(runs, level, run)]
+            assert [(c.level, c.parent_path, c.nodes, c.chunk) for c in children] == [
+                (c.level, c.parent_path, c.nodes, c.chunk) for c in seq.children
+            ]
 
 
 # -- properties -------------------------------------------------------------------

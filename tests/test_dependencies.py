@@ -62,6 +62,27 @@ def test_seq_and_run_seq_are_named_only_in_decompose():
     assert not named
 
 
+def test_only_knowledge_sets_an_entrys_llm_fields():
+    """A train entry is whole when `insert_train` or a load makes it, so no other module assigns its summary,
+    embedding or example chunk: an insert is then the only change that can leave the retrieval lists stale."""
+    assigned = []
+    for path in sorted(Path(hierlog.__file__).parent.glob("*.py")):
+        if path.name == "knowledge.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Attribute) and name.attr in ("summary", "embedding", "example_chunk"):
+                        assigned.append(f"{path.name}:{name.lineno}: {name.attr}")
+    assert not assigned
+
+
 def test_importing_the_package_loads_no_http_client():
     """The chat provider imports `urllib.request` when it first sends, so a run without it never pays for it."""
     code = "import sys, hierlog.cli, hierlog.pipeline; print(sorted({'http.client', 'urllib.request'} & sys.modules.keys()))"

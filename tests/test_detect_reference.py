@@ -213,7 +213,7 @@ def test_llm_detector_reports_equal_a_reference_with_two_dicts(data):
 
 
 def reference_train(sequences, tree, llm, provider, templates):
-    """`insert_train` over every new Seq of `top_down_decompose`, summaries and embeddings bottom-up.
+    """`insert_train` over every new Seq of `top_down_decompose`, with its summary and embedding, bottom-up.
 
     A repeat is counted on its entry, found through the reference's own (level, signature) dict.
     """
@@ -226,15 +226,17 @@ def reference_train(sequences, tree, llm, provider, templates):
             if entry is not None:
                 entry.occurrence_count += 1
                 continue
-            entry = entries[seq.level, seq.signature] = kbs.train[seq.level].insert_train(seq.pattern, seq.chunk)
+            fields = {}
             if llm:
                 if seq.level == STATUS:
                     texts = [templates.get(k, k) for k in seq.chunk]
-                    entry.summary = summarize_status_seq(seq.pattern, texts, provider)
+                    fields["summary"] = summarize_status_seq(seq.pattern, texts, provider)
                 else:
                     children = [entries[c.level, c.signature].summary for c in seq.children]
-                    entry.summary = summarize_parent_seq(seq.level, seq.pattern, children, provider)
-                entry.embedding = embed_chunk(entry.example_chunk)
+                    fields["summary"] = summarize_parent_seq(seq.level, seq.pattern, children, provider)
+                fields["embedding"] = embed_chunk(seq.chunk)
+            kb = kbs.train[seq.level]
+            entries[seq.level, seq.signature] = kb.insert_train(seq.pattern, seq.chunk, **fields)
     return kbs
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierlog import knowledge
 from hierlog.decompose import top_down_decompose
 from hierlog.errors import FormatError, KnowledgeBaseError
 from hierlog.detect import DetectConfig, Detector, train as train_kbs
@@ -45,9 +47,9 @@ def entity_seq(toy_tree, keys):
     return top_down_decompose(keys, toy_tree).e_seq
 
 
-def insert(kb, seq):
-    """Insert a `Seq` as `train` inserts its run: by its pattern, with its chunk."""
-    return kb.insert_train(seq.pattern, seq.chunk)
+def insert(kb, seq, **fields):
+    """Insert a `Seq` as `train` inserts its run: by its pattern, with its chunk and any LLM `fields`."""
+    return kb.insert_train(seq.pattern, seq.chunk, **fields)
 
 
 def split(kb, entry):
@@ -262,6 +264,37 @@ def test_role_guards(toy_tree):
         train.lookup_test("x")
 
 
+def test_train_hands_each_new_entry_its_summary_and_embedding_at_insert(monkeypatch, corpus):
+    tree = build_tree(extract_topics(corpus.catalog, FixtureExtractor(corpus.fixture)))
+    original, inserted = KnowledgeBase.insert_train, []
+
+    def recorded(kb, *args, **kwargs):
+        entry = original(kb, *args, **kwargs)
+        inserted.append((entry, entry.summary, entry.embedding))  # the fields as the insert left them
+        return entry
+
+    monkeypatch.setattr(KnowledgeBase, "insert_train", recorded)
+    kbs = train_kbs(corpus.train, tree, DetectConfig(llm_enabled=True), provider=MockProvider())
+    assert len(inserted) == sum(len(kb.entries) for kb in kbs.train.values()) > 20
+    for entry, summary, embedding in inserted:
+        assert summary and summary == entry.summary
+        assert embedding is not None and embedding is entry.embedding == embed_chunk(entry.example_chunk)
+
+
+def test_a_kb_file_gets_the_mode_that_open_gives_a_new_file(tmp_path, toy_tree):
+    old = os.umask(0o022)
+    try:
+        (tmp_path / "plain.json").write_text("{}")
+        kb = KnowledgeBase(level=ENTITY, role="train")
+        insert(kb, entity_seq(toy_tree, TOY_KEYS))
+        kb.save(tmp_path / "train_entity.json")
+        kb.save(tmp_path / "train_entity.json")  # the replaced file too
+    finally:
+        os.umask(old)
+    assert (tmp_path / "train_entity.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["plain.json", "train_entity.json"]
+
+
 # -- retrieval ----------------------------------------------------------------
 
 def test_retrieve_similar_matches_brute_force(toy_tree):
@@ -269,8 +302,7 @@ def test_retrieve_similar_matches_brute_force(toy_tree):
     corpora = [["k1", "k3"], ["k3", "k5"], ["k1", "k3", "k5"], ["k5", "k1"], ["k1", "k2", "k3"]]
     for keys in corpora:
         seq = entity_seq(toy_tree, keys)
-        entry = insert(kb, seq)
-        entry.embedding = embed_chunk(seq.chunk)
+        insert(kb, seq, embedding=embed_chunk(seq.chunk))
     query = embed_chunk(["k1", "k3", "k5", "k5"])
 
     got = [e.pattern for e in kb.retrieve_similar((), query, 3)]
@@ -286,9 +318,8 @@ def test_retrieve_tie_break_by_count_then_signature(toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train")
     a = entity_seq(toy_tree, ["k1", "k3"])  # Session > Auth
     b = entity_seq(toy_tree, ["k3", "k1"])  # Auth > Session, distinct signature
-    insert(kb, a).embedding = sparse_vector({0: 1.0})
-    entry = insert(kb, b)
-    entry.occurrence_count, entry.embedding = 2, sparse_vector({0: 1.0})
+    insert(kb, a, embedding=sparse_vector({0: 1.0}))
+    insert(kb, b, embedding=sparse_vector({0: 1.0})).occurrence_count = 2
     # identical cosine: higher occurrence count (b has 2) wins
     got = kb.retrieve_similar((), sparse_vector({0: 1.0}), 2)
     assert got[0].occurrence_count == 2
@@ -298,7 +329,7 @@ def test_retrieve_filters_siblings(toy_tree):
     kb = KnowledgeBase(level="action", role="train")
     result = top_down_decompose(TOY_KEYS, toy_tree)
     for a_seq in result.a_seqs:
-        insert(kb, a_seq).embedding = embed_chunk(a_seq.chunk)
+        insert(kb, a_seq, embedding=embed_chunk(a_seq.chunk))
     got = kb.retrieve_similar(("Auth",), embed_chunk(["k3"]), 10)
     assert [split(kb, e)[0] for e in got] == [["root", "Auth"]]
 
@@ -313,10 +344,14 @@ def test_retrieve_requires_embeddings(toy_tree):
 _PARENTS = [("root", "Session"), ("root", "Auth"), ("root", "Comm")]  # of action runs
 # The vectors a KB accepts: finite non-zero values, a finite norm. Few indices
 # and small repeated values give shared indices, exact cosine ties and, with
-# no values, the zero vector; the general float branch adds subnormals (a norm
-# that underflows to 0) and products that overflow. A norm in (0, 1e-150) is
-# left out: two of them multiply to 0 and the dense cosine divides by zero.
-_VALUES = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]), st.floats(-1e154, 1e154).map(lambda x: x or 1.0))
+# no values, the zero vector; 1e-170 and -5e-324 square to 0.0, so a vector
+# of them alone has non-zeros and a norm that underflows to 0, and the
+# general float branch adds other subnormals and products that overflow. A
+# norm in (0, 1e-150) is left out: two of them multiply to 0 and the dense
+# cosine divides by zero.
+_VALUES = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 2.0, 1e-170, -5e-324]), st.floats(-1e154, 1e154).map(lambda x: x or 1.0)
+)
 _VECTORS = (
     st.dictionaries(st.sampled_from([0, 1, 2, 3, 4, EMBED_DIM - 1]), _VALUES, max_size=6)
     .map(lambda d: sparse_vector(dict(sorted(d.items()))))
@@ -338,17 +373,15 @@ def _oracle(kb, parent, query, m):
 def test_retrieve_similar_matches_brute_force_oracle(data):
     kb, counts = KnowledgeBase(level=ACTION, role="train", llm=True), Counter()
 
-    def insert(parent, nodes):
+    def insert(parent, nodes, embedding):
+        # a repeated pattern is inserted again: the new entry replaces the old one, with a higher count
         pattern = (*parent[1:], *nodes)
         counts[pattern] += data.draw(st.integers(1, 3), label="count")
-        entry = kb.insert_train(pattern, nodes)
-        entry.occurrence_count = counts[pattern]
-        return entry
+        kb.insert_train(pattern, nodes, embedding=embedding).occurrence_count = counts[pattern]
 
     node_lists = st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3)
     for _ in range(data.draw(st.integers(0, 12), label="entries")):
-        entry = insert(data.draw(st.sampled_from(_PARENTS)), data.draw(node_lists))
-        entry.embedding = data.draw(_VECTORS, label="embedding")
+        insert(data.draw(st.sampled_from(_PARENTS)), data.draw(node_lists), data.draw(_VECTORS, label="embedding"))
 
     def check():
         snapshot = json.dumps(kb.to_json(), sort_keys=True)  # a copy, not shared lists, with the embeddings
@@ -360,21 +393,22 @@ def test_retrieve_similar_matches_brute_force_oracle(data):
 
     check()
     if kb.entries:
-        victim = kb.entries[data.draw(st.sampled_from(sorted(kb.entries)), label="reassigned")]
-        victim.embedding = data.draw(_VECTORS, label="new embedding")
+        victim = data.draw(st.sampled_from(sorted(kb.entries)), label="re-inserted")
+        insert(("root", *victim[:1]), victim[1:], data.draw(_VECTORS, label="new embedding"))
         check()
 
     parent = data.draw(st.sampled_from(_PARENTS), label="late parent")
-    late = insert(parent, data.draw(st.lists(st.sampled_from("EF"), min_size=1, max_size=2)))
+    nodes = data.draw(st.lists(st.sampled_from("EF"), min_size=1, max_size=2), label="late nodes")
+    insert(parent, nodes, None)
     with pytest.raises(KnowledgeBaseError):
         kb.retrieve_similar(parent[1:], sparse_vector({0: 1.0}), 1)
-    late.embedding = data.draw(_VECTORS, label="late embedding")
+    insert(parent, nodes, data.draw(_VECTORS, label="late embedding"))
     check()
 
 
 def _sibling(kb, name, embedding, count=1, parent=("root",)):
-    entry = kb.insert_train((*parent[1:], name), [name])
-    entry.occurrence_count, entry.embedding = count, embedding
+    entry = kb.insert_train((*parent[1:], name), [name], embedding=embedding)
+    entry.occurrence_count = count  # as `train` counts repeats
     return entry
 
 
@@ -460,9 +494,9 @@ def test_retrieve_returns_nothing_for_m_zero_and_for_an_unknown_parent():
     assert _names(kb.retrieve_similar((), query, 5)) == ["P"]
 
 
-def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
+def test_retrieve_sees_inserts_and_re_inserts_after_a_query():
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
-    p = _sibling(kb, "P", sparse_vector({0: 1.0}))
+    _sibling(kb, "P", sparse_vector({0: 1.0}))
     _sibling(kb, "N", sparse_vector({0: -1.0}))
     query = sparse_vector({0: 1.0})
 
@@ -476,8 +510,24 @@ def test_retrieve_sees_inserts_and_reassigned_embeddings_after_a_query():
     assert ranked() == ["P", "Q", "N"]
     _sibling(kb, "Q", sparse_vector({0: 1.0}), count=2)  # inserted again with a higher count, Q moves ahead
     assert ranked() == ["Q", "P", "N"]
-    p.embedding = sparse_vector({0: -2.0})  # replaced in place, with no insert
+    _sibling(kb, "P", sparse_vector({0: -2.0}))  # inserted again with another embedding, P falls behind N
     assert ranked() == ["Q", "N", "P"]
+
+
+def test_only_an_insert_under_a_parent_rebuilds_its_posting_lists(monkeypatch):
+    kb, built = KnowledgeBase(level=ACTION, role="train", llm=True), []
+    columns = knowledge._SiblingColumns
+    monkeypatch.setattr(knowledge, "_SiblingColumns", lambda siblings: built.append(len(siblings)) or columns(siblings))
+    _sibling(kb, "P", sparse_vector({0: 1.0}), parent=("root", "A"))
+    _sibling(kb, "Q", sparse_vector({0: 1.0}), parent=("root", "B"))
+    for _ in range(3):
+        assert _names(kb.retrieve_similar(("A",), sparse_vector({0: 1.0}), 5)) == ["P"]
+    _sibling(kb, "R", sparse_vector({0: 1.0}), parent=("root", "B"))  # under another parent
+    assert _names(kb.retrieve_similar(("A",), sparse_vector({0: 1.0}), 5)) == ["P"]
+    assert built == [1]
+    _sibling(kb, "S", sparse_vector({0: 2.0}), parent=("root", "A"))
+    assert _names(kb.retrieve_similar(("A",), sparse_vector({0: 1.0}), 5)) == ["P", "S"]
+    assert built == [1, 2]
 
 
 def test_retrieve_raises_for_a_missing_embedding_until_it_is_set():
@@ -485,11 +535,11 @@ def test_retrieve_raises_for_a_missing_embedding_until_it_is_set():
     _sibling(kb, "P", sparse_vector({0: 1.0}))
     query = sparse_vector({0: 1.0})
     assert _names(kb.retrieve_similar((), query, 5)) == ["P"]
-    late = _sibling(kb, "L", None)
+    _sibling(kb, "L", None)
     for _ in range(2):  # the failure is not remembered as a result, nor the result as a success
         with pytest.raises(KnowledgeBaseError, match=r"root\|L"):
             kb.retrieve_similar((), query, 5)
-    late.embedding = sparse_vector({0: 2.0})
+    _sibling(kb, "L", sparse_vector({0: 2.0}))  # inserted again, with an embedding
     assert _names(kb.retrieve_similar((), query, 5)) == ["L", "P"]
 
 
@@ -541,9 +591,8 @@ def test_test_cache_round_trip(tmp_path):
 def test_save_load_round_trip(tmp_path, toy_tree):
     kb = KnowledgeBase(level=ENTITY, role="train", llm=True)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    insert(kb, seq)
+    insert(kb, seq, embedding=embed_chunk(seq.chunk))
     insert(kb, entity_seq(toy_tree, ["k3", "k1"]))
-    kb.entries[seq.pattern].embedding = embed_chunk(seq.chunk)
     path = tmp_path / "kb.json"
     kb.save(path)
     assert KnowledgeBase.load(path) == kb
@@ -628,9 +677,10 @@ def _saved_train_kb(tmp_path, toy_tree, llm=True):
     """A saved entity train KB whose one entry has, with the LLM on, an embedding, and its JSON."""
     kb = KnowledgeBase(level=ENTITY, role="train", llm=llm)
     seq = entity_seq(toy_tree, TOY_KEYS)
-    entry = insert(kb, seq)
     if llm:
-        entry.summary, entry.embedding = "E:Session>Auth>Comm", embed_chunk(seq.chunk)
+        insert(kb, seq, summary="E:Session>Auth>Comm", embedding=embed_chunk(seq.chunk))
+    else:
+        insert(kb, seq)
     path = tmp_path / "train_entity.json"
     kb.save(path)
     assert KnowledgeBase.load(path) == kb
