@@ -8,6 +8,7 @@ from __future__ import annotations
 import click
 
 from . import pipeline as stages
+from .detect import LEVEL_PRESETS
 from .errors import ConfigError, HierlogError
 from .hierarchy import EXTRACTOR_KINDS
 from .semantics import PROVIDER_KINDS
@@ -115,7 +116,7 @@ def train(templates_path, tree_path, sequences_path, kb_dir, llm, **provider_opt
 @click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
 @click.option("--kb-dir", required=True, type=click.Path(exists=True))
 @click.option("--test", "test_path", required=True, type=click.Path(exists=True))
-@click.option("--levels", default="SAE", type=click.Choice(["S", "SA", "SAE"]))
+@click.option("--levels", default="SAE", type=click.Choice(list(LEVEL_PRESETS)))
 @click.option("--detector", "detector_spec", default="exact",
               help="exact | automaton, with per-level overrides like exact:entity=automaton")
 @click.option("--llm", default="off", type=click.Choice(["on", "off"]))

@@ -7,10 +7,11 @@ rejects goes to the LLM, with retrieved sibling examples, and a decided
 LLM verdict is cached per chunk in the test KB of its level, so a repeated
 chunk costs one provider round. Detection and training alike work on a
 sub-sequence as its level, its pattern and its run's slice of the keys,
-and build no `Seq`. A verdict's signature is built only where it is
-written. Verdicts aggregate bottom-up per sequence with optional early
-exit. A report is a function of its key list and is memoised by it
-(`Detector.detect_sequence`).
+and build no `Seq`; they share one summary rule (`summary_of`), so a
+train entry's summary is the one detection gives its example chunk. A
+verdict's signature is built only where it is written. Verdicts
+aggregate bottom-up per sequence with optional early exit. A report is a
+function of its key list and is memoised by it (`Detector.detect_sequence`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 from .decompose import CHILD_LEVEL, Run, child_runs, pattern_keys, scan_runs
 from .decompose import top_down_decompose  # noqa: F401; bench/layers.py wraps it under this name
 from .errors import DecompositionError, ProviderError
-from .hierarchy import ACTION, ENTITY, PARENT_DEPTH, STATUS, TopicTree, signature
+from .hierarchy import ACTION, ENTITY, LEVEL_INITIAL, PARENT_DEPTH, STATUS, TopicTree, signature
 from .ingest import LogSequence
 from .knowledge import KnowledgeBase, KnowledgeBaseSet, TestEntry, chunk_key
 from .semantics import (
@@ -41,11 +42,8 @@ log = logging.getLogger(__name__)
 
 LEVEL_ORDER = (STATUS, ACTION, ENTITY)  # bottom-up
 
-LEVEL_PRESETS = {
-    "S": (STATUS,),
-    "SA": (STATUS, ACTION),
-    "SAE": (STATUS, ACTION, ENTITY),
-}
+# the bottom-up prefixes of LEVEL_ORDER, named by their levels' initials: S, SA and SAE
+LEVEL_PRESETS = {"".join(LEVEL_INITIAL[l] for l in LEVEL_ORDER[:n]): LEVEL_ORDER[:n] for n in (1, 2, 3)}
 
 EXACT = "exact"
 AUTOMATON = "automaton"
@@ -137,6 +135,39 @@ def _bounded_put(cache: dict, key, value, bound: int) -> None:
     cache[key] = value
 
 
+def summary_of(level: str, pattern: tuple[str, ...], keys: list[str], runs: dict[str, list[Run]], run: Run,
+               memo: dict[str, dict[tuple[str, ...], str]], train_kbs: dict[str, KnowledgeBase], tree: TopicTree,
+               templates: dict[str, str], provider: Provider) -> str:
+    """The bottom-up summary of `run` in `runs[level]`: the one summary rule of training and detection.
+
+    It is kept in `memo[level]` by chunk, bounded like the verdict dicts, and
+    seeded by a train entry whose example chunk is the chunk. A status run is
+    summarized from its templates, a parent run from its children's
+    summaries (`child_runs`) by this same function, so a summary is a
+    function of its level and chunk whatever order runs were seen in. Only a
+    miss reads the children and their patterns.
+    """
+    cache = memo[level]
+    chunk = keys[run[0]:run[1]]
+    key = tuple(chunk)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    train_entry = train_kbs[level].entries.get(pattern)
+    if train_entry is not None and train_entry.summary and train_entry.example_chunk == chunk:
+        summary = train_entry.summary
+    elif level == STATUS:
+        summary = summarize_status_seq(pattern, [templates.get(k, k) for k in chunk], provider)
+    else:
+        child_level, children = CHILD_LEVEL[level], child_runs(runs, level, run)
+        patterns = zip(pattern_keys(child_level, keys, children, tree), children)
+        child_summaries = [summary_of(child_level, p, keys, runs, child, memo, train_kbs, tree, templates, provider)
+                           for p, child in patterns]
+        summary = summarize_parent_seq(level, pattern, child_summaries, provider)
+    _bounded_put(cache, key, summary, VERDICT_CACHE_SIZE)
+    return summary
+
+
 class Detector:
     """Executes hybrid detection over decomposed sequences, sharing KBs.
 
@@ -157,9 +188,9 @@ class Detector:
     names. With the LLM on, a run that check rejects is judged by its
     chunk, which the summaries, the retrieval query and the LLM cache read,
     and its decided verdict is kept per level and chunk; the prompts read
-    the run's pattern, node names and chunk, and a summary miss reads its
-    children's among the next level's runs. A verdict made under a
-    provider error is not kept. Each dict is emptied at
+    the run's pattern, node names and chunk, and its summary is
+    `summary_of`'s, kept in `_summary_cache` per level and chunk. A verdict
+    made under a provider error is not kept. Each dict is emptied at
     `VERDICT_CACHE_SIZE` entries, and reports share `SeqVerdict` objects.
     `verdict_hits` counts per level the runs whose verdict the dicts held,
     `verdict_misses` the rest.
@@ -212,7 +243,8 @@ class Detector:
         entry = cache.lookup_test(ck)
         if entry is None:
             try:
-                summary = self._summary_for(level, pattern, keys, runs, run)
+                summary = summary_of(level, pattern, keys, runs, run, self._summary_cache, self.kbs.train, self.tree,
+                                     self.templates, self.provider)
                 query = embed_chunk(chunk)
                 examples = self.kbs.train[level].retrieve_similar(pattern[:PARENT_DEPTH[level]], query, self.config.m)
                 example_summaries = [e.summary for e in examples if e.summary]
@@ -229,33 +261,6 @@ class Detector:
         verdict = SeqVerdict(level, pattern, entry.verdict, "llm", entry.explanation, entry.confidence_flag)
         _bounded_put(self._llm_verdicts[level], chunk, verdict, VERDICT_CACHE_SIZE)
         return verdict, False
-
-    def _summary_for(self, level: str, pattern: tuple[str, ...], keys: list[str], runs: dict[str, list[Run]],
-                     run: Run) -> str:
-        """Bottom-up summary of `run` in `runs[level]`, kept per level and chunk, bounded like the verdict dicts.
-
-        Only a miss reads its children (`child_runs`) and their patterns.
-        """
-        cache = self._summary_cache[level]
-        chunk = keys[run[0]:run[1]]
-        key = tuple(chunk)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        # reuse training summaries when the same pattern+chunk was summarized
-        train_entry = self.kbs.train[level].entries.get(pattern)
-        if train_entry is not None and train_entry.summary and train_entry.example_chunk == chunk:
-            summary = train_entry.summary
-        elif level == STATUS:
-            texts = [self.templates.get(k, k) for k in chunk]
-            summary = summarize_status_seq(pattern, texts, self.provider)
-        else:
-            child_level, children = CHILD_LEVEL[level], child_runs(runs, level, run)
-            patterns = zip(pattern_keys(child_level, keys, children, self.tree), children)
-            child_summaries = [self._summary_for(child_level, p, keys, runs, child) for p, child in patterns]
-            summary = summarize_parent_seq(level, pattern, child_summaries, self.provider)
-        _bounded_put(cache, key, summary, VERDICT_CACHE_SIZE)
-        return summary
 
     # -- whole sequence ---------------------------------------------------------
 
@@ -341,14 +346,16 @@ def train(
     before only counts one more occurrence, and a new one is inserted with
     its run's slice of the keys; no `Seq` is built. With the LLM path
     enabled, a new pattern's summary and embedding are computed before its
-    insert, bottom-up, a parent's summary from its children's entries
-    (`child_runs`), so each entry is whole when inserted. Any decomposition
-    failure aborts the run: training KBs must be complete.
+    insert, so each entry is whole when inserted. The summary is
+    `summary_of`'s, the rule detection uses, so it is the summary of the
+    entry's example chunk whatever order the sequences come in. Any
+    decomposition failure aborts the run: training KBs must be complete.
     """
     if config.llm_enabled and provider is None:
         raise ValueError("llm_enabled training requires a provider for summaries")
     templates = templates or {}
     kbs = KnowledgeBaseSet(llm=config.llm_enabled)
+    memo: dict[str, dict[tuple[str, ...], str]] = {level: {} for level in LEVEL_ORDER}  # chunk -> summary, per level
     for sequence in sequences:
         if sequence.label is True:
             raise ValueError(f"training sequence {sequence.id} is labeled abnormal (one-class setting)")
@@ -365,16 +372,10 @@ def train(
                 entry = kb.entries.get(pattern)
                 if entry is not None:
                     entry.occurrence_count += 1
-                elif not config.llm_enabled:
-                    kb.insert_train(pattern, keys[run[0]:run[1]])
-                else:
+                elif config.llm_enabled:
                     chunk = keys[run[0]:run[1]]
-                    if level == STATUS:
-                        summary = summarize_status_seq(pattern, [templates.get(k, k) for k in chunk], provider)
-                    else:
-                        child_level = CHILD_LEVEL[level]
-                        below = kbs.train[child_level].entries
-                        children = pattern_keys(child_level, keys, child_runs(runs, level, run), tree)
-                        summary = summarize_parent_seq(level, pattern, [below[p].summary for p in children], provider)
+                    summary = summary_of(level, pattern, keys, runs, run, memo, kbs.train, tree, templates, provider)
                     kb.insert_train(pattern, chunk, summary, embed_chunk(chunk))
+                else:
+                    kb.insert_train(pattern, keys[run[0]:run[1]])
     return kbs

@@ -8,9 +8,9 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .detect import LEVEL_ORDER, SeqVerdict, SequenceReport
+from .detect import LEVEL_ORDER, LEVEL_PRESETS, SeqVerdict, SequenceReport
 from .errors import LineParseError
-from .hierarchy import LEVELS, TopicTree
+from .hierarchy import LEVEL_INITIAL, LEVELS, TopicTree
 from .ingest import read_jsonl
 from .knowledge import KnowledgeBaseSet
 from .semantics import VERDICT_ABNORMAL
@@ -53,7 +53,7 @@ class StructureReport:
     unique_seqs: dict[str, int] = field(default_factory=dict)  # per level, train KB
     total_occurrences: dict[str, int] = field(default_factory=dict)
     reuse_ratio: dict[str, float] = field(default_factory=dict)
-    keys_by_level_set: dict[str, int] = field(default_factory=dict)  # S / SA / SAE
+    keys_by_level_set: dict[str, int] = field(default_factory=dict)  # per LEVEL_PRESETS preset
     raw_test_keys: int = 0
     llm_calls: int = 0
     llm_call_ratio: float = 0.0  # vs test sequence count
@@ -81,16 +81,9 @@ def structure_report(
         for level in LEVEL_ORDER:
             keys[level] += report.counters.keys_per_level[level]
         out.raw_test_keys += report.raw_length
-    out.keys_by_level_set = {
-        "S": keys["status"],
-        "SA": keys["status"] + keys["action"],
-        "SAE": keys["status"] + keys["action"] + keys["entity"],
-    }
+    out.keys_by_level_set = {preset: sum(keys[l] for l in levels) for preset, levels in LEVEL_PRESETS.items()}
     out.llm_call_ratio = llm_calls / len(reports) if reports else 0.0
     return out
-
-
-_LEVEL_INITIAL = {"status": "S", "action": "A", "entity": "E"}
 
 
 def attribution_report(
@@ -112,7 +105,7 @@ def attribution_report(
             {v.level for v in report.verdicts if v.verdict == VERDICT_ABNORMAL},
             key=LEVEL_ORDER.index,
         )
-        bucket = "+".join(_LEVEL_INITIAL[l] for l in flagged) if flagged else "missed"
+        bucket = "+".join(LEVEL_INITIAL[l] for l in flagged) if flagged else "missed"
         buckets[bucket] = buckets.get(bucket, 0) + 1
     return buckets
 

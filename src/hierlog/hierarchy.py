@@ -27,6 +27,7 @@ ENTITY = "entity"
 ACTION = "action"
 STATUS = "status"
 LEVELS = (ENTITY, ACTION, STATUS)
+LEVEL_INITIAL = {ENTITY: "E", ACTION: "A", STATUS: "S"}  # a level's letter in presets, reports and mock summaries
 
 # a pattern is a run's parent path names below the root, this many per level, then its node names
 PARENT_DEPTH = {ENTITY: 0, ACTION: 1, STATUS: 2}

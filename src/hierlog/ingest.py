@@ -135,9 +135,10 @@ class TemplateCatalog:
 def load_template_catalog(path: str | Path) -> TemplateCatalog:
     """Load a catalog from a delimited file with columns (key, template).
 
-    Accepts CSV (with or without a header row) and JSON lines with
-    ``key``/``template`` fields. An empty key, empty text or a repeated key
-    raises `LineParseError` naming its line.
+    Accepts CSV (with or without a header as its first non-blank row) and
+    JSON lines with ``key``/``template`` fields. An empty key, empty text, a
+    repeated key or a byte order mark before the first row raises
+    `LineParseError` naming its line.
     """
     path = Path(path)
     templates: list[LogTemplate] = []
@@ -161,9 +162,9 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
             add(lineno, row["key"], row["template"])
     else:
         reader = csv.reader(line for _, line in _text_lines(path, newline=""))
-        for n, row in enumerate(reader):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for n, row in enumerate(row for row in reader if any(c.strip() for c in row)):  # blank rows skipped
+            if n == 0 and row[0].startswith("\ufeff"):  # else the mark would start the first key
+                raise LineParseError(path, reader.line_num, "unexpected UTF-8 BOM at column 1")
             if n == 0 and [c.strip().lower() for c in row[:2]] == ["key", "template"]:
                 continue
             if len(row) < 2:  # line_num counts lines, and a quoted field may span several

@@ -6,7 +6,8 @@ root, then the node names, which the level's `PARENT_DEPTH` splits where
 they are needed apart; no `Seq` is built. The grouping by parent, which a
 load fills, the automaton's transition index and the retrieval index are
 derived on first use. With the LLM path on, each entry also holds an
-example chunk, a summary and a sparse embedding, and retrieval ranks a
+example chunk, that chunk's summary (built by `detect.summary_of`, the
+rule detection uses) and a sparse embedding, and retrieval ranks a
 parent's entries by cosine from one posting list per embedding bucket,
 holding only the entries that are non-zero there; it multiplies only the
 non-zero products, yet ranks as the dense cosine does, bit for bit

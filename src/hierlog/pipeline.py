@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .detect import DetectConfig, Detector, SequenceReport, train as train_kbs
+from .detect import LEVEL_ORDER, DetectConfig, Detector, SequenceReport, train as train_kbs
 from .errors import ConfigError, HierlogError, LineParseError, PartitionError, StageError
 from .evalreport import (
     attribution_report,
@@ -31,6 +31,7 @@ from .evalreport import (
     structure_report,
 )
 from .hierarchy import (
+    LEVEL_INITIAL,
     TopicTree,
     TopicTriple,
     build_tree,
@@ -62,7 +63,7 @@ log = logging.getLogger(__name__)
 def parse_detector_spec(spec: str) -> dict[str, str]:
     """Parse '<kind>[:level=kind,...]' into a per-level map; `DetectConfig` checks the kinds and levels."""
     base, _, overrides = spec.partition(":")
-    per_level = {level: base for level in ("status", "action", "entity")}
+    per_level = dict.fromkeys(LEVEL_ORDER, base)
     if overrides:
         for item in overrides.split(","):
             level, _, kind = item.partition("=")
@@ -187,7 +188,7 @@ def detect(
     reports = detector.run(sequences)
     meta = {
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "levels": "".join(level[0].upper() for level in config.levels_enabled),
+        "levels": "".join(LEVEL_INITIAL[level] for level in config.levels_enabled),
         "llm": config.llm_enabled,
     }
     save_reports(reports, report_path, meta=meta)

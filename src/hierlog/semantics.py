@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 
 from . import prompts as prompt_assets
 from .errors import LineParseError, ProviderError
-from .hierarchy import PARENT_DEPTH, ROOT, STATUS, signature
+from .hierarchy import LEVEL_INITIAL, PARENT_DEPTH, ROOT, STATUS, signature
 from .ingest import read_jsonl
 
 VERDICT_NORMAL = "normal"
@@ -91,9 +91,9 @@ class MockProvider:
         header = _request_fields(request)
         task = header.get("TASK", "")
         if task.startswith("summarize-"):
-            tag = {"status": "S", "action": "A", "entity": "E"}.get(task.split("-", 1)[1], "?")
-            digest = f"{tag}:{header.get('NODES', '')}"
-            if tag != "S":
+            level = task.split("-", 1)[1]
+            digest = f"{LEVEL_INITIAL.get(level, '?')}:{header.get('NODES', '')}"
+            if level != STATUS:
                 children = _extract_block(request)
                 if children:
                     digest += f"[{';'.join(children)}]"

@@ -9,8 +9,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from hierlog import semantics
+from hierlog.detect import DetectConfig, Detector
 from hierlog.hierarchy import SIG_NODE_SEP, SIG_PARENT_SEP, FixtureExtractor, build_tree, escape_name, extract_topics
-from hierlog.ingest import LogTemplate, TemplateCatalog
+from hierlog.ingest import LogSequence, LogTemplate, TemplateCatalog
+from hierlog.knowledge import KnowledgeBaseSet
 from hierlog.semantics import EMBED_DIM, MockProvider, RecordedProvider
 from hierlog.synthetic import TOY_FIXTURE, TOY_TEMPLATES, make_corpus
 
@@ -185,6 +187,17 @@ def cosine(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
+
+
+def detector_summary(tree, level, chunk, provider, templates) -> str:
+    """The summary that a Detector with no train entry to start from gives `chunk` as a run of `level`.
+
+    Every run of the chunk is unseen, so the Detector asks the LLM about each and summarizes them all.
+    """
+    config = DetectConfig(llm_enabled=True, early_exit=False)
+    detector = Detector(tree, KnowledgeBaseSet(llm=True), config, provider=provider, templates=templates)
+    detector.detect_sequence(LogSequence("chunk", list(chunk)))
+    return detector._summary_cache[level][tuple(chunk)]
 
 
 @pytest.fixture(scope="session")

@@ -959,6 +959,17 @@ JSONL_FAULTS = {
         "ingest", "--templates", "templates.csv", lambda lines: lines[0] + "justonecolumn\n",
         "line 2: expected columns (key, template)",
     ),
+    # the header is the first non-blank row: read as a template, it would be the first key 'key', at line 2
+    "csv-catalog-header-after-a-blank-line": (
+        "ingest", "--templates", "templates.csv",
+        lambda lines: "\n" + lines[0] + "key,Disk <*> ok\nkey,Disk write ok\n",
+        "line 4: duplicate template key 'key', first at line 3",
+    ),
+    # read as text, a BOM would be part of the first key, '\ufeffkey'
+    "csv-catalog-with-a-bom": (
+        "ingest", "--templates", "templates.csv", lambda lines: "\ufeff" + "".join(lines),
+        "line 1: unexpected UTF-8 BOM at column 1",
+    ),
     "jsonl-catalog-without-template": (
         "ingest", "--templates", "templates.jsonl", lambda lines: '{"key": "k1", "template": "x"}\n{"key": "k2"}\n',
         "line 2: missing field 'template'",

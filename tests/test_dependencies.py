@@ -83,6 +83,21 @@ def test_only_knowledge_sets_an_entrys_llm_fields():
     assert not assigned
 
 
+def test_one_function_asks_for_summaries():
+    """Training and detection summarize a run by one rule, so exactly one function calls the summary prompts."""
+    callers = set()
+    for path in sorted(Path(hierlog.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                callee = getattr(node, "func", None)
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in ("summarize_status_seq", "summarize_parent_seq"):
+                    callers.add(f"{path.name}: {function.name}")
+    assert len(callers) == 1, sorted(callers)
+
+
 def test_importing_the_package_loads_no_http_client():
     """The chat provider imports `urllib.request` when it first sends, so a run without it never pays for it."""
     code = "import sys, hierlog.cli, hierlog.pipeline; print(sorted({'http.client', 'urllib.request'} & sys.modules.keys()))"

@@ -28,7 +28,7 @@ from hierlog.knowledge import KnowledgeBase, KnowledgeBaseSet
 from hierlog.semantics import MockProvider
 from hierlog.synthetic import make_corpus
 
-from conftest import TOY_KEYS, report_to_json
+from conftest import TOY_KEYS, detector_summary, report_to_json
 
 TOY_TEMPLATES_MAP = {
     "k1": "Open session started",
@@ -89,6 +89,18 @@ def test_train_computes_summaries_and_embeddings(toy_cat, toy_tree):
     train(make_sequences(toy_cat, [TOY_KEYS, TOY_KEYS]), toy_tree, config,
           provider=provider2, templates=TOY_TEMPLATES_MAP)
     assert provider2.calls == 9
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["as-given", "reversed"])
+def test_a_stored_summary_is_its_example_chunks_detector_summary_in_either_training_order(toy_tree, order):
+    # both sequences walk one Auth action pattern, over k3 k4 in the first and k3 k3 k4 in the second; the entity
+    # entry Auth>Comm comes from the second, so its summary must read that chunk's, whichever chunk trained Auth's
+    sequences = [LogSequence("t1", ["k1", "k2", "k3", "k4"]), LogSequence("t2", ["k3", "k3", "k4", "k5", "k6"])]
+    kbs = train(sequences[::order], toy_tree, DetectConfig(llm_enabled=True), provider=MockProvider(),
+                templates=TOY_TEMPLATES_MAP)
+    entry = kbs.train[ENTITY].entries["Auth", "Comm"]
+    assert entry.example_chunk == ["k3", "k3", "k4", "k5", "k6"]
+    assert entry.summary == detector_summary(toy_tree, ENTITY, entry.example_chunk, MockProvider(), TOY_TEMPLATES_MAP)
 
 
 # -- local detectors --------------------------------------------------------------

@@ -5,9 +5,12 @@ works on the Seqs one by one, with no memo and no dict, as the detector
 and training did before they keyed their dicts by pattern. With the LLM
 on, the reference keeps only what stands for the LLM cache and the
 summaries: two plain dicts keyed by (level, chunk), and it builds each
-prompt's parent context from the Seq's own parent path. The prompts that
-the summary functions build from a pattern are checked against prompts
-formatted here from each Seq's parent path and node names.
+prompt's parent context from the Seq's own parent path. Training and
+detection share one reference summary, built from each Seq's own
+children, so a stored summary must be the summary of its entry's example
+chunk. The prompts that the summary functions build from a pattern are
+checked against prompts formatted here from each Seq's parent path and
+node names.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ from hierlog.semantics import (
     summarize_status_seq,
 )
 
-from conftest import make_signature
+from conftest import detector_summary, make_signature
 
 # names that hold the signature's separators and its escape character
 names = st.text(alphabet="ab|>\\", min_size=1, max_size=3)
@@ -168,22 +171,32 @@ class Judge(Digests):
         return ("VERDICT: NORMAL\n", "VERDICT: ABNORMAL\n", "")[int(digest[-1], 16) % 3] + digest
 
 
-def reference_llm(kbs, config, provider, templates):
-    """An LLM verdict on a Seq, from plain dicts keyed by (level, chunk) for the LLM cache and the summaries."""
-    llm_cache, summaries = {}, {}
+def reference_summary(provider, templates, summaries):
+    """A Seq's summary, kept in `summaries` by (level, chunk): from its chunk's templates at the status level, else
+    from its `Seq.children`'s summaries."""
 
     def summary(seq):
         key = (seq.level, tuple(seq.chunk))
         if key not in summaries:
-            entry = kbs.train[seq.level].entries.get(seq.pattern)
-            if entry is not None and entry.summary and entry.example_chunk == seq.chunk:
-                summaries[key] = entry.summary
-            elif seq.level == STATUS:
+            if seq.level == STATUS:
                 summaries[key] = summarize_status_seq(seq.pattern, [templates.get(k, k) for k in seq.chunk], provider)
             else:
                 children = [summary(child) for child in seq.children]
                 summaries[key] = summarize_parent_seq(seq.level, seq.pattern, children, provider)
         return summaries[key]
+
+    return summary
+
+
+def reference_llm(kbs, config, provider, templates):
+    """An LLM verdict on a Seq, from plain dicts keyed by (level, chunk) for the LLM cache and the summaries.
+
+    The summaries start from each train entry's, as the summary of its example chunk.
+    """
+    llm_cache = {}
+    stored = {(level, tuple(e.example_chunk)): e.summary
+              for level in LEVEL_ORDER for e in kbs.train[level].entries.values() if e.summary}
+    summary = reference_summary(provider, templates, stored)
 
     def llm_verdict(seq):
         key = (seq.level, tuple(seq.chunk))
@@ -215,9 +228,11 @@ def test_llm_detector_reports_equal_a_reference_with_two_dicts(data):
 def reference_train(sequences, tree, llm, provider, templates):
     """`insert_train` over every new Seq of `top_down_decompose`, with its summary and embedding, bottom-up.
 
-    A repeat is counted on its entry, found through the reference's own (level, signature) dict.
+    A repeat is counted on its entry, found through the reference's own (level, signature) dict. A new Seq's
+    summary is `reference_summary`'s, the summary of its own chunk.
     """
     kbs, entries = KnowledgeBaseSet(llm=llm), {}
+    summary = reference_summary(provider, templates, {})
     for sequence in sequences:
         if not sequence.keys:
             continue
@@ -226,15 +241,7 @@ def reference_train(sequences, tree, llm, provider, templates):
             if entry is not None:
                 entry.occurrence_count += 1
                 continue
-            fields = {}
-            if llm:
-                if seq.level == STATUS:
-                    texts = [templates.get(k, k) for k in seq.chunk]
-                    fields["summary"] = summarize_status_seq(seq.pattern, texts, provider)
-                else:
-                    children = [entries[c.level, c.signature].summary for c in seq.children]
-                    fields["summary"] = summarize_parent_seq(seq.level, seq.pattern, children, provider)
-                fields["embedding"] = embed_chunk(seq.chunk)
+            fields = {"summary": summary(seq), "embedding": embed_chunk(seq.chunk)} if llm else {}
             kb = kbs.train[seq.level]
             entries[seq.level, seq.signature] = kb.insert_train(seq.pattern, seq.chunk, **fields)
     return kbs
@@ -253,6 +260,18 @@ def test_train_equals_inserting_every_decomposed_seq(llm, data):
     for level in LEVEL_ORDER:
         assert got.train[level].to_json() == want.train[level].to_json()
     assert got_provider.requests == want_provider.requests
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_llm_trained_entry_stores_the_detector_summary_of_its_example_chunk(data):
+    tree, keys = data.draw(trees(), label="tree")
+    sequences = [LogSequence(f"t{i}", ks) for i, ks in enumerate(data.draw(key_lists(keys, 1), label="train"))]
+    templates = {key: f"template of {key}" for key in keys}
+    kbs = train(sequences, tree, DetectConfig(llm_enabled=True), provider=Digests(), templates=templates)
+    for level in LEVEL_ORDER:
+        for entry in kbs.train[level].entries.values():
+            assert entry.summary == detector_summary(tree, level, entry.example_chunk, Digests(), templates), level
 
 
 @settings(max_examples=200, deadline=None)

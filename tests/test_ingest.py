@@ -61,6 +61,17 @@ def test_load_csv_with_header(tmp_path):
     assert [t.wildcard_count for t in cat.templates()] == [0, 1]
 
 
+@pytest.mark.parametrize("text, keys", [
+    ("\nkey,template\nk1,alpha <*>\n", ["k1"]),
+    (" , \nKey , Template\nk1,alpha <*>\n", ["k1"]),
+    ("k1,alpha <*>\nkey,template\n", ["k1", "key"]),
+], ids=["after-a-blank-line", "after-blank-cells", "after-a-template"])
+def test_only_the_first_non_blank_csv_row_can_be_the_header(tmp_path, text, keys):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    assert load_template_catalog(p).keys() == keys
+
+
 def test_load_csv_without_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a1,alpha beta\na2,gamma <*>\n")
